@@ -7,7 +7,7 @@ assertions per ballot as normalized assorters, and estimates or executes
 sequential audits under the Kaplan-Kolmogorov risk function.
 """
 
-from .model import Ballot, Election, pairwise_tallies, prefers, restrict_to, scores
+from .model import Ballot, Election, pairwise_tallies, preference_matrix, prefers, restrict_to, scores
 from .ballots import (
     ParseError,
     ParseReport,
@@ -43,6 +43,7 @@ from .assertions import (
     ScoreComparison,
     assorter_mean,
     assorter_value,
+    assorter_values,
     condorcet_assertions,
     describe,
     export_assertions,

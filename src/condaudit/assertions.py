@@ -3,10 +3,15 @@
 An assertion is a claimed inequality over ballot tallies; jointly, a
 method's assertion set implies its reported winner won.  Every assertion is
 scored per ballot by an *assorter*: a value in [0, 1] whose population mean
-exceeds 1/2 exactly when the claimed inequality holds.  The scoring follows
-the signed-indicator construction ``h = (g - a) / (-2a)``, where ``g`` sums
-the ballot's +/-1 contributions to the tallies being compared and ``a`` is
-the minimum of ``g``.
+exceeds 1/2 exactly when the claimed inequality holds.
+
+Each claim is integer weights ``W`` over ordered candidate pairs
+(:func:`pair_weights`): a ballot contributes ``g = sum_ij W[i, j] *
+prefers(i, j)`` and scores ``(g - a) / (-2a)`` with ``a = -h``.  The
+normaliser ``h`` is 1 for a pairwise claim and 2 for a score comparison,
+where ``-h`` is the minimum of ``g``; for a ranking comparison over k
+candidates it is ``k(k-1)/2``, below the minimum of ``g`` whenever the two
+rankings order some pair alike.
 
 Three claim shapes are supported:
 
@@ -30,7 +35,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .model import Ballot, Election, prefers
+from .model import Ballot, Election, preference_matrix
 from .tabulation import (
     CapacityError,
     KemenyResult,
@@ -95,7 +100,7 @@ class FullHandCount:
 Assertion = Union[PairwisePositive, ScoreComparison, RankingComparison, FullHandCount]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssertionSet:
     """A method's assertions for one reported outcome.
 
@@ -109,7 +114,7 @@ class AssertionSet:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.assertions = tuple(self.assertions)
+        object.__setattr__(self, "assertions", tuple(self.assertions))
         if any(isinstance(a, FullHandCount) for a in self.assertions) and len(self.assertions) != 1:
             raise ValueError("a full-hand-count sentinel must be the set's only member")
 
@@ -122,42 +127,46 @@ class AssertionSet:
 # Assorters
 
 
+def pair_weights(assertion: Assertion, num_candidates: int) -> tuple[np.ndarray, int]:
+    """The claim as integer weights ``W`` over ordered pairs, plus its normaliser ``h``.
+
+    A ballot's signed contribution is ``g = sum_ij W[i, j] * prefers(i, j)``
+    and its assorter is ``(g + h) / 2h``.
+    """
+    if isinstance(assertion, PairwisePositive):
+        plus, minus, h = [(assertion.winner, assertion.loser)], [(assertion.loser, assertion.winner)], 1
+    elif isinstance(assertion, ScoreComparison):
+        (i, j), (k, l) = assertion.hi, assertion.lo
+        plus, minus, h = [(i, j), (l, k)], [(k, l), (j, i)], 2
+    elif isinstance(assertion, RankingComparison):
+        plus = list(itertools.combinations(assertion.preferred, 2))
+        minus = list(itertools.combinations(assertion.other, 2))
+        h = len(plus)
+    elif isinstance(assertion, FullHandCount):
+        raise ValueError("a full-hand-count sentinel has no assorter")
+    else:
+        raise TypeError(f"not an assertion: {assertion!r}")
+    weights = np.zeros((num_candidates, num_candidates), dtype=np.int64)
+    for pair in plus:
+        weights[pair] += 1
+    for pair in minus:
+        weights[pair] -= 1
+    return weights, h
+
+
+def assorter_values(assertion: Assertion, prefs: np.ndarray) -> np.ndarray:
+    """Assorter of every signature in a :func:`preference_matrix`; each in [0, 1]."""
+    weights, h = pair_weights(assertion, prefs.shape[-1])
+    return (np.tensordot(prefs, weights, axes=2) + h) / (2 * h)
+
+
 def assorter_value(assertion: Assertion, ballot: Ballot) -> float:
     """Score one ballot for an assertion; always in [0, 1].
 
     A ballot expressing none of the compared preferences scores exactly 1/2.
     """
-    if isinstance(assertion, PairwisePositive):
-        w, l = assertion.winner, assertion.loser
-        g = int(prefers(ballot, w, l)) - int(prefers(ballot, l, w))
-        return (g + 1) / 2
-    if isinstance(assertion, ScoreComparison):
-        (i, j), (k, l) = assertion.hi, assertion.lo
-        g = (
-            int(prefers(ballot, i, j))
-            + int(prefers(ballot, l, k))
-            - int(prefers(ballot, k, l))
-            - int(prefers(ballot, j, i))
-        )
-        return (g + 2) / 4
-    if isinstance(assertion, RankingComparison):
-        k = len(assertion.preferred)
-        pair_count = k * (k - 1) // 2
-        g = _agreement(assertion.preferred, ballot) - _agreement(assertion.other, ballot)
-        return (g + pair_count) / (2 * pair_count)
-    if isinstance(assertion, FullHandCount):
-        raise ValueError("a full-hand-count sentinel has no assorter")
-    raise TypeError(f"not an assertion: {assertion!r}")
-
-
-def _agreement(ranking: Sequence[int], ballot: Ballot) -> int:
-    """Number of the ranking's ordered pairs the ballot agrees with."""
-    agree = 0
-    for p, x in enumerate(ranking):
-        for y in ranking[p + 1:]:
-            if prefers(ballot, x, y):
-                agree += 1
-    return agree
+    k = 1 + max((*ballot, *_candidates_of(assertion)), default=0)
+    return float(assorter_values(assertion, preference_matrix([ballot], k))[0])
 
 
 def assorter_mean(assertion: Assertion, election: Election) -> float:
@@ -165,9 +174,10 @@ def assorter_mean(assertion: Assertion, election: Election) -> float:
     total = election.total_ballots
     if total == 0:
         return 0.5
-    acc = 0.0
-    for sig, count in election.profile.items():
-        acc += count * assorter_value(assertion, sig)
+    prefs = preference_matrix(list(election.profile), election.num_candidates)
+    acc = 0.0  # summed in profile order: a dot product's order changes the last bits
+    for count, value in zip(election.profile.values(), assorter_values(assertion, prefs).tolist()):
+        acc += count * value
     return acc / total
 
 
@@ -327,20 +337,13 @@ def smith_assertions(
 
 
 def _relabel(assertion: Assertion, mapping: Sequence[int]) -> Assertion:
-    """Map an assertion's local candidate indices through ``mapping``."""
+    """Map a Minimax assertion's local candidate indices through ``mapping``."""
     if isinstance(assertion, PairwisePositive):
         return PairwisePositive(mapping[assertion.winner], mapping[assertion.loser])
-    if isinstance(assertion, ScoreComparison):
-        return ScoreComparison(
-            (mapping[assertion.hi[0]], mapping[assertion.hi[1]]),
-            (mapping[assertion.lo[0]], mapping[assertion.lo[1]]),
-        )
-    if isinstance(assertion, RankingComparison):
-        return RankingComparison(
-            tuple(mapping[c] for c in assertion.preferred),
-            tuple(mapping[c] for c in assertion.other),
-        )
-    return assertion
+    return ScoreComparison(
+        (mapping[assertion.hi[0]], mapping[assertion.hi[1]]),
+        (mapping[assertion.lo[0]], mapping[assertion.lo[1]]),
+    )
 
 
 def _candidates_of(assertion: Assertion) -> set[int]:
@@ -377,14 +380,6 @@ def kemeny_assertions(kr: KemenyResult, k_limit: int = 8) -> AssertionSet:
 
 # ---------------------------------------------------------------------------
 # JSON interchange
-
-_TYPE_TAGS = {
-    PairwisePositive: "pairwise_positive",
-    ScoreComparison: "score_comparison",
-    RankingComparison: "ranking_comparison",
-    FullHandCount: "full_hand_count",
-}
-
 
 def describe(assertion: Assertion, names: Sequence[str]) -> str:
     """Human-readable one-liner for an assertion, using candidate names."""

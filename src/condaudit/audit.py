@@ -27,15 +27,15 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ballots import ParseError
-from .model import Ballot, Election
-from .assertions import Assertion, AssertionSet, FullHandCount, assorter_mean, assorter_value
+from .model import Ballot, Election, preference_matrix
+from .assertions import Assertion, AssertionSet, FullHandCount, assorter_mean, assorter_value, assorter_values
 
 AUDIT_STYLES = ("polling", "comparison")
 
@@ -179,11 +179,13 @@ def comparison_assorter_value(
     """
     if not reported_mean > 0.5:
         raise ValueError("comparison audits require a reported assorter mean above 1/2")
-    overstatement = assorter_value(assertion, reported_ballot) - assorter_value(
-        assertion, audited_ballot
-    )
-    v = 2 * reported_mean - 1
-    return (1 - overstatement) / (2 - v)
+    reported, audited = (assorter_value(assertion, ballot) for ballot in (reported_ballot, audited_ballot))
+    return _comparison_score(reported, audited, reported_mean)
+
+
+def _comparison_score(reported, audited, reported_mean: float):
+    """The score of :func:`comparison_assorter_value` from polling assorters; elementwise on arrays."""
+    return (1 - (reported - audited)) / (2 - (2 * reported_mean - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,7 @@ def simulate_trials(
     n = population.size
     if n == 0:
         return np.zeros(cfg.trials, dtype=np.int64)
-    values = np.array([assorter_value(assertion, sig) for sig in sigs], dtype=np.float64)
+    values = assorter_values(assertion, preference_matrix(sigs, election.num_candidates))
     cap = max(1, math.ceil(cfg.max_sample_fraction * n))
 
     reported_mean = 0.0
@@ -246,11 +248,9 @@ def simulate_trials(
                 draw += draw >= audited[hit]
                 audited[hit] = draw
         order = rng.permutation(n)[:cap]
-        if cfg.style == "polling":
-            x = values[audited[order]]
-        else:
-            v = 2 * reported_mean - 1
-            x = (1.0 - (values[population[order]] - values[audited[order]])) / (2 - v)
+        x = values[audited[order]]
+        if cfg.style == "comparison":
+            x = _comparison_score(values[population[order]], x, reported_mean)
         p = kk_pvalue_trace(x, n, padding=cfg.padding)
         crossed = np.flatnonzero(p <= cfg.risk_limit)
         return int(crossed[0]) + 1 if crossed.size else n + 1
@@ -421,14 +421,17 @@ def run_audit(
 
     reported_means: list[float] = []
     if cfg.style == "comparison":
-        for assertion in aset.assertions:
-            mean = assorter_mean(assertion, election)
-            if not mean > 0.5:
-                raise ValueError(
-                    "comparison audit is impossible: reported tallies do not support "
-                    "the assertion (mean <= 1/2)"
-                )
-            reported_means.append(mean)
+        reported_means = [assorter_mean(assertion, election) for assertion in aset.assertions]
+        if not all(mean > 0.5 for mean in reported_means):
+            raise ValueError(
+                "comparison audit is impossible: reported tallies do not support the assertion (mean <= 1/2)"
+            )
+
+    # Score each distinct sampled ballot once per assertion.
+    sigs = list(dict.fromkeys(b for s in samples for b in (s.audited, s.reported) if b is not None))
+    rows = {sig: row for row, sig in enumerate(sigs)}
+    prefs = preference_matrix(sigs, election.num_candidates)
+    tables = [assorter_values(assertion, prefs).tolist() for assertion in aset.assertions]
 
     states = [RiskState(n, padding=cfg.padding) for _ in aset.assertions]
     traces: list[list[float]] = [[] for _ in aset.assertions]
@@ -436,28 +439,21 @@ def run_audit(
     for sample in samples:
         if all(s.p_value <= cfg.risk_limit for s in states):
             break
+        if cfg.style == "comparison" and sample.reported is None:
+            raise ValueError("comparison audits need a reported ballot per sample")
         examined += 1
-        for idx, assertion in enumerate(aset.assertions):
-            if cfg.style == "polling":
-                x = assorter_value(assertion, sample.audited)
-            else:
-                if sample.reported is None:
-                    raise ValueError("comparison audits need a reported ballot per sample")
-                x = comparison_assorter_value(
-                    assertion, sample.reported, sample.audited, reported_means[idx]
-                )
+        audited = rows[sample.audited]
+        for idx, table in enumerate(tables):
+            x = table[audited]
+            if cfg.style == "comparison":
+                x = _comparison_score(table[rows[sample.reported]], x, reported_means[idx])
             states[idx] = kk_update(states[idx], x)
             traces[idx].append(states[idx].p_value)
 
     certified_all = all(s.p_value <= cfg.risk_limit for s in states)
     records = tuple(
-        AssertionAuditRecord(
-            assertion,
-            states[idx].p_value <= cfg.risk_limit,
-            states[idx].p_value,
-            tuple(traces[idx]),
-        )
-        for idx, assertion in enumerate(aset.assertions)
+        AssertionAuditRecord(assertion, state.p_value <= cfg.risk_limit, state.p_value, tuple(trace))
+        for assertion, state, trace in zip(aset.assertions, states, traces)
     )
     outcome = "certified" if certified_all else "escalate-full-count"
     return AuditReport(outcome, examined, cfg.risk_limit, records)

@@ -61,12 +61,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("CONDAUDIT_SEED", "0")
+def _seed(raw: str) -> int:
+    """Parse --seed.  Argparse also passes its string default, $CONDAUDIT_SEED,
+    through here, so a malformed variable is a usage error like a malformed flag."""
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer (from --seed or $CONDAUDIT_SEED), got {raw!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--risk-limit", type=float, default=0.05)
             p.add_argument("--error-rate", type=float, default=0.002)
             p.add_argument("--trials", type=int, default=2000)
-            p.add_argument("--seed", type=int, default=_default_seed(),
+            p.add_argument("--seed", type=_seed, default=os.environ.get("CONDAUDIT_SEED", "0"),
                            help="simulation seed (default: $CONDAUDIT_SEED or 0)")
             p.add_argument("--style", choices=("polling", "comparison"), default="polling")
             p.add_argument("--workers", type=int, default=1)

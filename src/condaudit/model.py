@@ -10,9 +10,10 @@ keyed by signature (the exact ranking tuple).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,6 +96,21 @@ def prefers(ballot: Ballot, i: int, j: int) -> bool:
     return False
 
 
+def preference_matrix(signatures: Sequence[Ballot], num_candidates: int) -> np.ndarray:
+    """Boolean array ``P`` with ``P[s, i, j]`` true iff signature s prefers i over j.
+
+    The array form of :func:`prefers`: i is preferred when its position is
+    smaller, with unranked candidates at position ``num_candidates``.
+    """
+    lengths = np.fromiter(map(len, signatures), dtype=np.intp, count=len(signatures))
+    ranked = np.fromiter(itertools.chain.from_iterable(signatures), dtype=np.intp, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(len(signatures)), lengths)
+    pos = np.full((len(signatures), num_candidates), num_candidates, dtype=np.intp)
+    # A ranked candidate's position is its offset within its own signature.
+    pos[rows, ranked] = np.arange(ranked.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return pos[:, :, None] < pos[:, None, :]
+
+
 def pairwise_tallies(election: Election) -> np.ndarray:
     """k x k matrix whose (i, j) entry counts ballots preferring i over j.
 
@@ -102,17 +118,9 @@ def pairwise_tallies(election: Election) -> np.ndarray:
     ballots ranking neither count for neither, so opposing entries may sum
     to less than the total number of ballots.  The diagonal is zero.
     """
-    k = election.num_candidates
-    tallies = np.zeros((k, k), dtype=np.int64)
-    for sig, count in election.profile.items():
-        ranked = list(sig)
-        unranked = [c for c in range(k) if c not in sig]
-        for p, i in enumerate(ranked):
-            for j in ranked[p + 1:]:
-                tallies[i, j] += count
-            for j in unranked:
-                tallies[i, j] += count
-    return tallies
+    counts = np.fromiter(election.profile.values(), dtype=np.int64, count=len(election.profile))
+    prefs = preference_matrix(list(election.profile), election.num_candidates)
+    return np.tensordot(counts, prefs, axes=1)
 
 
 def scores(tallies: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +31,6 @@ MAX_TIE_ORDERINGS = 10_000
 
 class CapacityError(ValueError):
     """Raised when an enumeration-based method would blow up combinatorially."""
-
-
-def _check_tie_policy(tie_policy: str) -> None:
-    if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +57,8 @@ def irv_tabulate(election: Election, tie_policy: str = "flag-only") -> IrvResult
     the result as ambiguous, while ``lexicographic`` treats the index order
     as part of the rule.
     """
-    _check_tie_policy(tie_policy)
+    if tie_policy not in TIE_POLICIES:
+        raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
     k = election.num_candidates
     if k < 1:
         raise ValueError("IRV requires at least one candidate")
@@ -226,7 +222,7 @@ def _run_ranked_pairs(k: int, ordered: list[tuple[int, int, int]]):
     return winner, tuple(commits), tuple(inferences), dag, consumed
 
 
-def ranked_pairs_tabulate(score_matrix: np.ndarray, tie_policy: str = "lexicographic") -> RankedPairsResult:
+def ranked_pairs_tabulate(score_matrix: np.ndarray) -> RankedPairsResult:
     """Tabulate a Ranked Pairs election from a pairwise margin matrix.
 
     Positive majorities are considered strongest first; each is committed to
@@ -235,14 +231,13 @@ def ranked_pairs_tabulate(score_matrix: np.ndarray, tie_policy: str = "lexicogra
     recorded instead.  Tabulation stops the moment one candidate reaches all
     others.
 
-    Equal-score majorities are ordered by candidate index (both policies).
+    Equal-score majorities are ordered by candidate index.
     Whenever tied majorities come into play before the winner is settled, the
     tabulation is re-run over alternative orderings of the tied groups; if
     any ordering changes the winner, or the search exceeds
     ``MAX_TIE_ORDERINGS`` runs, the result is a full-hand-count outcome
     (``winner=None``).  Ties that merely occur are reported via ``tie_flag``.
     """
-    _check_tie_policy(tie_policy)
     s = np.asarray(score_matrix)
     k = s.shape[0]
     if k == 0:

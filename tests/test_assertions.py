@@ -17,6 +17,7 @@ from condaudit import (
     ScoreComparison,
     assorter_mean,
     assorter_value,
+    assorter_values,
     condorcet_assertions,
     condorcet_winner,
     describe,
@@ -27,6 +28,7 @@ from condaudit import (
     minimax_assertions,
     minimax_tabulate,
     pairwise_tallies,
+    preference_matrix,
     ranked_pairs_assertions,
     ranked_pairs_tabulate,
     scores,
@@ -77,6 +79,10 @@ class TestAssorterValue:
     def test_full_hand_count_has_no_assorter(self):
         with pytest.raises(ValueError):
             assorter_value(FullHandCount("tie"), (0,))
+
+    def test_non_assertion_has_no_assorter(self):
+        with pytest.raises(TypeError):
+            assorter_value("s(A,B) > 0", (0,))
 
     def test_ranking_comparison(self):
         a = RankingComparison((0, 1, 2), (2, 1, 0))
@@ -398,12 +404,14 @@ def test_assorter_mean_matches_tally_inequality(seed):
     if e.num_candidates < 2 or e.total_ballots == 0:
         return
     t = pairwise_tallies(e)
+    prefs = preference_matrix(list(e.profile), e.num_candidates)
     for _ in range(4):
         a = _random_assertion(rng, e.num_candidates)
         _check_soundness(a, e, t)
-        for sig in e.profile:
+        for sig, batched in zip(e.profile, assorter_values(a, prefs)):
             v = assorter_value(a, sig)
             assert 0.0 <= v <= 1.0
+            assert v == batched == (signed_contribution(a, sig) + normalizer(a) / 2) / normalizer(a)
 
 
 def test_theorem_style_falsifiability():

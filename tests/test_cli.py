@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condaudit
 from condaudit import import_assertions, parse_native, serialize_election
 from condaudit.cli import main
 
@@ -207,6 +210,19 @@ class TestEstimate:
         )
         assert json.loads(out)["seed"] == 99
 
+    def test_malformed_env_var_seed_is_usage_error(self, capsys, e1_path, monkeypatch):
+        monkeypatch.setenv("CONDAUDIT_SEED", "12x")
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--method", "condorcet", e1_path, "--trials", "5"])
+        assert exc.value.code == 64
+        assert "CONDAUDIT_SEED" in capsys.readouterr().err
+        # An explicit --seed does not read the variable.
+        code, out, _ = run_cli(
+            capsys, "estimate", "--method", "condorcet", e1_path, "--trials", "5", "--seed", "3",
+            "--format", "json",
+        )
+        assert code == 0 and json.loads(out)["seed"] == 3
+
 
 class TestAudit:
     def make_sample_file(self, tmp_path, election, count, seed=123):
@@ -258,10 +274,15 @@ class TestAudit:
 
 
 def test_module_entry_point(e3_path):
+    # The child imports the same condaudit as this process, even when pytest
+    # alone put its source directory on sys.path.
+    src = str(Path(condaudit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "condaudit", "tabulate", "--method", "condorcet", e3_path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "none" in proc.stdout

@@ -162,6 +162,21 @@ def test_digest_tracks_content(election1, election2):
     assert election1.digest() == clone.digest()
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_tallies_match_brute_force_prefers(seed):
+    e = random_election(np.random.default_rng(seed))
+    k = e.num_candidates
+    # Every profile also holds an empty and a one-candidate ballot.
+    e = Election(e.candidates, {**e.profile, (): 2, (k - 1,): 3})
+    expected = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                expected[i, j] = sum(n * prefers(sig, i, j) for sig, n in e.profile.items())
+    assert np.array_equal(pairwise_tallies(e), expected)
+
+
 def test_random_election_generator_valid():
     rng = np.random.default_rng(0)
     for _ in range(50):
