@@ -16,16 +16,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import ballots as ballots_io
+from . import tabulation
 from .assertions import (
     AssertionSet,
     FullHandCount,
     SchemaError,
     condorcet_assertions,
     describe,
-    export_assertions,
+    export_assertions_json,
     import_assertions,
     kemeny_assertions,
     minimax_assertions,
@@ -35,17 +34,7 @@ from .assertions import (
 from .audit import ASNEstimate, AuditConfig, AuditReport, estimate_audit, load_samples, run_audit
 from .ballots import ParseError
 from .model import Election, pairwise_tallies, restrict_to, scores
-from .tabulation import (
-    CapacityError,
-    condorcet_winner,
-    irv_tabulate,
-    kemeny_tabulate,
-    minimax_tabulate,
-    ranked_pairs_tabulate,
-    smith_set,
-)
-
-METHODS = ("irv", "condorcet", "ranked-pairs", "minimax", "smith-minimax", "smith-irv", "kemeny")
+from .tabulation import CapacityError
 
 EXIT_OK = 0
 EXIT_FULL_COUNT = 1
@@ -76,12 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="condaudit", description=__doc__.splitlines()[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_method=False, with_audit=False):
+    def common(p, with_audit=False):
         p.add_argument("election", help="election file (.json native format, otherwise Preflib ordinal)")
         p.add_argument("--scale", type=int, default=1, help="multiply every ballot count (default 1)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if with_method:
-            p.add_argument("--method", choices=METHODS)
         if with_audit:
             p.add_argument("--risk-limit", type=float, default=0.05)
             p.add_argument("--error-rate", type=float, default=0.002)
@@ -95,17 +82,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("tabulate", help="tabulate the election under one method")
-    common(p, with_method=True)
+    common(p)
+    p.add_argument("--method", choices=METHODS, required=True)
 
     p = sub.add_parser("assertions", help="generate the audit assertion set for one method")
-    common(p, with_method=True)
-    p.add_argument("--assertions-file", help="imported assertion set (required inner set for smith-irv)")
+    common(p)
+    p.add_argument("--method", choices=METHODS, required=True)
+    p.add_argument("--assertions-file", help="imported inner set over the Smith set (smith-irv only, required)")
     p.add_argument("-o", "--output", help="write the assertion-set JSON here instead of stdout")
 
     p = sub.add_parser("estimate", help="estimate audit sample sizes by simulation")
-    common(p, with_method=True, with_audit=True)
+    common(p, with_audit=True)
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--assertions-file",
-                   help="assertion set to estimate (or the smith-irv inner set when --method is given)")
+                   help="assertion set to estimate (or the inner set with --method smith-irv)")
 
     p = sub.add_parser("audit", help="run a batch audit over a drawn sample")
     common(p, with_audit=True)
@@ -122,43 +112,185 @@ def _load_election(args) -> tuple[Election, list[tuple[int, str]]]:
     return election, report.warnings
 
 
-def _generate_assertions(method: str, election: Election, inner_doc: str | None) -> AssertionSet:
-    tallies = pairwise_tallies(election)
-    margin = scores(tallies)
-    k = election.num_candidates
-    if method == "condorcet":
-        winner = condorcet_winner(margin)
-        if winner is None:
-            return AssertionSet("condorcet", None, (FullHandCount("no Condorcet winner exists"),))
-        if k == 1:
-            return AssertionSet("condorcet", winner, ())
-        return condorcet_assertions(winner, k)
-    if method == "ranked-pairs":
-        return ranked_pairs_assertions(ranked_pairs_tabulate(margin))
-    if method == "minimax":
-        return minimax_assertions(minimax_tabulate(margin), margin)
-    if method == "smith-minimax":
-        return smith_assertions(smith_set(tallies), k, "minimax", score_matrix=margin)
-    if method == "smith-irv":
-        if inner_doc is None:
-            raise UsageError(
-                "--method smith-irv needs --assertions-file with an imported IRV assertion "
-                "set over the Smith set (this tool does not generate IRV assertions)"
-            )
-        imported = import_assertions(inner_doc, election)
-        return smith_assertions(smith_set(tallies), k, "irv-import", imported=imported)
-    if method == "kemeny":
-        return kemeny_assertions(kemeny_tabulate(tallies))
-    if method == "irv":
+class UsageError(Exception):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# Methods
+#
+# METHODS maps each method name to (tabulate, assertions, render) steps:
+#   tabulate(election, tallies) -> result, where tallies = pairwise_tallies(election);
+#   assertions(result, election, tallies, inner_doc) -> AssertionSet, where inner_doc is the
+#       text of --assertions-file; None where this tool does not generate the method's sets;
+#   render(result, election, tallies) -> (JSON payload, text lines).
+# Steps look library functions up at call time, so wrappers on module attributes see every call.
+
+
+def _winner_line(winner: str | None, reason: str | None, how: str = "") -> str:
+    return f"Winner: {INFINITY} (full hand count: {reason})" if winner is None else f"Winner: {winner}{how}"
+
+
+def _render_irv(res, election, tallies):
+    names = election.candidates
+    payload = {
+        "method": "irv",
+        "winner": names[res.winner],
+        "rounds": [{names[c]: n for c, n in tally.items()} for tally in res.round_tallies],
+        "eliminated": [names[c] for c in res.elimination_order],
+        "tie_flag": res.tie_flag,
+    }
+    lines = ["Method: irv", f"Winner: {payload['winner']}"]
+    for rnd, tally in enumerate(payload["rounds"], start=1):
+        shown = "  ".join(f"{name}={n}" for name, n in tally.items())
+        lines.append(f"Round {rnd}: {shown}  (exhausted {election.total_ballots - sum(tally.values())})")
+    lines.append("Eliminated: " + (", ".join(payload["eliminated"]) or "none"))
+    if res.tie_flag:
+        lines.append("Warning: an elimination tie was broken by candidate order")
+    return payload, lines
+
+
+def _condorcet_set(w, election, tallies, inner_doc):
+    if w is None:
+        return AssertionSet("condorcet", None, (FullHandCount("no Condorcet winner exists"),))
+    if election.num_candidates == 1:
+        return AssertionSet("condorcet", w, ())
+    return condorcet_assertions(w, election.num_candidates)
+
+
+def _render_condorcet(w, election, tallies):
+    winner = None if w is None else election.candidates[w]
+    lines = ["Method: condorcet", f"Condorcet winner: {winner or 'none'}"]
+    return {"method": "condorcet", "winner": winner}, lines
+
+
+def _render_ranked_pairs(rp, election, tallies):
+    names = election.candidates
+    payload = {
+        "method": "ranked-pairs",
+        "winner": None if rp.winner is None else names[rp.winner],
+        "full_hand_count": rp.winner is None,
+        "reason": rp.reason,
+        "commits": [{"winner": names[p.winner], "loser": names[p.loser], "score": p.score} for p in rp.commits],
+        "inferences": [
+            {"winner": names[i.winner], "loser": names[i.loser],
+             "basis": [[names[a], names[b]] for a, b in i.basis]}
+            for i in rp.inferences
+        ],
+        "tie_flag": rp.tie_flag,
+    }
+    lines = ["Method: ranked-pairs", _winner_line(payload["winner"], rp.reason), "Committed pairs (score):"]
+    lines += [f"  {p['winner']} > {p['loser']}  ({p['score']})" for p in payload["commits"]]
+    lines.append("Transitive inferences:")
+    for inf in payload["inferences"]:
+        via = ", ".join(f"{a} > {b}" for a, b in inf["basis"])
+        lines.append(f"  {inf['winner']} > {inf['loser']}  via  {via}")
+    return payload, lines
+
+
+def _render_minimax(mm, election, tallies):
+    names = election.candidates
+    payload = {
+        "method": "minimax",
+        "winner": None if mm.winner is None else names[mm.winner],
+        "full_hand_count": mm.winner is None,
+        "reason": mm.reason,
+        "condorcet_case": mm.condorcet_case,
+        "worst_loss": {names[c]: v for c, v in mm.worst_loss.items()},
+        "strongest_defeater": {names[c]: names[d] for c, d in mm.strongest_defeater.items()},
+    }
+    lines = ["Method: minimax", _winner_line(payload["winner"], mm.reason)]
+    for name, loss in payload["worst_loss"].items():
+        d = payload["strongest_defeater"].get(name)
+        lines.append(f"  worst loss {name}: {loss}" + ("" if d is None else f" (beaten by {d})"))
+    return payload, lines
+
+
+def _smith_minimax_set(sm, election, tallies, inner_doc):
+    return smith_assertions(sm, election.num_candidates, "minimax", score_matrix=scores(tallies))
+
+
+def _smith_irv_set(sm, election, tallies, inner_doc):
+    imported = import_assertions(inner_doc, election)
+    return smith_assertions(sm, election.num_candidates, "irv-import", imported=imported)
+
+
+def _render_smith(method, sm, election, w, reason, how):
+    names = election.candidates
+    payload = {
+        "method": method,
+        "winner": None if w is None else names[w],
+        "smith_set": [names[c] for c in sm.smith_set],
+        "tie_flag": sm.tie_flag,
+        "inner_defeats": {names[c]: {"defeater": names[d], "margin": m} for c, (d, m) in sm.inner_defeats.items()},
+    }
+    lines = [f"Method: {method}", "Smith set: {" + ", ".join(payload["smith_set"]) + "}"]
+    for name, defeat in payload["inner_defeats"].items():
+        lines.append(f"  {name} beaten in-set by {defeat['defeater']} (margin {defeat['margin']})")
+    lines.append(_winner_line(payload["winner"], reason, f" ({how} over the Smith set)"))
+    return payload, lines
+
+
+def _render_smith_minimax(sm, election, tallies):
+    aset = _smith_minimax_set(sm, election, tallies, None)
+    reason = aset.assertions[0].reason if aset.winner is None else None
+    return _render_smith("smith-minimax", sm, election, aset.winner, reason, "minimax")
+
+
+def _render_smith_irv(sm, election, tallies):
+    w = None if sm.tie_flag else sm.smith_set[tabulation.irv_tabulate(restrict_to(election, sm.smith_set)).winner]
+    return _render_smith("smith-irv", sm, election, w, "pairwise tie within the Smith set", "IRV")
+
+
+def _render_kemeny(kr, election, tallies):
+    names = election.candidates
+    payload = {
+        "method": "kemeny",
+        "winner": names[kr.winner],
+        "best_ranking": [names[c] for c in kr.best_ranking],
+        "best_score": kr.best_score,
+        "tie_flag": kr.tie_flag,
+    }
+    ranking = " > ".join(payload["best_ranking"])
+    lines = ["Method: kemeny", f"Winner: {payload['winner']}", f"Best ranking: {ranking}  (score {kr.best_score})"]
+    if kr.tie_flag:
+        lines.append("Warning: another ranking ties the best score")
+    return payload, lines
+
+
+METHODS = {
+    "irv": (lambda e, t: tabulation.irv_tabulate(e), None, _render_irv),
+    "condorcet": (lambda e, t: tabulation.condorcet_winner(scores(t)), _condorcet_set, _render_condorcet),
+    "ranked-pairs": (lambda e, t: tabulation.ranked_pairs_tabulate(scores(t)),
+                     lambda rp, e, t, doc: ranked_pairs_assertions(rp), _render_ranked_pairs),
+    "minimax": (lambda e, t: tabulation.minimax_tabulate(scores(t)),
+                lambda mm, e, t, doc: minimax_assertions(mm, scores(t)), _render_minimax),
+    "smith-minimax": (lambda e, t: tabulation.smith_set(t), _smith_minimax_set, _render_smith_minimax),
+    "smith-irv": (lambda e, t: tabulation.smith_set(t), _smith_irv_set, _render_smith_irv),
+    "kemeny": (lambda e, t: tabulation.kemeny_tabulate(t), lambda kr, e, t, doc: kemeny_assertions(kr),
+               _render_kemeny),
+}
+
+
+def _method_assertions(args, election: Election) -> AssertionSet:
+    """The --method assertion set.  Usage errors are raised before any tabulation."""
+    tabulate, generate, _ = METHODS[args.method]
+    if generate is None:
         raise UsageError(
             "IRV assertion sets are not generated here; import an externally generated "
             "set via 'estimate --assertions-file'"
         )
-    raise UsageError(f"unknown method {method!r}")
-
-
-class UsageError(Exception):
-    pass
+    # Only smith-irv reads --assertions-file: its inner IRV set over the Smith set.
+    if args.assertions_file is None and generate is _smith_irv_set:
+        raise UsageError(
+            "--method smith-irv needs --assertions-file with an imported IRV assertion "
+            "set over the Smith set (this tool does not generate IRV assertions)"
+        )
+    if args.assertions_file is not None and generate is not _smith_irv_set:
+        raise UsageError(f"--method {args.method} reads no --assertions-file (only smith-irv does)")
+    inner_doc = _read_optional(args.assertions_file)
+    tallies = pairwise_tallies(election)
+    return generate(tabulate(election, tallies), election, tallies, inner_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -171,150 +303,6 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     else:
         for line in text_lines:
             print(line)
-
-
-def _tabulate_payload(method: str, election: Election) -> tuple[dict, list[str]]:
-    names = election.candidates
-    tallies = pairwise_tallies(election)
-    margin = scores(tallies)
-    if method == "irv":
-        res = irv_tabulate(election)
-        lines = [f"Method: irv", f"Winner: {names[res.winner]}"]
-        rounds = []
-        for rnd, tally in enumerate(res.round_tallies, start=1):
-            rounds.append({names[c]: n for c, n in tally.items()})
-            shown = "  ".join(f"{names[c]}={n}" for c, n in tally.items())
-            exhausted = election.total_ballots - sum(tally.values())
-            lines.append(f"Round {rnd}: {shown}  (exhausted {exhausted})")
-        lines.append("Eliminated: " + (", ".join(names[c] for c in res.elimination_order) or "none"))
-        if res.tie_flag:
-            lines.append("Warning: an elimination tie was broken by candidate order")
-        payload = {
-            "method": "irv",
-            "winner": names[res.winner],
-            "rounds": rounds,
-            "eliminated": [names[c] for c in res.elimination_order],
-            "tie_flag": res.tie_flag,
-        }
-        return payload, lines
-    if method == "condorcet":
-        w = condorcet_winner(margin)
-        winner = None if w is None else names[w]
-        return (
-            {"method": "condorcet", "winner": winner},
-            ["Method: condorcet", f"Condorcet winner: {winner if winner else 'none'}"],
-        )
-    if method == "ranked-pairs":
-        rp = ranked_pairs_tabulate(margin)
-        winner = None if rp.winner is None else names[rp.winner]
-        lines = ["Method: ranked-pairs"]
-        if rp.winner is None:
-            lines.append(f"Winner: {INFINITY} (full hand count: {rp.reason})")
-        else:
-            lines.append(f"Winner: {winner}")
-        lines.append("Committed pairs (score):")
-        for pair in rp.commits:
-            lines.append(f"  {names[pair.winner]} > {names[pair.loser]}  ({pair.score})")
-        lines.append("Transitive inferences:")
-        for inf in rp.inferences:
-            via = ", ".join(f"{names[i]} > {names[j]}" for i, j in inf.basis)
-            lines.append(f"  {names[inf.winner]} > {names[inf.loser]}  via  {via}")
-        payload = {
-            "method": "ranked-pairs",
-            "winner": winner,
-            "full_hand_count": rp.winner is None,
-            "reason": rp.reason,
-            "commits": [
-                {"winner": names[p.winner], "loser": names[p.loser], "score": p.score}
-                for p in rp.commits
-            ],
-            "inferences": [
-                {
-                    "winner": names[i.winner],
-                    "loser": names[i.loser],
-                    "basis": [[names[a], names[b]] for a, b in i.basis],
-                }
-                for i in rp.inferences
-            ],
-            "tie_flag": rp.tie_flag,
-        }
-        return payload, lines
-    if method == "minimax":
-        mm = minimax_tabulate(margin)
-        winner = None if mm.winner is None else names[mm.winner]
-        lines = ["Method: minimax"]
-        if mm.winner is None:
-            lines.append(f"Winner: {INFINITY} (full hand count: {mm.reason})")
-        else:
-            lines.append(f"Winner: {winner}")
-        for c in range(election.num_candidates):
-            if c in mm.worst_loss:
-                d = mm.strongest_defeater.get(c)
-                extra = f" (beaten by {names[d]})" if d is not None else ""
-                lines.append(f"  worst loss {names[c]}: {mm.worst_loss[c]}{extra}")
-        payload = {
-            "method": "minimax",
-            "winner": winner,
-            "full_hand_count": mm.winner is None,
-            "reason": mm.reason,
-            "condorcet_case": mm.condorcet_case,
-            "worst_loss": {names[c]: v for c, v in mm.worst_loss.items()},
-            "strongest_defeater": {names[c]: names[d] for c, d in mm.strongest_defeater.items()},
-        }
-        return payload, lines
-    if method in ("smith-minimax", "smith-irv"):
-        sm = smith_set(tallies)
-        members = [names[c] for c in sm.smith_set]
-        lines = [f"Method: {method}", "Smith set: {" + ", ".join(members) + "}"]
-        for c, (d, m) in sorted(sm.inner_defeats.items()):
-            lines.append(f"  {names[c]} beaten in-set by {names[d]} (margin {m})")
-        if sm.tie_flag:
-            lines.append(f"Winner: {INFINITY} (full hand count: pairwise tie within the Smith set)")
-            payload_winner = None
-        elif method == "smith-minimax":
-            sub = margin[np.ix_(sm.smith_set, sm.smith_set)]
-            inner = minimax_tabulate(sub)
-            if inner.winner is None:
-                lines.append(f"Winner: {INFINITY} (full hand count: inner minimax: {inner.reason})")
-                payload_winner = None
-            else:
-                payload_winner = names[sm.smith_set[inner.winner]]
-                lines.append(f"Winner: {payload_winner} (minimax over the Smith set)")
-        else:
-            inner_election = restrict_to(election, sm.smith_set)
-            inner = irv_tabulate(inner_election)
-            payload_winner = inner_election.candidates[inner.winner]
-            lines.append(f"Winner: {payload_winner} (IRV over the Smith set)")
-        payload = {
-            "method": method,
-            "winner": payload_winner,
-            "smith_set": members,
-            "tie_flag": sm.tie_flag,
-            "inner_defeats": {
-                names[c]: {"defeater": names[d], "margin": m}
-                for c, (d, m) in sm.inner_defeats.items()
-            },
-        }
-        return payload, lines
-    if method == "kemeny":
-        kr = kemeny_tabulate(tallies)
-        ranking = [names[c] for c in kr.best_ranking]
-        lines = [
-            "Method: kemeny",
-            f"Winner: {names[kr.winner]}",
-            "Best ranking: " + " > ".join(ranking) + f"  (score {kr.best_score})",
-        ]
-        if kr.tie_flag:
-            lines.append("Warning: another ranking ties the best score")
-        payload = {
-            "method": "kemeny",
-            "winner": names[kr.winner],
-            "best_ranking": ranking,
-            "best_score": kr.best_score,
-            "tie_flag": kr.tie_flag,
-        }
-        return payload, lines
-    raise UsageError(f"unknown method {method!r}")
 
 
 def _estimate_payload(aset: AssertionSet, est: ASNEstimate, election: Election, cfg: AuditConfig):
@@ -418,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FULL_COUNT
@@ -444,19 +435,14 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "tabulate":
-        if not args.method:
-            raise UsageError("tabulate needs --method")
-        payload, lines = _tabulate_payload(args.method, election)
-        _emit(args, payload, lines)
+        tabulate, _, render = METHODS[args.method]
+        tallies = pairwise_tallies(election)
+        _emit(args, *render(tabulate(election, tallies), election, tallies))
         return EXIT_OK
 
     if args.command == "assertions":
-        if not args.method:
-            raise UsageError("assertions needs --method")
-        inner_doc = _read_optional(args.assertions_file)
-        aset = _generate_assertions(args.method, election, inner_doc)
-        doc = export_assertions(aset, election)
-        text = json.dumps(doc, indent=2)
+        aset = _method_assertions(args, election)
+        text = export_assertions_json(aset, election)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -468,8 +454,7 @@ def _dispatch(args) -> int:
     if args.command == "estimate":
         cfg = _cfg_from_args(args)
         if args.method:
-            inner_doc = _read_optional(args.assertions_file) if args.method == "smith-irv" else None
-            aset = _generate_assertions(args.method, election, inner_doc)
+            aset = _method_assertions(args, election)
         elif args.assertions_file:
             aset = import_assertions(_read_optional(args.assertions_file), election)
         else:

@@ -60,15 +60,6 @@ class Election:
     def total_ballots(self) -> int:
         return sum(self.profile.values())
 
-    def name_of(self, index: int) -> str:
-        return self.candidates[index]
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.candidates.index(name)
-        except ValueError:
-            raise KeyError(f"unknown candidate name {name!r}") from None
-
     def digest(self) -> str:
         """SHA-256 of a canonical serialization, for tying artifacts to inputs."""
         doc = {

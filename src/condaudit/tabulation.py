@@ -22,8 +22,6 @@ import numpy as np
 
 from .model import Election
 
-TIE_POLICIES = ("lexicographic", "flag-only")
-
 # Winner-stability search over orderings of equal-score blocks gives up past
 # this many tabulation runs and escalates instead.
 MAX_TIE_ORDERINGS = 10_000
@@ -45,7 +43,7 @@ class IrvResult:
     tie_flag: bool
 
 
-def irv_tabulate(election: Election, tie_policy: str = "flag-only") -> IrvResult:
+def irv_tabulate(election: Election) -> IrvResult:
     """Tabulate an election under instant-runoff rules.
 
     Each round credits every ballot to its highest-ranked continuing
@@ -53,12 +51,8 @@ def irv_tabulate(election: Election, tie_policy: str = "flag-only") -> IrvResult
     play wins.  Otherwise the candidate with the smallest tally is eliminated
     and their ballots move to the next continuing preference (ballots with
     none left are exhausted).  Elimination ties are broken toward the lowest
-    candidate index under both policies; ``flag-only`` (the default) flags
-    the result as ambiguous, while ``lexicographic`` treats the index order
-    as part of the rule.
+    candidate index, and the result is flagged as ambiguous.
     """
-    if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
     k = election.num_candidates
     if k < 1:
         raise ValueError("IRV requires at least one candidate")
@@ -82,7 +76,7 @@ def irv_tabulate(election: Election, tie_policy: str = "flag-only") -> IrvResult
             return IrvResult(leader, tuple(eliminated), tuple(rounds), tie_flag)
         low = min(tallies.values())
         lowest = sorted(c for c in continuing if tallies[c] == low)
-        if len(lowest) > 1 and tie_policy == "flag-only":
+        if len(lowest) > 1:
             tie_flag = True
         loser = lowest[0]
         continuing.discard(loser)

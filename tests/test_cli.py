@@ -11,7 +11,7 @@ import condaudit
 from condaudit import import_assertions, parse_native, serialize_election
 from condaudit.cli import main
 
-from oracles import expand
+from oracles import expand, random_election
 
 
 @pytest.fixture
@@ -103,6 +103,33 @@ class TestTabulate:
             main(["tabulate", "--method", "borda", e3_path])
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize("command", ["tabulate", "assertions"])
+    def test_method_is_required(self, capsys, e3_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, e3_path])
+        assert exc.value.code == 64
+        assert "--method" in capsys.readouterr().err
+
+    def test_winner_matches_assertion_set(self, capsys, tmp_path):
+        # Whenever a generated set does not escalate, it certifies the tabulated winner;
+        # smith-minimax reports no winner exactly when its set escalates.  k <= 5 keeps
+        # the Kemeny sets (k! - 1 rankings) small enough to print fast.
+        rng = np.random.default_rng(20261018)
+        path = tmp_path / "random.json"
+        for _ in range(100):
+            path.write_text(serialize_election(random_election(rng, max_k=5)))
+            for method in ("condorcet", "ranked-pairs", "minimax", "smith-minimax", "kemeny"):
+                code, tab, _ = run_cli(capsys, "tabulate", str(path), "--method", method, "--format", "json")
+                assert code == 0
+                code, doc, _ = run_cli(capsys, "assertions", str(path), "--method", method)
+                assert code == 0
+                winner, aset = json.loads(tab)["winner"], json.loads(doc)
+                escalates = any(a["type"] == "full_hand_count" for a in aset["assertions"])
+                if method == "smith-minimax":
+                    assert (winner is None) == escalates
+                if not escalates:
+                    assert winner == aset["winner"]
+
 
 class TestAssertions:
     def test_round_trips_through_import(self, capsys, e3_path, election3):
@@ -130,6 +157,17 @@ class TestAssertions:
         code, _, err = run_cli(capsys, "assertions", "--method", "smith-irv", e3_path)
         assert code == 64
         assert "--assertions-file" in err
+
+    @pytest.mark.parametrize("command", ["assertions", "estimate"])
+    def test_assertions_file_only_with_smith_irv(self, capsys, tmp_path, e3_path, command):
+        set_path = tmp_path / "set.json"
+        set_path.write_text("{}")
+        code, out, err = run_cli(
+            capsys, command, e3_path, "--method", "ranked-pairs", "--assertions-file", str(set_path)
+        )
+        assert code == 64
+        assert out == ""
+        assert "smith-irv" in err
 
     def test_smith_irv_with_inner_file(self, capsys, tmp_path, e3_path, election3):
         inner = {
@@ -271,6 +309,22 @@ class TestAudit:
         )
         assert code == 2
         assert "digest" in err
+
+
+@pytest.mark.parametrize("flag", ["election", "--assertions-file", "--samples-file", "--output"])
+def test_unreadable_path_is_usage_error(capsys, tmp_path, e3_path, flag):
+    set_path = str(tmp_path / "set.json")
+    assert run_cli(capsys, "assertions", e3_path, "--method", "ranked-pairs", "-o", set_path)[0] == 0
+    missing = str(tmp_path / "no-such-dir" / "file.json")
+    argv = {
+        "election": ["parse", missing],
+        "--assertions-file": ["estimate", e3_path, "--assertions-file", missing],
+        "--samples-file": ["audit", e3_path, "--assertions-file", set_path, "--samples-file", missing],
+        "--output": ["assertions", e3_path, "--method", "ranked-pairs", "-o", missing],
+    }[flag]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_module_entry_point(e3_path):

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from condaudit import cli
 from condaudit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,6 +68,10 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @pytest.fixture(scope="module")
 def exit_codes() -> dict[str, int]:
     return json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+def test_methods_are_the_cli_table():
+    assert METHODS == tuple(cli.METHODS)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

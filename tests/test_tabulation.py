@@ -68,16 +68,11 @@ class TestIrv:
             irv_tabulate(Election((), {}))
 
     def test_tie_policies(self):
-        tied = Election(("A", "B", "C"), {(0,): 2, (1,): 2, (2, 0): 1, (2, 1): 1})
-        flagged = irv_tabulate(tied, tie_policy="flag-only")
-        ruled = irv_tabulate(tied, tie_policy="lexicographic")
-        assert flagged.tie_flag and not ruled.tie_flag
-        assert flagged.winner == ruled.winner
-        assert flagged.elimination_order == ruled.elimination_order
-
-    def test_unknown_policy(self, election1):
-        with pytest.raises(ValueError):
-            irv_tabulate(election1, tie_policy="coin-flip")
+        # Both rounds tie for last; the lower index goes first and the result is flagged.
+        tied = irv_tabulate(Election(("A", "B", "C"), {(0,): 2, (1,): 2, (2, 0): 1, (2, 1): 1}))
+        assert tied.tie_flag
+        assert tied.elimination_order == (0, 1)
+        assert tied.winner == 2
 
 
 class TestCondorcetWinner:
