@@ -37,6 +37,7 @@ import numpy as np
 
 from .model import Ballot, Election, preference_matrix
 from .tabulation import (
+    KEMENY_MAX_K,
     CapacityError,
     KemenyResult,
     MinimaxResult,
@@ -356,17 +357,17 @@ def _candidates_of(assertion: Assertion) -> set[int]:
     return set()
 
 
-def kemeny_assertions(kr: KemenyResult, k_limit: int = 8) -> AssertionSet:
+def kemeny_assertions(kr: KemenyResult) -> AssertionSet:
     """One ranking-tally comparison per complete ranking led by a different candidate.
 
-    The count grows as k! - (k-1)!, so k is capped (`k_limit`); beyond it a
+    The count grows as k! - (k-1)!, so k is capped at ``KEMENY_MAX_K``; beyond it a
     :class:`CapacityError` is raised rather than emitting an impractical set.
     """
     ranking = kr.best_ranking
     k = len(ranking)
-    if k > k_limit:
+    if k > KEMENY_MAX_K:
         raise CapacityError(
-            f"kemeny audit over {k} candidates needs {k}!-({k}-1)! assertions; limit is {k_limit}"
+            f"kemeny audit over {k} candidates needs {k}!-({k}-1)! assertions; limit is {KEMENY_MAX_K}"
         )
     if k == 1:
         return AssertionSet("kemeny", kr.winner, ())
@@ -432,12 +433,12 @@ def export_assertions_json(aset: AssertionSet, election: Election) -> str:
     return json.dumps(export_assertions(aset, election), indent=2)
 
 
-def import_assertions(doc: dict | str, election: Election, verify_digest: bool = True) -> AssertionSet:
+def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
     """Load an assertion-set document, resolving names against the election.
 
-    Unknown candidates or type tags raise :class:`SchemaError`.  When the
-    document carries an election digest and ``verify_digest`` is set, a
-    mismatch with this election is an error.
+    Unknown candidates or type tags, and a candidate field that is not a JSON
+    list of names, raise :class:`SchemaError`.  When the document carries an
+    election digest, a mismatch with this election is an error.
     """
     if isinstance(doc, str):
         try:
@@ -452,6 +453,12 @@ def import_assertions(doc: dict | str, election: Election, verify_digest: bool =
         if name not in index:
             raise SchemaError(f"unknown candidate name {name!r}")
         return index[name]
+
+    def resolve_all(entry: dict, key: str) -> tuple[int, ...]:
+        names = entry[key]
+        if not isinstance(names, list):
+            raise SchemaError(f"{key!r} must be a list of candidate names")
+        return tuple(resolve(name) for name in names)
 
     method = doc.get("method")
     if not isinstance(method, str):
@@ -473,16 +480,10 @@ def import_assertions(doc: dict | str, election: Election, verify_digest: bool =
                     PairwisePositive(resolve(entry["winner"]), resolve(entry["loser"]))
                 )
             elif tag == "score_comparison":
-                hi, lo = entry["hi"], entry["lo"]
-                assertions.append(
-                    ScoreComparison(
-                        (resolve(hi[0]), resolve(hi[1])),
-                        (resolve(lo[0]), resolve(lo[1])),
-                    )
-                )
+                assertions.append(ScoreComparison(resolve_all(entry, "hi"), resolve_all(entry, "lo")))
             elif tag == "ranking_comparison":
-                preferred = tuple(resolve(n) for n in entry["preferred"])
-                other = tuple(resolve(n) for n in entry["other"])
+                preferred = resolve_all(entry, "preferred")
+                other = resolve_all(entry, "other")
                 if set(preferred) != set(range(election.num_candidates)):
                     raise SchemaError("ranking comparisons must rank every candidate")
                 assertions.append(RankingComparison(preferred, other))
@@ -490,7 +491,7 @@ def import_assertions(doc: dict | str, election: Election, verify_digest: bool =
                 assertions.append(FullHandCount(entry.get("reason", "")))
             else:
                 raise SchemaError(f"unknown assertion type tag {tag!r}")
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed {tag or 'assertion'} entry: {exc}") from None
         except ValueError as exc:
             if isinstance(exc, SchemaError):
@@ -501,7 +502,7 @@ def import_assertions(doc: dict | str, election: Election, verify_digest: bool =
     if not isinstance(metadata, dict):
         raise SchemaError("'metadata' must be an object")
     declared = metadata.get("election_sha256")
-    if verify_digest and declared is not None and declared != election.digest():
+    if declared is not None and declared != election.digest():
         raise SchemaError("assertion set was generated for a different election (digest mismatch)")
     try:
         return AssertionSet(method, winner, tuple(assertions), dict(metadata))

@@ -2,9 +2,9 @@
 
 The risk function is the Kaplan-Kolmogorov martingale test for sampling
 without replacement: the hypothesis that a population of ``N`` nonnegative
-values has mean at most ``t`` (here 1/2) is tested by the running product of
-``(x_i + g) / m_i``, where ``g`` is a small padding guarding against zero
-values and ``m_i`` is the conditional mean of the padded population under
+values has mean at most ``t = NULL_MEAN`` (1/2) is tested by the running
+product of ``(x_i + g) / m_i``, where ``g = PADDING`` (0.1) guards against
+zero values and ``m_i`` is the conditional mean of the padded population under
 the null given the padded mass already drawn,
 
     m_i = (N * (t + g) - S_{i-1}) / (N - (i - 1)).
@@ -39,6 +39,10 @@ from .assertions import Assertion, AssertionSet, FullHandCount, assorter_mean, a
 
 AUDIT_STYLES = ("polling", "comparison")
 
+# The fixed risk function: additive padding g and the null mean t of the KK test.
+PADDING = 0.1
+NULL_MEAN = 0.5
+
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -51,8 +55,6 @@ class AuditConfig:
     trials: int = 2000
     seed: int = 0
     style: str = "polling"
-    padding: float = 0.1
-    max_sample_fraction: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.risk_limit < 1:
@@ -63,10 +65,6 @@ class AuditConfig:
             raise ValueError("trials must be positive")
         if self.style not in AUDIT_STYLES:
             raise ValueError(f"style must be one of {AUDIT_STYLES}")
-        if not 0 < self.padding <= 1:
-            raise ValueError("padding must be in (0, 1]")
-        if not 0 < self.max_sample_fraction <= 1:
-            raise ValueError("max_sample_fraction must be in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +76,10 @@ class RiskState:
     """Running state of one assertion's sequential test.
 
     The martingale is tracked in log space so long audits neither overflow
-    nor lose a vanished product to underflow; ``martingale`` and ``p_value``
-    are derived views.
+    nor lose a vanished product to underflow; ``p_value`` is a derived view.
     """
 
     population: int
-    null_mean: float = 0.5
-    padding: float = 0.1
     padded_sum: float = 0.0
     log_martingale: float = 0.0
     peak_log_martingale: float = float("-inf")
@@ -92,19 +87,9 @@ class RiskState:
     null_impossible: bool = False
 
     @property
-    def martingale(self) -> float:
-        if self.log_martingale > 700:
-            return float("inf")
-        return math.exp(self.log_martingale)
-
-    @property
     def p_value(self) -> float:
         peak = self.peak_log_martingale
-        if peak <= 0:
-            return 1.0
-        if peak == float("inf"):
-            return 0.0
-        return math.exp(-peak)
+        return 1.0 if peak <= 0 else math.exp(-peak)
 
 
 def kk_update(state: RiskState, x: float) -> RiskState:
@@ -113,18 +98,15 @@ def kk_update(state: RiskState, x: float) -> RiskState:
         raise ValueError(f"assorter values must be nonnegative, got {x}")
     if state.samples_seen >= state.population:
         raise RuntimeError("population exhausted: no further draws are possible")
-    y = x + state.padding
+    y = x + PADDING
     if state.null_impossible:
         log_m = float("inf")
     else:
-        m = (
-            state.population * (state.null_mean + state.padding) - state.padded_sum
-        ) / (state.population - state.samples_seen)
+        m = (state.population * (NULL_MEAN + PADDING) - state.padded_sum) / (state.population - state.samples_seen)
         if m <= 0:
             log_m = float("inf")
         else:
-            step = (math.log(y) if y > 0 else float("-inf")) - math.log(m)
-            log_m = state.log_martingale + step
+            log_m = state.log_martingale + (math.log(y) - math.log(m))
     return replace(
         state,
         padded_sum=state.padded_sum + y,
@@ -135,9 +117,7 @@ def kk_update(state: RiskState, x: float) -> RiskState:
     )
 
 
-def kk_pvalue_trace(
-    x: np.ndarray, population: int, null_mean: float = 0.5, padding: float = 0.1
-) -> np.ndarray:
+def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
     """Vectorized p-value trace for a sequence of draws (batch form of kk_update)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
@@ -147,9 +127,9 @@ def kk_pvalue_trace(
         raise ValueError("assorter values must be nonnegative")
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    y = x + padding
+    y = x + PADDING
     prior = np.concatenate(([0.0], np.cumsum(y)[:-1]))
-    m = (population * (null_mean + padding) - prior) / (population - np.arange(n))
+    m = (population * (NULL_MEAN + PADDING) - prior) / (population - np.arange(n))
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.log(y) - np.log(m)
     log_mart = np.cumsum(steps)
@@ -217,8 +197,8 @@ def simulate_trials(
     ballot is independently replaced, with probability ``error_rate``, by a
     uniformly random *other* signature from the election), draws the
     population in random order, and reports the first draw count with
-    p-value at or below the risk limit; trials that never certify within
-    ``max_sample_fraction * N`` draws report ``N + 1``.
+    p-value at or below the risk limit; trials that never certify report
+    ``N + 1``.
     """
     if isinstance(assertion, FullHandCount):
         raise ValueError("a full-hand-count sentinel cannot be audited by sampling")
@@ -227,7 +207,6 @@ def simulate_trials(
     if n == 0:
         return np.zeros(cfg.trials, dtype=np.int64)
     values = assorter_values(assertion, preference_matrix(sigs, election.num_candidates))
-    cap = max(1, math.ceil(cfg.max_sample_fraction * n))
 
     reported_mean = 0.0
     if cfg.style == "comparison":
@@ -247,23 +226,18 @@ def simulate_trials(
                 draw = rng.integers(0, len(sigs) - 1, size=hit.size)
                 draw += draw >= audited[hit]
                 audited[hit] = draw
-        order = rng.permutation(n)[:cap]
+        order = rng.permutation(n)
         x = values[audited[order]]
         if cfg.style == "comparison":
             x = _comparison_score(values[population[order]], x, reported_mean)
-        p = kk_pvalue_trace(x, n, padding=cfg.padding)
+        p = kk_pvalue_trace(x, n)
         crossed = np.flatnonzero(p <= cfg.risk_limit)
         return int(crossed[0]) + 1 if crossed.size else n + 1
 
-    results = np.empty(cfg.trials, dtype=np.int64)
     if workers <= 1:
-        for trial in range(cfg.trials):
-            results[trial] = one_trial(trial)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for trial, stop in zip(range(cfg.trials), pool.map(one_trial, range(cfg.trials))):
-                results[trial] = stop
-    return results
+        return np.array([one_trial(trial) for trial in range(cfg.trials)], dtype=np.int64)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.array(list(pool.map(one_trial, range(cfg.trials))), dtype=np.int64)
 
 
 def simulate_asn(
@@ -340,7 +314,10 @@ def load_samples(source: str | Path | Iterable[str], election: Election) -> list
     against the election roster; unknown names are data errors.
     """
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(source).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     else:
         lines = [ln.rstrip("\n") for ln in source]
     index = {name: i for i, name in enumerate(election.candidates)}
@@ -433,7 +410,7 @@ def run_audit(
     prefs = preference_matrix(sigs, election.num_candidates)
     tables = [assorter_values(assertion, prefs).tolist() for assertion in aset.assertions]
 
-    states = [RiskState(n, padding=cfg.padding) for _ in aset.assertions]
+    states = [RiskState(n) for _ in aset.assertions]
     traces: list[list[float]] = [[] for _ in aset.assertions]
     examined = 0
     for sample in samples:

@@ -203,7 +203,10 @@ def parse_path(path: str | Path) -> ParseReport:
     Preflib ordinal file (with a content sniff as fallback).
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     suffix = path.suffix.lower()
     if suffix == ".json":
         return parse_native(text)

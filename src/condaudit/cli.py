@@ -61,13 +61,20 @@ def _seed(raw: str) -> int:
         ) from None
 
 
+def _positive_int(raw: str) -> int:
+    """Parse --scale and --workers: an integer of at least 1."""
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="condaudit", description=__doc__.splitlines()[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_audit=False):
         p.add_argument("election", help="election file (.json native format, otherwise Preflib ordinal)")
-        p.add_argument("--scale", type=int, default=1, help="multiply every ballot count (default 1)")
+        p.add_argument("--scale", type=_positive_int, default=1, help="multiply every ballot count (default 1)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if with_audit:
             p.add_argument("--risk-limit", type=float, default=0.05)
@@ -76,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=_seed, default=os.environ.get("CONDAUDIT_SEED", "0"),
                            help="simulation seed (default: $CONDAUDIT_SEED or 0)")
             p.add_argument("--style", choices=("polling", "comparison"), default="polling")
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("parse", help="parse a ballot file and report its shape")
     common(p)
@@ -479,8 +486,11 @@ def _dispatch(args) -> int:
 def _read_optional(path: str | None) -> str | None:
     if path is None:
         return None
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 if __name__ == "__main__":

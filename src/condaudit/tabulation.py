@@ -26,6 +26,9 @@ from .model import Election
 # this many tabulation runs and escalates instead.
 MAX_TIE_ORDERINGS = 10_000
 
+# Kemeny enumerates k! rankings and its audit k! - (k-1)! assertions; both give up past this k.
+KEMENY_MAX_K = 8
+
 
 class CapacityError(ValueError):
     """Raised when an enumeration-based method would blow up combinatorially."""
@@ -427,10 +430,10 @@ class KemenyResult:
     tie_flag: bool
 
 
-def kemeny_tabulate(tallies: np.ndarray, max_k: int = 8) -> KemenyResult:
+def kemeny_tabulate(tallies: np.ndarray) -> KemenyResult:
     """Find the complete ranking maximizing the sum of agreeing pairwise tallies.
 
-    Enumerates all k! rankings, so k is capped (`max_k`, default 8); larger
+    Enumerates all k! rankings, so k is capped at ``KEMENY_MAX_K``; larger
     fields raise :class:`CapacityError` since the factorial search (and the
     audit built on it) is impractical.  Equal-scoring rankings are resolved
     lexicographically and flagged.
@@ -439,9 +442,9 @@ def kemeny_tabulate(tallies: np.ndarray, max_k: int = 8) -> KemenyResult:
     k = t.shape[0]
     if k == 0:
         raise ValueError("kemeny requires at least one candidate")
-    if k > max_k:
+    if k > KEMENY_MAX_K:
         raise CapacityError(
-            f"kemeny enumeration over {k} candidates needs {k}! rankings; limit is {max_k}"
+            f"kemeny enumeration over {k} candidates needs {k}! rankings; limit is {KEMENY_MAX_K}"
         )
     rows = t.tolist()
     best_ranking: tuple[int, ...] | None = None

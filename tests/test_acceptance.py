@@ -16,7 +16,6 @@ import pytest
 
 from condaudit import (
     AuditConfig,
-    CapacityError,
     Election,
     FullHandCount,
     PairwisePositive,
@@ -161,10 +160,7 @@ def _generated_sets(election):
     sets.append(minimax_assertions(minimax_tabulate(s), s))
     sets.append(smith_assertions(smith_set(t), k, "minimax", score_matrix=s))
     if k <= 4:
-        try:
-            sets.append(kemeny_assertions(kemeny_tabulate(t), k_limit=4))
-        except CapacityError:
-            pass
+        sets.append(kemeny_assertions(kemeny_tabulate(t)))
     return sets
 
 

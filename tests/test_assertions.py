@@ -352,7 +352,22 @@ class TestInterchange:
         doc = export_assertions(condorcet_assertions(0, 3), election1)
         with pytest.raises(SchemaError, match="digest"):
             import_assertions(doc, election2)
-        assert import_assertions(doc, election2, verify_digest=False).winner == 0
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"type": "score_comparison", "hi": ["A", "B", "D"], "lo": ["D", "A"]},
+            {"type": "score_comparison", "hi": ["A", "B"], "lo": ["D"]},
+            {"type": "score_comparison", "hi": "AB", "lo": ["D", "A"]},
+            {"type": "ranking_comparison", "preferred": "ABCD", "other": ["B", "A", "C", "D"]},
+            {"type": "ranking_comparison", "preferred": ["A", "B", "C", "D"], "other": "BACD"},
+        ],
+        ids=["pair-of-three", "pair-of-one", "pair-as-string", "preferred-as-string", "other-as-string"],
+    )
+    def test_candidate_fields_are_not_repaired(self, election3, entry):
+        doc = {"method": "x", "winner": "A", "assertions": [entry]}
+        with pytest.raises(SchemaError):
+            import_assertions(doc, election3)
 
     def test_describe(self, election3):
         names = election3.candidates

@@ -30,12 +30,13 @@ from condaudit import (
     simulate_asn,
     simulate_trials,
 )
+from condaudit.audit import NULL_MEAN, PADDING
 
 from oracles import expand, independent_kk
 
 
-def scalar_trace(xs, population, padding=0.1):
-    state = RiskState(population, padding=padding)
+def scalar_trace(xs, population):
+    state = RiskState(population)
     out = []
     for x in xs:
         state = kk_update(state, float(x))
@@ -44,14 +45,6 @@ def scalar_trace(xs, population, padding=0.1):
 
 
 class TestKaplanKolmogorov:
-    def test_zero_sample_annihilates_martingale(self):
-        state = kk_update(RiskState(100, padding=0.0), 0.0)
-        assert state.martingale == 0.0
-        assert state.p_value == 1.0
-        # the product stays dead from here on
-        state = kk_update(state, 1.0)
-        assert state.martingale == 0.0 and state.p_value == 1.0
-
     def test_unanimous_ones_cross_quickly(self):
         state = RiskState(100)
         crossing = None
@@ -164,13 +157,6 @@ class TestSimulation:
 
     def test_full_hand_count_costs_population(self, election1):
         assert simulate_asn(FullHandCount("tie"), election1, AuditConfig(seed=0, trials=10)) == 8300
-
-    def test_sample_fraction_cap(self):
-        e = Election(("A", "B"), {(0,): 50, (1,): 50})
-        cfg = AuditConfig(seed=3, trials=20, error_rate=0.0, max_sample_fraction=0.1)
-        # a tied contest cannot certify within 10 draws, so every trial
-        # reports the full population
-        assert simulate_asn(PairwisePositive(0, 1), e, cfg) == 100
 
     def test_comparison_style_on_reportedly_false_assertion(self):
         cfg = AuditConfig(seed=5, trials=10, style="comparison")
@@ -312,8 +298,8 @@ class TestAuditConfig:
         assert cfg.risk_limit == 0.05
         assert cfg.error_rate == 0.002
         assert cfg.trials == 2000
-        assert cfg.padding == 0.1
         assert cfg.style == "polling"
+        assert (PADDING, NULL_MEAN) == (0.1, 0.5)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -324,8 +310,6 @@ class TestAuditConfig:
             {"error_rate": 1.0},
             {"trials": 0},
             {"style": "bayesian"},
-            {"padding": 0.0},
-            {"max_sample_fraction": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

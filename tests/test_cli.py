@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import condaudit
-from condaudit import import_assertions, parse_native, serialize_election
+from condaudit import cli, import_assertions, parse_native, serialize_election
 from condaudit.cli import main
 
 from oracles import expand, random_election
@@ -325,6 +327,37 @@ def test_unreadable_path_is_usage_error(capsys, tmp_path, e3_path, flag):
     code, _, err = run_cli(capsys, *argv)
     assert code == 64
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["election", "--samples-file", "--assertions-file"])
+def test_non_utf8_input_is_parse_error(capsys, tmp_path, e3_path, flag):
+    set_path = str(tmp_path / "set.json")
+    assert run_cli(capsys, "assertions", e3_path, "--method", "ranked-pairs", "-o", set_path)[0] == 0
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    argv = {
+        "election": ["parse", str(bad)],
+        "--samples-file": ["audit", e3_path, "--assertions-file", set_path, "--samples-file", str(bad)],
+        "--assertions-file": ["estimate", e3_path, "--assertions-file", str(bad)],
+    }[flag]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--scale", "--workers"])
+@pytest.mark.parametrize("value", ["0", "-5", "two"])
+def test_scale_and_workers_must_be_positive(capsys, e3_path, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", e3_path, "--method", "condorcet", "--trials", "1", flag, value])
+    assert exc.value.code == 64
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_audit_config_fields_are_the_cli_options():
+    # Every setting of an audit is a command-line option; the risk function's are constants.
+    args = argparse.Namespace(risk_limit=0.1, error_rate=0.01, trials=3, seed=9, style="comparison")
+    assert dataclasses.asdict(cli._cfg_from_args(args)) == vars(args)
 
 
 def test_module_entry_point(e3_path):

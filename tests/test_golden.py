@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -77,8 +78,17 @@ def test_methods_are_the_cli_table():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case, exit_codes):
     code, out = _run(CASES[case])
-    assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    if out != expected:
+        # pytest's own diff of two outputs of up to 330 KB takes tens of seconds.
+        pytest.fail(_first_difference(out, expected), pytrace=False)
     assert code == exit_codes[case]
+
+
+def _first_difference(out: str, expected: str) -> str:
+    pairs = itertools.zip_longest(out.splitlines(keepends=True), expected.splitlines(keepends=True))
+    line, (got, want) = next((n, pair) for n, pair in enumerate(pairs, start=1) if pair[0] != pair[1])
+    return f"output differs from the golden file first at line {line}: got {got!r}, expected {want!r}"
 
 
 def _write() -> None:
