@@ -172,12 +172,20 @@ def assorter_value(assertion: Assertion, ballot: Ballot) -> float:
 
 def assorter_mean(assertion: Assertion, election: Election) -> float:
     """Population mean of the assorter over every ballot in the election."""
+    prefs = preference_matrix(list(election.profile), election.num_candidates)
+    return profile_mean(assorter_values(assertion, prefs), election)
+
+
+def profile_mean(values: np.ndarray, election: Election) -> float:
+    """Mean over every ballot of per-signature assorter values given in profile order.
+
+    An empty election has mean 1/2: no evidence either way.
+    """
     total = election.total_ballots
     if total == 0:
         return 0.5
-    prefs = preference_matrix(list(election.profile), election.num_candidates)
     acc = 0.0  # summed in profile order: a dot product's order changes the last bits
-    for count, value in zip(election.profile.values(), assorter_values(assertion, prefs).tolist()):
+    for count, value in zip(election.profile.values(), values.tolist()):
         acc += count * value
     return acc / total
 

@@ -11,15 +11,19 @@ the null given the padded mass already drawn,
 
 The p-value is ``min(1, 1 / max_i M_i)``; it is non-increasing in the sample
 and the draws must arrive in random order.  Once the null becomes impossible
-(``m <= 0``) the p-value is 0.
+(``m <= 0``) the p-value is 0, and it stays 0: the padded sum only grows, so
+``m`` stays at or below 0 for every further draw.
 
 Audit sample sizes (ASN) are estimated by simulation: errors are scattered
 over the ballot population at a configured rate, the population is drawn in
 a uniformly random order, and the number of draws until the p-value falls
 below the risk limit is recorded; the per-assertion ASN is the median over
-trials, and a set's overall ASN is the largest per-assertion ASN.  Each
-trial's random stream is derived from (seed, assertion index, trial index),
-so results are reproducible regardless of execution order or parallelism.
+trials, and a set's overall ASN is the largest per-assertion ASN.  A trial
+scores and traces its draws in chunks of growing size and stops at the first
+chunk that crosses the risk limit, so that part of its cost follows the stop;
+the error model and the permutation still cost O(N) per trial.  Each trial's
+random stream is derived from (seed, assertion index, trial index), so
+results are reproducible regardless of execution order or parallelism.
 """
 
 from __future__ import annotations
@@ -35,7 +39,15 @@ import numpy as np
 
 from .ballots import ParseError
 from .model import Ballot, Election, preference_matrix
-from .assertions import Assertion, AssertionSet, FullHandCount, assorter_mean, assorter_value, assorter_values
+from .assertions import (
+    Assertion,
+    AssertionSet,
+    FullHandCount,
+    assorter_mean,
+    assorter_value,
+    assorter_values,
+    profile_mean,
+)
 
 AUDIT_STYLES = ("polling", "comparison")
 
@@ -84,7 +96,6 @@ class RiskState:
     log_martingale: float = 0.0
     peak_log_martingale: float = float("-inf")
     samples_seen: int = 0
-    null_impossible: bool = False
 
     @property
     def p_value(self) -> float:
@@ -99,46 +110,78 @@ def kk_update(state: RiskState, x: float) -> RiskState:
     if state.samples_seen >= state.population:
         raise RuntimeError("population exhausted: no further draws are possible")
     y = x + PADDING
-    if state.null_impossible:
-        log_m = float("inf")
-    else:
-        m = (state.population * (NULL_MEAN + PADDING) - state.padded_sum) / (state.population - state.samples_seen)
-        if m <= 0:
-            log_m = float("inf")
-        else:
-            log_m = state.log_martingale + (math.log(y) - math.log(m))
+    m = (state.population * (NULL_MEAN + PADDING) - state.padded_sum) / (state.population - state.samples_seen)
+    log_m = state.log_martingale + (math.log(y) - math.log(m)) if m > 0 else float("inf")
     return replace(
         state,
         padded_sum=state.padded_sum + y,
         log_martingale=log_m,
         peak_log_martingale=max(state.peak_log_martingale, log_m),
         samples_seen=state.samples_seen + 1,
-        null_impossible=state.null_impossible or log_m == float("inf"),
     )
+
+
+# (padded sum, log-martingale, peak log-martingale) before the first draw.
+_KK_START = (0.0, 0.0, float("-inf"))
+
+
+def _kk_chunk(x: np.ndarray, population: int, start: int, carry: tuple[float, float, float]):
+    """P-values of draws ``start .. start + len(x) - 1``, continuing the test from ``carry``.
+
+    Returns the p-values and the carry after the last draw.  Each running
+    value enters its ``cumsum`` or ``maximum.accumulate`` as the first
+    element, so the sums stay sequential and a trace cut into chunks is
+    bit-identical to one computed whole.
+    """
+    if x.min() < 0:
+        raise ValueError("assorter values must be nonnegative")
+    y = x + PADDING
+    sums = np.cumsum(np.concatenate(([carry[0]], y)))
+    m = (population * (NULL_MEAN + PADDING) - sums[:-1]) / (population - np.arange(start, start + y.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.log(y) - np.log(m)
+    log_mart = np.cumsum(np.concatenate(([carry[1]], steps)))[1:]
+    # m <= 0 persists (the padded sum only grows), so no accumulate over the mask is needed.
+    log_mart[m <= 0] = np.inf
+    peak = np.maximum.accumulate(np.concatenate(([carry[2]], log_mart)))[1:]
+    with np.errstate(over="ignore"):
+        p = np.where(peak <= 0, 1.0, np.exp(-np.clip(peak, 0.0, None)))
+    return p, (sums[-1], log_mart[-1], peak[-1])
 
 
 def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
     """Vectorized p-value trace for a sequence of draws (batch form of kk_update)."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    if n > population:
+    if x.size > population:
         raise ValueError("more draws than the population holds")
-    if n and x.min() < 0:
-        raise ValueError("assorter values must be nonnegative")
-    if n == 0:
+    if x.size == 0:
         return np.empty(0, dtype=np.float64)
-    y = x + PADDING
-    prior = np.concatenate(([0.0], np.cumsum(y)[:-1]))
-    m = (population * (NULL_MEAN + PADDING) - prior) / (population - np.arange(n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = np.log(y) - np.log(m)
-    log_mart = np.cumsum(steps)
-    impossible = np.logical_or.accumulate(m <= 0)
-    log_mart[impossible] = np.inf
-    peak = np.maximum.accumulate(log_mart)
-    with np.errstate(over="ignore"):
-        p = np.where(peak <= 0, 1.0, np.exp(-np.clip(peak, 0.0, None)))
-    return p
+    return _kk_chunk(x, population, 0, _KK_START)[0]
+
+
+# Draws traced by a simulated trial before it first checks for a crossing,
+# and the factor by which each further chunk grows.
+_FIRST_CHUNK = 256
+_CHUNK_GROWTH = 4
+
+
+def _first_crossing(draws, population: int, risk_limit: float) -> int:
+    """Draw count at which the p-value of a whole population's draws first falls to ``risk_limit``.
+
+    ``draws(a, b)`` returns the values of draws ``a .. b - 1``.  They are
+    traced in growing chunks, and the walk stops at the first chunk that
+    crosses; ``population + 1`` if none does.  Equal to the first index with
+    ``kk_pvalue_trace(x, population) <= risk_limit``, plus one.
+    """
+    carry, start, size = _KK_START, 0, _FIRST_CHUNK
+    while start < population:
+        end = min(start + size, population)
+        p, carry = _kk_chunk(draws(start, end), population, start, carry)
+        crossed = np.flatnonzero(p <= risk_limit)
+        if crossed.size:
+            return start + int(crossed[0]) + 1
+        start, size = end, size * _CHUNK_GROWTH
+    return population + 1
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +215,18 @@ def _comparison_score(reported, audited, reported_mean: float):
 # ASN simulation
 
 
-def _signature_table(election: Election) -> tuple[list[Ballot], np.ndarray]:
-    """Distinct signatures in deterministic order, plus the expanded population."""
+def _signature_table(election: Election) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The election's distinct signatures, in sorted order, as three arrays.
+
+    They are the expanded population of signature indices, the signatures'
+    preference matrix, and each profile entry's index, in profile order.
+    """
     sigs = sorted(election.profile)
     counts = np.array([election.profile[s] for s in sigs], dtype=np.int64)
     population = np.repeat(np.arange(len(sigs), dtype=np.int64), counts)
-    return sigs, population
+    row = {sig: i for i, sig in enumerate(sigs)}
+    profile_rows = np.array([row[sig] for sig in election.profile], dtype=np.intp)
+    return population, preference_matrix(sigs, election.num_candidates), profile_rows
 
 
 def _trial_stream(cfg: AuditConfig, assertion_index: int, trial: int) -> np.random.Generator:
@@ -202,11 +251,17 @@ def simulate_trials(
     """
     if isinstance(assertion, FullHandCount):
         raise ValueError("a full-hand-count sentinel cannot be audited by sampling")
-    sigs, population = _signature_table(election)
+    population, prefs, _ = _signature_table(election)
+    return _trial_stops(assorter_values(assertion, prefs), population, cfg, assertion_index, workers)
+
+
+def _trial_stops(
+    values: np.ndarray, population: np.ndarray, cfg: AuditConfig, assertion_index: int, workers: int
+) -> np.ndarray:
+    """:func:`simulate_trials` for one assertion's values per signature of a :func:`_signature_table`."""
     n = population.size
     if n == 0:
         return np.zeros(cfg.trials, dtype=np.int64)
-    values = assorter_values(assertion, preference_matrix(sigs, election.num_candidates))
 
     reported_mean = 0.0
     if cfg.style == "comparison":
@@ -219,25 +274,33 @@ def simulate_trials(
     def one_trial(trial: int) -> int:
         rng = _trial_stream(cfg, assertion_index, trial)
         audited = population
-        if cfg.error_rate > 0 and len(sigs) > 1:
+        if cfg.error_rate > 0 and values.size > 1:
             audited = population.copy()
             hit = np.flatnonzero(rng.random(n) < cfg.error_rate)
             if hit.size:
-                draw = rng.integers(0, len(sigs) - 1, size=hit.size)
+                draw = rng.integers(0, values.size - 1, size=hit.size)
                 draw += draw >= audited[hit]
                 audited[hit] = draw
         order = rng.permutation(n)
-        x = values[audited[order]]
-        if cfg.style == "comparison":
-            x = _comparison_score(values[population[order]], x, reported_mean)
-        p = kk_pvalue_trace(x, n)
-        crossed = np.flatnonzero(p <= cfg.risk_limit)
-        return int(crossed[0]) + 1 if crossed.size else n + 1
+
+        def draws(start: int, end: int) -> np.ndarray:
+            drawn = order[start:end]
+            x = values[audited[drawn]]
+            if cfg.style == "comparison":
+                x = _comparison_score(values[population[drawn]], x, reported_mean)
+            return x
+
+        return _first_crossing(draws, n, cfg.risk_limit)
 
     if workers <= 1:
         return np.array([one_trial(trial) for trial in range(cfg.trials)], dtype=np.int64)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.array(list(pool.map(one_trial, range(cfg.trials))), dtype=np.int64)
+
+
+def _median_stop(stops: np.ndarray, population: int) -> int:
+    """The ASN of a trial-stop vector: its median, with never-certifying trials counted as ``N``."""
+    return int(math.ceil(float(np.median(np.minimum(stops, population)))))
 
 
 def simulate_asn(
@@ -255,8 +318,7 @@ def simulate_asn(
     n = election.total_ballots
     if isinstance(assertion, FullHandCount):
         return n
-    stops = simulate_trials(assertion, election, cfg, assertion_index, workers)
-    return int(math.ceil(float(np.median(np.minimum(stops, n)))))
+    return _median_stop(simulate_trials(assertion, election, cfg, assertion_index, workers), n)
 
 
 @dataclass(frozen=True)
@@ -278,6 +340,9 @@ def estimate_audit(
 ) -> ASNEstimate:
     """Estimate the sample size to audit a whole set: the max over its members."""
     n = election.total_ballots
+    # One signature table serves every assertion; the comparison check sums
+    # each mean in profile order, as assorter_mean does.
+    population, prefs, profile_rows = _signature_table(election)
     per: list[int] = []
     full = False
     for idx, assertion in enumerate(aset.assertions):
@@ -285,10 +350,10 @@ def estimate_audit(
             per.append(n)
             full = True
             continue
-        asn = simulate_asn(assertion, election, cfg, assertion_index=idx, workers=workers)
-        if cfg.style == "comparison" and not assorter_mean(assertion, election) > 0.5:
+        values = assorter_values(assertion, prefs)
+        per.append(_median_stop(_trial_stops(values, population, cfg, idx, workers), n))
+        if cfg.style == "comparison" and not profile_mean(values[profile_rows], election) > 0.5:
             full = True
-        per.append(asn)
     overall = n if full else max(per, default=0)
     return ASNEstimate(tuple(per), overall, full, n)
 

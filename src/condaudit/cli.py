@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 full-hand-count or infeasible-audit outcome,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,8 +52,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(raw: str) -> int:
-    """Parse --seed.  Argparse also passes its string default, $CONDAUDIT_SEED,
-    through here, so a malformed variable is a usage error like a malformed flag."""
+    """Parse --seed, or $CONDAUDIT_SEED in its absence (see :func:`main`),
+    so a malformed variable is a usage error like a malformed flag."""
     try:
         return int(raw)
     except ValueError:
@@ -80,8 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--risk-limit", type=float, default=0.05)
             p.add_argument("--error-rate", type=float, default=0.002)
             p.add_argument("--trials", type=int, default=2000)
-            p.add_argument("--seed", type=_seed, default=os.environ.get("CONDAUDIT_SEED", "0"),
-                           help="simulation seed (default: $CONDAUDIT_SEED or 0)")
+            # No default here: main reads $CONDAUDIT_SEED at each call, so the parser is built once.
+            p.add_argument("--seed", type=_seed, help="simulation seed (default: $CONDAUDIT_SEED or 0)")
+            p.set_defaults(subparser=p)
             p.add_argument("--style", choices=("polling", "comparison"), default="polling")
             p.add_argument("--workers", type=_positive_int, default=1)
 
@@ -402,9 +404,19 @@ def _cfg_from_args(args) -> AuditConfig:
         raise UsageError(str(exc)) from None
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing does not change it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # --seed absent: $CONDAUDIT_SEED, or 0 if it is unset
+        try:
+            args.seed = _seed(os.environ.get("CONDAUDIT_SEED", "0"))
+        except argparse.ArgumentTypeError as exc:
+            args.subparser.error(f"argument --seed: {exc}")
     try:
         return _dispatch(args)
     except (ParseError, SchemaError) as exc:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from condaudit import (
     simulate_asn,
     simulate_trials,
 )
-from condaudit.audit import NULL_MEAN, PADDING
+from condaudit import assertions as assertions_module
+from condaudit import audit as audit_module
+from condaudit.audit import _FIRST_CHUNK, _KK_START, NULL_MEAN, PADDING, _first_crossing, _kk_chunk
 
 from oracles import expand, independent_kk
 
@@ -69,6 +72,20 @@ class TestKaplanKolmogorov:
         trace = scalar_trace([1.0, 1.0, 1.0, 1.0], 4)
         assert trace[-1] == 0.0
 
+    def test_impossible_null_keeps_p_at_zero(self):
+        # Six draws of 1.0 pad to 6.6 > N * (t + g) = 6 for N = 10, so m <= 0
+        # from the seventh draw on; later zeros cannot revive the null.
+        xs = [1.0] * 6 + [0.0] * 4
+        state = RiskState(10)
+        for i, x in enumerate(xs):
+            m = (10 * (NULL_MEAN + PADDING) - state.padded_sum) / (10 - state.samples_seen)
+            state = kk_update(state, x)
+            if i >= 6:
+                assert m <= 0 and state.p_value == 0.0
+        trace = kk_pvalue_trace(np.array(xs), 10)
+        assert np.all(trace[6:] == 0.0)
+        assert trace.tolist() == scalar_trace(xs, 10)
+
     def test_scalar_and_batch_traces_agree(self):
         rng = np.random.default_rng(3)
         xs = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=200)
@@ -99,6 +116,86 @@ class TestKaplanKolmogorov:
         p = kk_pvalue_trace(xs, 100)
         assert np.all(np.diff(p) <= 1e-15)
         assert np.all((0 <= p) & (p <= 1))
+
+
+def _kk_sequences():
+    """Draw sequences for the chunked trace: their length, kind and seed vary."""
+    lengths = st.sampled_from([1, 7, _FIRST_CHUNK - 1, _FIRST_CHUNK, _FIRST_CHUNK + 1, 1280, 1281])
+    kinds = st.sampled_from(["zeros", "null", "mixed", "spread", "impossible"])
+    return st.tuples(lengths | st.integers(1, 3000), kinds, st.integers(0, 2**32 - 1), st.floats(0.2, 0.8))
+
+
+def _kk_sequence(n, kind, seed, lean):
+    rng = np.random.default_rng(seed)
+    if kind == "zeros":
+        return np.zeros(n)
+    if kind == "null":
+        return np.full(n, NULL_MEAN)  # every factor is exactly 1: never crosses
+    if kind == "mixed":
+        return rng.choice([0.0, 0.5, 1.0], size=n, p=[(1 - lean) / 2, 0.5, lean / 2])
+    if kind == "spread":
+        return rng.uniform(0.0, 2 * lean, size=n)
+    return rng.uniform(1.0, 3.0, size=n)  # padded mass passes N * (t + g): m <= 0
+
+
+class TestChunkedTrace:
+    @given(_kk_sequences(), st.lists(st.integers(1, 3000), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_chunks_match_whole_trace_bit_for_bit(self, seq, cuts):
+        x = _kk_sequence(*seq)
+        whole = kk_pvalue_trace(x, x.size)
+        edges = [0, *sorted({c for c in cuts if c < x.size}), x.size]
+        carry, parts = _KK_START, []
+        for start, end in zip(edges, edges[1:]):
+            p, carry = _kk_chunk(x[start:end], x.size, start, carry)
+            parts.append(p)
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    @given(
+        _kk_sequences(),
+        st.sampled_from([None, _FIRST_CHUNK - 2, _FIRST_CHUNK - 1, _FIRST_CHUNK, 1279, 1280]),
+        st.floats(1e-6, 0.5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_first_crossing_equals_full_trace(self, seq, target, risk_limit):
+        x = _kk_sequence(*seq)
+        n = x.size
+        p = kk_pvalue_trace(x, n)
+        if target is not None and target < n:
+            # A risk limit equal to the p-value at draw target + 1 puts the
+            # crossing there, or earlier when the trace is flat before it.
+            risk_limit = float(p[target])
+        crossed = np.flatnonzero(p <= risk_limit)
+        expected = int(crossed[0]) + 1 if crossed.size else n + 1
+
+        calls = []
+
+        def draws(start, end):
+            calls.append((start, end))
+            return x[start:end]
+
+        assert _first_crossing(draws, n, risk_limit) == expected
+        # Chunks are contiguous, and the walk ends with the chunk holding the stop.
+        assert [c[0] for c in calls] == [0] + [c[1] for c in calls[:-1]]
+        last_start, last_end = calls[-1]
+        assert last_start < expected <= last_end if expected <= n else last_end == n
+
+
+_STOP_VECTORS = json.loads((Path(__file__).parent / "data" / "stop_vectors.json").read_text())
+
+
+class TestFrozenStopVectors:
+    """Every trial's stop, captured before simulation traced draws in chunks."""
+
+    def test_election1_polling(self, election1):
+        stops = simulate_trials(PairwisePositive(0, 1), election1, AuditConfig(seed=42))
+        assert stops.tolist() == _STOP_VECTORS["election1_polling_seed42"]
+
+    def test_election3_ranked_pairs_comparison(self, election3):
+        aset = ranked_pairs_assertions(ranked_pairs_tabulate(scores(pairwise_tallies(election3))))
+        cfg = AuditConfig(seed=7, trials=50, style="comparison")
+        stops = [simulate_trials(a, election3, cfg, assertion_index=i) for i, a in enumerate(aset.assertions)]
+        assert [s.tolist() for s in stops] == _STOP_VECTORS["election3_ranked_pairs_comparison_seed7"]
 
 
 class TestComparisonAssorter:
@@ -190,6 +287,27 @@ class TestEstimate:
         assert est.per_assertion == (22, 206, 68, 40, 68)
         assert est.overall == 206
         assert round(est.percentage, 2) == 0.71
+
+    @pytest.mark.parametrize("style", ["polling", "comparison"])
+    def test_tables_built_once_per_set(self, election3, monkeypatch, style):
+        calls = []
+
+        def counting(sigs, k):
+            calls.append(len(sigs))
+            return preference_matrix(sigs, k)
+
+        preference_matrix = audit_module.preference_matrix
+        monkeypatch.setattr(audit_module, "preference_matrix", counting)
+        monkeypatch.setattr(assertions_module, "preference_matrix", counting)
+        full = ranked_pairs_assertions(ranked_pairs_tabulate(scores(pairwise_tallies(election3))))
+        cfg = AuditConfig(seed=7, trials=3, style=style)
+        counts = []
+        for size in (1, len(full.assertions)):
+            calls.clear()
+            estimate_audit(AssertionSet(full.method, full.winner, full.assertions[:size]), election3, cfg)
+            counts.append(len(calls))
+        assert len(full.assertions) > 1
+        assert counts == [1, 1]
 
 
 def polling_lines(ballots, names):

@@ -250,6 +250,20 @@ class TestEstimate:
         )
         assert json.loads(out)["seed"] == 99
 
+    def test_env_var_seed_is_read_at_each_call(self, capsys, e1_path, monkeypatch):
+        seeds = []
+        for value in ("5", "6"):
+            monkeypatch.setenv("CONDAUDIT_SEED", value)
+            _, out, _ = run_cli(
+                capsys, "estimate", "--method", "condorcet", e1_path, "--trials", "2", "--format", "json",
+            )
+            seeds.append(json.loads(out)["seed"])
+        monkeypatch.delenv("CONDAUDIT_SEED")
+        _, out, _ = run_cli(
+            capsys, "estimate", "--method", "condorcet", e1_path, "--trials", "2", "--format", "json",
+        )
+        assert seeds + [json.loads(out)["seed"]] == [5, 6, 0]
+
     def test_malformed_env_var_seed_is_usage_error(self, capsys, e1_path, monkeypatch):
         monkeypatch.setenv("CONDAUDIT_SEED", "12x")
         with pytest.raises(SystemExit) as exc:
