@@ -59,14 +59,10 @@ from .audit import (
     AuditConfig,
     AuditReport,
     AuditSample,
-    RiskState,
-    comparison_assorter_value,
     estimate_audit,
     kk_pvalue_trace,
-    kk_update,
     load_samples,
     run_audit,
-    simulate_asn,
     simulate_trials,
 )
 

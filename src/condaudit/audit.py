@@ -12,7 +12,9 @@ the null given the padded mass already drawn,
 The p-value is ``min(1, 1 / max_i M_i)``; it is non-increasing in the sample
 and the draws must arrive in random order.  Once the null becomes impossible
 (``m <= 0``) the p-value is 0, and it stays 0: the padded sum only grows, so
-``m`` stays at or below 0 for every further draw.
+``m`` stays at or below 0 for every further draw.  One kernel computes the
+test, in log space so that long samples neither overflow nor lose a vanished
+product to underflow, for both simulation and audit.
 
 Audit sample sizes (ASN) are estimated by simulation: errors are scattered
 over the ballot population at a configured rate, the population is drawn in
@@ -24,6 +26,10 @@ chunk that crosses the risk limit, so that part of its cost follows the stop;
 the error model and the permutation still cost O(N) per trial.  Each trial's
 random stream is derived from (seed, assertion index, trial index), so
 results are reproducible regardless of execution order or parallelism.
+
+A batch audit scores its drawn sample once per assertion, traces each
+assertion's p-value over the sample, and stops at the largest first crossing
+of the risk limit.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,8 +49,6 @@ from .assertions import (
     Assertion,
     AssertionSet,
     FullHandCount,
-    assorter_mean,
-    assorter_value,
     assorter_values,
     profile_mean,
 )
@@ -83,44 +87,6 @@ class AuditConfig:
 # Kaplan-Kolmogorov risk function
 
 
-@dataclass(frozen=True)
-class RiskState:
-    """Running state of one assertion's sequential test.
-
-    The martingale is tracked in log space so long audits neither overflow
-    nor lose a vanished product to underflow; ``p_value`` is a derived view.
-    """
-
-    population: int
-    padded_sum: float = 0.0
-    log_martingale: float = 0.0
-    peak_log_martingale: float = float("-inf")
-    samples_seen: int = 0
-
-    @property
-    def p_value(self) -> float:
-        peak = self.peak_log_martingale
-        return 1.0 if peak <= 0 else math.exp(-peak)
-
-
-def kk_update(state: RiskState, x: float) -> RiskState:
-    """Fold one sampled assorter value into the test; returns the new state."""
-    if x < 0 or math.isnan(x):
-        raise ValueError(f"assorter values must be nonnegative, got {x}")
-    if state.samples_seen >= state.population:
-        raise RuntimeError("population exhausted: no further draws are possible")
-    y = x + PADDING
-    m = (state.population * (NULL_MEAN + PADDING) - state.padded_sum) / (state.population - state.samples_seen)
-    log_m = state.log_martingale + (math.log(y) - math.log(m)) if m > 0 else float("inf")
-    return replace(
-        state,
-        padded_sum=state.padded_sum + y,
-        log_martingale=log_m,
-        peak_log_martingale=max(state.peak_log_martingale, log_m),
-        samples_seen=state.samples_seen + 1,
-    )
-
-
 # (padded sum, log-martingale, peak log-martingale) before the first draw.
 _KK_START = (0.0, 0.0, float("-inf"))
 
@@ -133,7 +99,7 @@ def _kk_chunk(x: np.ndarray, population: int, start: int, carry: tuple[float, fl
     element, so the sums stay sequential and a trace cut into chunks is
     bit-identical to one computed whole.
     """
-    if x.min() < 0:
+    if not (x >= 0).all():  # also rejects NaN
         raise ValueError("assorter values must be nonnegative")
     y = x + PADDING
     sums = np.cumsum(np.concatenate(([carry[0]], y)))
@@ -150,7 +116,7 @@ def _kk_chunk(x: np.ndarray, population: int, start: int, carry: tuple[float, fl
 
 
 def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
-    """Vectorized p-value trace for a sequence of draws (batch form of kk_update)."""
+    """P-value after each of a sequence of draws from a population of ``population`` values."""
     x = np.asarray(x, dtype=np.float64)
     if x.size > population:
         raise ValueError("more draws than the population holds")
@@ -188,26 +154,13 @@ def _first_crossing(draws, population: int, risk_limit: float) -> int:
 # Comparison (overstatement) assorter
 
 
-def comparison_assorter_value(
-    assertion: Assertion, reported_ballot: Ballot, audited_ballot: Ballot, reported_mean: float
-) -> float:
-    """Overstatement-based score for a (reported, audited) ballot pair.
-
-    With polling assorter ``a`` (upper bound 1), overstatement
-    ``w = a(reported) - a(audited)`` and reported margin
-    ``v = 2 * reported_mean - 1``, the value is ``(1 - w) / (2 - v)``; its
-    population mean exceeds 1/2 exactly when the assertion holds on the
-    audited ballots.  Only reportedly-true assertions (mean > 1/2) admit
-    this construction.
-    """
-    if not reported_mean > 0.5:
-        raise ValueError("comparison audits require a reported assorter mean above 1/2")
-    reported, audited = (assorter_value(assertion, ballot) for ballot in (reported_ballot, audited_ballot))
-    return _comparison_score(reported, audited, reported_mean)
-
-
 def _comparison_score(reported, audited, reported_mean: float):
-    """The score of :func:`comparison_assorter_value` from polling assorters; elementwise on arrays."""
+    """Overstatement score ``(1 - w) / (2 - v)`` from polling assorters ``a``; elementwise on arrays.
+
+    ``w = a(reported) - a(audited)`` is the overstatement and ``v = 2 * reported_mean - 1``
+    the reported margin.  The score's population mean exceeds 1/2 exactly when
+    the assertion holds on the audited ballots; only a reported mean above 1/2 admits it.
+    """
     return (1 - (reported - audited)) / (2 - (2 * reported_mean - 1))
 
 
@@ -301,24 +254,6 @@ def _trial_stops(
 def _median_stop(stops: np.ndarray, population: int) -> int:
     """The ASN of a trial-stop vector: its median, with never-certifying trials counted as ``N``."""
     return int(math.ceil(float(np.median(np.minimum(stops, population)))))
-
-
-def simulate_asn(
-    assertion: Assertion,
-    election: Election,
-    cfg: AuditConfig,
-    assertion_index: int = 0,
-    workers: int = 1,
-) -> int:
-    """Anticipated sample number: the median trial sample size.
-
-    Trials that never certify count as a full count of ``N`` ballots.  A
-    full-hand-count sentinel always costs the whole population.
-    """
-    n = election.total_ballots
-    if isinstance(assertion, FullHandCount):
-        return n
-    return _median_stop(simulate_trials(assertion, election, cfg, assertion_index, workers), n)
 
 
 @dataclass(frozen=True)
@@ -446,9 +381,9 @@ def run_audit(
     """Feed a drawn sample through every assertion's sequential test.
 
     Samples must be supplied in their (externally randomized) draw order.
-    The audit certifies once every assertion's p-value is at or below the
-    risk limit, and stops consuming samples at that point; exhausting the
-    sample first escalates to a full hand count.
+    The audit certifies at the first draw where every assertion's p-value is
+    at or below the risk limit, and consumes no sample after it; exhausting
+    the sample first escalates to a full hand count.
     """
     if aset.full_hand_count:
         sentinel = aset.assertions[0]
@@ -461,41 +396,50 @@ def run_audit(
     if len(samples) > n:
         raise ValueError(f"sample of {len(samples)} exceeds the population of {n} ballots")
 
+    comparison = cfg.style == "comparison"
     reported_means: list[float] = []
-    if cfg.style == "comparison":
-        reported_means = [assorter_mean(assertion, election) for assertion in aset.assertions]
+    if comparison:
+        # One matrix in profile order serves every mean, summed as assorter_mean sums it.
+        profile_prefs = preference_matrix(list(election.profile), election.num_candidates)
+        reported_means = [profile_mean(assorter_values(a, profile_prefs), election) for a in aset.assertions]
         if not all(mean > 0.5 for mean in reported_means):
             raise ValueError(
                 "comparison audit is impossible: reported tallies do not support the assertion (mean <= 1/2)"
             )
 
+    # A comparison audit traces the samples before the first one without a
+    # reported ballot, and fails only if it has to consume that one.
+    usable = len(samples)
+    if comparison:
+        usable = next((i for i, s in enumerate(samples) if s.reported is None), usable)
+    used = samples[:usable]
+    drawn = [s.audited for s in used] + [s.reported for s in used if comparison]
+
     # Score each distinct sampled ballot once per assertion.
-    sigs = list(dict.fromkeys(b for s in samples for b in (s.audited, s.reported) if b is not None))
+    sigs = list(dict.fromkeys(drawn))
     rows = {sig: row for row, sig in enumerate(sigs)}
+    drawn_rows = np.array([rows[b] for b in drawn], dtype=np.intp)
     prefs = preference_matrix(sigs, election.num_candidates)
-    tables = [assorter_values(assertion, prefs).tolist() for assertion in aset.assertions]
+    traces = []
+    for idx, assertion in enumerate(aset.assertions):
+        values = assorter_values(assertion, prefs)
+        x = values[drawn_rows[:usable]]
+        if comparison:
+            x = _comparison_score(values[drawn_rows[usable:]], x, reported_means[idx])
+        traces.append(kk_pvalue_trace(x, n))
 
-    states = [RiskState(n) for _ in aset.assertions]
-    traces: list[list[float]] = [[] for _ in aset.assertions]
-    examined = 0
-    for sample in samples:
-        if all(s.p_value <= cfg.risk_limit for s in states):
-            break
-        if cfg.style == "comparison" and sample.reported is None:
-            raise ValueError("comparison audits need a reported ballot per sample")
-        examined += 1
-        audited = rows[sample.audited]
-        for idx, table in enumerate(tables):
-            x = table[audited]
-            if cfg.style == "comparison":
-                x = _comparison_score(table[rows[sample.reported]], x, reported_means[idx])
-            states[idx] = kk_update(states[idx], x)
-            traces[idx].append(states[idx].p_value)
+    crossings = [np.flatnonzero(p <= cfg.risk_limit) for p in traces]
+    if all(c.size for c in crossings):
+        examined = max(int(c[0]) + 1 for c in crossings)
+    elif usable < len(samples):
+        raise ValueError("comparison audits need a reported ballot per sample")
+    else:
+        examined = usable
 
-    certified_all = all(s.p_value <= cfg.risk_limit for s in states)
-    records = tuple(
-        AssertionAuditRecord(assertion, state.p_value <= cfg.risk_limit, state.p_value, tuple(trace))
-        for assertion, state, trace in zip(aset.assertions, states, traces)
-    )
-    outcome = "certified" if certified_all else "escalate-full-count"
-    return AuditReport(outcome, examined, cfg.risk_limit, records)
+    records = []
+    for assertion, p in zip(aset.assertions, traces):
+        trace = tuple(p[:examined].tolist())
+        p_value = trace[-1] if trace else 1.0
+        records.append(AssertionAuditRecord(assertion, p_value <= cfg.risk_limit, p_value, trace))
+    outcome = "certified" if all(r.certified for r in records) else "escalate-full-count"
+    return AuditReport(outcome, examined, cfg.risk_limit, tuple(records))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from condaudit import (
+    AssertionSet,
     AuditConfig,
     Election,
     FullHandCount,
@@ -36,7 +37,6 @@ from condaudit import (
     scale,
     scores,
     serialize_election,
-    simulate_asn,
     simulate_trials,
     smith_assertions,
     smith_set,
@@ -265,7 +265,8 @@ def test_criterion_8b_bit_reproducibility(election1):
         ]
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], runs[2])
-        asns = {simulate_asn(assertion, election1, cfg, workers=w) for w in (1, 4)}
+        aset = AssertionSet("condorcet", 0, (assertion,))
+        asns = {estimate_audit(aset, election1, cfg, workers=w).per_assertion[0] for w in (1, 4)}
         assert len(asns) == 1
 
 

@@ -16,50 +16,53 @@ from condaudit import (
     FullHandCount,
     PairwisePositive,
     ParseError,
-    RiskState,
     ScoreComparison,
-    comparison_assorter_value,
+    assorter_value,
     estimate_audit,
     kk_pvalue_trace,
-    kk_update,
     load_samples,
     pairwise_tallies,
     ranked_pairs_assertions,
     ranked_pairs_tabulate,
     run_audit,
     scores,
-    simulate_asn,
     simulate_trials,
 )
 from condaudit import assertions as assertions_module
 from condaudit import audit as audit_module
-from condaudit.audit import _FIRST_CHUNK, _KK_START, NULL_MEAN, PADDING, _first_crossing, _kk_chunk
+from condaudit.audit import (
+    _FIRST_CHUNK,
+    _KK_START,
+    NULL_MEAN,
+    PADDING,
+    _comparison_score,
+    _first_crossing,
+    _kk_chunk,
+)
 
-from oracles import expand, independent_kk
+from oracles import expand, independent_kk, normalizer, signed_contribution, weighted_g_sum
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
-def scalar_trace(xs, population):
-    state = RiskState(population)
-    out = []
-    for x in xs:
-        state = kk_update(state, float(x))
-        out.append(state.p_value)
+def per_draw_trace(xs, population):
+    """The kernel fed one draw at a time, carrying its state between draws."""
+    carry, out = _KK_START, []
+    for i, x in enumerate(xs):
+        p, carry = _kk_chunk(np.array([x], dtype=np.float64), population, i, carry)
+        out.append(float(p[0]))
     return out
+
+
+def first_crossing(ps, risk_limit=0.05):
+    return next(i + 1 for i, p in enumerate(ps) if p <= risk_limit)
 
 
 class TestKaplanKolmogorov:
     def test_unanimous_ones_cross_quickly(self):
-        state = RiskState(100)
-        crossing = None
-        for n in range(1, 101):
-            state = kk_update(state, 1.0)
-            if state.p_value <= 0.05:
-                crossing = n
-                break
-        assert crossing == 5
+        assert first_crossing(kk_pvalue_trace(np.ones(100), 100)) == 5
         # agrees with a direct-product transcription of the recursion
-        ps = independent_kk([1.0] * 10, 100)
-        assert next(i + 1 for i, p in enumerate(ps) if p <= 0.05) == 5
+        assert first_crossing(independent_kk([1.0] * 10, 100)) == 5
 
     def test_null_mean_samples_never_certify(self):
         n_draws = 5000
@@ -69,42 +72,42 @@ class TestKaplanKolmogorov:
     def test_null_impossibility_zeroes_p(self):
         # Four draws of 1.0 from a population of 4 exceed the null's total
         # padded mass, so the final conditional mean goes negative.
-        trace = scalar_trace([1.0, 1.0, 1.0, 1.0], 4)
-        assert trace[-1] == 0.0
+        assert kk_pvalue_trace(np.ones(4), 4)[-1] == 0.0
+        assert independent_kk([1.0] * 4, 4)[-1] == 0.0
 
     def test_impossible_null_keeps_p_at_zero(self):
         # Six draws of 1.0 pad to 6.6 > N * (t + g) = 6 for N = 10, so m <= 0
         # from the seventh draw on; later zeros cannot revive the null.
         xs = [1.0] * 6 + [0.0] * 4
-        state = RiskState(10)
-        for i, x in enumerate(xs):
-            m = (10 * (NULL_MEAN + PADDING) - state.padded_sum) / (10 - state.samples_seen)
-            state = kk_update(state, x)
-            if i >= 6:
-                assert m <= 0 and state.p_value == 0.0
+        padded_before = np.concatenate(([0.0], np.cumsum(np.array(xs) + PADDING)[:-1]))
+        m = (10 * (NULL_MEAN + PADDING) - padded_before) / (10 - np.arange(10))
+        assert np.all(m[6:] <= 0) and np.all(m[:6] > 0)
         trace = kk_pvalue_trace(np.array(xs), 10)
         assert np.all(trace[6:] == 0.0)
-        assert trace.tolist() == scalar_trace(xs, 10)
+        assert independent_kk(xs, 10)[6:] == [0.0] * 4
+        assert trace.tolist() == per_draw_trace(xs, 10)
 
     def test_scalar_and_batch_traces_agree(self):
         rng = np.random.default_rng(3)
         xs = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=200)
         batch = kk_pvalue_trace(xs, 500)
-        assert np.allclose(scalar_trace(xs, 500), batch, atol=1e-12)
+        assert per_draw_trace(xs, 500) == batch.tolist()
         direct = independent_kk(xs, 500)
-        assert np.allclose(direct, batch, atol=1e-9)
+        assert np.allclose(direct, batch, rtol=1e-12, atol=0)
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
-            kk_update(RiskState(10), -0.1)
+            _kk_chunk(np.array([-0.1]), 10, 0, _KK_START)
         with pytest.raises(ValueError):
             kk_pvalue_trace(np.array([-1.0]), 10)
+        with pytest.raises(ValueError):
+            kk_pvalue_trace(np.array([1.0, np.nan, 1.0]), 10)
 
     def test_rejects_exhausted_population(self):
-        state = RiskState(1)
-        state = kk_update(state, 1.0)
-        with pytest.raises(RuntimeError):
-            kk_update(state, 1.0)
+        # The last ballot of a population can be drawn; none after it.
+        assert kk_pvalue_trace(np.ones(1), 1).tolist() == pytest.approx([0.6 / 1.1])
+        with pytest.raises(ValueError):
+            kk_pvalue_trace(np.ones(2), 1)
 
     def test_rejects_oversized_batch(self):
         with pytest.raises(ValueError):
@@ -198,43 +201,59 @@ class TestFrozenStopVectors:
         assert [s.tolist() for s in stops] == _STOP_VECTORS["election3_ranked_pairs_comparison_seed7"]
 
 
+def comparison_value(assertion, reported, audited, reported_mean):
+    return _comparison_score(assorter_value(assertion, reported), assorter_value(assertion, audited), reported_mean)
+
+
 class TestComparisonAssorter:
     def test_no_error_value(self):
         a = PairwisePositive(0, 1)
-        assert comparison_assorter_value(a, (0,), (0,), 0.6) == pytest.approx(1 / 1.8)
+        assert comparison_value(a, (0,), (0,), 0.6) == pytest.approx(1 / 1.8)
 
     def test_maximal_overstatement(self):
         a = PairwisePositive(0, 1)
-        assert comparison_assorter_value(a, (0,), (1,), 0.6) == 0.0
+        assert comparison_value(a, (0,), (1,), 0.6) == 0.0
 
     def test_maximal_understatement(self):
         a = PairwisePositive(0, 1)
-        assert comparison_assorter_value(a, (1,), (0,), 0.6) == pytest.approx(2 / 1.8)
+        assert comparison_value(a, (1,), (0,), 0.6) == pytest.approx(2 / 1.8)
 
     def test_requires_reportedly_true_assertion(self):
-        with pytest.raises(ValueError):
-            comparison_assorter_value(PairwisePositive(0, 1), (0,), (0,), 0.5)
+        # A reported mean of exactly 1/2 admits no comparison audit.
+        tied = Election(("A", "B"), {(0,): 5, (1,): 5})
+        aset = AssertionSet("condorcet", 0, (PairwisePositive(0, 1),))
+        cfg = AuditConfig(seed=5, trials=10, style="comparison")
+        with pytest.raises(ValueError, match="mean"):
+            run_audit(aset, [AuditSample(audited=(0,), reported=(0,))], tied, cfg)
+        est = estimate_audit(aset, tied, cfg)
+        assert est.full_count_flag and est.per_assertion == (10,)
 
 
 def unanimous_election(n=500):
     return Election(("A", "B"), {(0,): n})
 
 
+def one_assertion_asn(assertion, election, cfg, workers=1):
+    """The ASN of a set holding just ``assertion``."""
+    aset = AssertionSet("condorcet", None, (assertion,))
+    return estimate_audit(aset, election, cfg, workers=workers).per_assertion[0]
+
+
 class TestSimulation:
     def test_unanimous_assertion_certifies_fast(self):
         cfg = AuditConfig(seed=42, trials=100, error_rate=0.0)
-        asn = simulate_asn(PairwisePositive(0, 1), unanimous_election(), cfg)
+        asn = one_assertion_asn(PairwisePositive(0, 1), unanimous_election(), cfg)
         assert asn < 20
 
     def test_false_assertion_needs_full_count(self):
         cfg = AuditConfig(seed=42, trials=100, error_rate=0.0)
-        asn = simulate_asn(PairwisePositive(1, 0), unanimous_election(), cfg)
+        asn = one_assertion_asn(PairwisePositive(1, 0), unanimous_election(), cfg)
         assert asn == 500
 
     def test_election1_polling_regression(self, election1):
         # frozen from the first run at these exact settings
         cfg = AuditConfig(seed=42)
-        asn = simulate_asn(PairwisePositive(0, 1), election1, cfg)
+        asn = one_assertion_asn(PairwisePositive(0, 1), election1, cfg)
         assert asn == 5383
 
     def test_deterministic_across_runs_and_workers(self, election1):
@@ -253,11 +272,14 @@ class TestSimulation:
         assert not np.array_equal(one, two)
 
     def test_full_hand_count_costs_population(self, election1):
-        assert simulate_asn(FullHandCount("tie"), election1, AuditConfig(seed=0, trials=10)) == 8300
+        cfg = AuditConfig(seed=0, trials=10)
+        assert one_assertion_asn(FullHandCount("tie"), election1, cfg) == 8300
+        with pytest.raises(ValueError, match="full-hand-count"):
+            simulate_trials(FullHandCount("tie"), election1, cfg)
 
     def test_comparison_style_on_reportedly_false_assertion(self):
         cfg = AuditConfig(seed=5, trials=10, style="comparison")
-        asn = simulate_asn(PairwisePositive(1, 0), unanimous_election(), cfg)
+        asn = one_assertion_asn(PairwisePositive(1, 0), unanimous_election(), cfg)
         assert asn == 500
 
 
@@ -301,13 +323,18 @@ class TestEstimate:
         monkeypatch.setattr(assertions_module, "preference_matrix", counting)
         full = ranked_pairs_assertions(ranked_pairs_tabulate(scores(pairwise_tallies(election3))))
         cfg = AuditConfig(seed=7, trials=3, style=style)
+        samples = load_samples(GOLDEN / "election3-samples.jsonl", election3)
         counts = []
         for size in (1, len(full.assertions)):
-            calls.clear()
-            estimate_audit(AssertionSet(full.method, full.winner, full.assertions[:size]), election3, cfg)
-            counts.append(len(calls))
+            aset = AssertionSet(full.method, full.winner, full.assertions[:size])
+            for run in (lambda: estimate_audit(aset, election3, cfg), lambda: run_audit(aset, samples, election3, cfg)):
+                calls.clear()
+                run()
+                counts.append(len(calls))
         assert len(full.assertions) > 1
-        assert counts == [1, 1]
+        # An audit's second table, in comparison style, is the profile's for the reported means.
+        audit_tables = 2 if style == "comparison" else 1
+        assert counts == [1, audit_tables, 1, audit_tables]
 
 
 def polling_lines(ballots, names):
@@ -371,6 +398,47 @@ class TestRunAudit:
         aset = AssertionSet("x", 1, (PairwisePositive(1, 0),))
         with pytest.raises(ValueError, match="mean"):
             run_audit(aset, [AuditSample(audited=(0,), reported=(0,))], e, AuditConfig(style="comparison"))
+
+    @pytest.mark.parametrize("style", ["polling", "comparison"])
+    def test_matches_independent_kk(self, election3, style):
+        aset = ranked_pairs_assertions(ranked_pairs_tabulate(scores(pairwise_tallies(election3))))
+        samples = load_samples(GOLDEN / "election3-samples.jsonl", election3)
+        cfg = AuditConfig(style=style)
+        report = run_audit(aset, samples, election3, cfg)
+        n = election3.total_ballots
+        expected = []
+        for assertion in aset.assertions:
+            h2 = normalizer(assertion)
+            polling = [0.5 + signed_contribution(assertion, s.audited) / h2 for s in samples]
+            xs = polling
+            if style == "comparison":
+                mean = 0.5 + weighted_g_sum(assertion, election3) / (h2 * n)
+                reported = [0.5 + signed_contribution(assertion, s.reported) / h2 for s in samples]
+                xs = [(1 - (r - a)) / (2 - (2 * mean - 1)) for r, a in zip(reported, polling)]
+            expected.append(independent_kk(xs, n))
+        all_crossed = [i + 1 for i, ps in enumerate(zip(*expected)) if max(ps) <= cfg.risk_limit]
+        examined = all_crossed[0] if all_crossed else len(samples)
+        assert report.ballots_examined == examined
+        assert report.certified == bool(all_crossed)
+        for rec, ps in zip(report.records, expected):
+            assert len(rec.p_trace) == examined
+            assert np.allclose(rec.p_trace, ps[:examined], rtol=1e-12, atol=0)
+            assert rec.p_value == rec.p_trace[-1]
+
+    def test_comparison_reads_only_consumed_samples(self, election3):
+        aset = ranked_pairs_assertions(ranked_pairs_tabulate(scores(pairwise_tallies(election3))))
+        samples = load_samples(GOLDEN / "election3-samples.jsonl", election3)
+        cfg = AuditConfig(style="comparison")
+        report = run_audit(aset, samples, election3, cfg)
+        stop = report.ballots_examined
+        assert report.certified and stop < len(samples)
+        # A sample after the stop without a reported ballot is never read ...
+        after = [*samples[:stop], AuditSample(audited=samples[stop].audited), *samples[stop + 1 :]]
+        assert run_audit(aset, after, election3, cfg) == report
+        # ... but the audit cannot go on to its stop without the last consumed one.
+        at = [*samples[: stop - 1], AuditSample(audited=samples[stop - 1].audited), *samples[stop:]]
+        with pytest.raises(ValueError, match="reported"):
+            run_audit(aset, at, election3, cfg)
 
     def test_oversized_sample_rejected(self):
         e = Election(("A", "B"), {(0,): 2})
