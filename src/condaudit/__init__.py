@@ -42,7 +42,6 @@ from .assertions import (
     SchemaError,
     ScoreComparison,
     assorter_mean,
-    assorter_value,
     assorter_values,
     condorcet_assertions,
     describe,

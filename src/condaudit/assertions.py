@@ -22,6 +22,13 @@ Three claim shapes are supported:
   agreeing with the complete ranking ``preferred`` exceeds that of
   ``other``.
 
+Each shape is declared once, on its class: its JSON ``tag``, its candidate
+fields (an ``int`` field is one candidate, a tuple field several), its
+``text`` form (formatted with each field's candidate names joined by ``,``)
+and its ``claim()``: the pairs ``W`` weights +1, the pairs it weights -1,
+and ``h``.  Weights, relabelling, text, export and import read these
+declarations and nothing else about a shape.
+
 ``FullHandCount`` is a sentinel "assertion" marking outcomes no ballot
 sample can verify (unresolvable ties, capacity limits); it always escalates.
 """
@@ -30,12 +37,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Sequence, Union, get_args
 
 import numpy as np
 
-from .model import Ballot, Election, preference_matrix
+from .model import Election, preference_matrix
 from .tabulation import (
     KEMENY_MAX_K,
     CapacityError,
@@ -55,16 +62,23 @@ class SchemaError(ValueError):
 class PairwisePositive:
     winner: int
     loser: int
+    tag: ClassVar[str] = "pairwise_positive"
+    text: ClassVar[str] = "s({winner},{loser}) > 0"
 
     def __post_init__(self):
         if self.winner == self.loser:
             raise ValueError("pairwise assertion needs two distinct candidates")
+
+    def claim(self) -> tuple[list, list, int]:
+        return [(self.winner, self.loser)], [(self.loser, self.winner)], 1
 
 
 @dataclass(frozen=True)
 class ScoreComparison:
     hi: tuple[int, int]
     lo: tuple[int, int]
+    tag: ClassVar[str] = "score_comparison"
+    text: ClassVar[str] = "s({hi}) > s({lo})"
 
     def __post_init__(self):
         object.__setattr__(self, "hi", tuple(self.hi))
@@ -75,11 +89,17 @@ class ScoreComparison:
         if self.hi == self.lo:
             raise ValueError("score comparison needs two distinct ordered pairs")
 
+    def claim(self) -> tuple[list, list, int]:
+        (i, j), (k, l) = self.hi, self.lo
+        return [(i, j), (l, k)], [(k, l), (j, i)], 2
+
 
 @dataclass(frozen=True)
 class RankingComparison:
     preferred: tuple[int, ...]
     other: tuple[int, ...]
+    tag: ClassVar[str] = "ranking_comparison"
+    text: ClassVar[str] = "T([{preferred}]) > T([{other}])"
 
     def __post_init__(self):
         object.__setattr__(self, "preferred", tuple(self.preferred))
@@ -92,10 +112,18 @@ class RankingComparison:
         if not self.preferred or self.preferred[0] == self.other[0]:
             raise ValueError("compared rankings must start with different candidates")
 
+    def claim(self) -> tuple[list, list, int]:
+        plus = list(itertools.combinations(self.preferred, 2))
+        return plus, list(itertools.combinations(self.other, 2)), len(plus)
+
 
 @dataclass(frozen=True)
 class FullHandCount:
     reason: str = ""
+    tag: ClassVar[str] = "full_hand_count"
+
+    def claim(self):
+        raise ValueError("a full-hand-count sentinel has no assorter")
 
 
 Assertion = Union[PairwisePositive, ScoreComparison, RankingComparison, FullHandCount]
@@ -134,19 +162,9 @@ def pair_weights(assertion: Assertion, num_candidates: int) -> tuple[np.ndarray,
     A ballot's signed contribution is ``g = sum_ij W[i, j] * prefers(i, j)``
     and its assorter is ``(g + h) / 2h``.
     """
-    if isinstance(assertion, PairwisePositive):
-        plus, minus, h = [(assertion.winner, assertion.loser)], [(assertion.loser, assertion.winner)], 1
-    elif isinstance(assertion, ScoreComparison):
-        (i, j), (k, l) = assertion.hi, assertion.lo
-        plus, minus, h = [(i, j), (l, k)], [(k, l), (j, i)], 2
-    elif isinstance(assertion, RankingComparison):
-        plus = list(itertools.combinations(assertion.preferred, 2))
-        minus = list(itertools.combinations(assertion.other, 2))
-        h = len(plus)
-    elif isinstance(assertion, FullHandCount):
-        raise ValueError("a full-hand-count sentinel has no assorter")
-    else:
+    if not isinstance(assertion, get_args(Assertion)):
         raise TypeError(f"not an assertion: {assertion!r}")
+    plus, minus, h = assertion.claim()
     weights = np.zeros((num_candidates, num_candidates), dtype=np.int64)
     for pair in plus:
         weights[pair] += 1
@@ -159,15 +177,6 @@ def assorter_values(assertion: Assertion, prefs: np.ndarray) -> np.ndarray:
     """Assorter of every signature in a :func:`preference_matrix`; each in [0, 1]."""
     weights, h = pair_weights(assertion, prefs.shape[-1])
     return (np.tensordot(prefs, weights, axes=2) + h) / (2 * h)
-
-
-def assorter_value(assertion: Assertion, ballot: Ballot) -> float:
-    """Score one ballot for an assertion; always in [0, 1].
-
-    A ballot expressing none of the compared preferences scores exactly 1/2.
-    """
-    k = 1 + max((*ballot, *_candidates_of(assertion)), default=0)
-    return float(assorter_values(assertion, preference_matrix([ballot], k))[0])
 
 
 def assorter_mean(assertion: Assertion, election: Election) -> float:
@@ -296,9 +305,7 @@ def smith_assertions(
     method = "smith-minimax" if inner == "minimax" else "smith-irv"
     members = sm.smith_set
     if inner == "irv-import" and imported is not None and not imported.full_hand_count:
-        mentioned: set[int] = set()
-        for a in imported.assertions:
-            mentioned |= _candidates_of(a)
+        mentioned = {c for a in imported.assertions for c in _candidates_of(a)}
         if imported.winner is None or imported.winner not in members or not mentioned <= set(members):
             raise ValueError("imported inner assertions must be over Smith-set members only")
     if sm.tie_flag:
@@ -346,23 +353,13 @@ def smith_assertions(
 
 
 def _relabel(assertion: Assertion, mapping: Sequence[int]) -> Assertion:
-    """Map a Minimax assertion's local candidate indices through ``mapping``."""
-    if isinstance(assertion, PairwisePositive):
-        return PairwisePositive(mapping[assertion.winner], mapping[assertion.loser])
-    return ScoreComparison(
-        (mapping[assertion.hi[0]], mapping[assertion.hi[1]]),
-        (mapping[assertion.lo[0]], mapping[assertion.lo[1]]),
-    )
+    """Map a claim's local candidate indices through ``mapping``."""
+    return type(assertion)(**_map_candidates(assertion, mapping.__getitem__))
 
 
 def _candidates_of(assertion: Assertion) -> set[int]:
-    if isinstance(assertion, PairwisePositive):
-        return {assertion.winner, assertion.loser}
-    if isinstance(assertion, ScoreComparison):
-        return set(assertion.hi) | set(assertion.lo)
-    if isinstance(assertion, RankingComparison):
-        return set(assertion.preferred) | set(assertion.other)
-    return set()
+    plus, minus, _ = assertion.claim()
+    return {c for pair in plus + minus for c in pair}
 
 
 def kemeny_assertions(kr: KemenyResult) -> AssertionSet:
@@ -388,22 +385,28 @@ def kemeny_assertions(kr: KemenyResult) -> AssertionSet:
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange
+# Text and JSON interchange
+
+
+def _one_candidate(f) -> bool:
+    """An ``int`` field holds one candidate; a tuple field holds several."""
+    return f.type == "int"  # annotations are strings: this module postpones their evaluation
+
+
+def _map_candidates(claim: Assertion, fn, several=list) -> dict:
+    """Each field of a claim with ``fn`` applied to its one candidate, or ``several`` over its candidates."""
+    out = {}
+    for f in fields(claim):
+        value = getattr(claim, f.name)
+        out[f.name] = fn(value) if _one_candidate(f) else several(fn(c) for c in value)
+    return out
+
 
 def describe(assertion: Assertion, names: Sequence[str]) -> str:
     """Human-readable one-liner for an assertion, using candidate names."""
-    if isinstance(assertion, PairwisePositive):
-        return f"s({names[assertion.winner]},{names[assertion.loser]}) > 0"
-    if isinstance(assertion, ScoreComparison):
-        (i, j), (k, l) = assertion.hi, assertion.lo
-        return f"s({names[i]},{names[j]}) > s({names[k]},{names[l]})"
-    if isinstance(assertion, RankingComparison):
-        a = ",".join(names[c] for c in assertion.preferred)
-        b = ",".join(names[c] for c in assertion.other)
-        return f"T([{a}]) > T([{b}])"
     if isinstance(assertion, FullHandCount):
         return f"full hand count: {assertion.reason}" if assertion.reason else "full hand count"
-    raise TypeError(f"not an assertion: {assertion!r}")
+    return assertion.text.format(**_map_candidates(assertion, names.__getitem__, ",".join))
 
 
 def export_assertions(aset: AssertionSet, election: Election) -> dict:
@@ -411,21 +414,9 @@ def export_assertions(aset: AssertionSet, election: Election) -> dict:
     names = election.candidates
 
     def enc(a: Assertion) -> dict:
-        if isinstance(a, PairwisePositive):
-            return {"type": "pairwise_positive", "winner": names[a.winner], "loser": names[a.loser]}
-        if isinstance(a, ScoreComparison):
-            return {
-                "type": "score_comparison",
-                "hi": [names[a.hi[0]], names[a.hi[1]]],
-                "lo": [names[a.lo[0]], names[a.lo[1]]],
-            }
-        if isinstance(a, RankingComparison):
-            return {
-                "type": "ranking_comparison",
-                "preferred": [names[c] for c in a.preferred],
-                "other": [names[c] for c in a.other],
-            }
-        return {"type": "full_hand_count", "reason": a.reason}
+        if isinstance(a, FullHandCount):
+            return {"type": a.tag, "reason": a.reason}
+        return {"type": a.tag, **_map_candidates(a, names.__getitem__)}
 
     metadata = dict(aset.metadata)
     metadata.setdefault("election_sha256", election.digest())
@@ -439,6 +430,9 @@ def export_assertions(aset: AssertionSet, election: Election) -> dict:
 
 def export_assertions_json(aset: AssertionSet, election: Election) -> str:
     return json.dumps(export_assertions(aset, election), indent=2)
+
+
+_BY_TAG = {cls.tag: cls for cls in get_args(Assertion)}
 
 
 def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
@@ -458,6 +452,8 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
     index = {name: i for i, name in enumerate(election.candidates)}
 
     def resolve(name) -> int:
+        if not isinstance(name, str):
+            raise SchemaError(f"candidate name {name!r} is not a string")
         if name not in index:
             raise SchemaError(f"unknown candidate name {name!r}")
         return index[name]
@@ -482,23 +478,23 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
         if not isinstance(entry, dict):
             raise SchemaError("each assertion must be an object")
         tag = entry.get("type")
+        cls = _BY_TAG.get(tag) if isinstance(tag, str) else None
         try:
-            if tag == "pairwise_positive":
-                assertions.append(
-                    PairwisePositive(resolve(entry["winner"]), resolve(entry["loser"]))
-                )
-            elif tag == "score_comparison":
-                assertions.append(ScoreComparison(resolve_all(entry, "hi"), resolve_all(entry, "lo")))
-            elif tag == "ranking_comparison":
-                preferred = resolve_all(entry, "preferred")
-                other = resolve_all(entry, "other")
-                if set(preferred) != set(range(election.num_candidates)):
-                    raise SchemaError("ranking comparisons must rank every candidate")
-                assertions.append(RankingComparison(preferred, other))
-            elif tag == "full_hand_count":
-                assertions.append(FullHandCount(entry.get("reason", "")))
-            else:
+            if cls is None:
                 raise SchemaError(f"unknown assertion type tag {tag!r}")
+            if cls is FullHandCount:
+                reason = entry.get("reason", "")
+                if not isinstance(reason, str):
+                    raise SchemaError("a full-hand-count 'reason' must be a string")
+                assertions.append(FullHandCount(reason))
+                continue
+            candidates = {
+                f.name: resolve(entry[f.name]) if _one_candidate(f) else resolve_all(entry, f.name)
+                for f in fields(cls)
+            }
+            if cls is RankingComparison and set(candidates["preferred"]) != set(range(election.num_candidates)):
+                raise SchemaError("ranking comparisons must rank every candidate")
+            assertions.append(cls(**candidates))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed {tag or 'assertion'} entry: {exc}") from None
         except ValueError as exc:

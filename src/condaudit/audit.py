@@ -48,7 +48,6 @@ from .model import Ballot, Election, preference_matrix
 from .assertions import (
     Assertion,
     AssertionSet,
-    FullHandCount,
     assorter_values,
     profile_mean,
 )
@@ -202,8 +201,6 @@ def simulate_trials(
     p-value at or below the risk limit; trials that never certify report
     ``N + 1``.
     """
-    if isinstance(assertion, FullHandCount):
-        raise ValueError("a full-hand-count sentinel cannot be audited by sampling")
     population, prefs, _ = _signature_table(election)
     return _trial_stops(assorter_values(assertion, prefs), population, cfg, assertion_index, workers)
 
@@ -275,16 +272,14 @@ def estimate_audit(
 ) -> ASNEstimate:
     """Estimate the sample size to audit a whole set: the max over its members."""
     n = election.total_ballots
+    if aset.full_hand_count:
+        return ASNEstimate((n,), n, True, n)
     # One signature table serves every assertion; the comparison check sums
     # each mean in profile order, as assorter_mean does.
     population, prefs, profile_rows = _signature_table(election)
     per: list[int] = []
     full = False
     for idx, assertion in enumerate(aset.assertions):
-        if isinstance(assertion, FullHandCount):
-            per.append(n)
-            full = True
-            continue
         values = assorter_values(assertion, prefs)
         per.append(_median_stop(_trial_stops(values, population, cfg, idx, workers), n))
         if cfg.style == "comparison" and not profile_mean(values[profile_rows], election) > 0.5:

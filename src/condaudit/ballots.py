@@ -41,7 +41,6 @@ class ParseReport:
 
     election: Election
     warnings: list[tuple[int, str]] = field(default_factory=list)
-    source_format: str = ""
 
 
 _METADATA_RE = re.compile(r"^#\s*([A-Z][A-Z0-9 ]*?)\s*:\s*(.*?)\s*$")
@@ -141,7 +140,7 @@ def parse_preflib(text: str | Iterable[str]) -> ParseReport:
         warnings.append((0, f"NUMBER VOTERS declares {declared_voters} but votes sum to {election.total_ballots}"))
     if declared_orders is not None and declared_orders != len(profile):
         warnings.append((0, f"NUMBER UNIQUE ORDERS declares {declared_orders} but found {len(profile)}"))
-    return ParseReport(election, warnings, "preflib")
+    return ParseReport(election, warnings)
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -193,7 +192,7 @@ def parse_native(text: str) -> ParseReport:
             warnings.append((0, f"{where}: duplicate signature; counts merged"))
         profile[sig] = profile.get(sig, 0) + count
 
-    return ParseReport(Election(tuple(names), profile), warnings, "native-json")
+    return ParseReport(Election(tuple(names), profile), warnings)
 
 
 def parse_path(path: str | Path) -> ParseReport:

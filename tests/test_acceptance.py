@@ -22,7 +22,7 @@ from condaudit import (
     PairwisePositive,
     ScoreComparison,
     assorter_mean,
-    assorter_value,
+    assorter_values,
     condorcet_assertions,
     condorcet_winner,
     estimate_audit,
@@ -32,6 +32,7 @@ from condaudit import (
     minimax_assertions,
     minimax_tabulate,
     pairwise_tallies,
+    preference_matrix,
     ranked_pairs_assertions,
     ranked_pairs_tabulate,
     scale,
@@ -177,9 +178,9 @@ def test_criterion_4_assorter_soundness():
                     if isinstance(a, FullHandCount):
                         continue
                     checked += 1
-                    assert assorter_value(a, ()) == 0.5
-                    for sig in e.profile:
-                        v = assorter_value(a, sig)
+                    empty, *values = assorter_values(a, preference_matrix([(), *e.profile], e.num_candidates))
+                    assert empty == 0.5
+                    for v in values:
                         assert 0.0 <= v <= 1.0
                     if total == 0:
                         continue

@@ -16,7 +16,6 @@ from condaudit import (
     SchemaError,
     ScoreComparison,
     assorter_mean,
-    assorter_value,
     assorter_values,
     condorcet_assertions,
     condorcet_winner,
@@ -35,6 +34,8 @@ from condaudit import (
     smith_assertions,
     smith_set,
 )
+
+from condaudit.assertions import _relabel
 
 from oracles import (
     claim_margin,
@@ -55,40 +56,45 @@ def as_pairs(aset):
     return {(a.winner, a.loser) for a in aset.assertions}
 
 
+def ballot_value(assertion, ballot, k=4):
+    """The assorter of one ballot, scored as a one-row preference matrix over k candidates."""
+    return float(assorter_values(assertion, preference_matrix([ballot], k))[0])
+
+
 class TestAssorterValue:
     def test_pairwise_direct_preference(self):
-        assert assorter_value(PairwisePositive(0, 1), (0, 1)) == 1.0
-        assert assorter_value(PairwisePositive(0, 1), (1, 0)) == 0.0
-        assert assorter_value(PairwisePositive(0, 1), (2,)) == 0.5
+        assert ballot_value(PairwisePositive(0, 1), (0, 1)) == 1.0
+        assert ballot_value(PairwisePositive(0, 1), (1, 0)) == 0.0
+        assert ballot_value(PairwisePositive(0, 1), (2,)) == 0.5
 
     def test_score_comparison_on_opposing_ballot(self):
         # s(A,B) > s(D,A) scored on [B,C,D,A]: the ballot prefers B over A
         # and D over A, so both negative categories fire.
         a = ScoreComparison((0, 1), (3, 0))
-        assert assorter_value(a, (1, 2, 3, 0)) == 0.0
+        assert ballot_value(a, (1, 2, 3, 0)) == 0.0
 
     def test_score_comparison_supporting_ballot(self):
         a = ScoreComparison((0, 1), (3, 0))
-        assert assorter_value(a, (0, 1, 3, 2)) == 1.0
+        assert ballot_value(a, (0, 1, 3, 2)) == 1.0
 
     def test_empty_ballot_is_half_for_every_type(self):
-        assert assorter_value(PairwisePositive(0, 1), ()) == 0.5
-        assert assorter_value(ScoreComparison((0, 1), (3, 0)), ()) == 0.5
-        assert assorter_value(RankingComparison((0, 1, 2), (1, 0, 2)), ()) == 0.5
+        assert ballot_value(PairwisePositive(0, 1), ()) == 0.5
+        assert ballot_value(ScoreComparison((0, 1), (3, 0)), ()) == 0.5
+        assert ballot_value(RankingComparison((0, 1, 2), (1, 0, 2)), ()) == 0.5
 
     def test_full_hand_count_has_no_assorter(self):
         with pytest.raises(ValueError):
-            assorter_value(FullHandCount("tie"), (0,))
+            ballot_value(FullHandCount("tie"), (0,))
 
     def test_non_assertion_has_no_assorter(self):
         with pytest.raises(TypeError):
-            assorter_value("s(A,B) > 0", (0,))
+            ballot_value("s(A,B) > 0", (0,))
 
     def test_ranking_comparison(self):
         a = RankingComparison((0, 1, 2), (2, 1, 0))
-        assert assorter_value(a, (0, 1, 2)) == 1.0
-        assert assorter_value(a, (2, 1, 0)) == 0.0
-        assert assorter_value(a, (1,)) == 0.5  # agrees 1-1 with both rankings
+        assert ballot_value(a, (0, 1, 2)) == 1.0
+        assert ballot_value(a, (2, 1, 0)) == 0.0
+        assert ballot_value(a, (1,)) == 0.5  # agrees 1-1 with both rankings
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -309,8 +315,17 @@ class TestAssertionSetInvariants:
 
 
 class TestInterchange:
-    def test_round_trip_election3(self, election3):
-        aset = ranked_pairs_assertions(ranked_pairs_tabulate(margin(election3)))
+    @pytest.mark.parametrize(
+        "make_set",
+        [
+            lambda e: ranked_pairs_assertions(ranked_pairs_tabulate(margin(e))),
+            lambda e: kemeny_assertions(kemeny_tabulate(pairwise_tallies(e))),
+            lambda e: AssertionSet("ranked-pairs", None, (FullHandCount("unresolved tie"),)),
+        ],
+        ids=["ranked-pairs", "kemeny", "full-hand-count"],
+    )
+    def test_round_trip_election3(self, election3, make_set):
+        aset = make_set(election3)
         doc = export_assertions(aset, election3)
         back = import_assertions(doc, election3)
         assert back.method == aset.method
@@ -361,8 +376,13 @@ class TestInterchange:
             {"type": "score_comparison", "hi": "AB", "lo": ["D", "A"]},
             {"type": "ranking_comparison", "preferred": "ABCD", "other": ["B", "A", "C", "D"]},
             {"type": "ranking_comparison", "preferred": ["A", "B", "C", "D"], "other": "BACD"},
+            {"type": "ranking_comparison", "preferred": ["A", "B"], "other": ["B", "A"]},
+            {"type": "full_hand_count", "reason": [1]},
         ],
-        ids=["pair-of-three", "pair-of-one", "pair-as-string", "preferred-as-string", "other-as-string"],
+        ids=[
+            "pair-of-three", "pair-of-one", "pair-as-string", "preferred-as-string", "other-as-string",
+            "partial-ranking", "reason-as-list",
+        ],
     )
     def test_candidate_fields_are_not_repaired(self, election3, entry):
         doc = {"method": "x", "winner": "A", "assertions": [entry]}
@@ -373,7 +393,17 @@ class TestInterchange:
         names = election3.candidates
         assert describe(PairwisePositive(0, 1), names) == "s(A,B) > 0"
         assert describe(ScoreComparison((0, 1), (3, 0)), names) == "s(A,B) > s(D,A)"
+        assert describe(RankingComparison((0, 1, 2, 3), (1, 0, 3, 2)), names) == "T([A,B,C,D]) > T([B,A,D,C])"
         assert describe(FullHandCount("tie"), names) == "full hand count: tie"
+        assert describe(FullHandCount(), names) == "full hand count"
+
+    def test_relabel_every_claim_shape(self):
+        mapping = (2, 0, 3, 1)
+        assert _relabel(PairwisePositive(0, 1), mapping) == PairwisePositive(2, 0)
+        assert _relabel(ScoreComparison((0, 1), (3, 0)), mapping) == ScoreComparison((2, 0), (1, 2))
+        assert _relabel(RankingComparison((0, 1, 2, 3), (1, 0, 3, 2)), mapping) == RankingComparison(
+            (2, 0, 3, 1), (0, 2, 1, 3)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +454,7 @@ def test_assorter_mean_matches_tally_inequality(seed):
         a = _random_assertion(rng, e.num_candidates)
         _check_soundness(a, e, t)
         for sig, batched in zip(e.profile, assorter_values(a, prefs)):
-            v = assorter_value(a, sig)
+            v = ballot_value(a, sig, e.num_candidates)
             assert 0.0 <= v <= 1.0
             assert v == batched == (signed_contribution(a, sig) + normalizer(a) / 2) / normalizer(a)
 

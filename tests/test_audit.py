@@ -17,11 +17,12 @@ from condaudit import (
     PairwisePositive,
     ParseError,
     ScoreComparison,
-    assorter_value,
+    assorter_values,
     estimate_audit,
     kk_pvalue_trace,
     load_samples,
     pairwise_tallies,
+    preference_matrix,
     ranked_pairs_assertions,
     ranked_pairs_tabulate,
     run_audit,
@@ -202,7 +203,8 @@ class TestFrozenStopVectors:
 
 
 def comparison_value(assertion, reported, audited, reported_mean):
-    return _comparison_score(assorter_value(assertion, reported), assorter_value(assertion, audited), reported_mean)
+    reported_value, audited_value = assorter_values(assertion, preference_matrix([reported, audited], 2))
+    return _comparison_score(reported_value, audited_value, reported_mean)
 
 
 class TestComparisonAssorter:

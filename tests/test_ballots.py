@@ -38,7 +38,6 @@ class TestParsePreflib:
         report = parse_preflib(ELECTION1_SOI)
         assert report.election == election1
         assert report.warnings == []
-        assert report.source_format == "preflib"
 
     def test_minimal_header_synthesizes_names(self):
         report = parse_preflib("# NUMBER ALTERNATIVES: 3\n5000: 1,2\n2500: 2,3\n500: 3,1,2\n300: 2,1\n")

@@ -190,6 +190,25 @@ class TestAssertions:
         assert doc["method"] == "smith-irv"
         assert doc["winner"] == "B"
 
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            {"method": "irv", "winner": ["A"], "assertions": []},
+            {"method": "irv", "winner": {"a": 1}, "assertions": []},
+            {"method": "irv", "winner": "B", "assertions": [{"type": "full_hand_count", "reason": [1]}]},
+        ],
+        ids=["winner-as-list", "winner-as-object", "reason-as-list"],
+    )
+    def test_malformed_inner_file_is_input_error(self, capsys, tmp_path, e3_path, inner):
+        inner_path = tmp_path / "inner.json"
+        inner_path.write_text(json.dumps(inner))
+        code, out, err = run_cli(
+            capsys, "assertions", "--method", "smith-irv", e3_path, "--assertions-file", str(inner_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestEstimate:
     def test_comparison_table(self, capsys, e3_path):
