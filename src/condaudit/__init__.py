@@ -62,7 +62,6 @@ from .audit import (
     kk_pvalue_trace,
     load_samples,
     run_audit,
-    simulate_trials,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,9 @@ prefers(i, j)`` and scores ``(g - a) / (-2a)`` with ``a = -h``.  The
 normaliser ``h`` is 1 for a pairwise claim and 2 for a score comparison,
 where ``-h`` is the minimum of ``g``; for a ranking comparison over k
 candidates it is ``k(k-1)/2``, below the minimum of ``g`` whenever the two
-rankings order some pair alike.
+rankings order some pair alike.  A claim's reported mean is exact: with its
+integer margin ``M = sum_ij W[i, j] * tallies[i, j]`` over ``N`` ballots it is
+``(M + hN) / 2hN`` (:func:`claim_mean`), above 1/2 exactly when ``M > 0``.
 
 Three claim shapes are supported:
 
@@ -42,7 +44,7 @@ from typing import ClassVar, Sequence, Union, get_args
 
 import numpy as np
 
-from .model import Election, preference_matrix
+from .model import Election, pairwise_tallies
 from .tabulation import (
     KEMENY_MAX_K,
     CapacityError,
@@ -179,24 +181,22 @@ def assorter_values(assertion: Assertion, prefs: np.ndarray) -> np.ndarray:
     return (np.tensordot(prefs, weights, axes=2) + h) / (2 * h)
 
 
-def assorter_mean(assertion: Assertion, election: Election) -> float:
-    """Population mean of the assorter over every ballot in the election."""
-    prefs = preference_matrix(list(election.profile), election.num_candidates)
-    return profile_mean(assorter_values(assertion, prefs), election)
+def claim_mean(assertion: Assertion, tallies: np.ndarray, total: int) -> float:
+    """Population mean of the assorter, exactly, from the pairwise tallies of ``total`` ballots.
 
-
-def profile_mean(values: np.ndarray, election: Election) -> float:
-    """Mean over every ballot of per-signature assorter values given in profile order.
-
-    An empty election has mean 1/2: no evidence either way.
+    The claim's integer margin ``M = sum(W * tallies)`` gives the mean
+    ``(M + h*N) / 2hN``, correctly rounded; it exceeds 1/2 exactly when
+    ``M > 0``.  An empty election has mean 1/2: no evidence either way.
     """
-    total = election.total_ballots
     if total == 0:
         return 0.5
-    acc = 0.0  # summed in profile order: a dot product's order changes the last bits
-    for count, value in zip(election.profile.values(), values.tolist()):
-        acc += count * value
-    return acc / total
+    weights, h = pair_weights(assertion, tallies.shape[0])
+    return (int((weights * tallies).sum()) + h * total) / (2 * h * total)
+
+
+def assorter_mean(assertion: Assertion, election: Election) -> float:
+    """Population mean of the assorter over every ballot in the election."""
+    return claim_mean(assertion, pairwise_tallies(election), election.total_ballots)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,6 @@ def minimax_assertions(mm: MinimaxResult, score_matrix: np.ndarray) -> Assertion
 def smith_assertions(
     sm: SmithResult,
     num_candidates: int,
-    inner: str = "minimax",
     *,
     score_matrix: np.ndarray | None = None,
     imported: AssertionSet | None = None,
@@ -297,14 +296,15 @@ def smith_assertions(
     each member is beaten by the in-set opponent with the largest margin,
     which shows no member can be dropped.  The winner among the members is
     then justified by inner assertions: Minimax assertions computed over the
-    member-restricted margins (``inner="minimax"``), or an externally
-    supplied set over the members (``inner="irv-import"``).
+    member-restricted margins of ``score_matrix`` (method ``smith-minimax``),
+    or an ``imported`` set over the members (method ``smith-irv``).  Exactly
+    one of the two must be given.
     """
-    if inner not in ("minimax", "irv-import"):
-        raise ValueError(f"inner method must be 'minimax' or 'irv-import', got {inner!r}")
-    method = "smith-minimax" if inner == "minimax" else "smith-irv"
+    if (score_matrix is None) == (imported is None):
+        raise ValueError("give exactly one of score_matrix (inner minimax) and imported (inner IRV)")
+    method = "smith-minimax" if imported is None else "smith-irv"
     members = sm.smith_set
-    if inner == "irv-import" and imported is not None and not imported.full_hand_count:
+    if imported is not None and not imported.full_hand_count:
         mentioned = {c for a in imported.assertions for c in _candidates_of(a)}
         if imported.winner is None or imported.winner not in members or not mentioned <= set(members):
             raise ValueError("imported inner assertions must be over Smith-set members only")
@@ -329,9 +329,7 @@ def smith_assertions(
             )
         stage2.append(PairwisePositive(sm.inner_defeats[c][0], c))
 
-    if inner == "minimax":
-        if score_matrix is None:
-            raise ValueError("inner minimax needs the election's score matrix")
+    if imported is None:
         s = np.asarray(score_matrix)
         sub = s[np.ix_(members, members)]
         inner_mm = minimax_tabulate(sub)
@@ -341,11 +339,9 @@ def smith_assertions(
             return AssertionSet(method, None, (FullHandCount(f"inner minimax: {reason}"),))
         winner = members[inner_set.winner]
         inner_assertions = [_relabel(a, members) for a in inner_set.assertions]
+    elif imported.full_hand_count:
+        return AssertionSet(method, None, (FullHandCount("imported inner set escalates"),))
     else:
-        if imported is None:
-            raise ValueError("inner 'irv-import' needs an imported assertion set over the Smith set")
-        if imported.full_hand_count:
-            return AssertionSet(method, None, (FullHandCount("imported inner set escalates"),))
         winner = imported.winner
         inner_assertions = list(imported.assertions)
 

@@ -30,6 +30,11 @@ results are reproducible regardless of execution order or parallelism.
 A batch audit scores its drawn sample once per assertion, traces each
 assertion's p-value over the sample, and stops at the largest first crossing
 of the risk limit.
+
+A comparison audit scores each draw against the assertion's reported mean,
+read exactly from the election's pairwise tallies by :func:`claim_mean`.
+Only a reported mean above 1/2 admits one: otherwise an estimate flags the
+set for a full hand count and an audit raises.
 """
 
 from __future__ import annotations
@@ -37,20 +42,15 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ballots import ParseError
-from .model import Ballot, Election, preference_matrix
-from .assertions import (
-    Assertion,
-    AssertionSet,
-    assorter_values,
-    profile_mean,
-)
+from .model import Ballot, Election, pairwise_tallies, preference_matrix
+from .assertions import Assertion, AssertionSet, assorter_values, claim_mean
 
 AUDIT_STYLES = ("polling", "comparison")
 
@@ -167,62 +167,36 @@ def _comparison_score(reported, audited, reported_mean: float):
 # ASN simulation
 
 
-def _signature_table(election: Election) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The election's distinct signatures, in sorted order, as three arrays.
-
-    They are the expanded population of signature indices, the signatures'
-    preference matrix, and each profile entry's index, in profile order.
-    """
+def _signature_table(election: Election) -> tuple[np.ndarray, np.ndarray]:
+    """The election's distinct signatures, in sorted order: their ballot counts and preference matrix."""
     sigs = sorted(election.profile)
     counts = np.array([election.profile[s] for s in sigs], dtype=np.int64)
-    population = np.repeat(np.arange(len(sigs), dtype=np.int64), counts)
-    row = {sig: i for i, sig in enumerate(sigs)}
-    profile_rows = np.array([row[sig] for sig in election.profile], dtype=np.intp)
-    return population, preference_matrix(sigs, election.num_candidates), profile_rows
+    return counts, preference_matrix(sigs, election.num_candidates)
 
 
 def _trial_stream(cfg: AuditConfig, assertion_index: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed & _SEED_MASK, assertion_index, trial])
 
 
-def simulate_trials(
-    assertion: Assertion,
-    election: Election,
-    cfg: AuditConfig,
-    assertion_index: int = 0,
-    workers: int = 1,
-) -> np.ndarray:
-    """Per-trial first sample size at which the audit certifies the assertion.
-
-    Each trial perturbs the ballot population under the error model (every
-    ballot is independently replaced, with probability ``error_rate``, by a
-    uniformly random *other* signature from the election), draws the
-    population in random order, and reports the first draw count with
-    p-value at or below the risk limit; trials that never certify report
-    ``N + 1``.
-    """
-    population, prefs, _ = _signature_table(election)
-    return _trial_stops(assorter_values(assertion, prefs), population, cfg, assertion_index, workers)
-
-
 def _trial_stops(
-    values: np.ndarray, population: np.ndarray, cfg: AuditConfig, assertion_index: int, workers: int
+    values: np.ndarray, population: np.ndarray, reported_mean: float, cfg: AuditConfig, index: int, workers: int
 ) -> np.ndarray:
-    """:func:`simulate_trials` for one assertion's values per signature of a :func:`_signature_table`."""
+    """Per-trial first sample size at which the audit certifies assertion ``index``.
+
+    ``values`` holds its assorter per signature and ``population`` every
+    ballot's signature index.  Each trial perturbs the population under
+    the error model (every ballot is independently replaced, with probability
+    ``error_rate``, by a uniformly random *other* signature), draws it in
+    random order, and reports the first draw count with p-value at or below
+    the risk limit; trials that never certify report ``N + 1``.  A comparison
+    trial scores its draws against ``reported_mean``, which must exceed 1/2.
+    """
     n = population.size
     if n == 0:
         return np.zeros(cfg.trials, dtype=np.int64)
 
-    reported_mean = 0.0
-    if cfg.style == "comparison":
-        reported_mean = float(values[population].mean())
-        if not reported_mean > 0.5:
-            # The reported tallies do not even support the assertion; no
-            # comparison audit can be formed, so every trial is a full count.
-            return np.full(cfg.trials, n + 1, dtype=np.int64)
-
     def one_trial(trial: int) -> int:
-        rng = _trial_stream(cfg, assertion_index, trial)
+        rng = _trial_stream(cfg, index, trial)
         audited = population
         if cfg.error_rate > 0 and values.size > 1:
             audited = population.copy()
@@ -255,12 +229,13 @@ def _median_stop(stops: np.ndarray, population: int) -> int:
 
 @dataclass(frozen=True)
 class ASNEstimate:
-    """Estimated sample sizes for an assertion set."""
+    """Estimated sample sizes for an assertion set: the medians of each assertion's trial ``stops``."""
 
     per_assertion: tuple[int, ...]
     overall: int
     full_count_flag: bool
     population: int
+    stops: tuple[np.ndarray, ...] = field(compare=False)
 
     @property
     def percentage(self) -> float:
@@ -273,19 +248,23 @@ def estimate_audit(
     """Estimate the sample size to audit a whole set: the max over its members."""
     n = election.total_ballots
     if aset.full_hand_count:
-        return ASNEstimate((n,), n, True, n)
-    # One signature table serves every assertion; the comparison check sums
-    # each mean in profile order, as assorter_mean does.
-    population, prefs, profile_rows = _signature_table(election)
-    per: list[int] = []
+        return ASNEstimate((n,), n, True, n, (np.full(cfg.trials, n + 1, dtype=np.int64),))
+    # One signature table serves every assertion, and its counts give the tallies.
+    counts, prefs = _signature_table(election)
+    population = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    tallies = np.tensordot(counts, prefs, axes=1)
+    stops: list[np.ndarray] = []
     full = False
     for idx, assertion in enumerate(aset.assertions):
-        values = assorter_values(assertion, prefs)
-        per.append(_median_stop(_trial_stops(values, population, cfg, idx, workers), n))
-        if cfg.style == "comparison" and not profile_mean(values[profile_rows], election) > 0.5:
-            full = True
+        mean = claim_mean(assertion, tallies, n)
+        if cfg.style == "comparison" and not mean > 0.5:
+            full = True  # no comparison audit can be formed: every trial is a full count
+            stops.append(np.full(cfg.trials, n + 1, dtype=np.int64))
+        else:
+            stops.append(_trial_stops(assorter_values(assertion, prefs), population, mean, cfg, idx, workers))
+    per = tuple(_median_stop(s, n) for s in stops)
     overall = n if full else max(per, default=0)
-    return ASNEstimate(tuple(per), overall, full, n)
+    return ASNEstimate(per, overall, full, n, tuple(stops))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +285,8 @@ def load_samples(source: str | Path | Iterable[str], election: Election) -> list
 
     Each line is ``{"audited": [names...]}`` or
     ``{"reported": [...], "audited": [...]}``.  Candidate names are resolved
-    against the election roster; unknown names are data errors.
+    against the election roster; unknown names, and more samples than the
+    election has ballots, are data errors.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -316,6 +296,7 @@ def load_samples(source: str | Path | Iterable[str], election: Election) -> list
     else:
         lines = [ln.rstrip("\n") for ln in source]
     index = {name: i for i, name in enumerate(election.candidates)}
+    n = election.total_ballots
 
     def to_ballot(names, lineno: int) -> Ballot:
         if not isinstance(names, list):
@@ -333,6 +314,8 @@ def load_samples(source: str | Path | Iterable[str], election: Election) -> list
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        if len(samples) == n:
+            raise ParseError(f"more samples than the {n} ballots of the election", lineno)
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -394,9 +377,8 @@ def run_audit(
     comparison = cfg.style == "comparison"
     reported_means: list[float] = []
     if comparison:
-        # One matrix in profile order serves every mean, summed as assorter_mean sums it.
-        profile_prefs = preference_matrix(list(election.profile), election.num_candidates)
-        reported_means = [profile_mean(assorter_values(a, profile_prefs), election) for a in aset.assertions]
+        tallies = pairwise_tallies(election)
+        reported_means = [claim_mean(a, tallies, n) for a in aset.assertions]
         if not all(mean > 0.5 for mean in reported_means):
             raise ValueError(
                 "comparison audit is impossible: reported tallies do not support the assertion (mean <= 1/2)"

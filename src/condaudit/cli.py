@@ -32,7 +32,7 @@ from .assertions import (
     ranked_pairs_assertions,
     smith_assertions,
 )
-from .audit import ASNEstimate, AuditConfig, AuditReport, estimate_audit, load_samples, run_audit
+from .audit import AUDIT_STYLES, ASNEstimate, AuditConfig, AuditReport, estimate_audit, load_samples, run_audit
 from .ballots import ParseError
 from .model import Election, pairwise_tallies, restrict_to, scores
 from .tabulation import CapacityError
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
             # No default here: main reads $CONDAUDIT_SEED at each call, so the parser is built once.
             p.add_argument("--seed", type=_seed, help="simulation seed (default: $CONDAUDIT_SEED or 0)")
             p.set_defaults(subparser=p)
-            p.add_argument("--style", choices=("polling", "comparison"), default="polling")
+            p.add_argument("--style", choices=AUDIT_STYLES, default="polling")
             p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("parse", help="parse a ballot file and report its shape")
@@ -216,12 +216,12 @@ def _render_minimax(mm, election, tallies):
 
 
 def _smith_minimax_set(sm, election, tallies, inner_doc):
-    return smith_assertions(sm, election.num_candidates, "minimax", score_matrix=scores(tallies))
+    return smith_assertions(sm, election.num_candidates, score_matrix=scores(tallies))
 
 
 def _smith_irv_set(sm, election, tallies, inner_doc):
     imported = import_assertions(inner_doc, election)
-    return smith_assertions(sm, election.num_candidates, "irv-import", imported=imported)
+    return smith_assertions(sm, election.num_candidates, imported=imported)
 
 
 def _render_smith(method, sm, election, w, reason, how):

@@ -38,7 +38,6 @@ from condaudit import (
     scale,
     scores,
     serialize_election,
-    simulate_trials,
     smith_assertions,
     smith_set,
 )
@@ -159,7 +158,7 @@ def _generated_sets(election):
     rp = ranked_pairs_tabulate(s)
     sets.append(ranked_pairs_assertions(rp))
     sets.append(minimax_assertions(minimax_tabulate(s), s))
-    sets.append(smith_assertions(smith_set(t), k, "minimax", score_matrix=s))
+    sets.append(smith_assertions(smith_set(t), k, score_matrix=s))
     if k <= 4:
         sets.append(kemeny_assertions(kemeny_tabulate(t)))
     return sets
@@ -227,12 +226,18 @@ def test_criterion_6_condorcet_coherence():
         assert seen >= 50
 
 
+def one_assertion_stops(assertion, election, cfg, workers=1):
+    """Every trial's stop for a set holding just ``assertion``."""
+    aset = AssertionSet("condorcet", None, (assertion,))
+    return estimate_audit(aset, election, cfg, workers=workers).stops[0]
+
+
 def test_criterion_7_risk_validity_on_exact_tie():
     with criterion(7, "tied contest certifies at no more than the risk limit"):
         start = time.monotonic()
         e = Election(("A", "B"), {(0,): 500, (1,): 500})  # s(A,B) = 0 exactly
         cfg = AuditConfig(seed=1234, trials=2000, error_rate=0.0)
-        stops = simulate_trials(PairwisePositive(0, 1), e, cfg)
+        stops = one_assertion_stops(PairwisePositive(0, 1), e, cfg)
         certify_rate = float(np.mean(stops <= e.total_ballots))
         bound = 0.05 + 3 * math.sqrt(0.05 * 0.95 / 2000)
         assert certify_rate <= bound, f"rate {certify_rate:.4f} > {bound:.4f}"
@@ -248,7 +253,7 @@ def test_criterion_8a_scaling_does_not_raise_sample_fraction(election1):
         for factor in (1, 10):
             e = scale(election1, factor)
             n = e.total_ballots
-            stops = np.minimum(simulate_trials(assertion, e, cfg, workers=2), n)
+            stops = np.minimum(one_assertion_stops(assertion, e, cfg, workers=2), n)
             fractions[factor] = stops / n
         med1, med10 = np.median(fractions[1]), np.median(fractions[10])
         q1 = np.percentile(fractions[1], [25, 75])
@@ -261,9 +266,7 @@ def test_criterion_8b_bit_reproducibility(election1):
     with criterion(8, "(b) fixed seed reproduces exactly across runs and thread counts"):
         assertion = PairwisePositive(0, 1)
         cfg = AuditConfig(seed=777, trials=200)
-        runs = [
-            simulate_trials(assertion, election1, cfg, workers=w) for w in (1, 1, 4)
-        ]
+        runs = [one_assertion_stops(assertion, election1, cfg, workers=w) for w in (1, 1, 4)]
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], runs[2])
         aset = AssertionSet("condorcet", 0, (assertion,))
@@ -276,9 +279,7 @@ def test_criterion_8c_full_hand_count_renders_infinity(
 ):
     with criterion(8, "(c) in-set tie escalates to an infinity estimate"):
         t = pairwise_tallies(smith_tie_election)
-        aset = smith_assertions(
-            smith_set(t), 3, "minimax", score_matrix=scores(t)
-        )
+        aset = smith_assertions(smith_set(t), 3, score_matrix=scores(t))
         assert aset.full_hand_count
         est = estimate_audit(aset, smith_tie_election, AuditConfig(seed=0, trials=5))
         assert est.full_count_flag

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,13 +210,14 @@ class TestMinimaxAssertions:
 class TestSmithAssertions:
     def test_sole_member_reduces_to_condorcet(self, election1):
         t = pairwise_tallies(election1)
-        aset = smith_assertions(smith_set(t), 3, "minimax", score_matrix=scores(t))
+        aset = smith_assertions(smith_set(t), 3, score_matrix=scores(t))
+        assert aset.method == "smith-minimax"
         assert as_pairs(aset) == {(0, 1), (0, 2)}
         assert aset.winner == 0
 
     def test_election3_two_stages_plus_inner(self, election3):
         t = pairwise_tallies(election3)
-        aset = smith_assertions(smith_set(t), 4, "minimax", score_matrix=scores(t))
+        aset = smith_assertions(smith_set(t), 4, score_matrix=scores(t))
         # no outsiders, so stage one is empty; stage two pins the four
         # largest-margin in-set defeats; inner minimax elects C
         stage2 = {
@@ -237,7 +239,7 @@ class TestSmithAssertions:
 
     def test_in_set_tie_escalates(self, smith_tie_election):
         t = pairwise_tallies(smith_tie_election)
-        aset = smith_assertions(smith_set(t), 3, "minimax", score_matrix=scores(t))
+        aset = smith_assertions(smith_set(t), 3, score_matrix=scores(t))
         assert aset.full_hand_count
 
     def test_stage_counts_with_outsiders(self):
@@ -255,7 +257,7 @@ class TestSmithAssertions:
         sm = smith_set(np.maximum(s, 0) * 10)  # tallies with the same sign pattern
         members = set(sm.smith_set)
         outsiders = set(range(5)) - members
-        aset = smith_assertions(sm, 5, "minimax", score_matrix=s)
+        aset = smith_assertions(sm, 5, score_matrix=s)
         stage1 = {
             a for a in aset.assertions
             if isinstance(a, PairwisePositive) and a.winner in members and a.loser in outsiders
@@ -266,7 +268,7 @@ class TestSmithAssertions:
         t = pairwise_tallies(election3)
         sm = smith_set(t)
         inner = AssertionSet("irv", 1, (PairwisePositive(1, 0), PairwisePositive(1, 2)))
-        aset = smith_assertions(sm, 4, "irv-import", imported=inner)
+        aset = smith_assertions(sm, 4, imported=inner)
         assert aset.method == "smith-irv"
         assert aset.winner == 1
         assert PairwisePositive(1, 0) in aset.assertions
@@ -274,13 +276,16 @@ class TestSmithAssertions:
     def test_irv_import_missing(self, election3):
         sm = smith_set(pairwise_tallies(election3))
         with pytest.raises(ValueError):
-            smith_assertions(sm, 4, "irv-import")
+            smith_assertions(sm, 4)
+        inner = AssertionSet("irv", 1, (PairwisePositive(1, 0), PairwisePositive(1, 2)))
+        with pytest.raises(ValueError, match="exactly one"):
+            smith_assertions(sm, 4, score_matrix=scores(pairwise_tallies(election3)), imported=inner)
 
     def test_irv_import_outside_smith_set(self, election1):
         sm = smith_set(pairwise_tallies(election1))  # {A}
         inner = AssertionSet("irv", 1, (PairwisePositive(1, 2),))
         with pytest.raises(ValueError):
-            smith_assertions(sm, 3, "irv-import", imported=inner)
+            smith_assertions(sm, 3, imported=inner)
 
 
 class TestKemenyAssertions:
@@ -334,7 +339,7 @@ class TestInterchange:
 
     def test_round_trip_through_json_text(self, election3):
         t = pairwise_tallies(election3)
-        aset = smith_assertions(smith_set(t), 4, "minimax", score_matrix=scores(t))
+        aset = smith_assertions(smith_set(t), 4, score_matrix=scores(t))
         text = json.dumps(export_assertions(aset, election3))
         back = import_assertions(text, election3)
         assert back.assertions == aset.assertions
@@ -457,6 +462,55 @@ def test_assorter_mean_matches_tally_inequality(seed):
             v = ballot_value(a, sig, e.num_candidates)
             assert 0.0 <= v <= 1.0
             assert v == batched == (signed_contribution(a, sig) + normalizer(a) / 2) / normalizer(a)
+
+
+def _generated_assertions(election):
+    """Every assertion the methods generate for the election, sentinels left out."""
+    t = pairwise_tallies(election)
+    s = scores(t)
+    k = election.num_candidates
+    sets = [
+        ranked_pairs_assertions(ranked_pairs_tabulate(s)),
+        minimax_assertions(minimax_tabulate(s), s),
+        smith_assertions(smith_set(t), k, score_matrix=s),
+        kemeny_assertions(kemeny_tabulate(t)),
+    ]
+    w = condorcet_winner(s)
+    if w is not None:
+        sets.append(condorcet_assertions(w, k))
+    return [a for aset in sets for a in aset.assertions if not isinstance(a, FullHandCount)]
+
+
+def _check_exact_means(election) -> int:
+    """Each generated assertion's mean is (M + hN) / 2hN, correctly rounded; returns how many were checked."""
+    t = pairwise_tallies(election)
+    n = election.total_ballots
+    generated = _generated_assertions(election)
+    for a in generated:
+        two_h = normalizer(a)
+        assert assorter_mean(a, election) == float(Fraction(claim_margin(a, t) + two_h // 2 * n, two_h * n)), a
+    return len(generated)
+
+
+class TestExactMean:
+    @pytest.mark.parametrize("name", ["election1", "election2", "election3", "smith_tie_election"])
+    def test_fixtures(self, request, name):
+        assert _check_exact_means(request.getfixturevalue(name)) > 0
+
+    def test_random_elections(self):
+        checked = 0
+        for seed in range(80):
+            e = random_election(np.random.default_rng(seed), max_k=5)
+            if e.num_candidates >= 2 and e.total_ballots:
+                checked += _check_exact_means(e)
+        assert checked >= 500
+
+    def test_tied_claims_read_exactly_half(self, smith_tie_election):
+        tied = RankingComparison((0, 1, 2), (1, 0, 2))
+        assert claim_margin(tied, pairwise_tallies(smith_tie_election)) == 0
+        assert assorter_mean(tied, smith_tie_election) == 0.5
+        assert assorter_mean(PairwisePositive(0, 1), Election(("A", "B"), {(0,): 5, (1,): 5})) == 0.5
+        assert assorter_mean(PairwisePositive(0, 1), Election(("A", "B"))) == 0.5
 
 
 def test_theorem_style_falsifiability():

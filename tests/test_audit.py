@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import condaudit
 from condaudit import (
     AssertionSet,
     AuditConfig,
@@ -16,6 +17,7 @@ from condaudit import (
     FullHandCount,
     PairwisePositive,
     ParseError,
+    RankingComparison,
     ScoreComparison,
     assorter_values,
     estimate_audit,
@@ -27,10 +29,10 @@ from condaudit import (
     ranked_pairs_tabulate,
     run_audit,
     scores,
-    simulate_trials,
 )
 from condaudit import assertions as assertions_module
 from condaudit import audit as audit_module
+from condaudit import model as model_module
 from condaudit.audit import (
     _FIRST_CHUNK,
     _KK_START,
@@ -192,13 +194,13 @@ class TestFrozenStopVectors:
     """Every trial's stop, captured before simulation traced draws in chunks."""
 
     def test_election1_polling(self, election1):
-        stops = simulate_trials(PairwisePositive(0, 1), election1, AuditConfig(seed=42))
+        stops = one_assertion_stops(PairwisePositive(0, 1), election1, AuditConfig(seed=42))
         assert stops.tolist() == _STOP_VECTORS["election1_polling_seed42"]
 
     def test_election3_ranked_pairs_comparison(self, election3):
         aset = ranked_pairs_assertions(ranked_pairs_tabulate(scores(pairwise_tallies(election3))))
         cfg = AuditConfig(seed=7, trials=50, style="comparison")
-        stops = [simulate_trials(a, election3, cfg, assertion_index=i) for i, a in enumerate(aset.assertions)]
+        stops = estimate_audit(aset, election3, cfg).stops
         assert [s.tolist() for s in stops] == _STOP_VECTORS["election3_ranked_pairs_comparison_seed7"]
 
 
@@ -229,16 +231,35 @@ class TestComparisonAssorter:
             run_audit(aset, [AuditSample(audited=(0,), reported=(0,))], tied, cfg)
         est = estimate_audit(aset, tied, cfg)
         assert est.full_count_flag and est.per_assertion == (10,)
+        assert est.stops[0].tolist() == [11] * 10
+
+
+    def test_exact_tie_admits_no_comparison_audit(self, smith_tie_election):
+        tied = RankingComparison((0, 1, 2), (1, 0, 2))  # margin 0: the mean is exactly 1/2
+        aset = AssertionSet("kemeny", 0, (tied,))
+        cfg = AuditConfig(seed=5, trials=10, style="comparison")
+        est = estimate_audit(aset, smith_tie_election, cfg)
+        assert est.full_count_flag and est.per_assertion == (6,)
+        assert est.stops[0].tolist() == [7] * 10
+        with pytest.raises(ValueError, match="mean"):
+            run_audit(aset, [AuditSample(audited=(0, 1, 2), reported=(0, 1, 2))], smith_tie_election, cfg)
 
 
 def unanimous_election(n=500):
     return Election(("A", "B"), {(0,): n})
 
 
+def one_assertion_estimate(assertion, election, cfg, workers=1):
+    """The estimate of a set holding just ``assertion``."""
+    return estimate_audit(AssertionSet("condorcet", None, (assertion,)), election, cfg, workers=workers)
+
+
 def one_assertion_asn(assertion, election, cfg, workers=1):
-    """The ASN of a set holding just ``assertion``."""
-    aset = AssertionSet("condorcet", None, (assertion,))
-    return estimate_audit(aset, election, cfg, workers=workers).per_assertion[0]
+    return one_assertion_estimate(assertion, election, cfg, workers).per_assertion[0]
+
+
+def one_assertion_stops(assertion, election, cfg, workers=1):
+    return one_assertion_estimate(assertion, election, cfg, workers).stops[0]
 
 
 class TestSimulation:
@@ -261,23 +282,25 @@ class TestSimulation:
     def test_deterministic_across_runs_and_workers(self, election1):
         cfg = AuditConfig(seed=7, trials=60)
         a = PairwisePositive(0, 1)
-        first = simulate_trials(a, election1, cfg)
-        second = simulate_trials(a, election1, cfg)
-        threaded = simulate_trials(a, election1, cfg, workers=3)
+        first = one_assertion_stops(a, election1, cfg)
+        second = one_assertion_stops(a, election1, cfg)
+        threaded = one_assertion_stops(a, election1, cfg, workers=3)
         assert np.array_equal(first, second)
         assert np.array_equal(first, threaded)
+        # Estimates compare by their medians; their stop vectors take no part.
+        assert one_assertion_estimate(a, election1, cfg) == one_assertion_estimate(a, election1, cfg, workers=3)
 
     def test_seed_changes_trials(self, election1):
         a = PairwisePositive(0, 1)
-        one = simulate_trials(a, election1, AuditConfig(seed=1, trials=40))
-        two = simulate_trials(a, election1, AuditConfig(seed=2, trials=40))
+        one = one_assertion_stops(a, election1, AuditConfig(seed=1, trials=40))
+        two = one_assertion_stops(a, election1, AuditConfig(seed=2, trials=40))
         assert not np.array_equal(one, two)
 
     def test_full_hand_count_costs_population(self, election1):
         cfg = AuditConfig(seed=0, trials=10)
-        assert one_assertion_asn(FullHandCount("tie"), election1, cfg) == 8300
-        with pytest.raises(ValueError, match="full-hand-count"):
-            simulate_trials(FullHandCount("tie"), election1, cfg)
+        est = one_assertion_estimate(FullHandCount("tie"), election1, cfg)
+        assert est.per_assertion == (8300,) and est.full_count_flag
+        assert [s.tolist() for s in est.stops] == [[8301] * 10]
 
     def test_comparison_style_on_reportedly_false_assertion(self):
         cfg = AuditConfig(seed=5, trials=10, style="comparison")
@@ -315,14 +338,16 @@ class TestEstimate:
     @pytest.mark.parametrize("style", ["polling", "comparison"])
     def test_tables_built_once_per_set(self, election3, monkeypatch, style):
         calls = []
+        build = model_module.preference_matrix
 
         def counting(sigs, k):
             calls.append(len(sigs))
-            return preference_matrix(sigs, k)
+            return build(sigs, k)
 
-        preference_matrix = audit_module.preference_matrix
-        monkeypatch.setattr(audit_module, "preference_matrix", counting)
-        monkeypatch.setattr(assertions_module, "preference_matrix", counting)
+        # Every module that can build a preference matrix looks it up through one of these.
+        for module in (model_module, audit_module, assertions_module, condaudit):
+            if hasattr(module, "preference_matrix"):
+                monkeypatch.setattr(module, "preference_matrix", counting)
         full = ranked_pairs_assertions(ranked_pairs_tabulate(scores(pairwise_tallies(election3))))
         cfg = AuditConfig(seed=7, trials=3, style=style)
         samples = load_samples(GOLDEN / "election3-samples.jsonl", election3)
@@ -334,7 +359,7 @@ class TestEstimate:
                 run()
                 counts.append(len(calls))
         assert len(full.assertions) > 1
-        # An audit's second table, in comparison style, is the profile's for the reported means.
+        # An audit's second table, in comparison style, is the profile's for the reported tallies.
         audit_tables = 2 if style == "comparison" else 1
         assert counts == [1, audit_tables, 1, audit_tables]
 
@@ -467,6 +492,14 @@ class TestSampleFiles:
         with pytest.raises(ParseError) as err:
             load_samples(['{"audited": ["Z"]}'], election1)
         assert err.value.line == 1
+
+    def test_more_samples_than_ballots_is_data_error(self):
+        e = Election(("A", "B"), {(0,): 2})
+        lines = polling_lines([(0,), (1,)], e.candidates)
+        assert len(load_samples(lines, e)) == 2
+        with pytest.raises(ParseError, match="more samples than the 2 ballots") as err:
+            load_samples([*lines, "", lines[0]], e)
+        assert err.value.line == 4
 
     def test_malformed_json_reports_line(self, election1):
         with pytest.raises(ParseError) as err:

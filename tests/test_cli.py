@@ -333,6 +333,22 @@ class TestAudit:
         assert code == 1
         assert "escalate-full-count" in out
 
+    @pytest.mark.parametrize("style", ["polling", "comparison"])
+    def test_overlong_samples_file_is_parse_error(self, capsys, tmp_path, tie_path, style):
+        _, set_json, _ = run_cli(capsys, "assertions", "--method", "kemeny", tie_path)
+        set_path = tmp_path / "set.json"
+        set_path.write_text(set_json)
+        # Seven samples of an election of six ballots; the leading blank line is not a sample.
+        samples = tmp_path / "samples.jsonl"
+        line = json.dumps({"reported": ["A", "C", "B"], "audited": ["A", "C", "B"]})
+        samples.write_text("\n" + "\n".join([line] * 7) + "\n")
+        code, out, err = run_cli(
+            capsys, "audit", tie_path, "--assertions-file", str(set_path),
+            "--samples-file", str(samples), "--style", style,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: line 8: more samples than the 6 ballots of the election\n"
+
     def test_digest_mismatch_is_schema_error(self, capsys, tmp_path, e1_path, e3_path, election3):
         _, set_json, _ = run_cli(capsys, "assertions", "--method", "condorcet", e1_path)
         set_path = tmp_path / "set.json"
