@@ -44,6 +44,7 @@ from typing import ClassVar, Sequence, Union, get_args
 
 import numpy as np
 
+from .ballots import ParseError, resolve_names, roster_index
 from .model import Election, pairwise_tallies
 from .tabulation import (
     KEMENY_MAX_K,
@@ -434,9 +435,10 @@ _BY_TAG = {cls.tag: cls for cls in get_args(Assertion)}
 def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
     """Load an assertion-set document, resolving names against the election.
 
-    Unknown candidates or type tags, and a candidate field that is not a JSON
-    list of names, raise :class:`SchemaError`.  When the document carries an
-    election digest, a mismatch with this election is an error.
+    An unknown type tag, and a candidate field that
+    :func:`~condaudit.ballots.resolve_names` rejects, raise
+    :class:`SchemaError`.  When the document carries an election digest, a
+    mismatch with this election is an error.
     """
     if isinstance(doc, str):
         try:
@@ -445,26 +447,21 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
             raise SchemaError(f"invalid JSON: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise SchemaError("assertion document must be an object")
-    index = {name: i for i, name in enumerate(election.candidates)}
+    index = roster_index(election.candidates)
 
-    def resolve(name) -> int:
-        if not isinstance(name, str):
-            raise SchemaError(f"candidate name {name!r} is not a string")
-        if name not in index:
-            raise SchemaError(f"unknown candidate name {name!r}")
-        return index[name]
-
-    def resolve_all(entry: dict, key: str) -> tuple[int, ...]:
-        names = entry[key]
-        if not isinstance(names, list):
-            raise SchemaError(f"{key!r} must be a list of candidate names")
-        return tuple(resolve(name) for name in names)
+    def resolve(value, key: str, one: bool):
+        """One candidate (``one``, an ``int`` field) or a tuple of them."""
+        try:
+            sig = resolve_names([value] if one else value, index, where=repr(key))
+        except ParseError as exc:
+            raise SchemaError(str(exc)) from None
+        return sig[0] if one else sig
 
     method = doc.get("method")
     if not isinstance(method, str):
         raise SchemaError("'method' must be a string")
     raw_winner = doc.get("winner")
-    winner = None if raw_winner is None else resolve(raw_winner)
+    winner = None if raw_winner is None else resolve(raw_winner, "winner", True)
 
     assertions: list[Assertion] = []
     entries = doc.get("assertions")
@@ -484,10 +481,7 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
                     raise SchemaError("a full-hand-count 'reason' must be a string")
                 assertions.append(FullHandCount(reason))
                 continue
-            candidates = {
-                f.name: resolve(entry[f.name]) if _one_candidate(f) else resolve_all(entry, f.name)
-                for f in fields(cls)
-            }
+            candidates = {f.name: resolve(entry[f.name], f.name, _one_candidate(f)) for f in fields(cls)}
             if cls is RankingComparison and set(candidates["preferred"]) != set(range(election.num_candidates)):
                 raise SchemaError("ranking comparisons must rank every candidate")
             assertions.append(cls(**candidates))

@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ballots import ParseError
+from .ballots import ParseError, read_text, resolve_names, roster_index
 from .model import Ballot, Election, pairwise_tallies, preference_matrix
 from .assertions import Assertion, AssertionSet, assorter_values, claim_mean
 
@@ -289,42 +289,31 @@ def load_samples(source: str | Path | Iterable[str], election: Election) -> list
     election has ballots, are data errors.
     """
     if isinstance(source, (str, Path)):
-        try:
-            lines = Path(source).read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        lines = read_text(source).splitlines()
     else:
         lines = [ln.rstrip("\n") for ln in source]
-    index = {name: i for i, name in enumerate(election.candidates)}
+    index = roster_index(election.candidates)
     n = election.total_ballots
 
-    def to_ballot(names, lineno: int) -> Ballot:
-        if not isinstance(names, list):
-            raise ParseError("ballot must be a list of candidate names", lineno)
-        sig = []
-        for name in names:
-            if name not in index:
-                raise ParseError(f"unknown candidate name {name!r}", lineno)
-            sig.append(index[name])
-        if len(set(sig)) != len(sig):
-            raise ParseError("duplicate candidate within one ranking", lineno)
-        return tuple(sig)
-
     samples: list[AuditSample] = []
+    # A line recurs once per drawn ballot of its signature: each distinct line is read once.
+    seen: dict[str, AuditSample] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         if len(samples) == n:
             raise ParseError(f"more samples than the {n} ballots of the election", lineno)
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
-        if not isinstance(doc, dict) or "audited" not in doc:
-            raise ParseError("each sample needs an 'audited' ballot", lineno)
-        audited = to_ballot(doc["audited"], lineno)
-        reported = to_ballot(doc["reported"], lineno) if "reported" in doc else None
-        samples.append(AuditSample(audited, reported))
+        if line not in seen:
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
+            if not isinstance(doc, dict) or "audited" not in doc:
+                raise ParseError("each sample needs an 'audited' ballot", lineno)
+            audited = resolve_names(doc["audited"], index, lineno, "'audited'")
+            reported = resolve_names(doc["reported"], index, lineno, "'reported'") if "reported" in doc else None
+            seen[line] = AuditSample(audited, reported)
+        samples.append(seen[line])
     return samples
 
 

@@ -12,6 +12,11 @@ Two input formats are supported:
 
 Parsing never repairs a line silently: anything normalized on ingest (merged
 duplicate signatures, metadata mismatches) is surfaced as a warning.
+
+This module is the one input boundary: :func:`read_text` reads every input
+file (elections, sample files, assertion sets) and :func:`resolve_names`
+turns every JSON list of candidate names into a ballot, so a malformed file
+or name is a :class:`ParseError` wherever it arrives.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .model import Ballot, Election
 
@@ -47,6 +52,43 @@ _METADATA_RE = re.compile(r"^#\s*([A-Z][A-Z0-9 ]*?)\s*:\s*(.*?)\s*$")
 _ALT_NAME_RE = re.compile(r"^ALTERNATIVE NAME (\d+)$")
 
 
+def read_text(path: str | Path) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a :class:`ParseError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def roster_index(names: Sequence[str]) -> dict[str, int]:
+    """Candidate index by name; a name given twice is a :class:`ParseError`."""
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        repeated = next(name for pos, name in enumerate(names) if name in names[:pos])
+        raise ParseError(f"duplicate candidate name {repeated!r}")
+    return index
+
+
+def resolve_names(names, index: dict[str, int], line: int | None = None, where: str = "ballot") -> Ballot:
+    """The ballot a JSON list of candidate names denotes, given ``index`` by name.
+
+    A value that is not a list, a name that is not a string, an unknown name
+    and a repeated name are each a :class:`ParseError` naming ``where``.
+    """
+    if not isinstance(names, list):
+        raise ParseError(f"{where} must be a list of candidate names", line)
+    sig: list[int] = []
+    for name in names:
+        if not isinstance(name, str):
+            raise ParseError(f"{where}: candidate name {name!r} is not a string", line)
+        if name not in index:
+            raise ParseError(f"{where}: unknown candidate name {name!r}", line)
+        if index[name] in sig:
+            raise ParseError(f"{where}: duplicate candidate {name!r}", line)
+        sig.append(index[name])
+    return tuple(sig)
+
+
 def _lines(text: str | Iterable[str]) -> list[str]:
     if isinstance(text, str):
         raw = text.split("\n")
@@ -60,7 +102,7 @@ def parse_preflib(text: str | Iterable[str]) -> ParseReport:
     num_alternatives: int | None = None
     declared_voters: int | None = None
     declared_orders: int | None = None
-    alt_names: dict[int, str] = {}
+    alt_names: dict[int, tuple[int, str]] = {}  # number -> (line, name)
     votes: list[tuple[int, int, tuple[int, ...]]] = []  # (line, count, 1-based ranking)
     warnings: list[tuple[int, str]] = []
 
@@ -89,7 +131,7 @@ def parse_preflib(text: str | Iterable[str]) -> ParseReport:
             else:
                 m2 = _ALT_NAME_RE.match(key)
                 if m2:
-                    alt_names[int(m2.group(1))] = value
+                    alt_names[int(m2.group(1))] = (lineno, value)
             continue
 
         if "{" in stripped or "}" in stripped:
@@ -122,7 +164,11 @@ def parse_preflib(text: str | Iterable[str]) -> ParseReport:
             if not 1 <= c <= num_alternatives:
                 raise ParseError(f"candidate number {c} out of range 1..{num_alternatives}", lineno)
 
-    names = tuple(alt_names.get(i, f"C{i}") for i in range(1, num_alternatives + 1))
+    for i, (lineno, _) in alt_names.items():
+        if not 1 <= i <= num_alternatives:
+            raise ParseError(f"ALTERNATIVE NAME {i} out of range 1..{num_alternatives}", lineno)
+    names = tuple(alt_names[i][1] if i in alt_names else f"C{i}" for i in range(1, num_alternatives + 1))
+    roster_index(names)
     profile: dict[Ballot, int] = {}
     first_line: dict[Ballot, int] = {}
     for lineno, count, ranking in votes:
@@ -161,9 +207,7 @@ def parse_native(text: str) -> ParseReport:
     names = doc.get("candidates")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ParseError("'candidates' must be a list of names")
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate candidate name")
-    index = {name: i for i, name in enumerate(names)}
+    index = roster_index(names)
 
     warnings: list[tuple[int, str]] = []
     profile: dict[Ballot, int] = {}
@@ -174,20 +218,10 @@ def parse_native(text: str) -> ParseReport:
         where = f"ballots[{pos}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{where} must be an object")
-        ranking = entry.get("ranking")
+        sig = resolve_names(entry.get("ranking"), index, where=f"{where}.ranking")
         count = entry.get("count")
-        if not isinstance(ranking, list):
-            raise ParseError(f"{where}.ranking must be a list of candidate names")
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ParseError(f"{where}.count must be a nonnegative integer")
-        sig_list = []
-        for name in ranking:
-            if name not in index:
-                raise ParseError(f"{where}: unknown candidate name {name!r}")
-            sig_list.append(index[name])
-        sig = tuple(sig_list)
-        if len(set(sig)) != len(sig):
-            raise ParseError(f"{where}: duplicate candidate within one ranking")
         if sig in profile:
             warnings.append((0, f"{where}: duplicate signature; counts merged"))
         profile[sig] = profile.get(sig, 0) + count
@@ -202,10 +236,7 @@ def parse_path(path: str | Path) -> ParseReport:
     Preflib ordinal file (with a content sniff as fallback).
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    text = read_text(path)
     suffix = path.suffix.lower()
     if suffix == ".json":
         return parse_native(text)

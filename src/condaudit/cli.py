@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import ballots as ballots_io
 from . import tabulation
@@ -79,11 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         if with_audit:
             p.add_argument("--risk-limit", type=float, default=0.05)
-            p.add_argument("--error-rate", type=float, default=0.002)
-            p.add_argument("--trials", type=int, default=2000)
-            # No default here: main reads $CONDAUDIT_SEED at each call, so the parser is built once.
-            p.add_argument("--seed", type=_seed, help="simulation seed (default: $CONDAUDIT_SEED or 0)")
-            p.set_defaults(subparser=p)
             p.add_argument("--style", choices=AUDIT_STYLES, default="polling")
             p.add_argument("--workers", type=_positive_int, default=1)
 
@@ -102,6 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate audit sample sizes by simulation")
     common(p, with_audit=True)
+    p.add_argument("--error-rate", type=float, default=0.002)
+    p.add_argument("--trials", type=int, default=2000)
+    # No default here: main reads $CONDAUDIT_SEED at each call, so the parser is built once.
+    p.add_argument("--seed", type=_seed, help="simulation seed (default: $CONDAUDIT_SEED or 0)")
+    p.set_defaults(subparser=p)
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--assertions-file",
                    help="assertion set to estimate (or the inner set with --method smith-irv)")
@@ -297,7 +298,7 @@ def _method_assertions(args, election: Election) -> AssertionSet:
         )
     if args.assertions_file is not None and generate is not _smith_irv_set:
         raise UsageError(f"--method {args.method} reads no --assertions-file (only smith-irv does)")
-    inner_doc = _read_optional(args.assertions_file)
+    inner_doc = None if args.assertions_file is None else ballots_io.read_text(args.assertions_file)
     tallies = pairwise_tallies(election)
     return generate(tabulate(election, tallies), election, tallies, inner_doc)
 
@@ -392,14 +393,9 @@ def _audit_payload(report: AuditReport, election: Election):
 
 
 def _cfg_from_args(args) -> AuditConfig:
+    """The subcommand's audit settings; a field it takes no option for keeps its default."""
     try:
-        return AuditConfig(
-            risk_limit=args.risk_limit,
-            error_rate=args.error_rate,
-            trials=args.trials,
-            seed=args.seed,
-            style=args.style,
-        )
+        return AuditConfig(**{f.name: getattr(args, f.name) for f in fields(AuditConfig) if hasattr(args, f.name)})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -475,7 +471,7 @@ def _dispatch(args) -> int:
         if args.method:
             aset = _method_assertions(args, election)
         elif args.assertions_file:
-            aset = import_assertions(_read_optional(args.assertions_file), election)
+            aset = import_assertions(ballots_io.read_text(args.assertions_file), election)
         else:
             raise UsageError("estimate needs --method or --assertions-file")
         est = estimate_audit(aset, election, cfg, workers=args.workers)
@@ -485,7 +481,7 @@ def _dispatch(args) -> int:
 
     if args.command == "audit":
         cfg = _cfg_from_args(args)
-        aset = import_assertions(_read_optional(args.assertions_file), election)
+        aset = import_assertions(ballots_io.read_text(args.assertions_file), election)
         samples = load_samples(args.samples_file, election)
         report = run_audit(aset, samples, election, cfg)
         payload, lines = _audit_payload(report, election)
@@ -493,16 +489,6 @@ def _dispatch(args) -> int:
         return EXIT_OK if report.certified else EXIT_FULL_COUNT
 
     raise UsageError(f"unknown command {args.command!r}")
-
-
-def _read_optional(path: str | None) -> str | None:
-    if path is None:
-        return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 if __name__ == "__main__":

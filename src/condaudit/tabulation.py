@@ -131,7 +131,6 @@ class RankedPairsResult:
     winner: int | None
     commits: tuple[CommittedPair, ...]
     inferences: tuple[TransitiveInference, ...]
-    dag: tuple[tuple[int, ...], ...]
     tie_flag: bool
     reason: str | None = None
 
@@ -166,7 +165,7 @@ def _bfs_path(adj: list[set[int]], start: int, goal: int) -> list[int]:
 def _run_ranked_pairs(k: int, ordered: list[tuple[int, int, int]]):
     """One Ranked Pairs pass over pairs in the given order.
 
-    Returns (winner, commits, inferences, adjacency, pairs consumed).  Stops
+    Returns (winner, commits, inferences, pairs consumed).  Stops
     as soon as some candidate can reach every other through committed edges.
     """
     adj: list[set[int]] = [set() for _ in range(k)]
@@ -177,7 +176,7 @@ def _run_ranked_pairs(k: int, ordered: list[tuple[int, int, int]]):
     inferred: set[tuple[int, int]] = set()
 
     if k == 1:
-        return 0, (), (), tuple(() for _ in range(k)), 0
+        return 0, (), (), 0
 
     consumed = 0
     winner: int | None = None
@@ -215,8 +214,7 @@ def _run_ranked_pairs(k: int, ordered: list[tuple[int, int, int]]):
                 inferences.append(TransitiveInference(winner, c, basis))
                 inferred.add((winner, c))
 
-    dag = tuple(tuple(sorted(adj[i])) for i in range(k))
-    return winner, tuple(commits), tuple(inferences), dag, consumed
+    return winner, tuple(commits), tuple(inferences), consumed
 
 
 def ranked_pairs_tabulate(score_matrix: np.ndarray) -> RankedPairsResult:
@@ -241,10 +239,10 @@ def ranked_pairs_tabulate(score_matrix: np.ndarray) -> RankedPairsResult:
         raise ValueError("ranked pairs requires at least one candidate")
     pairs = _positive_pairs(s)
 
-    winner, commits, inferences, dag, consumed = _run_ranked_pairs(k, pairs)
+    winner, commits, inferences, consumed = _run_ranked_pairs(k, pairs)
     if winner is None:
         return RankedPairsResult(
-            None, commits, inferences, dag, tie_flag=False,
+            None, commits, inferences, tie_flag=False,
             reason="tied pairwise contests leave no candidate dominant",
         )
 
@@ -267,17 +265,17 @@ def ranked_pairs_tabulate(score_matrix: np.ndarray) -> RankedPairsResult:
 
     relevant = touched_blocks(consumed)
     if not relevant:
-        return RankedPairsResult(winner, commits, inferences, dag, tie_flag=False)
+        return RankedPairsResult(winner, commits, inferences, tie_flag=False)
 
     # A Condorcet winner never has an incoming edge (every margin against it
     # is negative), so no processing order can stop any of its majorities
     # from committing: the outcome is order-independent and the search below
     # is unnecessary.
     if condorcet_winner(s) is not None:
-        return RankedPairsResult(winner, commits, inferences, dag, tie_flag=True)
+        return RankedPairsResult(winner, commits, inferences, tie_flag=True)
 
     escalate = RankedPairsResult(
-        None, commits, inferences, dag, tie_flag=True,
+        None, commits, inferences, tie_flag=True,
         reason="ordering of equal-score majorities can change the winner",
     )
     runs = 0
@@ -285,7 +283,7 @@ def ranked_pairs_tabulate(score_matrix: np.ndarray) -> RankedPairsResult:
         total = math.prod(math.factorial(len(blocks[b])) for b in sorted(relevant))
         if runs + total > MAX_TIE_ORDERINGS:
             return RankedPairsResult(
-                None, commits, inferences, dag, tie_flag=True,
+                None, commits, inferences, tie_flag=True,
                 reason=f"too many orderings of equal-score majorities to verify (> {MAX_TIE_ORDERINGS})",
             )
         grew = False
@@ -304,7 +302,7 @@ def ranked_pairs_tabulate(score_matrix: np.ndarray) -> RankedPairsResult:
                 relevant |= fresh
                 grew = True
         if not grew:
-            return RankedPairsResult(winner, commits, inferences, dag, tie_flag=True)
+            return RankedPairsResult(winner, commits, inferences, tie_flag=True)
 
 
 # ---------------------------------------------------------------------------

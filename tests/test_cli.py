@@ -394,6 +394,76 @@ def test_non_utf8_input_is_parse_error(capsys, tmp_path, e3_path, flag):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+BAD_NAME_LISTS = {
+    "nested-list": [["A"]],
+    "number": [1],
+    "null": [None],
+    "bare-string": "A",
+    "repeated": ["A", "A"],
+    "unknown": ["Z"],
+}
+
+
+@pytest.mark.parametrize("names", BAD_NAME_LISTS.values(), ids=BAD_NAME_LISTS)
+@pytest.mark.parametrize("flag", ["election", "--samples-file", "--assertions-file"])
+def test_malformed_candidate_names_are_parse_errors(capsys, tmp_path, e3_path, flag, names):
+    set_path = tmp_path / "set.json"
+    assert run_cli(capsys, "assertions", e3_path, "--method", "ranked-pairs", "-o", str(set_path))[0] == 0
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text(json.dumps({"audited": ["A", "B"]}) + "\n")
+    election = e3_path
+    if flag == "election":
+        election = str(tmp_path / "bad.json")
+        Path(election).write_text(json.dumps({"candidates": ["A", "B"], "ballots": [{"ranking": names, "count": 1}]}))
+    elif flag == "--samples-file":
+        samples.write_text(json.dumps({"audited": names}) + "\n")
+    else:
+        entry = {"type": "score_comparison", "hi": names, "lo": ["B", "C"]}
+        set_path.write_text(json.dumps({"method": "custom", "winner": "A", "assertions": [entry]}))
+    code, out, err = run_cli(
+        capsys, "audit", election, "--assertions-file", str(set_path), "--samples-file", str(samples)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 1: A\n# ALTERNATIVE NAME 2: A\n",
+        "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 3: C\n",
+        "# ALTERNATIVE NAME 3: C\n",
+    ],
+    ids=["duplicate-name", "number-above-declared", "number-above-inferred"],
+)
+def test_preflib_roster_faults_are_parse_errors(capsys, tmp_path, header):
+    path = tmp_path / "roster.soi"
+    path.write_text(header + "1: 1,2\n")
+    code, out, err = run_cli(capsys, "parse", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--error-rate", "--trials", "--seed"])
+def test_simulation_options_are_estimate_only(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "e.json", "--assertions-file", "set.json", "--samples-file", "s.jsonl", flag, "1"])
+    assert exc.value.code == 64
+
+
+def test_audit_ignores_seed_variable(capsys, monkeypatch):
+    golden = Path(__file__).parent / "golden"
+    case = "election3.ranked-pairs.audit.polling.text"
+    monkeypatch.setenv("CONDAUDIT_SEED", "x")
+    code, out, _ = run_cli(
+        capsys, "audit", str(golden / "election3.json"),
+        "--assertions-file", str(golden / "election3.ranked-pairs.assertions.out"),
+        "--samples-file", str(golden / "election3-samples.jsonl"),
+    )
+    assert code == json.loads((golden / "exit_codes.json").read_text())[case]
+    assert out == (golden / f"{case}.out").read_text()
+
+
 @pytest.mark.parametrize("flag", ["--scale", "--workers"])
 @pytest.mark.parametrize("value", ["0", "-5", "two"])
 def test_scale_and_workers_must_be_positive(capsys, e3_path, flag, value):
@@ -407,6 +477,9 @@ def test_audit_config_fields_are_the_cli_options():
     # Every setting of an audit is a command-line option; the risk function's are constants.
     args = argparse.Namespace(risk_limit=0.1, error_rate=0.01, trials=3, seed=9, style="comparison")
     assert dataclasses.asdict(cli._cfg_from_args(args)) == vars(args)
+    # audit takes no simulation options: those fields keep their defaults.
+    audit_args = argparse.Namespace(risk_limit=0.1, style="comparison")
+    assert cli._cfg_from_args(audit_args) == cli.AuditConfig(risk_limit=0.1, style="comparison")
 
 
 def test_module_entry_point(e3_path):

@@ -163,8 +163,7 @@ class TestRankedPairs:
             rp = ranked_pairs_tabulate(margin(e))
             g = nx.DiGraph()
             g.add_nodes_from(range(e.num_candidates))
-            for i, outs in enumerate(rp.dag):
-                g.add_edges_from((i, j) for j in outs)
+            g.add_edges_from((p.winner, p.loser) for p in rp.commits)
             assert nx.is_directed_acyclic_graph(g)
             committed = {(p.winner, p.loser) for p in rp.commits}
             for inf in rp.inferences:
