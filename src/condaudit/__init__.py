@@ -34,6 +34,7 @@ from .tabulation import (
     smith_set,
 )
 from .assertions import (
+    METHODS,
     Assertion,
     AssertionSet,
     FullHandCount,
@@ -46,9 +47,9 @@ from .assertions import (
     condorcet_assertions,
     describe,
     export_assertions,
-    export_assertions_json,
     import_assertions,
     kemeny_assertions,
+    method_assertions,
     minimax_assertions,
     ranked_pairs_assertions,
     smith_assertions,

@@ -33,6 +33,14 @@ declarations and nothing else about a shape.
 
 ``FullHandCount`` is a sentinel "assertion" marking outcomes no ballot
 sample can verify (unresolvable ties, capacity limits); it always escalates.
+
+:data:`METHODS` is the one table of methods, for the library and the CLI: it
+maps each method name to ``(tabulate, generate)``.  ``tabulate(election,
+tallies)`` returns the method's result, given ``tallies =
+pairwise_tallies(election)``; ``generate(result, tallies, imported)`` returns
+its :class:`AssertionSet`, where ``imported`` is the inner set over the Smith
+set that only smith-irv reads.  Irv's ``generate`` is None: its sets are imported.
+:func:`method_assertions` chains the two from an election.
 """
 
 from __future__ import annotations
@@ -44,17 +52,9 @@ from typing import ClassVar, Sequence, Union, get_args
 
 import numpy as np
 
+from . import tabulation
 from .ballots import ParseError, resolve_names, roster_index
-from .model import Election, pairwise_tallies
-from .tabulation import (
-    KEMENY_MAX_K,
-    CapacityError,
-    KemenyResult,
-    MinimaxResult,
-    RankedPairsResult,
-    SmithResult,
-    minimax_tabulate,
-)
+from .model import Election, pairwise_tallies, scores
 
 
 class SchemaError(ValueError):
@@ -204,20 +204,10 @@ def assorter_mean(assertion: Assertion, election: Election) -> float:
 # Per-method assertion generation
 
 
-def _dedupe(assertions: Sequence[Assertion]) -> tuple[Assertion, ...]:
-    seen: set[Assertion] = set()
-    out: list[Assertion] = []
-    for a in assertions:
-        if a not in seen:
-            seen.add(a)
-            out.append(a)
-    return tuple(out)
-
-
-def condorcet_assertions(winner: int, num_candidates: int, method: str = "condorcet") -> AssertionSet:
-    """The k-1 pairwise claims that the winner beats every other candidate."""
-    if num_candidates < 2:
-        raise ValueError("condorcet assertions need at least two candidates")
+def condorcet_assertions(winner: int | None, num_candidates: int, method: str = "condorcet") -> AssertionSet:
+    """The k-1 pairwise claims that the winner beats every other candidate; no winner escalates."""
+    if winner is None:
+        return AssertionSet(method, None, (FullHandCount("no Condorcet winner exists"),))
     if not 0 <= winner < num_candidates:
         raise ValueError(f"winner index {winner} out of range")
     assertions = tuple(
@@ -226,7 +216,7 @@ def condorcet_assertions(winner: int, num_candidates: int, method: str = "condor
     return AssertionSet(method, winner, assertions)
 
 
-def ranked_pairs_assertions(rp: RankedPairsResult) -> AssertionSet:
+def ranked_pairs_assertions(rp: tabulation.RankedPairsResult) -> AssertionSet:
     """Assertions verifying a Ranked Pairs outcome.
 
     Two groups: a positive-majority claim for each committed pair led by the
@@ -246,23 +236,20 @@ def ranked_pairs_assertions(rp: RankedPairsResult) -> AssertionSet:
         c = inf.loser
         for (i, j) in inf.basis:
             out.append(ScoreComparison((i, j), (c, w)))
-    return AssertionSet("ranked-pairs", w, _dedupe(out))
+    return AssertionSet("ranked-pairs", w, tuple(dict.fromkeys(out)))
 
 
-def minimax_assertions(mm: MinimaxResult, score_matrix: np.ndarray) -> AssertionSet:
+def minimax_assertions(mm: tabulation.MinimaxResult) -> AssertionSet:
     """Assertions verifying a Minimax (margins) outcome.
 
     With a Condorcet winner this is the plain winner-beats-all set.
     Otherwise the winner's strongest defeat is compared against their other
     losses, and against the strongest defeat of every other candidate.
     """
-    s = np.asarray(score_matrix)
-    k = s.shape[0]
+    k = len(mm.worst_loss) or 1  # a sole candidate has no worst loss
     if mm.winner is None:
         return AssertionSet("minimax", None, (FullHandCount(mm.reason or "tie"),))
     w = mm.winner
-    if k == 1:
-        return AssertionSet("minimax", w, ())
     if mm.condorcet_case:
         return condorcet_assertions(w, k, method="minimax")
     d_w = mm.strongest_defeater.get(w)
@@ -281,11 +268,11 @@ def minimax_assertions(mm: MinimaxResult, score_matrix: np.ndarray) -> Assertion
         if x == w:
             continue
         out.append(ScoreComparison((mm.strongest_defeater[x], x), (d_w, w)))
-    return AssertionSet("minimax", w, _dedupe(out))
+    return AssertionSet("minimax", w, tuple(dict.fromkeys(out)))
 
 
 def smith_assertions(
-    sm: SmithResult,
+    sm: tabulation.SmithResult,
     num_candidates: int,
     *,
     score_matrix: np.ndarray | None = None,
@@ -333,8 +320,8 @@ def smith_assertions(
     if imported is None:
         s = np.asarray(score_matrix)
         sub = s[np.ix_(members, members)]
-        inner_mm = minimax_tabulate(sub)
-        inner_set = minimax_assertions(inner_mm, sub)
+        inner_mm = tabulation.minimax_tabulate(sub)
+        inner_set = minimax_assertions(inner_mm)
         if inner_set.full_hand_count:
             reason = inner_set.assertions[0].reason
             return AssertionSet(method, None, (FullHandCount(f"inner minimax: {reason}"),))
@@ -346,7 +333,7 @@ def smith_assertions(
         winner = imported.winner
         inner_assertions = list(imported.assertions)
 
-    return AssertionSet(method, winner, _dedupe(stage1 + stage2 + inner_assertions))
+    return AssertionSet(method, winner, tuple(dict.fromkeys(stage1 + stage2 + inner_assertions)))
 
 
 def _relabel(assertion: Assertion, mapping: Sequence[int]) -> Assertion:
@@ -359,7 +346,7 @@ def _candidates_of(assertion: Assertion) -> set[int]:
     return {c for pair in plus + minus for c in pair}
 
 
-def kemeny_assertions(kr: KemenyResult) -> AssertionSet:
+def kemeny_assertions(kr: tabulation.KemenyResult) -> AssertionSet:
     """One ranking-tally comparison per complete ranking led by a different candidate.
 
     The count grows as k! - (k-1)!, so k is capped at ``KEMENY_MAX_K``; beyond it a
@@ -367,18 +354,47 @@ def kemeny_assertions(kr: KemenyResult) -> AssertionSet:
     """
     ranking = kr.best_ranking
     k = len(ranking)
-    if k > KEMENY_MAX_K:
-        raise CapacityError(
-            f"kemeny audit over {k} candidates needs {k}!-({k}-1)! assertions; limit is {KEMENY_MAX_K}"
+    if k > tabulation.KEMENY_MAX_K:
+        raise tabulation.CapacityError(
+            f"kemeny audit over {k} candidates needs {k}!-({k}-1)! assertions; limit is {tabulation.KEMENY_MAX_K}"
         )
-    if k == 1:
-        return AssertionSet("kemeny", kr.winner, ())
     out = [
         RankingComparison(ranking, perm)
         for perm in itertools.permutations(range(k))
         if perm[0] != kr.winner
     ]
     return AssertionSet("kemeny", kr.winner, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# The method table: each step looks library functions up at call time, so wrappers on module
+# attributes see every call.
+
+METHODS = {
+    "irv": (lambda e, t: tabulation.irv_tabulate(e), None),
+    "condorcet": (lambda e, t: tabulation.condorcet_winner(scores(t)),
+                  lambda w, t, _: condorcet_assertions(w, len(t))),
+    "ranked-pairs": (lambda e, t: tabulation.ranked_pairs_tabulate(scores(t)),
+                     lambda rp, *_: ranked_pairs_assertions(rp)),
+    "minimax": (lambda e, t: tabulation.minimax_tabulate(scores(t)), lambda mm, *_: minimax_assertions(mm)),
+    "smith-minimax": (lambda e, t: tabulation.smith_set(t),
+                      lambda sm, t, _: smith_assertions(sm, len(t), score_matrix=scores(t))),
+    "smith-irv": (lambda e, t: tabulation.smith_set(t),
+                  lambda sm, t, imported: smith_assertions(sm, len(t), imported=imported)),
+    "kemeny": (lambda e, t: tabulation.kemeny_tabulate(t), lambda kr, *_: kemeny_assertions(kr)),
+}
+
+
+def method_assertions(method: str, election: Election, imported: AssertionSet | None = None) -> AssertionSet:
+    """The set verifying ``method``'s winner, by :data:`METHODS`; irv raises ``ValueError``.
+
+    ``imported`` is the inner set over the Smith set that smith-irv needs.
+    """
+    tabulate, generate = METHODS[method]
+    if generate is None:
+        raise ValueError(f"{method} assertion sets are not generated here")
+    tallies = pairwise_tallies(election)
+    return generate(tabulate(election, tallies), tallies, imported)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +439,6 @@ def export_assertions(aset: AssertionSet, election: Election) -> dict:
         "assertions": [enc(a) for a in aset.assertions],
         "metadata": metadata,
     }
-
-
-def export_assertions_json(aset: AssertionSet, election: Election) -> str:
-    return json.dumps(export_assertions(aset, election), indent=2)
 
 
 _BY_TAG = {cls.tag: cls for cls in get_args(Assertion)}

@@ -131,7 +131,10 @@ def parse_preflib(text: str | Iterable[str]) -> ParseReport:
             else:
                 m2 = _ALT_NAME_RE.match(key)
                 if m2:
-                    alt_names[int(m2.group(1))] = (lineno, value)
+                    i = int(m2.group(1))
+                    if i in alt_names:
+                        raise ParseError(f"ALTERNATIVE NAME {i} repeats line {alt_names[i][0]}", lineno)
+                    alt_names[i] = (lineno, value)
             continue
 
         if "{" in stripped or "}" in stripped:

@@ -3,7 +3,9 @@
 Subcommands: ``parse`` (check a ballot file), ``tabulate`` (winner and
 method structures), ``assertions`` (emit an assertion-set JSON document),
 ``estimate`` (simulated audit sample sizes), and ``audit`` (run a batch
-audit over a drawn sample).
+audit over a drawn sample).  Methods come from the library's
+``assertions.METHODS``; this module renders results and reports usage
+errors.  Ingest warnings go to stderr (``parse`` reports them on stdout).
 
 Exit codes: 0 success, 1 full-hand-count or infeasible-audit outcome,
 2 parse/schema errors, 64 usage errors.
@@ -21,21 +23,18 @@ from dataclasses import fields
 from . import ballots as ballots_io
 from . import tabulation
 from .assertions import (
+    METHODS,
     AssertionSet,
     FullHandCount,
     SchemaError,
-    condorcet_assertions,
     describe,
-    export_assertions_json,
+    export_assertions,
     import_assertions,
-    kemeny_assertions,
-    minimax_assertions,
-    ranked_pairs_assertions,
-    smith_assertions,
+    method_assertions,
 )
 from .audit import AUDIT_STYLES, ASNEstimate, AuditConfig, AuditReport, estimate_audit, load_samples, run_audit
 from .ballots import ParseError
-from .model import Election, pairwise_tallies, restrict_to, scores
+from .model import Election, pairwise_tallies, restrict_to
 from .tabulation import CapacityError
 
 EXIT_OK = 0
@@ -114,27 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_election(args) -> tuple[Election, list[tuple[int, str]]]:
-    report = ballots_io.parse_path(args.election)
-    election = report.election
-    if args.scale != 1:
-        election = ballots_io.scale(election, args.scale)
-    return election, report.warnings
-
-
 class UsageError(Exception):
     pass
 
 
 # ---------------------------------------------------------------------------
-# Methods
-#
-# METHODS maps each method name to (tabulate, assertions, render) steps:
-#   tabulate(election, tallies) -> result, where tallies = pairwise_tallies(election);
-#   assertions(result, election, tallies, inner_doc) -> AssertionSet, where inner_doc is the
-#       text of --assertions-file; None where this tool does not generate the method's sets;
-#   render(result, election, tallies) -> (JSON payload, text lines).
-# Steps look library functions up at call time, so wrappers on module attributes see every call.
+# Methods: RENDER maps each name of assertions.METHODS to render(result, election, tallies) ->
+# (JSON payload, text lines), where result is the method's tabulation of the election.
 
 
 def _winner_line(winner: str | None, reason: str | None, how: str = "") -> str:
@@ -158,14 +143,6 @@ def _render_irv(res, election, tallies):
     if res.tie_flag:
         lines.append("Warning: an elimination tie was broken by candidate order")
     return payload, lines
-
-
-def _condorcet_set(w, election, tallies, inner_doc):
-    if w is None:
-        return AssertionSet("condorcet", None, (FullHandCount("no Condorcet winner exists"),))
-    if election.num_candidates == 1:
-        return AssertionSet("condorcet", w, ())
-    return condorcet_assertions(w, election.num_candidates)
 
 
 def _render_condorcet(w, election, tallies):
@@ -216,15 +193,6 @@ def _render_minimax(mm, election, tallies):
     return payload, lines
 
 
-def _smith_minimax_set(sm, election, tallies, inner_doc):
-    return smith_assertions(sm, election.num_candidates, score_matrix=scores(tallies))
-
-
-def _smith_irv_set(sm, election, tallies, inner_doc):
-    imported = import_assertions(inner_doc, election)
-    return smith_assertions(sm, election.num_candidates, imported=imported)
-
-
 def _render_smith(method, sm, election, w, reason, how):
     names = election.candidates
     payload = {
@@ -242,7 +210,7 @@ def _render_smith(method, sm, election, w, reason, how):
 
 
 def _render_smith_minimax(sm, election, tallies):
-    aset = _smith_minimax_set(sm, election, tallies, None)
+    aset = METHODS["smith-minimax"][1](sm, tallies, None)
     reason = aset.assertions[0].reason if aset.winner is None else None
     return _render_smith("smith-minimax", sm, election, aset.winner, reason, "minimax")
 
@@ -268,39 +236,35 @@ def _render_kemeny(kr, election, tallies):
     return payload, lines
 
 
-METHODS = {
-    "irv": (lambda e, t: tabulation.irv_tabulate(e), None, _render_irv),
-    "condorcet": (lambda e, t: tabulation.condorcet_winner(scores(t)), _condorcet_set, _render_condorcet),
-    "ranked-pairs": (lambda e, t: tabulation.ranked_pairs_tabulate(scores(t)),
-                     lambda rp, e, t, doc: ranked_pairs_assertions(rp), _render_ranked_pairs),
-    "minimax": (lambda e, t: tabulation.minimax_tabulate(scores(t)),
-                lambda mm, e, t, doc: minimax_assertions(mm, scores(t)), _render_minimax),
-    "smith-minimax": (lambda e, t: tabulation.smith_set(t), _smith_minimax_set, _render_smith_minimax),
-    "smith-irv": (lambda e, t: tabulation.smith_set(t), _smith_irv_set, _render_smith_irv),
-    "kemeny": (lambda e, t: tabulation.kemeny_tabulate(t), lambda kr, e, t, doc: kemeny_assertions(kr),
-               _render_kemeny),
+RENDER = {
+    "irv": _render_irv,
+    "condorcet": _render_condorcet,
+    "ranked-pairs": _render_ranked_pairs,
+    "minimax": _render_minimax,
+    "smith-minimax": _render_smith_minimax,
+    "smith-irv": _render_smith_irv,
+    "kemeny": _render_kemeny,
 }
 
 
 def _method_assertions(args, election: Election) -> AssertionSet:
     """The --method assertion set.  Usage errors are raised before any tabulation."""
-    tabulate, generate, _ = METHODS[args.method]
-    if generate is None:
+    if args.method == "irv":
         raise UsageError(
             "IRV assertion sets are not generated here; import an externally generated "
             "set via 'estimate --assertions-file'"
         )
     # Only smith-irv reads --assertions-file: its inner IRV set over the Smith set.
-    if args.assertions_file is None and generate is _smith_irv_set:
+    if args.assertions_file is None and args.method == "smith-irv":
         raise UsageError(
             "--method smith-irv needs --assertions-file with an imported IRV assertion "
             "set over the Smith set (this tool does not generate IRV assertions)"
         )
-    if args.assertions_file is not None and generate is not _smith_irv_set:
+    if args.assertions_file is not None and args.method != "smith-irv":
         raise UsageError(f"--method {args.method} reads no --assertions-file (only smith-irv does)")
-    inner_doc = None if args.assertions_file is None else ballots_io.read_text(args.assertions_file)
-    tallies = pairwise_tallies(election)
-    return generate(tabulate(election, tallies), election, tallies, inner_doc)
+    imported = None if args.assertions_file is None else import_assertions(
+        ballots_io.read_text(args.assertions_file), election)
+    return method_assertions(args.method, election, imported)
 
 
 # ---------------------------------------------------------------------------
@@ -430,34 +394,36 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    election, warnings = _load_election(args)
+    parsed = ballots_io.parse_path(args.election)
+    election = parsed.election if args.scale == 1 else ballots_io.scale(parsed.election, args.scale)
+    notes = [f"warning: line {ln}: {msg}" if ln else f"warning: {msg}" for ln, msg in parsed.warnings]
 
     if args.command == "parse":
         payload = {
             "candidates": list(election.candidates),
             "total_ballots": election.total_ballots,
             "distinct_signatures": len(election.profile),
-            "warnings": [{"line": ln, "message": msg} for ln, msg in warnings],
+            "warnings": [{"line": ln, "message": msg} for ln, msg in parsed.warnings],
         }
         lines = [
             f"Candidates ({election.num_candidates}): " + ", ".join(election.candidates),
             f"Total ballots: {election.total_ballots}",
             f"Distinct signatures: {len(election.profile)}",
         ]
-        for ln, msg in warnings:
-            lines.append(f"warning: line {ln}: {msg}" if ln else f"warning: {msg}")
-        _emit(args, payload, lines)
+        _emit(args, payload, lines + notes)
         return EXIT_OK
+    for note in notes:  # parse reports them in its output; every other command on stderr
+        print(note, file=sys.stderr)
 
     if args.command == "tabulate":
-        tabulate, _, render = METHODS[args.method]
+        tabulate, _ = METHODS[args.method]
         tallies = pairwise_tallies(election)
-        _emit(args, *render(tabulate(election, tallies), election, tallies))
+        _emit(args, *RENDER[args.method](tabulate(election, tallies), election, tallies))
         return EXIT_OK
 
     if args.command == "assertions":
         aset = _method_assertions(args, election)
-        text = export_assertions_json(aset, election)
+        text = json.dumps(export_assertions(aset, election), indent=2)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -487,8 +453,6 @@ def _dispatch(args) -> int:
         payload, lines = _audit_payload(report, election)
         _emit(args, payload, lines)
         return EXIT_OK if report.certified else EXIT_FULL_COUNT
-
-    raise UsageError(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

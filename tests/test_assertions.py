@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condaudit import (
+    METHODS,
     AssertionSet,
     CapacityError,
     Election,
@@ -25,6 +26,7 @@ from condaudit import (
     import_assertions,
     kemeny_assertions,
     kemeny_tabulate,
+    method_assertions,
     minimax_assertions,
     minimax_tabulate,
     pairwise_tallies,
@@ -125,9 +127,13 @@ class TestCondorcetAssertions:
         for k in range(2, 7):
             assert len(condorcet_assertions(0, k).assertions) == k - 1
 
-    def test_single_candidate_rejected(self):
-        with pytest.raises(ValueError):
-            condorcet_assertions(0, 1)
+    def test_single_candidate_is_the_empty_set(self):
+        assert condorcet_assertions(0, 1) == AssertionSet("condorcet", 0, ())
+
+    def test_no_winner_escalates(self):
+        aset = condorcet_assertions(None, 3)
+        assert aset == AssertionSet("condorcet", None, (FullHandCount("no Condorcet winner exists"),))
+        assert aset.full_hand_count
 
 
 class TestRankedPairsAssertions:
@@ -183,7 +189,7 @@ class TestRankedPairsAssertions:
 class TestMinimaxAssertions:
     def test_cycle_worked_example(self):
         mm = minimax_tabulate(CYCLE_SCORES)
-        aset = minimax_assertions(mm, CYCLE_SCORES)
+        aset = minimax_assertions(mm)
         assert set(aset.assertions) == {
             ScoreComparison((0, 1), (2, 1)),  # A's defeat of B is B's strongest
             ScoreComparison((1, 2), (0, 1)),  # C's strongest defeat exceeds B's
@@ -193,17 +199,17 @@ class TestMinimaxAssertions:
 
     def test_condorcet_case_reduces(self, election1):
         mm = minimax_tabulate(margin(election1))
-        aset = minimax_assertions(mm, margin(election1))
+        aset = minimax_assertions(mm)
         assert as_pairs(aset) == {(0, 1), (0, 2)}
 
     def test_two_candidates(self):
         s = np.array([[0, 10], [-10, 0]])
-        aset = minimax_assertions(minimax_tabulate(s), s)
+        aset = minimax_assertions(minimax_tabulate(s))
         assert set(aset.assertions) == {PairwisePositive(0, 1)}
 
     def test_tie_escalates(self):
         s = np.zeros((2, 2), dtype=int)
-        aset = minimax_assertions(minimax_tabulate(s), s)
+        aset = minimax_assertions(minimax_tabulate(s))
         assert aset.full_hand_count
 
 
@@ -317,6 +323,20 @@ class TestAssertionSetInvariants:
     def test_sentinel_must_be_alone(self):
         with pytest.raises(ValueError):
             AssertionSet("x", None, (FullHandCount("t"), PairwisePositive(0, 1)))
+
+
+class TestMethodTable:
+    def test_one_candidate_gives_the_empty_set(self):
+        e = Election(("A",), {(0,): 5})
+        for method, (_, generate) in METHODS.items():
+            if generate is None:
+                continue
+            imported = AssertionSet("irv", 0, ()) if method == "smith-irv" else None
+            assert method_assertions(method, e, imported) == AssertionSet(method, 0, ())
+
+    def test_irv_is_not_generated(self):
+        with pytest.raises(ValueError):
+            method_assertions("irv", Election(("A",), {(0,): 5}))
 
 
 class TestInterchange:
@@ -471,7 +491,7 @@ def _generated_assertions(election):
     k = election.num_candidates
     sets = [
         ranked_pairs_assertions(ranked_pairs_tabulate(s)),
-        minimax_assertions(minimax_tabulate(s), s),
+        minimax_assertions(minimax_tabulate(s)),
         smith_assertions(smith_set(t), k, score_matrix=s),
         kemeny_assertions(kemeny_tabulate(t)),
     ]

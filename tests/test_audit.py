@@ -23,12 +23,9 @@ from condaudit import (
     estimate_audit,
     kk_pvalue_trace,
     load_samples,
-    pairwise_tallies,
+    method_assertions,
     preference_matrix,
-    ranked_pairs_assertions,
-    ranked_pairs_tabulate,
     run_audit,
-    scores,
 )
 from condaudit import assertions as assertions_module
 from condaudit import audit as audit_module
@@ -198,7 +195,7 @@ class TestFrozenStopVectors:
         assert stops.tolist() == _STOP_VECTORS["election1_polling_seed42"]
 
     def test_election3_ranked_pairs_comparison(self, election3):
-        aset = ranked_pairs_assertions(ranked_pairs_tabulate(scores(pairwise_tallies(election3))))
+        aset = method_assertions("ranked-pairs", election3)
         cfg = AuditConfig(seed=7, trials=50, style="comparison")
         stops = estimate_audit(aset, election3, cfg).stops
         assert [s.tolist() for s in stops] == _STOP_VECTORS["election3_ranked_pairs_comparison_seed7"]
@@ -326,9 +323,7 @@ class TestEstimate:
 
     def test_election3_comparison_regression(self, election3):
         # frozen from the first run at these exact settings
-        aset = ranked_pairs_assertions(
-            ranked_pairs_tabulate(scores(pairwise_tallies(election3)))
-        )
+        aset = method_assertions("ranked-pairs", election3)
         cfg = AuditConfig(seed=7, trials=50, style="comparison")
         est = estimate_audit(aset, election3, cfg)
         assert est.per_assertion == (22, 206, 68, 40, 68)
@@ -348,7 +343,7 @@ class TestEstimate:
         for module in (model_module, audit_module, assertions_module, condaudit):
             if hasattr(module, "preference_matrix"):
                 monkeypatch.setattr(module, "preference_matrix", counting)
-        full = ranked_pairs_assertions(ranked_pairs_tabulate(scores(pairwise_tallies(election3))))
+        full = method_assertions("ranked-pairs", election3)
         cfg = AuditConfig(seed=7, trials=3, style=style)
         samples = load_samples(GOLDEN / "election3-samples.jsonl", election3)
         counts = []
@@ -401,9 +396,7 @@ class TestRunAudit:
         assert report.ballots_examined == 0
 
     def test_p_traces_non_increasing(self, election3):
-        aset = ranked_pairs_assertions(
-            ranked_pairs_tabulate(scores(pairwise_tallies(election3)))
-        )
+        aset = method_assertions("ranked-pairs", election3)
         rng = np.random.default_rng(11)
         pop = expand(election3)
         order = rng.permutation(len(pop))[:400]
@@ -428,7 +421,7 @@ class TestRunAudit:
 
     @pytest.mark.parametrize("style", ["polling", "comparison"])
     def test_matches_independent_kk(self, election3, style):
-        aset = ranked_pairs_assertions(ranked_pairs_tabulate(scores(pairwise_tallies(election3))))
+        aset = method_assertions("ranked-pairs", election3)
         samples = load_samples(GOLDEN / "election3-samples.jsonl", election3)
         cfg = AuditConfig(style=style)
         report = run_audit(aset, samples, election3, cfg)
@@ -453,7 +446,7 @@ class TestRunAudit:
             assert rec.p_value == rec.p_trace[-1]
 
     def test_comparison_reads_only_consumed_samples(self, election3):
-        aset = ranked_pairs_assertions(ranked_pairs_tabulate(scores(pairwise_tallies(election3))))
+        aset = method_assertions("ranked-pairs", election3)
         samples = load_samples(GOLDEN / "election3-samples.jsonl", election3)
         cfg = AuditConfig(style="comparison")
         report = run_audit(aset, samples, election3, cfg)

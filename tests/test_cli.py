@@ -428,20 +428,48 @@ def test_malformed_candidate_names_are_parse_errors(capsys, tmp_path, e3_path, f
 
 
 @pytest.mark.parametrize(
-    "header",
+    "header, message",
     [
-        "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 1: A\n# ALTERNATIVE NAME 2: A\n",
-        "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 3: C\n",
-        "# ALTERNATIVE NAME 3: C\n",
+        ("# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 1: A\n# ALTERNATIVE NAME 2: A\n",
+         "duplicate candidate name 'A'"),
+        ("# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 3: C\n", "line 2: ALTERNATIVE NAME 3 out of range 1..2"),
+        ("# ALTERNATIVE NAME 3: C\n", "line 1: ALTERNATIVE NAME 3 out of range 1..2"),
+        ("# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 1: A\n# ALTERNATIVE NAME 1: B\n",
+         "line 3: ALTERNATIVE NAME 1 repeats line 2"),
     ],
-    ids=["duplicate-name", "number-above-declared", "number-above-inferred"],
+    ids=["duplicate-name", "number-above-declared", "number-above-inferred", "repeated-number"],
 )
-def test_preflib_roster_faults_are_parse_errors(capsys, tmp_path, header):
+def test_preflib_roster_faults_are_parse_errors(capsys, tmp_path, header, message):
     path = tmp_path / "roster.soi"
     path.write_text(header + "1: 1,2\n")
     code, out, err = run_cli(capsys, "parse", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: {message}\n"
+
+
+_PREFLIB_HEADER = (
+    "# NUMBER ALTERNATIVES: 3\n# ALTERNATIVE NAME 1: A\n# ALTERNATIVE NAME 2: B\n# ALTERNATIVE NAME 3: C\n"
+)
+
+
+@pytest.mark.parametrize("command", ["tabulate", "assertions", "estimate", "audit"])
+def test_ingest_warnings_reach_stderr(capsys, tmp_path, command):
+    repeated = tmp_path / "repeated.soi"
+    repeated.write_text(_PREFLIB_HEADER + "5: 1,2,3\n3: 2,3,1\n2: 1,2,3\n")
+    merged = tmp_path / "merged.soi"  # the same election, without the repeated line
+    merged.write_text(_PREFLIB_HEADER + "7: 1,2,3\n3: 2,3,1\n")
+    aset, samples = str(tmp_path / "set.json"), tmp_path / "s.jsonl"
+    assert run_cli(capsys, "assertions", str(merged), "--method", "ranked-pairs", "-o", aset)[0] == 0
+    samples.write_text('{"audited": ["A", "B", "C"], "reported": ["A", "B", "C"]}\n' * 5)
+    options = {
+        "tabulate": ["--method", "ranked-pairs"],
+        "assertions": ["--method", "ranked-pairs"],
+        "estimate": ["--method", "ranked-pairs", "--trials", "3"],
+        "audit": ["--assertions-file", aset, "--samples-file", str(samples)],
+    }[command]
+    code, out, err = run_cli(capsys, command, str(repeated), *options)
+    assert err == "warning: line 7: duplicate signature (first seen on line 5); counts merged\n"
+    assert (code, out, "") == run_cli(capsys, command, str(merged), *options)
 
 
 @pytest.mark.parametrize("flag", ["--error-rate", "--trials", "--seed"])

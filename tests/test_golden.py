@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from condaudit import cli
+from condaudit import assertions, cli
 from condaudit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -72,7 +72,7 @@ def exit_codes() -> dict[str, int]:
 
 
 def test_methods_are_the_cli_table():
-    assert METHODS == tuple(cli.METHODS)
+    assert METHODS == tuple(assertions.METHODS) == tuple(cli.RENDER)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
