@@ -36,11 +36,12 @@ sample can verify (unresolvable ties, capacity limits); it always escalates.
 
 :data:`METHODS` is the one table of methods, for the library and the CLI: it
 maps each method name to ``(tabulate, generate)``.  ``tabulate(election,
-tallies)`` returns the method's result, given ``tallies =
+tallies)`` returns the method's result, winner included, given ``tallies =
 pairwise_tallies(election)``; ``generate(result, tallies, imported)`` returns
-its :class:`AssertionSet`, where ``imported`` is the inner set over the Smith
-set that only smith-irv reads.  Irv's ``generate`` is None: its sets are imported.
-:func:`method_assertions` chains the two from an election.
+the :class:`AssertionSet` certifying that winner, where ``imported`` is the
+inner set over the Smith set that only smith-irv reads.  Irv's ``generate`` is
+None: its sets are imported.  :func:`method_assertions` chains the two from an
+election.
 """
 
 from __future__ import annotations
@@ -204,16 +205,16 @@ def assorter_mean(assertion: Assertion, election: Election) -> float:
 # Per-method assertion generation
 
 
-def condorcet_assertions(winner: int | None, num_candidates: int, method: str = "condorcet") -> AssertionSet:
+def condorcet_assertions(winner: int | None, num_candidates: int) -> AssertionSet:
     """The k-1 pairwise claims that the winner beats every other candidate; no winner escalates."""
     if winner is None:
-        return AssertionSet(method, None, (FullHandCount("no Condorcet winner exists"),))
+        return AssertionSet("condorcet", None, (FullHandCount("no Condorcet winner exists"),))
     if not 0 <= winner < num_candidates:
         raise ValueError(f"winner index {winner} out of range")
     assertions = tuple(
         PairwisePositive(winner, c) for c in range(num_candidates) if c != winner
     )
-    return AssertionSet(method, winner, assertions)
+    return AssertionSet("condorcet", winner, assertions)
 
 
 def ranked_pairs_assertions(rp: tabulation.RankedPairsResult) -> AssertionSet:
@@ -251,11 +252,12 @@ def minimax_assertions(mm: tabulation.MinimaxResult) -> AssertionSet:
         return AssertionSet("minimax", None, (FullHandCount(mm.reason or "tie"),))
     w = mm.winner
     if mm.condorcet_case:
-        return condorcet_assertions(w, k, method="minimax")
+        return AssertionSet("minimax", w, condorcet_assertions(w, k).assertions)
     d_w = mm.strongest_defeater.get(w)
-    if d_w is None or any(x != w and x not in mm.strongest_defeater for x in range(k)):
-        # Some candidate has no strict loss, so a strongest defeat cannot be
-        # named for it and the margin comparisons below cannot be formed.
+    if d_w is None:
+        # The winner's worst loss is a tie, so its strongest defeat cannot be
+        # named and the comparisons below cannot be formed.  (Every other
+        # candidate has a strict loss: the winner's worst loss is the unique lowest.)
         return AssertionSet(
             "minimax", None,
             (FullHandCount("a candidate has no strict pairwise loss to compare"),),
@@ -274,30 +276,32 @@ def minimax_assertions(mm: tabulation.MinimaxResult) -> AssertionSet:
 def smith_assertions(
     sm: tabulation.SmithResult,
     num_candidates: int,
-    *,
-    score_matrix: np.ndarray | None = None,
     imported: AssertionSet | None = None,
 ) -> AssertionSet:
-    """Assertions verifying a Smith-set outcome plus an inner winner.
+    """Assertions verifying a Smith-set outcome plus its inner winner, ``sm.winner``.
 
     Stage one claims every member beats every non-member; stage two claims
     each member is beaten by the in-set opponent with the largest margin,
     which shows no member can be dropped.  The winner among the members is
-    then justified by inner assertions: Minimax assertions computed over the
-    member-restricted margins of ``score_matrix`` (method ``smith-minimax``),
-    or an ``imported`` set over the members (method ``smith-irv``).  Exactly
-    one of the two must be given.
+    then justified by inner assertions: the Minimax assertions of
+    ``sm.inner`` (method ``smith-minimax``), or, when ``sm.inner`` is an IRV
+    tabulation (method ``smith-irv``), the ``imported`` set over the members.
+    An imported set that mentions a non-member, or whose winner is not
+    ``sm.winner``, is a :class:`SchemaError`.
     """
-    if (score_matrix is None) == (imported is None):
-        raise ValueError("give exactly one of score_matrix (inner minimax) and imported (inner IRV)")
-    method = "smith-minimax" if imported is None else "smith-irv"
+    irv = isinstance(sm.inner, tabulation.IrvResult)
+    method = "smith-irv" if irv else "smith-minimax"
     members = sm.smith_set
-    if imported is not None and not imported.full_hand_count:
+    if irv and imported is None:
+        raise ValueError("smith-irv needs an imported inner assertion set over the Smith set")
+    if irv and not imported.full_hand_count:
         mentioned = {c for a in imported.assertions for c in _candidates_of(a)}
         if imported.winner is None or imported.winner not in members or not mentioned <= set(members):
-            raise ValueError("imported inner assertions must be over Smith-set members only")
-    if sm.tie_flag:
-        return AssertionSet(method, None, (FullHandCount("pairwise tie within the Smith set"),))
+            raise SchemaError("imported inner assertions must be over Smith-set members only")
+        if sm.winner is not None and imported.winner != sm.winner:
+            raise SchemaError("imported inner assertions certify a winner other than IRV over the Smith set")
+    if sm.winner is None:
+        return AssertionSet(method, None, (FullHandCount(sm.reason),))
 
     stage1: list[Assertion] = [
         PairwisePositive(c, o)
@@ -308,32 +312,16 @@ def smith_assertions(
     if len(members) == 1:
         return AssertionSet(method, members[0], tuple(stage1))
 
-    stage2: list[Assertion] = []
-    for c in members:
-        if c not in sm.inner_defeats:
-            return AssertionSet(
-                method, None,
-                (FullHandCount("a Smith-set member has no in-set defeat"),),
-            )
-        stage2.append(PairwisePositive(sm.inner_defeats[c][0], c))
-
-    if imported is None:
-        s = np.asarray(score_matrix)
-        sub = s[np.ix_(members, members)]
-        inner_mm = tabulation.minimax_tabulate(sub)
-        inner_set = minimax_assertions(inner_mm)
-        if inner_set.full_hand_count:
-            reason = inner_set.assertions[0].reason
-            return AssertionSet(method, None, (FullHandCount(f"inner minimax: {reason}"),))
-        winner = members[inner_set.winner]
-        inner_assertions = [_relabel(a, members) for a in inner_set.assertions]
+    # Without an in-set tie every member of a set of two or more has an in-set
+    # defeat: one without would beat every other member, against minimality.
+    stage2: list[Assertion] = [PairwisePositive(sm.inner_defeats[c][0], c) for c in members]
+    if not irv:
+        inner = [_relabel(a, members) for a in minimax_assertions(sm.inner).assertions]
     elif imported.full_hand_count:
         return AssertionSet(method, None, (FullHandCount("imported inner set escalates"),))
     else:
-        winner = imported.winner
-        inner_assertions = list(imported.assertions)
-
-    return AssertionSet(method, winner, tuple(dict.fromkeys(stage1 + stage2 + inner_assertions)))
+        inner = list(imported.assertions)
+    return AssertionSet(method, sm.winner, tuple(dict.fromkeys(stage1 + stage2 + inner)))
 
 
 def _relabel(assertion: Assertion, mapping: Sequence[int]) -> Assertion:
@@ -377,10 +365,9 @@ METHODS = {
     "ranked-pairs": (lambda e, t: tabulation.ranked_pairs_tabulate(scores(t)),
                      lambda rp, *_: ranked_pairs_assertions(rp)),
     "minimax": (lambda e, t: tabulation.minimax_tabulate(scores(t)), lambda mm, *_: minimax_assertions(mm)),
-    "smith-minimax": (lambda e, t: tabulation.smith_set(t),
-                      lambda sm, t, _: smith_assertions(sm, len(t), score_matrix=scores(t))),
-    "smith-irv": (lambda e, t: tabulation.smith_set(t),
-                  lambda sm, t, imported: smith_assertions(sm, len(t), imported=imported)),
+    "smith-minimax": (lambda e, t: tabulation.smith_set(t), lambda sm, t, _: smith_assertions(sm, len(t))),
+    "smith-irv": (lambda e, t: tabulation.smith_set(t, irv=e),
+                  lambda sm, t, imported: smith_assertions(sm, len(t), imported)),
     "kemeny": (lambda e, t: tabulation.kemeny_tabulate(t), lambda kr, *_: kemeny_assertions(kr)),
 }
 

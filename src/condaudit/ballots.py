@@ -25,7 +25,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import Ballot, Election
 
@@ -89,15 +89,7 @@ def resolve_names(names, index: dict[str, int], line: int | None = None, where: 
     return tuple(sig)
 
 
-def _lines(text: str | Iterable[str]) -> list[str]:
-    if isinstance(text, str):
-        raw = text.split("\n")
-    else:
-        raw = [ln.rstrip("\n") for ln in text]
-    return [ln.rstrip("\r") for ln in raw]
-
-
-def parse_preflib(text: str | Iterable[str]) -> ParseReport:
+def parse_preflib(text: str) -> ParseReport:
     """Parse a Preflib ordinal file (strict orders only) into an election."""
     num_alternatives: int | None = None
     declared_voters: int | None = None
@@ -106,7 +98,8 @@ def parse_preflib(text: str | Iterable[str]) -> ParseReport:
     votes: list[tuple[int, int, tuple[int, ...]]] = []  # (line, count, 1-based ranking)
     warnings: list[tuple[int, str]] = []
 
-    for lineno, line in enumerate(_lines(text), start=1):
+    # Not splitlines(): line numbers count "\n" alone, and strip() drops the "\r" of "\r\n".
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped:
             continue

@@ -21,11 +21,9 @@ import sys
 from dataclasses import fields
 
 from . import ballots as ballots_io
-from . import tabulation
 from .assertions import (
     METHODS,
     AssertionSet,
-    FullHandCount,
     SchemaError,
     describe,
     export_assertions,
@@ -34,7 +32,7 @@ from .assertions import (
 )
 from .audit import AUDIT_STYLES, ASNEstimate, AuditConfig, AuditReport, estimate_audit, load_samples, run_audit
 from .ballots import ParseError
-from .model import Election, pairwise_tallies, restrict_to
+from .model import Election, pairwise_tallies
 from .tabulation import CapacityError
 
 EXIT_OK = 0
@@ -118,7 +116,7 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Methods: RENDER maps each name of assertions.METHODS to render(result, election, tallies) ->
+# Methods: RENDER maps each name of assertions.METHODS to render(result, election) ->
 # (JSON payload, text lines), where result is the method's tabulation of the election.
 
 
@@ -126,7 +124,7 @@ def _winner_line(winner: str | None, reason: str | None, how: str = "") -> str:
     return f"Winner: {INFINITY} (full hand count: {reason})" if winner is None else f"Winner: {winner}{how}"
 
 
-def _render_irv(res, election, tallies):
+def _render_irv(res, election):
     names = election.candidates
     payload = {
         "method": "irv",
@@ -145,13 +143,13 @@ def _render_irv(res, election, tallies):
     return payload, lines
 
 
-def _render_condorcet(w, election, tallies):
+def _render_condorcet(w, election):
     winner = None if w is None else election.candidates[w]
     lines = ["Method: condorcet", f"Condorcet winner: {winner or 'none'}"]
     return {"method": "condorcet", "winner": winner}, lines
 
 
-def _render_ranked_pairs(rp, election, tallies):
+def _render_ranked_pairs(rp, election):
     names = election.candidates
     payload = {
         "method": "ranked-pairs",
@@ -175,7 +173,7 @@ def _render_ranked_pairs(rp, election, tallies):
     return payload, lines
 
 
-def _render_minimax(mm, election, tallies):
+def _render_minimax(mm, election):
     names = election.candidates
     payload = {
         "method": "minimax",
@@ -193,11 +191,11 @@ def _render_minimax(mm, election, tallies):
     return payload, lines
 
 
-def _render_smith(method, sm, election, w, reason, how):
+def _render_smith(method, how, sm, election):
     names = election.candidates
     payload = {
         "method": method,
-        "winner": None if w is None else names[w],
+        "winner": None if sm.winner is None else names[sm.winner],
         "smith_set": [names[c] for c in sm.smith_set],
         "tie_flag": sm.tie_flag,
         "inner_defeats": {names[c]: {"defeater": names[d], "margin": m} for c, (d, m) in sm.inner_defeats.items()},
@@ -205,22 +203,11 @@ def _render_smith(method, sm, election, w, reason, how):
     lines = [f"Method: {method}", "Smith set: {" + ", ".join(payload["smith_set"]) + "}"]
     for name, defeat in payload["inner_defeats"].items():
         lines.append(f"  {name} beaten in-set by {defeat['defeater']} (margin {defeat['margin']})")
-    lines.append(_winner_line(payload["winner"], reason, f" ({how} over the Smith set)"))
+    lines.append(_winner_line(payload["winner"], sm.reason, f" ({how} over the Smith set)"))
     return payload, lines
 
 
-def _render_smith_minimax(sm, election, tallies):
-    aset = METHODS["smith-minimax"][1](sm, tallies, None)
-    reason = aset.assertions[0].reason if aset.winner is None else None
-    return _render_smith("smith-minimax", sm, election, aset.winner, reason, "minimax")
-
-
-def _render_smith_irv(sm, election, tallies):
-    w = None if sm.tie_flag else sm.smith_set[tabulation.irv_tabulate(restrict_to(election, sm.smith_set)).winner]
-    return _render_smith("smith-irv", sm, election, w, "pairwise tie within the Smith set", "IRV")
-
-
-def _render_kemeny(kr, election, tallies):
+def _render_kemeny(kr, election):
     names = election.candidates
     payload = {
         "method": "kemeny",
@@ -241,8 +228,8 @@ RENDER = {
     "condorcet": _render_condorcet,
     "ranked-pairs": _render_ranked_pairs,
     "minimax": _render_minimax,
-    "smith-minimax": _render_smith_minimax,
-    "smith-irv": _render_smith_irv,
+    "smith-minimax": functools.partial(_render_smith, "smith-minimax", "minimax"),
+    "smith-irv": functools.partial(_render_smith, "smith-irv", "IRV"),
     "kemeny": _render_kemeny,
 }
 
@@ -281,9 +268,9 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _estimate_payload(aset: AssertionSet, est: ASNEstimate, election: Election, cfg: AuditConfig):
     names = election.candidates
+    full = aset.full_hand_count
     rows = []
     for assertion, asn in zip(aset.assertions, est.per_assertion):
-        full = isinstance(assertion, FullHandCount)
         rows.append(
             {
                 "assertion": describe(assertion, names),
@@ -417,8 +404,7 @@ def _dispatch(args) -> int:
 
     if args.command == "tabulate":
         tabulate, _ = METHODS[args.method]
-        tallies = pairwise_tallies(election)
-        _emit(args, *RENDER[args.method](tabulate(election, tallies), election, tallies))
+        _emit(args, *RENDER[args.method](tabulate(election, pairwise_tallies(election)), election))
         return EXIT_OK
 
     if args.command == "assertions":

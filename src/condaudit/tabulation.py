@@ -1,10 +1,11 @@
 """Winner tabulation for ranked-ballot election methods.
 
 Implements instant-runoff voting and five Condorcet-family rules: Condorcet
-winner detection, Ranked Pairs, Minimax (margins), Smith set computation, and
-Kemeny-Young.  Beyond the winner, each tabulation returns the structures an
-audit of the method needs (committed pairs, inference paths, strongest
-defeats, in-set defeats, best ranking).
+winner detection, Ranked Pairs, Minimax (margins), the Smith set with an
+inner Minimax or IRV winner over its members, and Kemeny-Young.  Beyond the
+winner, each tabulation returns the structures an audit of the method needs
+(committed pairs, inference paths, strongest defeats, in-set defeats and the
+inner tabulation, best ranking).
 
 Outcomes that the method cannot resolve without external tie-breaking are
 reported with ``winner=None`` plus a reason; downstream auditing turns those
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Election
+from .model import Election, restrict_to
 
 # Winner-stability search over orderings of equal-score blocks gives up past
 # this many tabulation runs and escalates instead.
@@ -365,23 +366,46 @@ def minimax_tabulate(score_matrix: np.ndarray) -> MinimaxResult:
 
 @dataclass(frozen=True)
 class SmithResult:
-    """The Smith set plus, for each member, its largest-margin in-set defeat.
+    """The Smith set, each member's largest-margin in-set defeat, and the inner winner.
 
     ``inner_defeats[c] = (d, margin)`` names the in-set opponent d beating c
     by the largest margin.  ``tie_flag`` is set when two members of the set
     tie pairwise, which no assertion can distinguish from a defeat.
+    ``inner`` tabulates the members alone (Minimax over their margins, or
+    IRV over the election restricted to them), in member-local indices:
+    its candidate ``i`` is ``smith_set[i]``.
     """
 
     smith_set: tuple[int, ...]
     inner_defeats: dict[int, tuple[int, int]]
     tie_flag: bool
+    inner: MinimaxResult | IrvResult
+
+    @property
+    def winner(self) -> int | None:
+        """The inner winner as a candidate of the whole election; None when the outcome escalates."""
+        if self.tie_flag or self.inner.winner is None:
+            return None
+        return self.smith_set[self.inner.winner]
+
+    @property
+    def reason(self) -> str | None:
+        """Why the outcome escalates, or None when it has a winner."""
+        if self.tie_flag:
+            return "pairwise tie within the Smith set"
+        if self.inner.winner is None:  # only Minimax leaves its winner open
+            return f"inner minimax: {self.inner.reason}"
+        return None
 
 
-def smith_set(tallies: np.ndarray) -> SmithResult:
-    """Compute the smallest candidate set beating everyone outside it.
+def smith_set(tallies: np.ndarray, *, irv: Election | None = None) -> SmithResult:
+    """Compute the smallest candidate set beating everyone outside it, and its inner winner.
 
     Starts from the candidates with the most pairwise wins and grows the set
-    with any outsider who beats or ties a member, to a fixpoint.
+    with any outsider who beats or ties a member, to a fixpoint.  The inner
+    winner is IRV over ``irv`` restricted to the members when that election
+    (the one ``tallies`` counts) is given, and Minimax over the members'
+    margins otherwise.
     """
     t = np.asarray(tallies)
     k = t.shape[0]
@@ -413,7 +437,8 @@ def smith_set(tallies: np.ndarray) -> SmithResult:
             if defeats:
                 margin, defender = max(defeats, key=lambda md: (md[0], -md[1]))
                 inner_defeats[c] = (defender, margin)
-    return SmithResult(ordered, inner_defeats, tie_flag)
+    inner = minimax_tabulate(s[np.ix_(ordered, ordered)]) if irv is None else irv_tabulate(restrict_to(irv, ordered))
+    return SmithResult(ordered, inner_defeats, tie_flag, inner)
 
 
 # ---------------------------------------------------------------------------

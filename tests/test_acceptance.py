@@ -275,7 +275,7 @@ def test_criterion_8c_full_hand_count_renders_infinity(
 ):
     with criterion(8, "(c) in-set tie escalates to an infinity estimate"):
         t = pairwise_tallies(smith_tie_election)
-        aset = smith_assertions(smith_set(t), 3, score_matrix=scores(t))
+        aset = smith_assertions(smith_set(t), 3)
         assert aset.full_hand_count
         est = estimate_audit(aset, smith_tie_election, AuditConfig(seed=0, trials=5))
         assert est.full_count_flag

@@ -216,14 +216,14 @@ class TestMinimaxAssertions:
 class TestSmithAssertions:
     def test_sole_member_reduces_to_condorcet(self, election1):
         t = pairwise_tallies(election1)
-        aset = smith_assertions(smith_set(t), 3, score_matrix=scores(t))
+        aset = smith_assertions(smith_set(t), 3)
         assert aset.method == "smith-minimax"
         assert as_pairs(aset) == {(0, 1), (0, 2)}
         assert aset.winner == 0
 
     def test_election3_two_stages_plus_inner(self, election3):
         t = pairwise_tallies(election3)
-        aset = smith_assertions(smith_set(t), 4, score_matrix=scores(t))
+        aset = smith_assertions(smith_set(t), 4)
         # no outsiders, so stage one is empty; stage two pins the four
         # largest-margin in-set defeats; inner minimax elects C
         stage2 = {
@@ -245,7 +245,7 @@ class TestSmithAssertions:
 
     def test_in_set_tie_escalates(self, smith_tie_election):
         t = pairwise_tallies(smith_tie_election)
-        aset = smith_assertions(smith_set(t), 3, score_matrix=scores(t))
+        aset = smith_assertions(smith_set(t), 3)
         assert aset.full_hand_count
 
     def test_stage_counts_with_outsiders(self):
@@ -263,7 +263,7 @@ class TestSmithAssertions:
         sm = smith_set(np.maximum(s, 0) * 10)  # tallies with the same sign pattern
         members = set(sm.smith_set)
         outsiders = set(range(5)) - members
-        aset = smith_assertions(sm, 5, score_matrix=s)
+        aset = smith_assertions(sm, 5)
         stage1 = {
             a for a in aset.assertions
             if isinstance(a, PairwisePositive) and a.winner in members and a.loser in outsiders
@@ -272,7 +272,7 @@ class TestSmithAssertions:
 
     def test_irv_import_inner(self, election3):
         t = pairwise_tallies(election3)
-        sm = smith_set(t)
+        sm = smith_set(t, irv=election3)
         inner = AssertionSet("irv", 1, (PairwisePositive(1, 0), PairwisePositive(1, 2)))
         aset = smith_assertions(sm, 4, imported=inner)
         assert aset.method == "smith-irv"
@@ -280,18 +280,39 @@ class TestSmithAssertions:
         assert PairwisePositive(1, 0) in aset.assertions
 
     def test_irv_import_missing(self, election3):
-        sm = smith_set(pairwise_tallies(election3))
+        sm = smith_set(pairwise_tallies(election3), irv=election3)
         with pytest.raises(ValueError):
             smith_assertions(sm, 4)
-        inner = AssertionSet("irv", 1, (PairwisePositive(1, 0), PairwisePositive(1, 2)))
-        with pytest.raises(ValueError, match="exactly one"):
-            smith_assertions(sm, 4, score_matrix=scores(pairwise_tallies(election3)), imported=inner)
 
     def test_irv_import_outside_smith_set(self, election1):
-        sm = smith_set(pairwise_tallies(election1))  # {A}
+        sm = smith_set(pairwise_tallies(election1), irv=election1)  # {A}
         inner = AssertionSet("irv", 1, (PairwisePositive(1, 2),))
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError, match="Smith-set members only"):
             smith_assertions(sm, 3, imported=inner)
+
+    def test_irv_import_for_another_winner(self, election3):
+        sm = smith_set(pairwise_tallies(election3), irv=election3)
+        assert sm.winner == 1  # IRV over the Smith set elects B
+        inner = AssertionSet("irv", 0, (PairwisePositive(0, 1), PairwisePositive(0, 2)))
+        with pytest.raises(SchemaError, match="winner other than IRV"):
+            smith_assertions(sm, 4, imported=inner)
+
+    def test_tabulation_and_assertions_agree_on_the_winner(self):
+        rng = np.random.default_rng(5)
+        cycles = 0
+        for _ in range(600):
+            e = random_election(rng, max_signatures=12)
+            t = pairwise_tallies(e)
+            sm = METHODS["smith-minimax"][0](e, t)
+            assert method_assertions("smith-minimax", e).winner == sm.winner
+            if not sm.tie_flag and len(sm.smith_set) > 1:
+                assert set(sm.inner_defeats) == set(sm.smith_set)
+                cycles += 1
+            irv = METHODS["smith-irv"][0](e, t)
+            if irv.winner is not None:
+                inner = AssertionSet("irv", irv.winner, ())
+                assert method_assertions("smith-irv", e, inner).winner == irv.winner
+        assert cycles >= 20  # tie-free Smith sets of two or more members were exercised
 
 
 class TestKemenyAssertions:
@@ -359,7 +380,7 @@ class TestInterchange:
 
     def test_round_trip_through_json_text(self, election3):
         t = pairwise_tallies(election3)
-        aset = smith_assertions(smith_set(t), 4, score_matrix=scores(t))
+        aset = smith_assertions(smith_set(t), 4)
         text = json.dumps(export_assertions(aset, election3))
         back = import_assertions(text, election3)
         assert back.assertions == aset.assertions
@@ -492,7 +513,7 @@ def _generated_assertions(election):
     sets = [
         ranked_pairs_assertions(ranked_pairs_tabulate(s)),
         minimax_assertions(minimax_tabulate(s)),
-        smith_assertions(smith_set(t), k, score_matrix=s),
+        smith_assertions(smith_set(t), k),
         kemeny_assertions(kemeny_tabulate(t)),
     ]
     w = condorcet_winner(s)

@@ -210,6 +210,32 @@ class TestAssertions:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("command", ["assertions", "estimate"])
+    @pytest.mark.parametrize(
+        "election, message",
+        [
+            # IRV over election3's Smith set elects B, so a true claim for A certifies nothing.
+            ("e3_path", "imported inner assertions certify a winner other than IRV over the Smith set"),
+            # election1's Smith set is {A}: B is not a member.
+            ("e1_path", "imported inner assertions must be over Smith-set members only"),
+        ],
+        ids=["another-winner", "non-member"],
+    )
+    def test_smith_irv_inner_file_faults_are_input_errors(self, capsys, tmp_path, request, election, message,
+                                                          command):
+        inner = {"method": "irv", "winner": "A",
+                 "assertions": [{"type": "pairwise_positive", "winner": "A", "loser": "B"}]}
+        inner_path = tmp_path / "inner.json"
+        inner_path.write_text(json.dumps(inner))
+        trials = ["--trials", "3"] if command == "estimate" else []
+        code, out, err = run_cli(
+            capsys, command, request.getfixturevalue(election), "--method", "smith-irv",
+            "--assertions-file", str(inner_path), *trials,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
 class TestEstimate:
     def test_comparison_table(self, capsys, e3_path):
         code, out, _ = run_cli(
@@ -499,6 +525,46 @@ def test_scale_and_workers_must_be_positive(capsys, e3_path, flag, value):
         main(["estimate", e3_path, "--method", "condorcet", "--trials", "1", flag, value])
     assert exc.value.code == 64
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--risk-limit", "1.5", "risk_limit must be in (0, 1)"),
+        ("--trials", "0", "trials must be positive"),
+        ("--error-rate", "1", "error_rate must be in [0, 1)"),
+    ],
+)
+def test_out_of_range_audit_setting_is_usage_error(capsys, e3_path, flag, value, message):
+    code, out, err = run_cli(capsys, "estimate", e3_path, "--method", "condorcet", flag, value)
+    assert (code, out) == (64, "")
+    assert err == f"usage error: {message}\n"
+
+
+def test_infeasible_comparison_audit_exits_1(capsys, tmp_path, e3_path):
+    # s(C,A) > 0 is false on election3, so no comparison audit of it can certify.
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({"method": "custom", "winner": "C",
+                                    "assertions": [{"type": "pairwise_positive", "winner": "C", "loser": "A"}]}))
+    samples = tmp_path / "s.jsonl"
+    samples.write_text(json.dumps({"reported": ["A", "B"], "audited": ["A", "B"]}) + "\n")
+    code, out, err = run_cli(
+        capsys, "audit", e3_path, "--style", "comparison",
+        "--assertions-file", str(set_path), "--samples-file", str(samples),
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: comparison audit is impossible: reported tallies do not support the assertion (mean <= 1/2)\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["tabulate", "estimate"])
+def test_kemeny_above_its_limit_exits_1(capsys, tmp_path, command):
+    path = tmp_path / "nine.json"
+    path.write_text(serialize_election(condaudit.Election(tuple("ABCDEFGHI"), {tuple(range(9)): 3})))
+    code, out, err = run_cli(capsys, command, str(path), "--method", "kemeny")
+    assert (code, out) == (1, "")
+    assert err == "error: kemeny enumeration over 9 candidates needs 9! rankings; limit is 8\n"
 
 
 def test_audit_config_fields_are_the_cli_options():

@@ -14,8 +14,10 @@ from condaudit import (
     pairwise_tallies,
     ranked_pairs_tabulate,
     scores,
+    restrict_to,
     smith_set,
 )
+from condaudit.tabulation import _run_ranked_pairs
 
 from oracles import brute_force_kemeny, brute_force_smith, random_election
 
@@ -156,6 +158,41 @@ class TestRankedPairs:
         assert rp.winner == 0
         assert rp.commits == () and rp.inferences == ()
 
+    # Tie-heavy margin matrices, pinned from a brute-force sweep: the first grows
+    # the set of equal-score blocks it searches, the second can elect 0 or 4.
+    GROWS = [[0, -2, 3, -2, -3], [2, 0, -2, -3, 2], [-3, 2, 0, 0, 1], [2, 3, 0, 0, 1], [3, -2, -1, -1, 0]]
+    SPLITS = [[0, 3, 3, 3, -2], [-3, 0, 1, 3, -3], [-3, -1, 0, -1, 2], [-3, -3, 1, 0, 3], [2, 3, -2, -3, 0]]
+
+    @staticmethod
+    def winners_over_every_ordering(s) -> set:
+        """One Ranked Pairs pass per ordering of every block of equal-score majorities."""
+        k = len(s)
+        pairs = sorted(((s[i][j], i, j) for i in range(k) for j in range(k) if s[i][j] > 0), key=lambda p: -p[0])
+        blocks = [list(group) for _, group in itertools.groupby(pairs, key=lambda p: p[0])]
+        return {
+            _run_ranked_pairs(k, [pair for block in arrangement for pair in block])[0]
+            for arrangement in itertools.product(*(itertools.permutations(block) for block in blocks))
+        }
+
+    def test_pinned_tie_searches(self):
+        assert self.winners_over_every_ordering(self.GROWS) == {3}
+        rp = ranked_pairs_tabulate(np.array(self.GROWS))
+        assert (rp.winner, rp.tie_flag) == (3, True)
+        assert self.winners_over_every_ordering(self.SPLITS) == {0, 4}
+        rp = ranked_pairs_tabulate(np.array(self.SPLITS))
+        assert (rp.winner, rp.tie_flag) == (None, True)
+        assert rp.reason == "ordering of equal-score majorities can change the winner"
+
+    def test_tie_search_matches_brute_force(self):
+        # The winner stands exactly when every ordering of the tied blocks elects it.
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            k = int(rng.integers(2, 6))
+            upper = np.triu(rng.integers(-3, 4, size=(k, k)), 1)
+            s = upper - upper.T
+            winners = self.winners_over_every_ordering(s.tolist())
+            assert ranked_pairs_tabulate(s).winner == (winners.pop() if len(winners) == 1 else None)
+
     def test_dag_acyclic_and_skips_witnessed(self):
         rng = np.random.default_rng(2024)
         for _ in range(150):
@@ -216,6 +253,18 @@ class TestSmith:
         sm = smith_set(pairwise_tallies(smith_tie_election))
         assert sm.smith_set == (0, 1)
         assert sm.tie_flag
+
+    def test_inner_winner(self, election1, election3, smith_tie_election):
+        t = pairwise_tallies(election3)
+        assert smith_set(t).inner == minimax_tabulate(scores(t))  # every candidate is a member
+        assert smith_set(t).winner == 2
+        assert smith_set(t, irv=election3).inner == irv_tabulate(election3)
+        assert smith_set(t, irv=election3).winner == 1
+        sole = smith_set(pairwise_tallies(election1), irv=election1)
+        assert sole.inner == irv_tabulate(restrict_to(election1, [0]))
+        assert (sole.winner, sole.reason) == (0, None)
+        tied = smith_set(pairwise_tallies(smith_tie_election), irv=smith_tie_election)
+        assert (tied.winner, tied.reason) == (None, "pairwise tie within the Smith set")
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
