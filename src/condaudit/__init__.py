@@ -37,7 +37,6 @@ from .assertions import (
     METHODS,
     Assertion,
     AssertionSet,
-    FullHandCount,
     PairwisePositive,
     RankingComparison,
     SchemaError,

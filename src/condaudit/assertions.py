@@ -31,8 +31,9 @@ and its ``claim()``: the pairs ``W`` weights +1, the pairs it weights -1,
 and ``h``.  Weights, relabelling, text, export and import read these
 declarations and nothing else about a shape.
 
-``FullHandCount`` is a sentinel "assertion" marking outcomes no ballot
-sample can verify (unresolvable ties, capacity limits); it always escalates.
+An outcome no ballot sample can verify is not an assertion: its
+:class:`AssertionSet` holds none and says in ``escalation`` why it escalates
+to a full hand count.  JSON writes it as one ``full_hand_count`` entry.
 
 :data:`METHODS` is the one table of methods, for the library and the CLI: it
 maps each method name to ``(tabulate, generate)``.  ``tabulate(election,
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar, Sequence, Union, get_args
 
 import numpy as np
@@ -121,39 +122,31 @@ class RankingComparison:
         return plus, list(itertools.combinations(self.other, 2)), len(plus)
 
 
-@dataclass(frozen=True)
-class FullHandCount:
-    reason: str = ""
-    tag: ClassVar[str] = "full_hand_count"
-
-    def claim(self):
-        raise ValueError("a full-hand-count sentinel has no assorter")
-
-
-Assertion = Union[PairwisePositive, ScoreComparison, RankingComparison, FullHandCount]
+Assertion = Union[PairwisePositive, ScoreComparison, RankingComparison]
 
 
 @dataclass(frozen=True)
 class AssertionSet:
-    """A method's assertions for one reported outcome.
+    """A method's assertions for one reported outcome, or its escalation to a full hand count.
 
-    ``winner`` is None only for full-hand-count outcomes.  A set containing
-    a ``FullHandCount`` contains nothing else.
+    ``escalation`` is None for a set that can be audited, and otherwise the
+    reason no sample can verify the outcome (possibly empty).  An escalated
+    set holds no assertions; a generated one also has no winner.
     """
 
     method: str
     winner: int | None
-    assertions: tuple[Assertion, ...]
-    metadata: dict = field(default_factory=dict)
+    assertions: tuple[Assertion, ...] = ()
+    escalation: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "assertions", tuple(self.assertions))
-        if any(isinstance(a, FullHandCount) for a in self.assertions) and len(self.assertions) != 1:
-            raise ValueError("a full-hand-count sentinel must be the set's only member")
+        if self.escalation is not None and self.assertions:
+            raise ValueError("an escalated set holds no assertions")
 
     @property
     def full_hand_count(self) -> bool:
-        return any(isinstance(a, FullHandCount) for a in self.assertions)
+        return self.escalation is not None
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +201,7 @@ def assorter_mean(assertion: Assertion, election: Election) -> float:
 def condorcet_assertions(winner: int | None, num_candidates: int) -> AssertionSet:
     """The k-1 pairwise claims that the winner beats every other candidate; no winner escalates."""
     if winner is None:
-        return AssertionSet("condorcet", None, (FullHandCount("no Condorcet winner exists"),))
+        return AssertionSet("condorcet", None, escalation="no Condorcet winner exists")
     if not 0 <= winner < num_candidates:
         raise ValueError(f"winner index {winner} out of range")
     assertions = tuple(
@@ -225,7 +218,7 @@ def ranked_pairs_assertions(rp: tabulation.RankedPairsResult) -> AssertionSet:
     claims that every pair on the path outscores the opposing pair.
     """
     if rp.winner is None:
-        return AssertionSet("ranked-pairs", None, (FullHandCount(rp.reason or "unresolved tie"),))
+        return AssertionSet("ranked-pairs", None, escalation=rp.reason or "unresolved tie")
     w = rp.winner
     out: list[Assertion] = []
     for pair in rp.commits:
@@ -249,7 +242,7 @@ def minimax_assertions(mm: tabulation.MinimaxResult) -> AssertionSet:
     """
     k = len(mm.worst_loss) or 1  # a sole candidate has no worst loss
     if mm.winner is None:
-        return AssertionSet("minimax", None, (FullHandCount(mm.reason or "tie"),))
+        return AssertionSet("minimax", None, escalation=mm.reason or "tie")
     w = mm.winner
     if mm.condorcet_case:
         return AssertionSet("minimax", w, condorcet_assertions(w, k).assertions)
@@ -258,10 +251,7 @@ def minimax_assertions(mm: tabulation.MinimaxResult) -> AssertionSet:
         # The winner's worst loss is a tie, so its strongest defeat cannot be
         # named and the comparisons below cannot be formed.  (Every other
         # candidate has a strict loss: the winner's worst loss is the unique lowest.)
-        return AssertionSet(
-            "minimax", None,
-            (FullHandCount("a candidate has no strict pairwise loss to compare"),),
-        )
+        return AssertionSet("minimax", None, escalation="a candidate has no strict pairwise loss to compare")
     out: list[Assertion] = []
     for c in range(k):
         if c != w and c != d_w:
@@ -301,7 +291,7 @@ def smith_assertions(
         if sm.winner is not None and imported.winner != sm.winner:
             raise SchemaError("imported inner assertions certify a winner other than IRV over the Smith set")
     if sm.winner is None:
-        return AssertionSet(method, None, (FullHandCount(sm.reason),))
+        return AssertionSet(method, None, escalation=sm.reason)
 
     stage1: list[Assertion] = [
         PairwisePositive(c, o)
@@ -315,13 +305,13 @@ def smith_assertions(
     # Without an in-set tie every member of a set of two or more has an in-set
     # defeat: one without would beat every other member, against minimality.
     stage2: list[Assertion] = [PairwisePositive(sm.inner_defeats[c][0], c) for c in members]
-    if not irv:
-        inner = [_relabel(a, members) for a in minimax_assertions(sm.inner).assertions]
-    elif imported.full_hand_count:
-        return AssertionSet(method, None, (FullHandCount("imported inner set escalates"),))
-    else:
-        inner = list(imported.assertions)
-    return AssertionSet(method, sm.winner, tuple(dict.fromkeys(stage1 + stage2 + inner)))
+    # The inner set numbers candidates as the election does (imported) or as the members do (Minimax).
+    inner, labels = (imported, range(num_candidates)) if irv else (minimax_assertions(sm.inner), members)
+    if inner.full_hand_count:
+        reason = "imported inner set escalates" if irv else f"inner minimax: {inner.escalation}"
+        return AssertionSet(method, None, escalation=reason)
+    claims = [_relabel(a, labels) for a in inner.assertions]
+    return AssertionSet(method, sm.winner, tuple(dict.fromkeys(stage1 + stage2 + claims)))
 
 
 def _relabel(assertion: Assertion, mapping: Sequence[int]) -> Assertion:
@@ -404,37 +394,35 @@ def _map_candidates(claim: Assertion, fn, several=list) -> dict:
 
 def describe(assertion: Assertion, names: Sequence[str]) -> str:
     """Human-readable one-liner for an assertion, using candidate names."""
-    if isinstance(assertion, FullHandCount):
-        return f"full hand count: {assertion.reason}" if assertion.reason else "full hand count"
     return assertion.text.format(**_map_candidates(assertion, names.__getitem__, ",".join))
 
 
 def export_assertions(aset: AssertionSet, election: Election) -> dict:
     """Assertion-set document with candidate indices resolved to names."""
     names = election.candidates
-
-    def enc(a: Assertion) -> dict:
-        if isinstance(a, FullHandCount):
-            return {"type": a.tag, "reason": a.reason}
-        return {"type": a.tag, **_map_candidates(a, names.__getitem__)}
-
-    metadata = dict(aset.metadata)
-    metadata.setdefault("election_sha256", election.digest())
+    if aset.full_hand_count:
+        entries = [{"type": _ESCALATION_TAG, "reason": aset.escalation}]
+    else:
+        entries = [{"type": a.tag, **_map_candidates(a, names.__getitem__)} for a in aset.assertions]
     return {
         "method": aset.method,
         "winner": None if aset.winner is None else names[aset.winner],
-        "assertions": [enc(a) for a in aset.assertions],
-        "metadata": metadata,
+        "assertions": entries,
+        "metadata": {"election_sha256": election.digest()},
     }
 
 
 _BY_TAG = {cls.tag: cls for cls in get_args(Assertion)}
 
+# The type tag of the one entry that writes an escalated set, with its reason.
+_ESCALATION_TAG = "full_hand_count"
+
 
 def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
     """Load an assertion-set document, resolving names against the election.
 
-    An unknown type tag, and a candidate field that
+    A ``full_hand_count`` entry, which must be the only entry, gives an
+    escalated set with its ``reason``.  An unknown type tag, and a candidate field that
     :func:`~condaudit.ballots.resolve_names` rejects, raise
     :class:`SchemaError`.  When the document carries an election digest, a
     mismatch with this election is an error.
@@ -463,6 +451,7 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
     winner = None if raw_winner is None else resolve(raw_winner, "winner", True)
 
     assertions: list[Assertion] = []
+    escalations: list[str] = []
     entries = doc.get("assertions")
     if not isinstance(entries, list):
         raise SchemaError("'assertions' must be a list")
@@ -470,16 +459,16 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
         if not isinstance(entry, dict):
             raise SchemaError("each assertion must be an object")
         tag = entry.get("type")
+        if tag == _ESCALATION_TAG:
+            reason = entry.get("reason", "")
+            if not isinstance(reason, str):
+                raise SchemaError("a full-hand-count 'reason' must be a string")
+            escalations.append(reason)
+            continue
         cls = _BY_TAG.get(tag) if isinstance(tag, str) else None
         try:
             if cls is None:
                 raise SchemaError(f"unknown assertion type tag {tag!r}")
-            if cls is FullHandCount:
-                reason = entry.get("reason", "")
-                if not isinstance(reason, str):
-                    raise SchemaError("a full-hand-count 'reason' must be a string")
-                assertions.append(FullHandCount(reason))
-                continue
             candidates = {f.name: resolve(entry[f.name], f.name, _one_candidate(f)) for f in fields(cls)}
             if cls is RankingComparison and set(candidates["preferred"]) != set(range(election.num_candidates)):
                 raise SchemaError("ranking comparisons must rank every candidate")
@@ -497,7 +486,6 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
     declared = metadata.get("election_sha256")
     if declared is not None and declared != election.digest():
         raise SchemaError("assertion set was generated for a different election (digest mismatch)")
-    try:
-        return AssertionSet(method, winner, tuple(assertions), dict(metadata))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    if escalations and len(entries) != 1:
+        raise SchemaError("a full-hand-count sentinel must be the set's only member")
+    return AssertionSet(method, winner, tuple(assertions), escalations[0] if escalations else None)

@@ -245,10 +245,10 @@ class ASNEstimate:
 def estimate_audit(
     aset: AssertionSet, election: Election, cfg: AuditConfig, workers: int = 1
 ) -> ASNEstimate:
-    """Estimate the sample size to audit a whole set: the max over its members."""
+    """Estimate the sample size to audit a whole set: the max over its members (all N if it escalates)."""
     n = election.total_ballots
     if aset.full_hand_count:
-        return ASNEstimate((n,), n, True, n, (np.full(cfg.trials, n + 1, dtype=np.int64),))
+        return ASNEstimate((), n, True, n, ())
     # One signature table serves every assertion, and its counts give the tallies.
     counts, prefs = _signature_table(election)
     population = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
@@ -350,18 +350,18 @@ def run_audit(
     Samples must be supplied in their (externally randomized) draw order.
     The audit certifies at the first draw where every assertion's p-value is
     at or below the risk limit, and consumes no sample after it; exhausting
-    the sample first escalates to a full hand count.
+    the sample first escalates to a full hand count, as an escalated set does
+    at once.  A sample too large, or a comparison sample it must consume
+    without a reported ballot, is a :class:`~condaudit.ballots.ParseError`.
     """
     if aset.full_hand_count:
-        sentinel = aset.assertions[0]
-        record = AssertionAuditRecord(sentinel, False, 1.0, ())
-        return AuditReport("escalate-full-count", 0, cfg.risk_limit, (record,))
+        return AuditReport("escalate-full-count", 0, cfg.risk_limit, ())
     if not aset.assertions:
         return AuditReport("certified", 0, cfg.risk_limit, ())
 
     n = election.total_ballots
     if len(samples) > n:
-        raise ValueError(f"sample of {len(samples)} exceeds the population of {n} ballots")
+        raise ParseError(f"sample of {len(samples)} exceeds the population of {n} ballots")
 
     comparison = cfg.style == "comparison"
     reported_means: list[float] = []
@@ -398,7 +398,7 @@ def run_audit(
     if all(c.size for c in crossings):
         examined = max(int(c[0]) + 1 for c in crossings)
     elif usable < len(samples):
-        raise ValueError("comparison audits need a reported ballot per sample")
+        raise ParseError("comparison audits need a reported ballot per sample")
     else:
         examined = usable
 

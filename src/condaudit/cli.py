@@ -33,7 +33,7 @@ from .assertions import (
 from .audit import AUDIT_STYLES, ASNEstimate, AuditConfig, AuditReport, estimate_audit, load_samples, run_audit
 from .ballots import ParseError
 from .model import Election, pairwise_tallies
-from .tabulation import CapacityError
+from .tabulation import CapacityError, IrvResult
 
 EXIT_OK = 0
 EXIT_FULL_COUNT = 1
@@ -71,10 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="condaudit", description=__doc__.splitlines()[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_audit=False):
+    def common(p, with_audit=False, with_format=True):
         p.add_argument("election", help="election file (.json native format, otherwise Preflib ordinal)")
         p.add_argument("--scale", type=_positive_int, default=1, help="multiply every ballot count (default 1)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if with_format:
+            p.add_argument("--format", choices=("text", "json"), default="text")
         if with_audit:
             p.add_argument("--risk-limit", type=float, default=0.05)
             p.add_argument("--style", choices=AUDIT_STYLES, default="polling")
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, required=True)
 
     p = sub.add_parser("assertions", help="generate the audit assertion set for one method")
-    common(p)
+    common(p, with_format=False)  # always JSON
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--assertions-file", help="imported inner set over the Smith set (smith-irv only, required)")
     p.add_argument("-o", "--output", help="write the assertion-set JSON here instead of stdout")
@@ -204,6 +205,8 @@ def _render_smith(method, how, sm, election):
     for name, defeat in payload["inner_defeats"].items():
         lines.append(f"  {name} beaten in-set by {defeat['defeater']} (margin {defeat['margin']})")
     lines.append(_winner_line(payload["winner"], sm.reason, f" ({how} over the Smith set)"))
+    if sm.winner is not None and isinstance(sm.inner, IrvResult) and sm.inner.tie_flag:
+        lines.append("Warning: an elimination tie was broken by candidate order")
     return payload, lines
 
 
@@ -266,18 +269,21 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _escalation_rows(aset: AssertionSet, **row) -> list[dict]:
+    """The one row an escalated set shows in place of assertions; none for any other set."""
+    reason = aset.escalation
+    if reason is None:
+        return []
+    return [{"assertion": f"full hand count: {reason}" if reason else "full hand count", **row}]
+
+
 def _estimate_payload(aset: AssertionSet, est: ASNEstimate, election: Election, cfg: AuditConfig):
     names = election.candidates
-    full = aset.full_hand_count
-    rows = []
-    for assertion, asn in zip(aset.assertions, est.per_assertion):
-        rows.append(
-            {
-                "assertion": describe(assertion, names),
-                "asn": None if full else asn,
-                "pct": None if full else round(100.0 * asn / est.population, 2) if est.population else 0.0,
-            }
-        )
+    rows = [
+        {"assertion": describe(a, names), "asn": asn,
+         "pct": round(100.0 * asn / est.population, 2) if est.population else 0.0}
+        for a, asn in zip(aset.assertions, est.per_assertion)
+    ] + _escalation_rows(aset, asn=None, pct=None)
     payload = {
         "method": aset.method,
         "winner": None if aset.winner is None else names[aset.winner],
@@ -311,7 +317,7 @@ def _estimate_payload(aset: AssertionSet, est: ASNEstimate, election: Election, 
     return payload, lines
 
 
-def _audit_payload(report: AuditReport, election: Election):
+def _audit_payload(aset: AssertionSet, report: AuditReport, election: Election):
     names = election.candidates
     rows = [
         {
@@ -321,7 +327,7 @@ def _audit_payload(report: AuditReport, election: Election):
             "p_trace": list(rec.p_trace),
         }
         for rec in report.records
-    ]
+    ] + _escalation_rows(aset, certified=False, p_value=1.0, p_trace=[])
     payload = {
         "outcome": report.outcome,
         "ballots_examined": report.ballots_examined,
@@ -408,12 +414,12 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "assertions":
-        aset = _method_assertions(args, election)
-        text = json.dumps(export_assertions(aset, election), indent=2)
+        doc = export_assertions(_method_assertions(args, election), election)
+        text = json.dumps(doc, indent=2)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-            print(f"wrote {len(aset.assertions)} assertions to {args.output}")
+            print(f"wrote {len(doc['assertions'])} assertions to {args.output}")  # an escalation's one entry counts
         else:
             print(text)
         return EXIT_OK
@@ -436,7 +442,7 @@ def _dispatch(args) -> int:
         aset = import_assertions(ballots_io.read_text(args.assertions_file), election)
         samples = load_samples(args.samples_file, election)
         report = run_audit(aset, samples, election, cfg)
-        payload, lines = _audit_payload(report, election)
+        payload, lines = _audit_payload(aset, report, election)
         _emit(args, payload, lines)
         return EXIT_OK if report.certified else EXIT_FULL_COUNT
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from condaudit import (
     Election,
-    FullHandCount,
     PairwisePositive,
     RankingComparison,
     ScoreComparison,

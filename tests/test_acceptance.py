@@ -19,7 +19,6 @@ from condaudit import (
     AssertionSet,
     AuditConfig,
     Election,
-    FullHandCount,
     PairwisePositive,
     ScoreComparison,
     assorter_mean,
@@ -170,8 +169,6 @@ def test_criterion_4_assorter_soundness():
             total = e.total_ballots
             for aset in _generated_sets(e):
                 for a in aset.assertions:
-                    if isinstance(a, FullHandCount):
-                        continue
                     checked += 1
                     empty, *values = assorter_values(a, preference_matrix([(), *e.profile], e.num_candidates))
                     assert empty == 0.5

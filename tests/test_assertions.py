@@ -11,7 +11,6 @@ from condaudit import (
     AssertionSet,
     CapacityError,
     Election,
-    FullHandCount,
     KemenyResult,
     PairwisePositive,
     RankingComparison,
@@ -85,10 +84,6 @@ class TestAssorterValue:
         assert ballot_value(ScoreComparison((0, 1), (3, 0)), ()) == 0.5
         assert ballot_value(RankingComparison((0, 1, 2), (1, 0, 2)), ()) == 0.5
 
-    def test_full_hand_count_has_no_assorter(self):
-        with pytest.raises(ValueError):
-            ballot_value(FullHandCount("tie"), (0,))
-
     def test_non_assertion_has_no_assorter(self):
         with pytest.raises(TypeError):
             ballot_value("s(A,B) > 0", (0,))
@@ -132,7 +127,7 @@ class TestCondorcetAssertions:
 
     def test_no_winner_escalates(self):
         aset = condorcet_assertions(None, 3)
-        assert aset == AssertionSet("condorcet", None, (FullHandCount("no Condorcet winner exists"),))
+        assert aset == AssertionSet("condorcet", None, escalation="no Condorcet winner exists")
         assert aset.full_hand_count
 
 
@@ -211,6 +206,14 @@ class TestMinimaxAssertions:
         s = np.zeros((2, 2), dtype=int)
         aset = minimax_assertions(minimax_tabulate(s))
         assert aset.full_hand_count
+
+    def test_winner_without_a_strict_loss_escalates(self):
+        # 3xACB, 2xBAC, 1xCBA: A ties B and beats C, so A wins with no strongest defeat to compare.
+        e = Election(("A", "B", "C"), {(0, 2, 1): 3, (1, 0, 2): 2, (2, 1, 0): 1})
+        mm = minimax_tabulate(margin(e))
+        assert (mm.winner, mm.worst_loss[0]) == (0, 0)
+        aset = minimax_assertions(mm)
+        assert aset == AssertionSet("minimax", None, escalation="a candidate has no strict pairwise loss to compare")
 
 
 class TestSmithAssertions:
@@ -343,7 +346,7 @@ class TestKemenyAssertions:
 class TestAssertionSetInvariants:
     def test_sentinel_must_be_alone(self):
         with pytest.raises(ValueError):
-            AssertionSet("x", None, (FullHandCount("t"), PairwisePositive(0, 1)))
+            AssertionSet("x", None, (PairwisePositive(0, 1),), escalation="t")
 
 
 class TestMethodTable:
@@ -359,6 +362,25 @@ class TestMethodTable:
         with pytest.raises(ValueError):
             method_assertions("irv", Election(("A",), {(0,): 5}))
 
+    def test_escalation_is_the_sets_outcome(self):
+        # Every generated set escalates exactly when it names no winner, then holds no
+        # assertions, and comes back unchanged through the JSON interchange.
+        rng = np.random.default_rng(12)
+        escalated = 0
+        for _ in range(300):
+            e = random_election(rng, max_k=5)
+            irv = METHODS["smith-irv"][0](e, pairwise_tallies(e)).winner
+            inner = AssertionSet("irv", None, escalation="") if irv is None else AssertionSet("irv", irv)
+            for method, (_, generate) in METHODS.items():
+                if generate is None:
+                    continue
+                aset = method_assertions(method, e, inner if method == "smith-irv" else None)
+                assert aset.full_hand_count == (aset.winner is None), (method, e.profile)
+                assert not (aset.full_hand_count and aset.assertions)
+                assert import_assertions(export_assertions(aset, e), e) == aset
+                escalated += aset.full_hand_count
+        assert escalated >= 100
+
 
 class TestInterchange:
     @pytest.mark.parametrize(
@@ -366,7 +388,7 @@ class TestInterchange:
         [
             lambda e: ranked_pairs_assertions(ranked_pairs_tabulate(margin(e))),
             lambda e: kemeny_assertions(kemeny_tabulate(pairwise_tallies(e))),
-            lambda e: AssertionSet("ranked-pairs", None, (FullHandCount("unresolved tie"),)),
+            lambda e: AssertionSet("ranked-pairs", None, escalation="unresolved tie"),
         ],
         ids=["ranked-pairs", "kemeny", "full-hand-count"],
     )
@@ -409,6 +431,16 @@ class TestInterchange:
         assert len(aset.assertions) == 1
         assert assorter_mean(aset.assertions[0], election1) > 0.5
 
+    @pytest.mark.parametrize(
+        "second",
+        [{"type": "full_hand_count"}, {"type": "pairwise_positive", "winner": "A", "loser": "B"}],
+        ids=["two-escalations", "escalation-and-claim"],
+    )
+    def test_escalation_entry_stands_alone(self, election1, second):
+        doc = {"method": "x", "winner": None, "assertions": [{"type": "full_hand_count", "reason": "tie"}, second]}
+        with pytest.raises(SchemaError, match=r"^a full-hand-count sentinel must be the set's only member$"):
+            import_assertions(doc, election1)
+
     def test_digest_mismatch_rejected(self, election1, election2):
         doc = export_assertions(condorcet_assertions(0, 3), election1)
         with pytest.raises(SchemaError, match="digest"):
@@ -440,8 +472,6 @@ class TestInterchange:
         assert describe(PairwisePositive(0, 1), names) == "s(A,B) > 0"
         assert describe(ScoreComparison((0, 1), (3, 0)), names) == "s(A,B) > s(D,A)"
         assert describe(RankingComparison((0, 1, 2, 3), (1, 0, 3, 2)), names) == "T([A,B,C,D]) > T([B,A,D,C])"
-        assert describe(FullHandCount("tie"), names) == "full hand count: tie"
-        assert describe(FullHandCount(), names) == "full hand count"
 
     def test_relabel_every_claim_shape(self):
         mapping = (2, 0, 3, 1)
@@ -506,7 +536,7 @@ def test_assorter_mean_matches_tally_inequality(seed):
 
 
 def _generated_assertions(election):
-    """Every assertion the methods generate for the election, sentinels left out."""
+    """Every assertion the methods generate for the election."""
     t = pairwise_tallies(election)
     s = scores(t)
     k = election.num_candidates
@@ -519,7 +549,7 @@ def _generated_assertions(election):
     w = condorcet_winner(s)
     if w is not None:
         sets.append(condorcet_assertions(w, k))
-    return [a for aset in sets for a in aset.assertions if not isinstance(a, FullHandCount)]
+    return [a for aset in sets for a in aset.assertions]
 
 
 def _check_exact_means(election) -> int:

@@ -14,7 +14,6 @@ from condaudit import (
     AuditConfig,
     AuditSample,
     Election,
-    FullHandCount,
     PairwisePositive,
     ParseError,
     RankingComparison,
@@ -295,9 +294,10 @@ class TestSimulation:
 
     def test_full_hand_count_costs_population(self, election1):
         cfg = AuditConfig(seed=0, trials=10)
-        est = one_assertion_estimate(FullHandCount("tie"), election1, cfg)
-        assert est.per_assertion == (8300,) and est.full_count_flag
-        assert [s.tolist() for s in est.stops] == [[8301] * 10]
+        est = estimate_audit(AssertionSet("condorcet", None, escalation="tie"), election1, cfg)
+        assert est.per_assertion == () and est.full_count_flag
+        assert est.overall == 8300
+        assert est.stops == ()
 
     def test_comparison_style_on_reportedly_false_assertion(self):
         cfg = AuditConfig(seed=5, trials=10, style="comparison")
@@ -315,7 +315,7 @@ class TestEstimate:
         assert not est.full_count_flag
 
     def test_full_hand_count_dominates(self, election1):
-        aset = AssertionSet("smith-minimax", None, (FullHandCount("tie"),))
+        aset = AssertionSet("smith-minimax", None, escalation="tie")
         est = estimate_audit(aset, election1, AuditConfig(seed=0, trials=10))
         assert est.full_count_flag
         assert est.overall == 8300
@@ -390,10 +390,11 @@ class TestRunAudit:
         assert all(rec.p_value == 1.0 for rec in report.records)
 
     def test_full_hand_count_escalates_immediately(self, election1):
-        aset = AssertionSet("minimax", None, (FullHandCount("tie"),))
+        aset = AssertionSet("minimax", None, escalation="tie")
         report = run_audit(aset, [AuditSample(audited=(0,))], election1, AuditConfig())
         assert report.outcome == "escalate-full-count"
         assert report.ballots_examined == 0
+        assert report.records == ()
 
     def test_p_traces_non_increasing(self, election3):
         aset = method_assertions("ranked-pairs", election3)
@@ -412,6 +413,14 @@ class TestRunAudit:
         samples = [AuditSample(audited=(0,))]
         with pytest.raises(ValueError, match="reported"):
             run_audit(aset, samples, e, AuditConfig(style="comparison"))
+
+    def test_data_faults_are_parse_errors(self):
+        e = unanimous_election(3)
+        aset = AssertionSet("condorcet", 0, (PairwisePositive(0, 1),))
+        with pytest.raises(ParseError, match="^comparison audits need a reported ballot per sample$"):
+            run_audit(aset, [AuditSample(audited=(0,))], e, AuditConfig(style="comparison"))
+        with pytest.raises(ParseError, match="^sample of 4 exceeds the population of 3 ballots$"):
+            run_audit(aset, [AuditSample(audited=(0,))] * 4, e, AuditConfig())
 
     def test_comparison_rejects_reportedly_false_assertions(self):
         e = unanimous_election()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import condaudit
-from condaudit import cli, import_assertions, parse_native, serialize_election
+from condaudit import AssertionSet, cli, import_assertions, parse_native, serialize_election
 from condaudit.cli import main
 
 from oracles import expand, random_election
@@ -94,6 +94,21 @@ class TestTabulate:
             assert code == 0
             assert needle in out
 
+    def test_smith_irv_tie_warning(self, capsys, tmp_path):
+        # IRV over the Smith set {A, B, D} breaks an elimination tie by candidate order.
+        profile = {(1, 3, 0, 2): 21, (1, 0, 2, 3): 28, (): 77, (3, 1, 0): 3, (0, 3, 1): 44, (3, 1, 0, 2): 43,
+                   (2, 0, 3, 1): 2}
+        path = tmp_path / "irv_tie.json"
+        path.write_text(serialize_election(condaudit.Election(tuple("ABCD"), profile)))
+        code, out, _ = run_cli(capsys, "tabulate", str(path), "--method", "smith-irv")
+        assert code == 0
+        assert out.endswith(
+            "Winner: D (IRV over the Smith set)\nWarning: an elimination tie was broken by candidate order\n"
+        )
+        code, out, _ = run_cli(capsys, "tabulate", str(path), "--method", "smith-irv", "--format", "json")
+        assert code == 0
+        assert set(json.loads(out)) == {"method", "winner", "smith_set", "tie_flag", "inner_defeats"}
+
     def test_json_matches_text_winner(self, capsys, e3_path):
         _, out, _ = run_cli(capsys, "tabulate", "--method", "ranked-pairs", e3_path, "--format", "json")
         doc = json.loads(out)
@@ -149,6 +164,21 @@ class TestAssertions:
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert doc["winner"] == "A"
+
+    def test_escalated_set_is_written_as_one_entry(self, capsys, tmp_path, tie_path):
+        out_path = tmp_path / "set.json"
+        code, out, _ = run_cli(capsys, "assertions", "--method", "smith-minimax", tie_path, "-o", str(out_path))
+        assert (code, out) == (0, f"wrote 1 assertions to {out_path}\n")
+        assert json.loads(out_path.read_text())["assertions"] == [
+            {"type": "full_hand_count", "reason": "pairwise tie within the Smith set"}
+        ]
+
+    def test_format_is_not_an_option(self, capsys, e3_path):
+        # The assertion set is always written as JSON.
+        with pytest.raises(SystemExit) as exc:
+            main(["assertions", e3_path, "--method", "ranked-pairs", "--format", "text"])
+        assert exc.value.code == 64
+        assert "unrecognized arguments: --format text" in capsys.readouterr().err
 
     def test_irv_generation_refused(self, capsys, e3_path):
         code, _, err = run_cli(capsys, "assertions", "--method", "irv", e3_path)
@@ -375,6 +405,19 @@ class TestAudit:
         assert code == 2 and out == ""
         assert err == "error: line 8: more samples than the 6 ballots of the election\n"
 
+    def test_comparison_sample_without_reported_is_input_error(self, capsys, tmp_path):
+        golden = Path(__file__).parent / "golden"
+        lines = (golden / "election3-samples.jsonl").read_text().splitlines()
+        samples = tmp_path / "audited-only.jsonl"
+        samples.write_text("".join(json.dumps({"audited": json.loads(ln)["audited"]}) + "\n" for ln in lines))
+        code, out, err = run_cli(
+            capsys, "audit", str(golden / "election3.json"), "--style", "comparison",
+            "--assertions-file", str(golden / "election3.ranked-pairs.assertions.out"),
+            "--samples-file", str(samples),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: comparison audits need a reported ballot per sample\n"
+
     def test_digest_mismatch_is_schema_error(self, capsys, tmp_path, e1_path, e3_path, election3):
         _, set_json, _ = run_cli(capsys, "assertions", "--method", "condorcet", e1_path)
         set_path = tmp_path / "set.json"
@@ -565,6 +608,30 @@ def test_kemeny_above_its_limit_exits_1(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, command, str(path), "--method", "kemeny")
     assert (code, out) == (1, "")
     assert err == "error: kemeny enumeration over 9 candidates needs 9! rankings; limit is 8\n"
+
+
+def test_minimax_winner_without_a_strict_loss_escalates(capsys, tmp_path):
+    # 3xACB, 2xBAC, 1xCBA: A's worst loss is its tie with B, so A wins Minimax
+    # with no strongest defeat that the assertions could compare.
+    path = tmp_path / "minimax_tie.json"
+    path.write_text(serialize_election(condaudit.Election(tuple("ABC"), {(0, 2, 1): 3, (1, 0, 2): 2, (2, 1, 0): 1})))
+    code, out, _ = run_cli(capsys, "tabulate", str(path), "--method", "minimax")
+    assert code == 0 and out.startswith("Method: minimax\nWinner: A\n  worst loss A: 0\n")
+    code, out, _ = run_cli(capsys, "assertions", str(path), "--method", "minimax")
+    doc = json.loads(out)
+    assert (code, doc["winner"]) == (0, None)
+    assert doc["assertions"] == [
+        {"type": "full_hand_count", "reason": "a candidate has no strict pairwise loss to compare"}
+    ]
+    code, out, _ = run_cli(capsys, "estimate", str(path), "--method", "minimax", "--trials", "3")
+    assert code == 1
+    assert out.splitlines()[-1].split() == ["Overall", "∞", "∞"]
+
+
+def test_escalation_row_names_its_reason():
+    assert cli._escalation_rows(AssertionSet("x", None, escalation="tie")) == [{"assertion": "full hand count: tie"}]
+    assert cli._escalation_rows(AssertionSet("x", None, escalation="")) == [{"assertion": "full hand count"}]
+    assert cli._escalation_rows(AssertionSet("x", 0)) == []
 
 
 def test_audit_config_fields_are_the_cli_options():
