@@ -131,7 +131,7 @@ class AssertionSet:
 
     ``escalation`` is None for a set that can be audited, and otherwise the
     reason no sample can verify the outcome (possibly empty).  An escalated
-    set holds no assertions; a generated one also has no winner.
+    set holds no assertions and names no winner.
     """
 
     method: str
@@ -143,6 +143,8 @@ class AssertionSet:
         object.__setattr__(self, "assertions", tuple(self.assertions))
         if self.escalation is not None and self.assertions:
             raise ValueError("an escalated set holds no assertions")
+        if self.escalation is not None and self.winner is not None:
+            raise ValueError("an escalated set names no winner")
 
     @property
     def full_hand_count(self) -> bool:
@@ -421,8 +423,9 @@ _ESCALATION_TAG = "full_hand_count"
 def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
     """Load an assertion-set document, resolving names against the election.
 
-    A ``full_hand_count`` entry, which must be the only entry, gives an
-    escalated set with its ``reason``.  An unknown type tag, and a candidate field that
+    A ``full_hand_count`` entry, which must be the only entry of a document
+    with a null winner, gives an escalated set with its ``reason``.  An
+    unknown type tag, and a candidate field that
     :func:`~condaudit.ballots.resolve_names` rejects, raise
     :class:`SchemaError`.  When the document carries an election digest, a
     mismatch with this election is an error.
@@ -488,4 +491,6 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
         raise SchemaError("assertion set was generated for a different election (digest mismatch)")
     if escalations and len(entries) != 1:
         raise SchemaError("a full-hand-count sentinel must be the set's only member")
+    if escalations and winner is not None:
+        raise SchemaError("a full-hand-count set names no winner")
     return AssertionSet(method, winner, tuple(assertions), escalations[0] if escalations else None)

@@ -21,11 +21,15 @@ over the ballot population at a configured rate, the population is drawn in
 a uniformly random order, and the number of draws until the p-value falls
 below the risk limit is recorded; the per-assertion ASN is the median over
 trials, and a set's overall ASN is the largest per-assertion ASN.  A trial
-scores and traces its draws in chunks of growing size and stops at the first
-chunk that crosses the risk limit, so that part of its cost follows the stop;
-the error model and the permutation still cost O(N) per trial.  Each trial's
-random stream is derived from (seed, assertion index, trial index), so
-results are reproducible regardless of execution order or parallelism.
+scores and traces its draws in chunks that grow to 8,192 draws and stops at
+the first chunk that crosses the risk limit, so that part of its cost follows
+the stop.  Before the first crossing no draw has crossed, so the walk looks
+for the first draw whose own log-martingale gives a p-value at or below the
+risk limit: it needs no running peak, and takes ``exp`` only for the few
+draws near the limit.  The error model and the permutation still cost O(N)
+per trial.  Each trial's random stream is derived from (seed, assertion
+index, trial index), so results are reproducible regardless of execution
+order or parallelism.
 
 A batch audit scores its drawn sample once per assertion, traces each
 assertion's p-value over the sample, and stops at the largest first crossing
@@ -86,15 +90,15 @@ class AuditConfig:
 # Kaplan-Kolmogorov risk function
 
 
-# (padded sum, log-martingale, peak log-martingale) before the first draw.
-_KK_START = (0.0, 0.0, float("-inf"))
+# (padded sum, log-martingale) before the first draw.
+_KK_START = (0.0, 0.0)
 
 
-def _kk_chunk(x: np.ndarray, population: int, start: int, carry: tuple[float, float, float]):
-    """P-values of draws ``start .. start + len(x) - 1``, continuing the test from ``carry``.
+def _kk_chunk(x: np.ndarray, population: int, start: int, carry: tuple[float, float]):
+    """Log-martingales of draws ``start .. start + len(x) - 1``, continuing the test from ``carry``.
 
-    Returns the p-values and the carry after the last draw.  Each running
-    value enters its ``cumsum`` or ``maximum.accumulate`` as the first
+    Returns them, ``+inf`` where the null is impossible, and the carry after
+    the last draw.  Each running value enters its ``cumsum`` as the first
     element, so the sums stay sequential and a trace cut into chunks is
     bit-identical to one computed whole.
     """
@@ -108,10 +112,13 @@ def _kk_chunk(x: np.ndarray, population: int, start: int, carry: tuple[float, fl
     log_mart = np.cumsum(np.concatenate(([carry[1]], steps)))[1:]
     # m <= 0 persists (the padded sum only grows), so no accumulate over the mask is needed.
     log_mart[m <= 0] = np.inf
-    peak = np.maximum.accumulate(np.concatenate(([carry[2]], log_mart)))[1:]
+    return log_mart, (sums[-1], log_mart[-1])
+
+
+def _kk_pvalue(peak: np.ndarray) -> np.ndarray:
+    """P-values ``min(1, exp(-peak))`` of running peaks of the log-martingale."""
     with np.errstate(over="ignore"):
-        p = np.where(peak <= 0, 1.0, np.exp(-np.clip(peak, 0.0, None)))
-    return p, (sums[-1], log_mart[-1], peak[-1])
+        return np.where(peak <= 0, 1.0, np.exp(-np.clip(peak, 0.0, None)))
 
 
 def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
@@ -121,31 +128,47 @@ def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
         raise ValueError("more draws than the population holds")
     if x.size == 0:
         return np.empty(0, dtype=np.float64)
-    return _kk_chunk(x, population, 0, _KK_START)[0]
+    return _kk_pvalue(np.maximum.accumulate(_kk_chunk(x, population, 0, _KK_START)[0]))
 
 
 # Draws traced by a simulated trial before it first checks for a crossing,
-# and the factor by which each further chunk grows.
+# the factor by which each further chunk grows, and the size it grows to.
 _FIRST_CHUNK = 256
 _CHUNK_GROWTH = 4
+_MAX_CHUNK = 8192
 
 
 def _first_crossing(draws, population: int, risk_limit: float) -> int:
     """Draw count at which the p-value of a whole population's draws first falls to ``risk_limit``.
 
     ``draws(a, b)`` returns the values of draws ``a .. b - 1``.  They are
-    traced in growing chunks, and the walk stops at the first chunk that
-    crosses; ``population + 1`` if none does.  Equal to the first index with
-    ``kk_pvalue_trace(x, population) <= risk_limit``, plus one.
+    traced in chunks that grow to ``_MAX_CHUNK``, and the walk stops at the
+    first chunk that crosses; ``population + 1`` if none does.  Equal to the
+    first index with ``kk_pvalue_trace(x, population) <= risk_limit``, plus one.
+
+    No draw before the first crossing crossed, so the first crossing is the
+    first draw whose own log-martingale gives a p-value at or below the risk
+    limit, and the walk needs no running peak.  Only draws whose
+    log-martingale reaches ``-log(risk_limit)``, less a slack for rounding,
+    take the exact test.
     """
+    if risk_limit >= 1:
+        threshold = -math.inf  # p <= 1 always: every draw crosses
+    else:
+        # A risk limit of 0 takes only p = 0, which exp reaches far above this threshold.
+        threshold = -math.log(max(risk_limit, 1e-300))
+        # Relative slack for a large threshold, absolute near 0, where exp's rounding
+        # near 1 is large against the threshold itself.
+        threshold -= 1e-9 * (1.0 + threshold)
     carry, start, size = _KK_START, 0, _FIRST_CHUNK
     while start < population:
         end = min(start + size, population)
-        p, carry = _kk_chunk(draws(start, end), population, start, carry)
-        crossed = np.flatnonzero(p <= risk_limit)
+        log_mart, carry = _kk_chunk(draws(start, end), population, start, carry)
+        candidates = np.flatnonzero(log_mart >= threshold)
+        crossed = candidates[_kk_pvalue(log_mart[candidates]) <= risk_limit]
         if crossed.size:
             return start + int(crossed[0]) + 1
-        start, size = end, size * _CHUNK_GROWTH
+        start, size = end, min(size * _CHUNK_GROWTH, _MAX_CHUNK)
     return population + 1
 
 

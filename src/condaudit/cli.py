@@ -414,12 +414,16 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "assertions":
-        doc = export_assertions(_method_assertions(args, election), election)
-        text = json.dumps(doc, indent=2)
+        aset = _method_assertions(args, election)
+        text = json.dumps(export_assertions(aset, election), indent=2)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-            print(f"wrote {len(doc['assertions'])} assertions to {args.output}")  # an escalation's one entry counts
+            count = len(aset.assertions)
+            written = f"{count} assertion{'s' * (count != 1)}"
+            if aset.full_hand_count:
+                written = "a full-hand-count escalation"
+            print(f"wrote {written} to {args.output}")
         else:
             print(text)
         return EXIT_OK

@@ -348,6 +348,10 @@ class TestAssertionSetInvariants:
         with pytest.raises(ValueError):
             AssertionSet("x", None, (PairwisePositive(0, 1),), escalation="t")
 
+    def test_escalation_names_no_winner(self):
+        with pytest.raises(ValueError, match="names no winner"):
+            AssertionSet("x", 0, escalation="t")
+
 
 class TestMethodTable:
     def test_one_candidate_gives_the_empty_set(self):
@@ -440,6 +444,13 @@ class TestInterchange:
         doc = {"method": "x", "winner": None, "assertions": [{"type": "full_hand_count", "reason": "tie"}, second]}
         with pytest.raises(SchemaError, match=r"^a full-hand-count sentinel must be the set's only member$"):
             import_assertions(doc, election1)
+
+    def test_escalation_names_no_winner(self, election1):
+        doc = {"method": "irv", "winner": "B", "assertions": [{"type": "full_hand_count", "reason": "x"}]}
+        with pytest.raises(SchemaError, match=r"^a full-hand-count set names no winner$"):
+            import_assertions(doc, election1)
+        doc["winner"] = None
+        assert import_assertions(doc, election1) == AssertionSet("irv", None, escalation="x")
 
     def test_digest_mismatch_rejected(self, election1, election2):
         doc = export_assertions(condorcet_assertions(0, 3), election1)

@@ -32,23 +32,33 @@ from condaudit import model as model_module
 from condaudit.audit import (
     _FIRST_CHUNK,
     _KK_START,
+    _MAX_CHUNK,
     NULL_MEAN,
     PADDING,
     _comparison_score,
     _first_crossing,
     _kk_chunk,
+    _kk_pvalue,
 )
+from condaudit.ballots import scale
 
 from oracles import expand, independent_kk, normalizer, signed_contribution, weighted_g_sum
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def chunk_pvalues(x, population, start, carry, peak):
+    """P-values of one chunk continuing the test from ``carry`` and the running ``peak``: (p, carry, peak)."""
+    log_mart, carry = _kk_chunk(x, population, start, carry)
+    peaks = np.maximum.accumulate(np.concatenate(([peak], log_mart)))[1:]
+    return _kk_pvalue(peaks), carry, peaks[-1]
+
+
 def per_draw_trace(xs, population):
-    """The kernel fed one draw at a time, carrying its state between draws."""
-    carry, out = _KK_START, []
+    """The kernel fed one draw at a time, carrying its state and running peak between draws."""
+    carry, peak, out = _KK_START, -math.inf, []
     for i, x in enumerate(xs):
-        p, carry = _kk_chunk(np.array([x], dtype=np.float64), population, i, carry)
+        p, carry, peak = chunk_pvalues(np.array([x], dtype=np.float64), population, i, carry, peak)
         out.append(float(p[0]))
     return out
 
@@ -122,7 +132,10 @@ class TestKaplanKolmogorov:
 
 def _kk_sequences():
     """Draw sequences for the chunked trace: their length, kind and seed vary."""
-    lengths = st.sampled_from([1, 7, _FIRST_CHUNK - 1, _FIRST_CHUNK, _FIRST_CHUNK + 1, 1280, 1281])
+    capped = _FIRST_CHUNK + 1024 + 4096 + _MAX_CHUNK  # where the walk's first capped chunk ends
+    lengths = st.sampled_from(
+        [1, 7, _FIRST_CHUNK - 1, _FIRST_CHUNK, _FIRST_CHUNK + 1, 1280, 1281, capped - 1, capped, capped + 1, 30_000]
+    )
     kinds = st.sampled_from(["zeros", "null", "mixed", "spread", "impossible"])
     return st.tuples(lengths | st.integers(1, 3000), kinds, st.integers(0, 2**32 - 1), st.floats(0.2, 0.8))
 
@@ -147,47 +160,62 @@ class TestChunkedTrace:
         x = _kk_sequence(*seq)
         whole = kk_pvalue_trace(x, x.size)
         edges = [0, *sorted({c for c in cuts if c < x.size}), x.size]
-        carry, parts = _KK_START, []
+        carry, peak, parts = _KK_START, -math.inf, []
         for start, end in zip(edges, edges[1:]):
-            p, carry = _kk_chunk(x[start:end], x.size, start, carry)
+            p, carry, peak = chunk_pvalues(x[start:end], x.size, start, carry, peak)
             parts.append(p)
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     @given(
         _kk_sequences(),
-        st.sampled_from([None, _FIRST_CHUNK - 2, _FIRST_CHUNK - 1, _FIRST_CHUNK, 1279, 1280]),
+        st.sampled_from([None, _FIRST_CHUNK - 2, _FIRST_CHUNK - 1, _FIRST_CHUNK, 1279, 1280, 5375, 5376, 13567, 13568]),
         st.floats(1e-6, 0.5),
     )
     @settings(max_examples=200, deadline=None)
     def test_first_crossing_equals_full_trace(self, seq, target, risk_limit):
         x = _kk_sequence(*seq)
-        n = x.size
-        p = kk_pvalue_trace(x, n)
-        if target is not None and target < n:
+        if target is not None and target < x.size:
             # A risk limit equal to the p-value at draw target + 1 puts the
             # crossing there, or earlier when the trace is flat before it.
-            risk_limit = float(p[target])
-        crossed = np.flatnonzero(p <= risk_limit)
-        expected = int(crossed[0]) + 1 if crossed.size else n + 1
+            risk_limit = float(kk_pvalue_trace(x, x.size)[target])
+        check_first_crossing(x, risk_limit)
 
-        calls = []
+    @pytest.mark.parametrize("kind", ["zeros", "null", "mixed", "spread", "impossible"])
+    def test_first_crossing_at_risk_limits_zero_and_one(self, kind):
+        x = _kk_sequence(20_000, kind, 5, 0.7)
+        # Every p-value is at most 1; a risk limit of 0 takes only p = 0.
+        assert check_first_crossing(x, 1.0) == 1
+        stop = check_first_crossing(x, 0.0)
+        assert (stop == x.size + 1) == (kind in ("zeros", "null"))
 
-        def draws(start, end):
-            calls.append((start, end))
-            return x[start:end]
 
-        assert _first_crossing(draws, n, risk_limit) == expected
-        # Chunks are contiguous, and the walk ends with the chunk holding the stop.
-        assert [c[0] for c in calls] == [0] + [c[1] for c in calls[:-1]]
-        last_start, last_end = calls[-1]
-        assert last_start < expected <= last_end if expected <= n else last_end == n
+def check_first_crossing(x, risk_limit):
+    """Assert that the chunked walk over ``x`` stops where its full trace first crosses; return the stop."""
+    n = x.size
+    crossed = np.flatnonzero(kk_pvalue_trace(x, n) <= risk_limit)
+    expected = int(crossed[0]) + 1 if crossed.size else n + 1
+
+    calls = []
+
+    def draws(start, end):
+        calls.append((start, end))
+        return x[start:end]
+
+    assert _first_crossing(draws, n, risk_limit) == expected
+    # Chunks are contiguous and capped, and the walk ends with the chunk holding the stop.
+    assert [c[0] for c in calls] == [0] + [c[1] for c in calls[:-1]]
+    assert max(end - start for start, end in calls) <= _MAX_CHUNK
+    last_start, last_end = calls[-1]
+    assert last_start < expected <= last_end if expected <= n else last_end == n
+    return expected
 
 
 _STOP_VECTORS = json.loads((Path(__file__).parent / "data" / "stop_vectors.json").read_text())
 
 
 class TestFrozenStopVectors:
-    """Every trial's stop, captured before simulation traced draws in chunks."""
+    """Every trial's stop: election1 and election3 captured before simulation traced
+    draws in chunks, election1 x8 before it capped them."""
 
     def test_election1_polling(self, election1):
         stops = one_assertion_stops(PairwisePositive(0, 1), election1, AuditConfig(seed=42))
@@ -198,6 +226,14 @@ class TestFrozenStopVectors:
         cfg = AuditConfig(seed=7, trials=50, style="comparison")
         stops = estimate_audit(aset, election3, cfg).stops
         assert [s.tolist() for s in stops] == _STOP_VECTORS["election3_ranked_pairs_comparison_seed7"]
+
+    def test_election1_x8_ranked_pairs_polling(self, election1):
+        # Polling trials stop near 43,700 of N = 66,400: the walk reaches capped chunks.
+        election = scale(election1, 8)
+        aset = method_assertions("ranked-pairs", election)
+        cfg = AuditConfig(risk_limit=0.01, seed=1, trials=11)
+        stops = estimate_audit(aset, election, cfg).stops
+        assert [s.tolist() for s in stops] == _STOP_VECTORS["election1x8_ranked_pairs_polling_alpha001_seed1"]
 
 
 def comparison_value(assertion, reported, audited, reported_mean):

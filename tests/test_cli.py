@@ -168,9 +168,26 @@ class TestAssertions:
     def test_escalated_set_is_written_as_one_entry(self, capsys, tmp_path, tie_path):
         out_path = tmp_path / "set.json"
         code, out, _ = run_cli(capsys, "assertions", "--method", "smith-minimax", tie_path, "-o", str(out_path))
-        assert (code, out) == (0, f"wrote 1 assertions to {out_path}\n")
+        assert (code, out) == (0, f"wrote a full-hand-count escalation to {out_path}\n")
         assert json.loads(out_path.read_text())["assertions"] == [
             {"type": "full_hand_count", "reason": "pairwise tie within the Smith set"}
+        ]
+
+    def test_output_file_count_is_plural(self, capsys, tmp_path, e1_path):
+        out_path = tmp_path / "set.json"
+        code, out, _ = run_cli(capsys, "assertions", "--method", "condorcet", e1_path, "-o", str(out_path))
+        assert (code, out) == (0, f"wrote 2 assertions to {out_path}\n")
+        assert len(json.loads(out_path.read_text())["assertions"]) == 2
+
+    def test_output_file_count_is_singular(self, capsys, tmp_path):
+        # Every one-entry golden set is an escalation; two candidates give one claim.
+        election_path = tmp_path / "two.json"
+        election_path.write_text(serialize_election(condaudit.Election(("A", "B"), {(0,): 3, (1,): 1})))
+        out_path = tmp_path / "set.json"
+        code, out, _ = run_cli(capsys, "assertions", "--method", "condorcet", str(election_path), "-o", str(out_path))
+        assert (code, out) == (0, f"wrote 1 assertion to {out_path}\n")
+        assert json.loads(out_path.read_text())["assertions"] == [
+            {"type": "pairwise_positive", "winner": "A", "loser": "B"}
         ]
 
     def test_format_is_not_an_option(self, capsys, e3_path):
@@ -312,6 +329,14 @@ class TestEstimate:
         )
         assert code == 0
         assert "condorcet" in out
+
+    def test_escalated_file_naming_a_winner_is_input_error(self, capsys, tmp_path, e3_path):
+        doc = {"method": "irv", "winner": "B", "assertions": [{"type": "full_hand_count", "reason": "x"}]}
+        set_path = tmp_path / "escalated.json"
+        set_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "estimate", e3_path, "--assertions-file", str(set_path))
+        assert (code, out) == (2, "")
+        assert err == "error: a full-hand-count set names no winner\n"
 
     def test_needs_method_or_file(self, capsys, e1_path):
         code, _, err = run_cli(capsys, "estimate", e1_path)
