@@ -220,7 +220,7 @@ def ranked_pairs_assertions(rp: tabulation.RankedPairsResult) -> AssertionSet:
     claims that every pair on the path outscores the opposing pair.
     """
     if rp.winner is None:
-        return AssertionSet("ranked-pairs", None, escalation=rp.reason or "unresolved tie")
+        return AssertionSet("ranked-pairs", None, escalation=rp.reason)
     w = rp.winner
     out: list[Assertion] = []
     for pair in rp.commits:
@@ -244,7 +244,7 @@ def minimax_assertions(mm: tabulation.MinimaxResult) -> AssertionSet:
     """
     k = len(mm.worst_loss) or 1  # a sole candidate has no worst loss
     if mm.winner is None:
-        return AssertionSet("minimax", None, escalation=mm.reason or "tie")
+        return AssertionSet("minimax", None, escalation=mm.reason)
     w = mm.winner
     if mm.condorcet_case:
         return AssertionSet("minimax", w, condorcet_assertions(w, k).assertions)

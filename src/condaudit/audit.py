@@ -117,8 +117,7 @@ def _kk_chunk(x: np.ndarray, population: int, start: int, carry: tuple[float, fl
 
 def _kk_pvalue(peak: np.ndarray) -> np.ndarray:
     """P-values ``min(1, exp(-peak))`` of running peaks of the log-martingale."""
-    with np.errstate(over="ignore"):
-        return np.where(peak <= 0, 1.0, np.exp(-np.clip(peak, 0.0, None)))
+    return np.exp(-np.maximum(peak, 0.0))
 
 
 def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
@@ -215,8 +214,6 @@ def _trial_stops(
     trial scores its draws against ``reported_mean``, which must exceed 1/2.
     """
     n = population.size
-    if n == 0:
-        return np.zeros(cfg.trials, dtype=np.int64)
 
     def one_trial(trial: int) -> int:
         rng = _trial_stream(cfg, index, trial)
@@ -374,19 +371,19 @@ def run_audit(
     The audit certifies at the first draw where every assertion's p-value is
     at or below the risk limit, and consumes no sample after it; exhausting
     the sample first escalates to a full hand count, as an escalated set does
-    at once.  A sample too large, or a comparison sample it must consume
-    without a reported ballot, is a :class:`~condaudit.ballots.ParseError`.
+    at once.  A sample too large, or a comparison sample with any draw
+    lacking its reported ballot, is a :class:`~condaudit.ballots.ParseError`.
     """
     if aset.full_hand_count:
         return AuditReport("escalate-full-count", 0, cfg.risk_limit, ())
-    if not aset.assertions:
-        return AuditReport("certified", 0, cfg.risk_limit, ())
 
     n = election.total_ballots
     if len(samples) > n:
         raise ParseError(f"sample of {len(samples)} exceeds the population of {n} ballots")
-
     comparison = cfg.style == "comparison"
+    if comparison and any(s.reported is None for s in samples):
+        raise ParseError("comparison audits need a reported ballot per sample")
+
     reported_means: list[float] = []
     if comparison:
         tallies = pairwise_tallies(election)
@@ -396,13 +393,7 @@ def run_audit(
                 "comparison audit is impossible: reported tallies do not support the assertion (mean <= 1/2)"
             )
 
-    # A comparison audit traces the samples before the first one without a
-    # reported ballot, and fails only if it has to consume that one.
-    usable = len(samples)
-    if comparison:
-        usable = next((i for i, s in enumerate(samples) if s.reported is None), usable)
-    used = samples[:usable]
-    drawn = [s.audited for s in used] + [s.reported for s in used if comparison]
+    drawn = [s.audited for s in samples] + [s.reported for s in samples if comparison]
 
     # Score each distinct sampled ballot once per assertion.
     sigs = list(dict.fromkeys(drawn))
@@ -412,18 +403,16 @@ def run_audit(
     traces = []
     for idx, assertion in enumerate(aset.assertions):
         values = assorter_values(assertion, prefs)
-        x = values[drawn_rows[:usable]]
+        x = values[drawn_rows[: len(samples)]]
         if comparison:
-            x = _comparison_score(values[drawn_rows[usable:]], x, reported_means[idx])
+            x = _comparison_score(values[drawn_rows[len(samples) :]], x, reported_means[idx])
         traces.append(kk_pvalue_trace(x, n))
 
     crossings = [np.flatnonzero(p <= cfg.risk_limit) for p in traces]
     if all(c.size for c in crossings):
-        examined = max(int(c[0]) + 1 for c in crossings)
-    elif usable < len(samples):
-        raise ParseError("comparison audits need a reported ballot per sample")
+        examined = max((int(c[0]) + 1 for c in crossings), default=0)
     else:
-        examined = usable
+        examined = len(samples)
 
     records = []
     for assertion, p in zip(aset.assertions, traces):

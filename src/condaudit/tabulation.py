@@ -91,14 +91,21 @@ def irv_tabulate(election: Election) -> IrvResult:
 # Condorcet winner
 
 
+def _undominated(s: np.ndarray) -> tuple[int, ...]:
+    """The smallest set of candidates who each beat every outsider under margins ``s``.
+
+    Its members reach every candidate in the transitive closure of "does not lose to" (``s >= 0``).
+    """
+    reach = s >= 0
+    for m in range(s.shape[0]):  # Warshall: admit chains through m
+        reach |= reach[:, m, None] & reach[m]
+    return tuple(np.flatnonzero(reach.all(axis=1)).tolist())
+
+
 def condorcet_winner(score_matrix: np.ndarray) -> int | None:
-    """The candidate with a positive margin over every other, if one exists."""
-    s = np.asarray(score_matrix)
-    k = s.shape[0]
-    for w in range(k):
-        if all(s[w, c] > 0 for c in range(k) if c != w):
-            return w
-    return None
+    """The candidate with a positive margin over every other, the undominated set's sole member, if one exists."""
+    members = _undominated(np.asarray(score_matrix))
+    return members[0] if len(members) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +408,12 @@ class SmithResult:
 def smith_set(tallies: np.ndarray, *, irv: Election | None = None) -> SmithResult:
     """Compute the smallest candidate set beating everyone outside it, and its inner winner.
 
-    Starts from the candidates with the most pairwise wins and grows the set
-    with any outsider who beats or ties a member, to a fixpoint.  The inner
-    winner is IRV over ``irv`` restricted to the members when that election
-    (the one ``tallies`` counts) is given, and Minimax over the members'
-    margins otherwise.
+    The members are the candidates that reach every other through a chain of
+    pairwise contests they do not lose (the transitive closure of margin
+    >= 0); a Condorcet winner is the sole member.  Minimax over the members'
+    margins names each member's largest in-set defeat.  The inner winner is
+    IRV over ``irv`` restricted to the members when that election (the one
+    ``tallies`` counts) is given, and that Minimax otherwise.
     """
     t = np.asarray(tallies)
     k = t.shape[0]
@@ -413,31 +421,13 @@ def smith_set(tallies: np.ndarray, *, irv: Election | None = None) -> SmithResul
         raise ValueError("smith set requires at least one candidate")
     s = t - t.T
 
-    wins = [sum(1 for j in range(k) if j != i and s[i, j] > 0) for i in range(k)]
-    best = max(wins)
-    members = {i for i in range(k) if wins[i] == best}
-    changed = True
-    while changed:
-        changed = False
-        for outsider in range(k):
-            if outsider in members:
-                continue
-            if any(s[inner, outsider] <= 0 for inner in members):
-                members.add(outsider)
-                changed = True
-
-    ordered = tuple(sorted(members))
+    ordered = _undominated(s)
     tie_flag = any(
         s[c, d] == 0 for c, d in itertools.combinations(ordered, 2)
     )
-    inner_defeats: dict[int, tuple[int, int]] = {}
-    if len(ordered) > 1:
-        for c in ordered:
-            defeats = [(int(s[d, c]), d) for d in ordered if d != c and s[d, c] > 0]
-            if defeats:
-                margin, defender = max(defeats, key=lambda md: (md[0], -md[1]))
-                inner_defeats[c] = (defender, margin)
-    inner = minimax_tabulate(s[np.ix_(ordered, ordered)]) if irv is None else irv_tabulate(restrict_to(irv, ordered))
+    mm = minimax_tabulate(s[np.ix_(ordered, ordered)])
+    inner_defeats = {ordered[c]: (ordered[d], mm.worst_loss[c]) for c, d in mm.strongest_defeater.items()}
+    inner = mm if irv is None else irv_tabulate(restrict_to(irv, ordered))
     return SmithResult(ordered, inner_defeats, tie_flag, inner)
 
 

@@ -103,6 +103,8 @@ class TestAssorterValue:
             RankingComparison((0, 1), (0, 1))  # same first candidate
         with pytest.raises(ValueError):
             RankingComparison((0, 1), (1, 2))  # different candidate sets
+        with pytest.raises(ValueError, match="^rankings may not repeat candidates$"):
+            RankingComparison((0, 1, 0), (1, 0, 2))
 
 
 class TestCondorcetAssertions:
@@ -124,6 +126,10 @@ class TestCondorcetAssertions:
 
     def test_single_candidate_is_the_empty_set(self):
         assert condorcet_assertions(0, 1) == AssertionSet("condorcet", 0, ())
+
+    def test_out_of_range_winner_rejected(self):
+        with pytest.raises(ValueError, match="^winner index 3 out of range$"):
+            condorcet_assertions(3, 3)
 
     def test_no_winner_escalates(self):
         aset = condorcet_assertions(None, 3)
@@ -300,6 +306,12 @@ class TestSmithAssertions:
         with pytest.raises(SchemaError, match="winner other than IRV"):
             smith_assertions(sm, 4, imported=inner)
 
+    def test_irv_import_escalated(self, election3):
+        sm = smith_set(pairwise_tallies(election3), irv=election3)  # Smith set ABCD, IRV winner B
+        assert (sm.smith_set, sm.winner) == ((0, 1, 2, 3), 1)
+        aset = smith_assertions(sm, 4, imported=AssertionSet("irv", None, escalation="irv tie"))
+        assert aset == AssertionSet("smith-irv", None, escalation="imported inner set escalates")
+
     def test_tabulation_and_assertions_agree_on_the_winner(self):
         rng = np.random.default_rng(5)
         cycles = 0
@@ -451,6 +463,30 @@ class TestInterchange:
             import_assertions(doc, election1)
         doc["winner"] = None
         assert import_assertions(doc, election1) == AssertionSet("irv", None, escalation="x")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("not json", "invalid JSON: Expecting value"),
+            ([], "assertion document must be an object"),
+            ({"method": 3, "assertions": []}, "'method' must be a string"),
+            ({"method": "x", "assertions": {}}, "'assertions' must be a list"),
+            ({"method": "x", "assertions": ["s(A,B) > 0"]}, "each assertion must be an object"),
+            (
+                {"method": "x", "winner": "A", "assertions": [{"type": "pairwise_positive", "winner": "A"}]},
+                "malformed pairwise_positive entry: 'loser'",
+            ),
+            ({"method": "x", "assertions": [], "metadata": []}, "'metadata' must be an object"),
+        ],
+        ids=[
+            "invalid-json", "not-an-object", "method-not-a-string", "assertions-not-a-list",
+            "entry-not-an-object", "entry-missing-a-field", "metadata-not-an-object",
+        ],
+    )
+    def test_malformed_document_rejected(self, election1, doc, message):
+        with pytest.raises(SchemaError) as err:
+            import_assertions(doc, election1)
+        assert str(err.value) == message
 
     def test_digest_mismatch_rejected(self, election1, election2):
         doc = export_assertions(condorcet_assertions(0, 3), election1)

@@ -12,6 +12,7 @@ import condaudit
 from condaudit import (
     AssertionSet,
     AuditConfig,
+    AuditReport,
     AuditSample,
     Election,
     PairwisePositive,
@@ -350,6 +351,13 @@ class TestEstimate:
         assert est.overall == est.per_assertion[0]
         assert not est.full_count_flag
 
+    def test_election_without_ballots(self):
+        # Every trial of an empty population stops at N + 1 = 1, which never certifies; the ASN is 0.
+        e = Election(("A", "B"), {})
+        est = estimate_audit(AssertionSet("x", 0, (PairwisePositive(0, 1),)), e, AuditConfig(seed=3, trials=7))
+        assert (est.per_assertion, est.overall, est.full_count_flag, est.population) == ((0,), 0, False, 0)
+        assert est.stops[0].tolist() == [1] * 7
+
     def test_full_hand_count_dominates(self, election1):
         aset = AssertionSet("smith-minimax", None, escalation="tie")
         est = estimate_audit(aset, election1, AuditConfig(seed=0, trials=10))
@@ -432,6 +440,13 @@ class TestRunAudit:
         assert report.ballots_examined == 0
         assert report.records == ()
 
+    @pytest.mark.parametrize("style", ["polling", "comparison"])
+    def test_empty_set_certifies_at_zero(self, style):
+        aset = AssertionSet("x", 0, ())
+        samples = [AuditSample(audited=(0,), reported=(0,))] * 5
+        report = run_audit(aset, samples, unanimous_election(), AuditConfig(style=style))
+        assert report == AuditReport("certified", 0, 0.05, ())
+
     def test_p_traces_non_increasing(self, election3):
         aset = method_assertions("ranked-pairs", election3)
         rng = np.random.default_rng(11)
@@ -497,13 +512,12 @@ class TestRunAudit:
         report = run_audit(aset, samples, election3, cfg)
         stop = report.ballots_examined
         assert report.certified and stop < len(samples)
-        # A sample after the stop without a reported ballot is never read ...
-        after = [*samples[:stop], AuditSample(audited=samples[stop].audited), *samples[stop + 1 :]]
-        assert run_audit(aset, after, election3, cfg) == report
-        # ... but the audit cannot go on to its stop without the last consumed one.
-        at = [*samples[: stop - 1], AuditSample(audited=samples[stop - 1].audited), *samples[stop:]]
-        with pytest.raises(ValueError, match="reported"):
-            run_audit(aset, at, election3, cfg)
+        assert all(len(rec.p_trace) == stop for rec in report.records)
+        # A sample without a reported ballot is a data error, at the stop or after it.
+        for i in (stop - 1, stop):
+            missing = [*samples[:i], AuditSample(audited=samples[i].audited), *samples[i + 1 :]]
+            with pytest.raises(ParseError, match="^comparison audits need a reported ballot per sample$"):
+                run_audit(aset, missing, election3, cfg)
 
     def test_oversized_sample_rejected(self):
         e = Election(("A", "B"), {(0,): 2})
@@ -538,6 +552,11 @@ class TestSampleFiles:
         with pytest.raises(ParseError, match="more samples than the 2 ballots") as err:
             load_samples([*lines, "", lines[0]], e)
         assert err.value.line == 4
+
+    def test_line_without_audited_is_data_error(self, election1):
+        with pytest.raises(ParseError) as err:
+            load_samples(['{"audited": ["A"]}', '{"reported": ["A"]}'], election1)
+        assert str(err.value) == "line 2: each sample needs an 'audited' ballot"
 
     def test_malformed_json_reports_line(self, election1):
         with pytest.raises(ParseError) as err:

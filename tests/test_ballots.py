@@ -96,6 +96,25 @@ class TestParsePreflib:
         report = parse_preflib("# NUMBER ALTERNATIVES: 2\r\n3: 1,2\r\n")
         assert report.election.profile == {(0, 1): 3}
 
+    def test_free_form_comment_skipped(self):
+        report = parse_preflib("# collected by hand\n# NUMBER ALTERNATIVES: 2\n3: 1,2\n")
+        assert report.election.profile == {(0, 1): 3}
+        assert report.warnings == []
+
+    @pytest.mark.parametrize(
+        "vote, message",
+        [("3 1,2", "line 2: expected 'count: c1,c2,...'"), ("3: 1,,2", "line 2: empty candidate field in ranking")],
+        ids=["no-colon", "empty-field"],
+    )
+    def test_malformed_vote_line(self, vote, message):
+        with pytest.raises(ParseError) as err:
+            parse_preflib(f"# NUMBER ALTERNATIVES: 2\n{vote}\n")
+        assert str(err.value) == message
+
+    def test_unique_order_count_mismatch_warns(self):
+        report = parse_preflib("# NUMBER ALTERNATIVES: 2\n# NUMBER UNIQUE ORDERS: 2\n3: 1,2\n")
+        assert report.warnings == [(0, "NUMBER UNIQUE ORDERS declares 2 but found 1")]
+
     def test_empty_ranking_allowed(self):
         report = parse_preflib("# NUMBER ALTERNATIVES: 2\n5:\n")
         assert report.election.profile == {(): 5}
@@ -132,6 +151,21 @@ class TestParseNative:
     def test_duplicate_candidate_name(self):
         with pytest.raises(ParseError):
             parse_native('{"candidates":["A","A"],"ballots":[]}')
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('["A"]', "top-level value must be an object"),
+            ('{"candidates": "AB", "ballots": []}', "'candidates' must be a list of names"),
+            ('{"candidates": ["A"], "ballots": {}}', "'ballots' must be a list"),
+            ('{"candidates": ["A"], "ballots": [["A"]]}', "ballots[0] must be an object"),
+        ],
+        ids=["top-level", "candidates", "ballots", "ballot-entry"],
+    )
+    def test_malformed_structure(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_native(text)
+        assert str(err.value) == message
 
     def test_invalid_json_reports_line(self):
         with pytest.raises(ParseError) as err:

@@ -443,6 +443,22 @@ class TestAudit:
         assert (code, out) == (2, "")
         assert err == "error: comparison audits need a reported ballot per sample\n"
 
+    def test_comparison_sample_after_the_stop_without_reported_is_input_error(self, capsys, tmp_path):
+        golden = Path(__file__).parent / "golden"
+        argv = [
+            "audit", str(golden / "election3.json"), "--style", "comparison",
+            "--assertions-file", str(golden / "election3.ranked-pairs.assertions.out"),
+        ]
+        code, out, _ = run_cli(capsys, *argv, "--samples-file", str(golden / "election3-samples.jsonl"))
+        assert code == 0 and "Ballots examined: 141" in out
+        lines = (golden / "election3-samples.jsonl").read_text().splitlines()
+        lines[299] = json.dumps({"audited": json.loads(lines[299])["audited"]})  # line 300, after the stop
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, *argv, "--samples-file", str(samples))
+        assert (code, out) == (2, "")
+        assert err == "error: comparison audits need a reported ballot per sample\n"
+
     def test_digest_mismatch_is_schema_error(self, capsys, tmp_path, e1_path, e3_path, election3):
         _, set_json, _ = run_cli(capsys, "assertions", "--method", "condorcet", e1_path)
         set_path = tmp_path / "set.json"
@@ -538,6 +554,46 @@ def test_preflib_roster_faults_are_parse_errors(capsys, tmp_path, header, messag
     path.write_text(header + "1: 1,2\n")
     code, out, err = run_cli(capsys, "parse", str(path))
     assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+INPUT_FAULTS = {
+    "native-top-level": ("e.json", '["A"]', "top-level value must be an object"),
+    "native-candidates": ("e.json", '{"candidates": "AB", "ballots": []}', "'candidates' must be a list of names"),
+    "native-ballots": ("e.json", '{"candidates": ["A"], "ballots": {}}', "'ballots' must be a list"),
+    "native-ballot-entry": ("e.json", '{"candidates": ["A"], "ballots": [["A"]]}', "ballots[0] must be an object"),
+    "preflib-no-colon": ("e.soi", "# NUMBER ALTERNATIVES: 2\n3 1,2\n", "line 2: expected 'count: c1,c2,...'"),
+    "preflib-empty-field": ("e.soi", "# NUMBER ALTERNATIVES: 2\n3: 1,,2\n", "line 2: empty candidate field in ranking"),
+    "set-invalid-json": ("set.json", "not json", "invalid JSON: Expecting value"),
+    "set-not-an-object": ("set.json", "[]", "assertion document must be an object"),
+    "set-method": ("set.json", '{"method": 3, "assertions": []}', "'method' must be a string"),
+    "set-assertions": ("set.json", '{"method": "x", "assertions": {}}', "'assertions' must be a list"),
+    "set-entry": ("set.json", '{"method": "x", "assertions": ["s(A,B) > 0"]}', "each assertion must be an object"),
+    "set-entry-field": (
+        "set.json", '{"method": "x", "winner": "A", "assertions": [{"type": "pairwise_positive", "winner": "A"}]}',
+        "malformed pairwise_positive entry: 'loser'",
+    ),
+    "set-metadata": ("set.json", '{"method": "x", "assertions": [], "metadata": []}', "'metadata' must be an object"),
+    "samples-audited": (
+        "s.jsonl", '{"audited": ["A"]}\n{"reported": ["A"]}\n', "line 2: each sample needs an 'audited' ballot"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, text, message", INPUT_FAULTS.values(), ids=INPUT_FAULTS)
+def test_input_faults_exit_2(capsys, tmp_path, e1_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    good_set = str(tmp_path / "good.json")
+    assert run_cli(capsys, "assertions", e1_path, "--method", "condorcet", "-o", good_set)[0] == 0
+    argv = {
+        "e.json": ["parse", str(path)],
+        "e.soi": ["parse", str(path)],
+        "set.json": ["estimate", e1_path, "--assertions-file", str(path), "--trials", "3"],
+        "s.jsonl": ["audit", e1_path, "--assertions-file", good_set, "--samples-file", str(path)],
+    }[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
 
 

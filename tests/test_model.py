@@ -156,6 +156,11 @@ def test_restrict_to_filters_and_renumbers(election3):
     assert t[0, 1] == 19000 and t[1, 0] == 10000
 
 
+def test_restrict_to_rejects_unknown_index(election3):
+    with pytest.raises(ValueError, match="^unknown candidate index 4$"):
+        restrict_to(election3, [0, 4])
+
+
 def test_digest_tracks_content(election1, election2):
     assert election1.digest() != election2.digest()
     clone = Election(election1.candidates, dict(election1.profile))

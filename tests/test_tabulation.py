@@ -83,6 +83,15 @@ class TestCondorcetWinner:
         assert condorcet_winner(margin(election2)) == 2
         assert condorcet_winner(margin(election3)) is None
 
+    def test_matches_definition(self):
+        # Small tallies tie often; the winner is the one candidate with a positive margin over every other.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k = int(rng.integers(0, 7))
+            s = scores(rng.integers(0, 3, size=(k, k)))
+            winners = [w for w in range(k) if all(s[w, c] > 0 for c in range(k) if c != w)]
+            assert condorcet_winner(s) == (winners[0] if winners else None)
+
 
 class TestRankedPairs:
     def test_election1_structures(self, election1):
@@ -193,6 +202,17 @@ class TestRankedPairs:
             winners = self.winners_over_every_ordering(s.tolist())
             assert ranked_pairs_tabulate(s).winner == (winners.pop() if len(winners) == 1 else None)
 
+    def test_too_many_tie_orderings_escalate(self):
+        # A regular tournament on 5 candidates, every margin 2: one block of 10 equal-score
+        # majorities, whose 10! orderings exceed the search limit.
+        s = np.zeros((5, 5), dtype=int)
+        for i in range(5):
+            for step in (1, 2):
+                s[i, (i + step) % 5], s[(i + step) % 5, i] = 2, -2
+        rp = ranked_pairs_tabulate(s)
+        assert (rp.winner, rp.tie_flag) == (None, True)
+        assert rp.reason == "too many orderings of equal-score majorities to verify (> 10000)"
+
     def test_dag_acyclic_and_skips_witnessed(self):
         rng = np.random.default_rng(2024)
         for _ in range(150):
@@ -273,6 +293,24 @@ class TestSmith:
             t = pairwise_tallies(e)
             assert frozenset(smith_set(t).smith_set) == brute_force_smith(scores(t))
 
+    def test_inner_defeats_match_definition(self):
+        # Each member's in-set opponent beating it by the largest margin, the lowest index
+        # among equal margins; small tallies make such ties common.
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            k = int(rng.integers(1, 7))
+            t = rng.integers(0, 3, size=(k, k))
+            s = scores(t)
+            sm = smith_set(t)
+            assert frozenset(sm.smith_set) == brute_force_smith(s)
+            expected = {}
+            for c in sm.smith_set:
+                defeats = [(int(s[d, c]), -d) for d in sm.smith_set if s[d, c] > 0]
+                if defeats:
+                    margin, neg_d = max(defeats)
+                    expected[c] = (-neg_d, margin)
+            assert sm.inner_defeats == expected
+
 
 class TestKemeny:
     def test_single_candidate(self):
@@ -328,3 +366,18 @@ def test_condorcet_coherence_across_methods():
         assert minimax_tabulate(s).winner == w
         assert smith_set(t).smith_set == (w,)
     assert seen > 30
+
+
+@pytest.mark.parametrize(
+    "tabulate, message",
+    [
+        (ranked_pairs_tabulate, "ranked pairs requires at least one candidate"),
+        (minimax_tabulate, "minimax requires at least one candidate"),
+        (smith_set, "smith set requires at least one candidate"),
+        (kemeny_tabulate, "kemeny requires at least one candidate"),
+    ],
+    ids=["ranked-pairs", "minimax", "smith", "kemeny"],
+)
+def test_zero_candidates_rejected(tabulate, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tabulate(np.zeros((0, 0), dtype=int))
