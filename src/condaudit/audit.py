@@ -16,20 +16,27 @@ and the draws must arrive in random order.  Once the null becomes impossible
 test, in log space so that long samples neither overflow nor lose a vanished
 product to underflow, for both simulation and audit.
 
-Audit sample sizes (ASN) are estimated by simulation: errors are scattered
-over the ballot population at a configured rate, the population is drawn in
-a uniformly random order, and the number of draws until the p-value falls
-below the risk limit is recorded; the per-assertion ASN is the median over
-trials, and a set's overall ASN is the largest per-assertion ASN.  A trial
-scores and traces its draws in chunks that grow to 8,192 draws and stops at
-the first chunk that crosses the risk limit, so that part of its cost follows
-the stop.  Before the first crossing no draw has crossed, so the walk looks
-for the first draw whose own log-martingale gives a p-value at or below the
-risk limit: it needs no running peak, and takes ``exp`` only for the few
-draws near the limit.  The error model and the permutation still cost O(N)
-per trial.  Each trial's random stream is derived from (seed, assertion
-index, trial index), so results are reproducible regardless of execution
-order or parallelism.
+Audit sample sizes (ASN) are estimated by simulation, from the election's
+signature counts and never from a ballot-level population.  A trial applies
+the error model (each ballot is independently misread, at a configured rate,
+as a uniformly random other signature) as ``Binomial(c_s, rate)`` misread
+ballots per signature ``s`` of ``c_s``, spread over the others by a uniform
+multinomial: a table of (reported, audited) cells and their ballot counts.
+It then draws the ballots in a uniformly random order, in chunks that grow
+to 8,192 draws: a chunk's count per cell is a multivariate hypergeometric
+draw from the ballots not yet drawn, and the chunk is shuffled.  Every
+assertion of the set reads the same draws, and each walks them with its own
+test to its first crossing of the risk limit; drawing stops once all have
+crossed, so a trial costs O(stop + cells) in time and memory whatever N is.
+The per-assertion ASN is the median over trials, and a set's overall ASN is
+the largest per-assertion ASN.  Before the first crossing no draw has
+crossed, so the walk looks for the first draw whose own log-martingale gives
+a p-value at or below the risk limit: it needs no running peak, and takes
+``exp`` only for the few draws near the limit.  Each trial's random stream
+is derived from (seed, trial index), so results are reproducible regardless
+of execution order or parallelism, and an assertion's stops do not depend on
+the rest of its set.  The hypergeometric draw takes fewer than
+``MAX_SIMULATED_BALLOTS`` (10**9) ballots.
 
 A batch audit scores its drawn sample once per assertion, traces each
 assertion's p-value over the sample, and stops at the largest first crossing
@@ -55,6 +62,7 @@ import numpy as np
 from .ballots import ParseError, read_text, resolve_names, roster_index
 from .model import Ballot, Election, pairwise_tallies, preference_matrix
 from .assertions import Assertion, AssertionSet, assorter_values, claim_mean
+from .tabulation import CapacityError
 
 AUDIT_STYLES = ("polling", "comparison")
 
@@ -137,13 +145,17 @@ _CHUNK_GROWTH = 4
 _MAX_CHUNK = 8192
 
 
-def _first_crossing(draws, population: int, risk_limit: float) -> int:
-    """Draw count at which the p-value of a whole population's draws first falls to ``risk_limit``.
+def _first_crossings(draws, scores: Sequence[np.ndarray], population: int, risk_limit: float) -> list[int]:
+    """Draw count at which each of several p-values over one shared draw order first falls to ``risk_limit``.
 
-    ``draws(a, b)`` returns the values of draws ``a .. b - 1``.  They are
-    traced in chunks that grow to ``_MAX_CHUNK``, and the walk stops at the
-    first chunk that crosses; ``population + 1`` if none does.  Equal to the
-    first index with ``kk_pvalue_trace(x, population) <= risk_limit``, plus one.
+    ``draws(a, b)`` returns the items of draws ``a .. b - 1``, and
+    ``scores[i]`` maps an item to its value for test ``i``.  Draws are made
+    in chunks that grow to ``_MAX_CHUNK``; each test walks them with its own
+    carry and stops at the first chunk in which it crosses, and drawing stops
+    once every test has crossed.  A test that never crosses reports
+    ``population + 1``.  For each test, equal to the first index with
+    ``kk_pvalue_trace(scores[i][items], population) <= risk_limit``, plus
+    one, where ``items`` are all ``population`` draws.
 
     No draw before the first crossing crossed, so the first crossing is the
     first draw whose own log-martingale gives a p-value at or below the risk
@@ -159,16 +171,22 @@ def _first_crossing(draws, population: int, risk_limit: float) -> int:
         # Relative slack for a large threshold, absolute near 0, where exp's rounding
         # near 1 is large against the threshold itself.
         threshold -= 1e-9 * (1.0 + threshold)
-    carry, start, size = _KK_START, 0, _FIRST_CHUNK
-    while start < population:
+    stops = [population + 1] * len(scores)
+    carries = [_KK_START] * len(scores)
+    walking = list(range(len(scores)))
+    start, size = 0, _FIRST_CHUNK
+    while walking and start < population:
         end = min(start + size, population)
-        log_mart, carry = _kk_chunk(draws(start, end), population, start, carry)
-        candidates = np.flatnonzero(log_mart >= threshold)
-        crossed = candidates[_kk_pvalue(log_mart[candidates]) <= risk_limit]
-        if crossed.size:
-            return start + int(crossed[0]) + 1
+        items = draws(start, end)
+        for i in list(walking):
+            log_mart, carries[i] = _kk_chunk(scores[i][items], population, start, carries[i])
+            candidates = np.flatnonzero(log_mart >= threshold)
+            crossed = candidates[_kk_pvalue(log_mart[candidates]) <= risk_limit]
+            if crossed.size:
+                stops[i] = start + int(crossed[0]) + 1
+                walking.remove(i)
         start, size = end, min(size * _CHUNK_GROWTH, _MAX_CHUNK)
-    return population + 1
+    return stops
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +207,11 @@ def _comparison_score(reported, audited, reported_mean: float):
 # ASN simulation
 
 
+# Simulation takes populations below this size: numpy's marginal multivariate
+# hypergeometric draw needs its colors to sum below 10**9.
+MAX_SIMULATED_BALLOTS = 10**9
+
+
 def _signature_table(election: Election) -> tuple[np.ndarray, np.ndarray]:
     """The election's distinct signatures, in sorted order: their ballot counts and preference matrix."""
     sigs = sorted(election.profile)
@@ -196,50 +219,78 @@ def _signature_table(election: Election) -> tuple[np.ndarray, np.ndarray]:
     return counts, preference_matrix(sigs, election.num_candidates)
 
 
-def _trial_stream(cfg: AuditConfig, assertion_index: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed & _SEED_MASK, assertion_index, trial])
+def _error_cells(counts: np.ndarray, error_rate: float, rng: np.random.Generator):
+    """One trial's ballots under the error model, as a table of (reported, audited) signature cells.
+
+    Each of the ``counts[s]`` ballots of signature ``s`` is independently
+    misread, with probability ``error_rate``, as a uniformly random *other*
+    signature: ``Binomial(counts[s], error_rate)`` of them are misread, and
+    they go to the others by a uniform multinomial.  Returns each cell's
+    reported and audited signature and its ballot count; the diagonal cells
+    come first, one per signature, and only the misread cells that hold a
+    ballot follow.  Building the table costs O(min(errors, signatures²)).
+    """
+    s = counts.size
+    sigs = np.arange(s)
+    if error_rate == 0 or s < 2:
+        return sigs, sigs, counts
+    errors = rng.binomial(counts, error_rate)
+    total = int(errors.sum())
+    if total >= s * (s - 1):
+        # One multinomial row per signature over the others.
+        moved = rng.multinomial(errors, np.full(s - 1, 1.0 / (s - 1)))
+        reported, other = np.nonzero(moved)
+        sent = moved[reported, other]
+    else:
+        # Fewer errors than off-diagonal cells: one uniform other signature per error.
+        reported = np.repeat(sigs, errors)
+        other, sent = np.unique(reported * (s - 1) + rng.integers(0, s - 1, size=total), return_counts=True)
+        reported, other = np.divmod(other, s - 1)
+    audited = other + (other >= reported)
+    return np.concatenate((sigs, reported)), np.concatenate((sigs, audited)), np.concatenate((counts - errors, sent))
 
 
 def _trial_stops(
-    values: np.ndarray, population: np.ndarray, reported_mean: float, cfg: AuditConfig, index: int, workers: int
+    values: Sequence[np.ndarray], means: Sequence[float], counts: np.ndarray, cfg: AuditConfig, workers: int
 ) -> np.ndarray:
-    """Per-trial first sample size at which the audit certifies assertion ``index``.
+    """Per-trial first sample size at which the audit certifies each assertion: shape (trials, assertions).
 
-    ``values`` holds its assorter per signature and ``population`` every
-    ballot's signature index.  Each trial perturbs the population under
-    the error model (every ballot is independently replaced, with probability
-    ``error_rate``, by a uniformly random *other* signature), draws it in
-    random order, and reports the first draw count with p-value at or below
-    the risk limit; trials that never certify report ``N + 1``.  A comparison
-    trial scores its draws against ``reported_mean``, which must exceed 1/2.
+    ``values[i]`` holds assertion ``i``'s assorter per signature and
+    ``counts`` each signature's ballots.  A trial perturbs the ballots under
+    the error model (:func:`_error_cells`), draws them in a uniformly random
+    order, chunk by chunk, as counts per cell from a multivariate
+    hypergeometric, each chunk shuffled, and reports for every assertion the
+    first draw count with p-value at or below the risk limit, or ``N + 1``
+    if it never certifies.  Every assertion of a trial reads the same draws,
+    from one stream keyed by (seed, trial).  A comparison trial scores each
+    draw against the assertion's reported mean ``means[i]``, which must exceed 1/2.
     """
-    n = population.size
+    n = int(counts.sum())
 
-    def one_trial(trial: int) -> int:
-        rng = _trial_stream(cfg, index, trial)
-        audited = population
-        if cfg.error_rate > 0 and values.size > 1:
-            audited = population.copy()
-            hit = np.flatnonzero(rng.random(n) < cfg.error_rate)
-            if hit.size:
-                draw = rng.integers(0, values.size - 1, size=hit.size)
-                draw += draw >= audited[hit]
-                audited[hit] = draw
-        order = rng.permutation(n)
+    def one_trial(trial: int) -> list[int]:
+        rng = np.random.default_rng([cfg.seed & _SEED_MASK, trial])
+        reported, audited, cells = _error_cells(counts, cfg.error_rate, rng)
+        if cfg.style == "comparison":
+            scores = [_comparison_score(v[reported], v[audited], mean) for v, mean in zip(values, means)]
+        else:
+            scores = [v[audited] for v in values]
+        remaining = cells.copy()
 
         def draws(start: int, end: int) -> np.ndarray:
-            drawn = order[start:end]
-            x = values[audited[drawn]]
-            if cfg.style == "comparison":
-                x = _comparison_score(values[population[drawn]], x, reported_mean)
-            return x
+            drawn = rng.multivariate_hypergeometric(remaining, end - start, method="marginals")
+            remaining[:] -= drawn
+            order = np.repeat(np.arange(drawn.size), drawn)
+            rng.shuffle(order)
+            return order
 
-        return _first_crossing(draws, n, cfg.risk_limit)
+        return _first_crossings(draws, scores, n, cfg.risk_limit)
 
     if workers <= 1:
-        return np.array([one_trial(trial) for trial in range(cfg.trials)], dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(one_trial, range(cfg.trials))), dtype=np.int64)
+        stops = [one_trial(trial) for trial in range(cfg.trials)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            stops = list(pool.map(one_trial, range(cfg.trials)))
+    return np.array(stops, dtype=np.int64)
 
 
 def _median_stop(stops: np.ndarray, population: int) -> int:
@@ -249,7 +300,12 @@ def _median_stop(stops: np.ndarray, population: int) -> int:
 
 @dataclass(frozen=True)
 class ASNEstimate:
-    """Estimated sample sizes for an assertion set: the medians of each assertion's trial ``stops``."""
+    """Estimated sample sizes for an assertion set: the medians of each assertion's trial ``stops``.
+
+    ``stops[i][t]`` is the draw count at which trial ``t`` first certifies
+    assertion ``i``, ``N + 1`` if it never does; trial ``t`` of every
+    assertion reads the same draws.
+    """
 
     per_assertion: tuple[int, ...]
     overall: int
@@ -265,24 +321,27 @@ class ASNEstimate:
 def estimate_audit(
     aset: AssertionSet, election: Election, cfg: AuditConfig, workers: int = 1
 ) -> ASNEstimate:
-    """Estimate the sample size to audit a whole set: the max over its members (all N if it escalates)."""
+    """Estimate the sample size to audit a whole set: the max over its members (all N if it escalates).
+
+    A population of ``MAX_SIMULATED_BALLOTS`` or more raises :class:`CapacityError`.
+    """
     n = election.total_ballots
     if aset.full_hand_count:
         return ASNEstimate((), n, True, n, ())
+    if n >= MAX_SIMULATED_BALLOTS:
+        raise CapacityError(f"simulation takes fewer than {MAX_SIMULATED_BALLOTS:,} ballots; the election has {n:,}")
     # One signature table serves every assertion, and its counts give the tallies.
     counts, prefs = _signature_table(election)
-    population = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     tallies = np.tensordot(counts, prefs, axes=1)
-    stops: list[np.ndarray] = []
-    full = False
-    for idx, assertion in enumerate(aset.assertions):
-        mean = claim_mean(assertion, tallies, n)
-        if cfg.style == "comparison" and not mean > 0.5:
-            full = True  # no comparison audit can be formed: every trial is a full count
-            stops.append(np.full(cfg.trials, n + 1, dtype=np.int64))
-        else:
-            stops.append(_trial_stops(assorter_values(assertion, prefs), population, mean, cfg, idx, workers))
+    means = [claim_mean(assertion, tallies, n) for assertion in aset.assertions]
+    # A comparison audit needs a reported mean above 1/2; without one every trial is a full count.
+    walked = [i for i, mean in enumerate(means) if cfg.style == "polling" or mean > 0.5]
+    stops = np.full((len(means), cfg.trials), n + 1, dtype=np.int64)
+    if walked:
+        values = [assorter_values(aset.assertions[i], prefs) for i in walked]
+        stops[walked] = _trial_stops(values, [means[i] for i in walked], counts, cfg, workers).T
     per = tuple(_median_stop(s, n) for s in stops)
+    full = len(walked) < len(means)
     overall = n if full else max(per, default=0)
     return ASNEstimate(per, overall, full, n, tuple(stops))
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written from the definitions, not from the
 library's implementations: subset enumeration for the Smith set, full
 permutation enumeration for Kemeny, integer signed-contribution sums for
-assorter means, and a direct-product version of the sequential test.
+assorter means, a direct-product version of the sequential test, and a
+per-ballot simulation of audit sample sizes.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import math
 import numpy as np
 
 from condaudit import (
+    AuditConfig,
     Election,
     PairwisePositive,
     RankingComparison,
     ScoreComparison,
+    kk_pvalue_trace,
 )
 
 
@@ -138,6 +141,45 @@ def independent_kk(xs, population, null_mean=0.5, padding=0.1):
         ps.append(1.0 if peak == 0 else min(1.0, 1.0 / peak))
         padded_sum += y
     return ps
+
+
+def per_ballot_stops(assertions, election: Election, cfg: AuditConfig, rng: np.random.Generator) -> np.ndarray:
+    """Per-trial stops of each assertion under the per-ballot error model: shape (assertions, trials).
+
+    Each trial lays out all N ballots, replaces each one, with probability
+    ``cfg.error_rate``, by a uniformly random other signature, permutes all
+    N and stops at the first draw whose p-value over the full trace is at or
+    below the risk limit; ``N + 1`` if none is.  Assorter values come from
+    the signed contributions, and a comparison draw scores
+    ``(1 - (reported - audited)) / (2 - margin)`` against the reported mean.
+    """
+    sigs = sorted(election.profile)
+    population = np.repeat(np.arange(len(sigs)), [election.profile[s] for s in sigs])
+    n = population.size
+    values = [np.array([0.5 + signed_contribution(a, s) / normalizer(a) for s in sigs]) for a in assertions]
+    means = [0.5 + weighted_g_sum(a, election) / (normalizer(a) * n) for a in assertions]
+    stops = np.empty((len(assertions), cfg.trials), dtype=np.int64)
+    for trial in range(cfg.trials):
+        audited = population.copy()
+        hit = np.flatnonzero(rng.random(n) < cfg.error_rate)
+        other = rng.integers(0, len(sigs) - 1, size=hit.size)
+        audited[hit] = other + (other >= population[hit])
+        order = rng.permutation(n)
+        for i, (v, mean) in enumerate(zip(values, means)):
+            x = v[audited[order]]
+            if cfg.style == "comparison":
+                x = (1 - (v[population[order]] - x)) / (2 - (2 * mean - 1))
+            crossed = np.flatnonzero(kk_pvalue_trace(x, n) <= cfg.risk_limit)
+            stops[i, trial] = crossed[0] + 1 if crossed.size else n + 1
+    return stops
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the two empirical CDFs."""
+    grid = np.union1d(a, b)
+    cdf_a = np.searchsorted(np.sort(a), grid, side="right") / a.size
+    cdf_b = np.searchsorted(np.sort(b), grid, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
 
 
 def random_election(rng: np.random.Generator, max_k: int = 6, max_signatures: int = 9,

@@ -1,5 +1,14 @@
+"""Tests of the risk function, ASN simulation and batch audits.
+
+The per-trial stops frozen in ``tests/data/stop_vectors.json`` are
+re-captured, after a deliberate change of the simulation's random stream, with
+
+    PYTHONPATH=src python tests/test_audit.py --write
+"""
+
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +23,7 @@ from condaudit import (
     AuditConfig,
     AuditReport,
     AuditSample,
+    CapacityError,
     Election,
     PairwisePositive,
     ParseError,
@@ -37,15 +47,25 @@ from condaudit.audit import (
     NULL_MEAN,
     PADDING,
     _comparison_score,
-    _first_crossing,
+    _error_cells,
+    _first_crossings,
     _kk_chunk,
     _kk_pvalue,
 )
-from condaudit.ballots import scale
+from condaudit.ballots import parse_path, scale
 
-from oracles import expand, independent_kk, normalizer, signed_contribution, weighted_g_sum
+from oracles import (
+    expand,
+    independent_kk,
+    ks_statistic,
+    normalizer,
+    per_ballot_stops,
+    signed_contribution,
+    weighted_g_sum,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
+STOP_VECTORS = Path(__file__).parent / "data" / "stop_vectors.json"
 
 
 def chunk_pvalues(x, population, start, carry, peak):
@@ -131,13 +151,16 @@ class TestKaplanKolmogorov:
         assert np.all((0 <= p) & (p <= 1))
 
 
+_KINDS = ["zeros", "null", "mixed", "spread", "impossible"]
+
+
 def _kk_sequences():
     """Draw sequences for the chunked trace: their length, kind and seed vary."""
     capped = _FIRST_CHUNK + 1024 + 4096 + _MAX_CHUNK  # where the walk's first capped chunk ends
     lengths = st.sampled_from(
         [1, 7, _FIRST_CHUNK - 1, _FIRST_CHUNK, _FIRST_CHUNK + 1, 1280, 1281, capped - 1, capped, capped + 1, 30_000]
     )
-    kinds = st.sampled_from(["zeros", "null", "mixed", "spread", "impossible"])
+    kinds = st.sampled_from(_KINDS)
     return st.tuples(lengths | st.integers(1, 3000), kinds, st.integers(0, 2**32 - 1), st.floats(0.2, 0.8))
 
 
@@ -181,6 +204,17 @@ class TestChunkedTrace:
             risk_limit = float(kk_pvalue_trace(x, x.size)[target])
         check_first_crossing(x, risk_limit)
 
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_KINDS), st.integers(0, 2**32 - 1), st.floats(0.2, 0.8)), min_size=1, max_size=4
+        ),
+        st.sampled_from([1, _FIRST_CHUNK - 1, 1281, 5377, 13_569, 20_000]),
+        st.floats(1e-6, 0.5),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_shared_walk_crosses_each_where_its_own_trace_does(self, kinds, n, risk_limit):
+        check_first_crossings([_kk_sequence(n, *kind) for kind in kinds], risk_limit)
+
     @pytest.mark.parametrize("kind", ["zeros", "null", "mixed", "spread", "impossible"])
     def test_first_crossing_at_risk_limits_zero_and_one(self, kind):
         x = _kk_sequence(20_000, kind, 5, 0.7)
@@ -192,49 +226,72 @@ class TestChunkedTrace:
 
 def check_first_crossing(x, risk_limit):
     """Assert that the chunked walk over ``x`` stops where its full trace first crosses; return the stop."""
-    n = x.size
-    crossed = np.flatnonzero(kk_pvalue_trace(x, n) <= risk_limit)
-    expected = int(crossed[0]) + 1 if crossed.size else n + 1
+    return check_first_crossings([x], risk_limit)[0]
+
+
+def check_first_crossings(xs, risk_limit):
+    """Assert that one chunked walk over the sequences ``xs``, all of one length, stops each where its
+    full trace first crosses, and draws no chunk after the last of those; return the stops."""
+    n = xs[0].size
+    expected = []
+    for x in xs:
+        crossed = np.flatnonzero(kk_pvalue_trace(x, n) <= risk_limit)
+        expected.append(int(crossed[0]) + 1 if crossed.size else n + 1)
 
     calls = []
 
     def draws(start, end):
         calls.append((start, end))
-        return x[start:end]
+        return np.arange(start, end)
 
-    assert _first_crossing(draws, n, risk_limit) == expected
-    # Chunks are contiguous and capped, and the walk ends with the chunk holding the stop.
+    assert _first_crossings(draws, xs, n, risk_limit) == expected
+    # Chunks are contiguous and capped, and the walk ends with the chunk holding the last stop.
     assert [c[0] for c in calls] == [0] + [c[1] for c in calls[:-1]]
     assert max(end - start for start, end in calls) <= _MAX_CHUNK
     last_start, last_end = calls[-1]
-    assert last_start < expected <= last_end if expected <= n else last_end == n
+    assert last_start < max(expected) <= last_end if max(expected) <= n else last_end == n
     return expected
 
 
-_STOP_VECTORS = json.loads((Path(__file__).parent / "data" / "stop_vectors.json").read_text())
+def _stop_vector_cases(election1, election3):
+    """The frozen cases of ``tests/data/stop_vectors.json``: each name and a function computing its stops now."""
+    x8 = scale(election1, 8)
+    return {
+        "election1_polling_seed42": lambda: one_assertion_stops(
+            PairwisePositive(0, 1), election1, AuditConfig(seed=42)
+        ).tolist(),
+        "election3_ranked_pairs_comparison_seed7": lambda: method_stops(
+            "ranked-pairs", election3, AuditConfig(seed=7, trials=50, style="comparison")
+        ),
+        # Polling trials stop near 43,700 of N = 66,400: the walk reaches capped chunks.
+        "election1x8_ranked_pairs_polling_alpha001_seed1": lambda: method_stops(
+            "ranked-pairs", x8, AuditConfig(risk_limit=0.01, seed=1, trials=11)
+        ),
+    }
+
+
+def method_stops(method, election, cfg):
+    return [s.tolist() for s in estimate_audit(method_assertions(method, election), election, cfg).stops]
 
 
 class TestFrozenStopVectors:
-    """Every trial's stop: election1 and election3 captured before simulation traced
-    draws in chunks, election1 x8 before it capped them."""
+    """Every trial's stop, as captured by this module's ``--write`` mode."""
 
-    def test_election1_polling(self, election1):
-        stops = one_assertion_stops(PairwisePositive(0, 1), election1, AuditConfig(seed=42))
-        assert stops.tolist() == _STOP_VECTORS["election1_polling_seed42"]
+    @pytest.fixture(scope="class")
+    def frozen(self):
+        return json.loads(STOP_VECTORS.read_text())
 
-    def test_election3_ranked_pairs_comparison(self, election3):
-        aset = method_assertions("ranked-pairs", election3)
-        cfg = AuditConfig(seed=7, trials=50, style="comparison")
-        stops = estimate_audit(aset, election3, cfg).stops
-        assert [s.tolist() for s in stops] == _STOP_VECTORS["election3_ranked_pairs_comparison_seed7"]
+    def check(self, name, frozen, election1, election3):
+        assert _stop_vector_cases(election1, election3)[name]() == frozen[name]
 
-    def test_election1_x8_ranked_pairs_polling(self, election1):
-        # Polling trials stop near 43,700 of N = 66,400: the walk reaches capped chunks.
-        election = scale(election1, 8)
-        aset = method_assertions("ranked-pairs", election)
-        cfg = AuditConfig(risk_limit=0.01, seed=1, trials=11)
-        stops = estimate_audit(aset, election, cfg).stops
-        assert [s.tolist() for s in stops] == _STOP_VECTORS["election1x8_ranked_pairs_polling_alpha001_seed1"]
+    def test_election1_polling(self, frozen, election1, election3):
+        self.check("election1_polling_seed42", frozen, election1, election3)
+
+    def test_election3_ranked_pairs_comparison(self, frozen, election1, election3):
+        self.check("election3_ranked_pairs_comparison_seed7", frozen, election1, election3)
+
+    def test_election1_x8_ranked_pairs_polling(self, frozen, election1, election3):
+        self.check("election1x8_ranked_pairs_polling_alpha001_seed1", frozen, election1, election3)
 
 
 def comparison_value(assertion, reported, audited, reported_mean):
@@ -307,10 +364,10 @@ class TestSimulation:
         assert asn == 500
 
     def test_election1_polling_regression(self, election1):
-        # frozen from the first run at these exact settings
+        # frozen at these exact settings when trials moved to signature counts and one stream per trial
         cfg = AuditConfig(seed=42)
         asn = one_assertion_asn(PairwisePositive(0, 1), election1, cfg)
-        assert asn == 5383
+        assert asn == 5367
 
     def test_deterministic_across_runs_and_workers(self, election1):
         cfg = AuditConfig(seed=7, trials=60)
@@ -342,6 +399,86 @@ class TestSimulation:
         assert asn == 500
 
 
+class TestSimulationModel:
+    """The count-based trial against the per-ballot model it samples, and its shared stream."""
+
+    @pytest.mark.parametrize("style, trials", [("polling", 300), ("comparison", 150)])
+    def test_stops_follow_the_per_ballot_model(self, election1, election3, style, trials):
+        # election1's s(A,B) > 0 in polling style, election3's Ranked Pairs set in comparison style.
+        if style == "polling":
+            election, aset = election1, AssertionSet("condorcet", 0, (PairwisePositive(0, 1),))
+        else:
+            election, aset = election3, method_assertions("ranked-pairs", election3)
+        cfg = AuditConfig(seed=11, trials=trials, style=style)
+        stops = estimate_audit(aset, election, cfg).stops
+        reference = per_ballot_stops(aset.assertions, election, cfg, np.random.default_rng(5))
+        # Two-sample KS test at level 0.001 (conservative for stops that tie).
+        critical = math.sqrt(-math.log(0.001 / 2) / 2) * math.sqrt(2 / trials)
+        for ours, theirs in zip(stops, reference):
+            assert ks_statistic(ours, theirs) <= critical
+
+    @pytest.mark.parametrize("style", ["polling", "comparison"])
+    def test_stops_do_not_depend_on_the_rest_of_the_set(self, election3, style):
+        aset = method_assertions("ranked-pairs", election3)
+        cfg = AuditConfig(seed=3, trials=12, style=style)
+        whole = estimate_audit(aset, election3, cfg).stops
+        flipped = estimate_audit(AssertionSet(aset.method, aset.winner, aset.assertions[::-1]), election3, cfg).stops
+        assert len(whole) > 2
+        for i, assertion in enumerate(aset.assertions):
+            alone = one_assertion_stops(assertion, election3, cfg)
+            assert alone.tolist() == whole[i].tolist() == flipped[-1 - i].tolist()
+
+    # Election3 has 7 signatures: at rate 0.002 its 29,000 ballots give more errors than
+    # its 42 misread cells, at 0.0005 fewer, so the two draw the table by its two branches.
+    @pytest.mark.parametrize("error_rate", [0.002, 0.0005])
+    def test_a_walk_to_n_draws_every_ballot_once(self, election3, monkeypatch, error_rate):
+        tables, drawn = [], []
+        error_cells, first_crossings = audit_module._error_cells, audit_module._first_crossings
+
+        def recording_cells(*args):
+            tables.append(error_cells(*args))
+            return tables[-1]
+
+        def walk_to_n(draws, scores, population, risk_limit):
+            def recording(start, end):
+                drawn[-1].append(draws(start, end))
+                return drawn[-1][-1]
+
+            drawn.append([])
+            # Zeros never take the p-value to 0: the walk draws all N.
+            return first_crossings(recording, [np.zeros(tables[-1][2].size)], population, 0.0) * len(scores)
+
+        monkeypatch.setattr(audit_module, "_error_cells", recording_cells)
+        monkeypatch.setattr(audit_module, "_first_crossings", walk_to_n)
+        n = election3.total_ballots
+        cfg = AuditConfig(seed=2, trials=6, error_rate=error_rate)
+        est = one_assertion_estimate(PairwisePositive(0, 1), election3, cfg)
+        assert est.stops[0].tolist() == [n + 1] * 6
+        counts, _ = audit_module._signature_table(election3)
+        misread = 0
+        for (reported, audited, cells), items in zip(tables, drawn):
+            assert np.bincount(np.concatenate(items), minlength=cells.size).tolist() == cells.tolist()
+            assert np.bincount(reported, weights=cells, minlength=counts.size).tolist() == counts.tolist()
+            pairs = list(zip(reported.tolist(), audited.tolist()))
+            assert len(set(pairs)) == len(pairs) and (cells >= 0).all()
+            misread += int(cells[reported != audited].sum())
+        assert misread > 0
+
+    @pytest.mark.parametrize("error_rate", [0.05, 0.0005])
+    def test_error_cells_mean_is_the_per_ballot_rate(self, error_rate):
+        # Per-cell means of the misread table over many trials, against c_s * rate / (S - 1).
+        counts = np.array([900, 40, 3000, 7, 600], dtype=np.int64)
+        s, trials = counts.size, 4000
+        rng = np.random.default_rng(21)
+        total = np.zeros((s, s))
+        for _ in range(trials):
+            reported, audited, cells = _error_cells(counts, error_rate, rng)
+            np.add.at(total, (reported, audited), cells)
+        expected = np.outer(counts, np.full(s, error_rate / (s - 1))) * trials
+        np.fill_diagonal(expected, counts * (1 - error_rate) * trials)
+        assert np.all(np.abs(total - expected) <= 5 * np.sqrt(expected) + 1e-9)
+
+
 class TestEstimate:
     def test_single_assertion_set(self):
         e = unanimous_election()
@@ -357,6 +494,17 @@ class TestEstimate:
         est = estimate_audit(AssertionSet("x", 0, (PairwisePositive(0, 1),)), e, AuditConfig(seed=3, trials=7))
         assert (est.per_assertion, est.overall, est.full_count_flag, est.population) == ((0,), 0, False, 0)
         assert est.stops[0].tolist() == [1] * 7
+
+    def test_population_limit(self):
+        # numpy's marginal multivariate hypergeometric draw takes fewer than 10**9 ballots.
+        cfg = AuditConfig(seed=4, trials=3, style="comparison")
+        below = Election(("A", "B"), {(0,): 600_000_000, (1,): 399_999_999})
+        est = one_assertion_estimate(PairwisePositive(0, 1), below, cfg)
+        assert est.population == 999_999_999 and est.overall < 1000
+        at = Election(("A", "B"), {(0,): 600_000_000, (1,): 400_000_000})
+        message = "^simulation takes fewer than 1,000,000,000 ballots; the election has 1,000,000,000$"
+        with pytest.raises(CapacityError, match=message):
+            one_assertion_estimate(PairwisePositive(0, 1), at, cfg)
 
     def test_full_hand_count_dominates(self, election1):
         aset = AssertionSet("smith-minimax", None, escalation="tie")
@@ -593,3 +741,11 @@ class TestAuditConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             AuditConfig(**kwargs)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    elections = (parse_path(GOLDEN / f"{name}.json").election for name in ("election1", "election3"))
+    cases = _stop_vector_cases(*elections)
+    STOP_VECTORS.write_text(json.dumps({name: stops() for name, stops in cases.items()}) + "\n")

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -682,6 +683,41 @@ def test_infeasible_comparison_audit_exits_1(capsys, tmp_path, e3_path):
     )
 
 
+def _child_env():
+    """Environment for a child process that imports the same condaudit as this process."""
+    src = str(Path(condaudit.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_estimate_below_the_population_limit_needs_memory_for_the_sample_only(capsys, e3_path):
+    # N = 34,000 x 29,000 = 986,000,000 ballots, in a process whose address space is capped at 1 GiB.
+    args = ["estimate", e3_path, "--method", "ranked-pairs", "--style", "comparison", "--trials", "5", "--seed", "7",
+            "--format", "json"]
+    gib = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "condaudit", *args, "--scale", "34000"],
+        capture_output=True,
+        text=True,
+        env={**_child_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    unscaled = json.loads(run_cli(capsys, *args)[1])
+    assert doc["population"] == 986_000_000
+    assert doc["winner"] == unscaled["winner"] == "A"
+    assert [r["assertion"] for r in doc["per_assertion"]] == [r["assertion"] for r in unscaled["per_assertion"]]
+    assert doc["overall_asn"] <= 1000
+
+
+def test_estimate_at_the_population_limit_exits_1(capsys, e3_path):
+    # 34,483 x 29,000 = 1,000,007,000 ballots: the first scale of election3 at or past 10**9.
+    code, out, err = run_cli(capsys, "estimate", e3_path, "--method", "ranked-pairs", "--scale", "34483")
+    assert (code, out) == (1, "")
+    assert err == "error: simulation takes fewer than 1,000,000,000 ballots; the election has 1,000,007,000\n"
+
+
 @pytest.mark.parametrize("command", ["tabulate", "estimate"])
 def test_kemeny_above_its_limit_exits_1(capsys, tmp_path, command):
     path = tmp_path / "nine.json"
@@ -727,13 +763,11 @@ def test_audit_config_fields_are_the_cli_options():
 def test_module_entry_point(e3_path):
     # The child imports the same condaudit as this process, even when pytest
     # alone put its source directory on sys.path.
-    src = str(Path(condaudit.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "condaudit", "tabulate", "--method", "condorcet", e3_path],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "none" in proc.stdout
