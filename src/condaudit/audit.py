@@ -20,14 +20,15 @@ Audit sample sizes (ASN) are estimated by simulation, from the election's
 signature counts and never from a ballot-level population.  A trial applies
 the error model (each ballot is independently misread, at a configured rate,
 as a uniformly random other signature) as ``Binomial(c_s, rate)`` misread
-ballots per signature ``s`` of ``c_s``, spread over the others by a uniform
-multinomial: a table of (reported, audited) cells and their ballot counts.
+ballots per signature ``s`` of ``c_s``, each sent to a uniformly drawn other
+signature: a table of (reported, audited) cells and their ballot counts.
 It then draws the ballots in a uniformly random order, in chunks that grow
 to 8,192 draws: a chunk's count per cell is a multivariate hypergeometric
 draw from the ballots not yet drawn, and the chunk is shuffled.  Every
 assertion of the set reads the same draws, and each walks them with its own
 test to its first crossing of the risk limit; drawing stops once all have
-crossed, so a trial costs O(stop + cells) in time and memory whatever N is.
+crossed, so a trial costs O(stop + signatures + misread ballots) in time and
+memory, and builds no array of N ballots.
 The per-assertion ASN is the median over trials, and a set's overall ASN is
 the largest per-assertion ASN.  Before the first crossing no draw has
 crossed, so the walk looks for the first draw whose own log-martingale gives
@@ -225,27 +226,19 @@ def _error_cells(counts: np.ndarray, error_rate: float, rng: np.random.Generator
     Each of the ``counts[s]`` ballots of signature ``s`` is independently
     misread, with probability ``error_rate``, as a uniformly random *other*
     signature: ``Binomial(counts[s], error_rate)`` of them are misread, and
-    they go to the others by a uniform multinomial.  Returns each cell's
+    each goes to one uniform draw of the others.  Returns each cell's
     reported and audited signature and its ballot count; the diagonal cells
     come first, one per signature, and only the misread cells that hold a
-    ballot follow.  Building the table costs O(min(errors, signatures²)).
+    ballot follow.  Building the table costs O(signatures + misread ballots).
     """
     s = counts.size
     sigs = np.arange(s)
     if error_rate == 0 or s < 2:
         return sigs, sigs, counts
     errors = rng.binomial(counts, error_rate)
-    total = int(errors.sum())
-    if total >= s * (s - 1):
-        # One multinomial row per signature over the others.
-        moved = rng.multinomial(errors, np.full(s - 1, 1.0 / (s - 1)))
-        reported, other = np.nonzero(moved)
-        sent = moved[reported, other]
-    else:
-        # Fewer errors than off-diagonal cells: one uniform other signature per error.
-        reported = np.repeat(sigs, errors)
-        other, sent = np.unique(reported * (s - 1) + rng.integers(0, s - 1, size=total), return_counts=True)
-        reported, other = np.divmod(other, s - 1)
+    reported = np.repeat(sigs, errors)
+    other, sent = np.unique(reported * (s - 1) + rng.integers(0, s - 1, size=reported.size), return_counts=True)
+    reported, other = np.divmod(other, s - 1)
     audited = other + (other >= reported)
     return np.concatenate((sigs, reported)), np.concatenate((sigs, audited)), np.concatenate((counts - errors, sent))
 
@@ -323,13 +316,12 @@ def estimate_audit(
 ) -> ASNEstimate:
     """Estimate the sample size to audit a whole set: the max over its members (all N if it escalates).
 
-    A population of ``MAX_SIMULATED_BALLOTS`` or more raises :class:`CapacityError`.
+    A population of ``MAX_SIMULATED_BALLOTS`` or more raises :class:`CapacityError`
+    when some assertion needs simulating.
     """
     n = election.total_ballots
     if aset.full_hand_count:
         return ASNEstimate((), n, True, n, ())
-    if n >= MAX_SIMULATED_BALLOTS:
-        raise CapacityError(f"simulation takes fewer than {MAX_SIMULATED_BALLOTS:,} ballots; the election has {n:,}")
     # One signature table serves every assertion, and its counts give the tallies.
     counts, prefs = _signature_table(election)
     tallies = np.tensordot(counts, prefs, axes=1)
@@ -338,6 +330,8 @@ def estimate_audit(
     walked = [i for i, mean in enumerate(means) if cfg.style == "polling" or mean > 0.5]
     stops = np.full((len(means), cfg.trials), n + 1, dtype=np.int64)
     if walked:
+        if n >= MAX_SIMULATED_BALLOTS:
+            raise CapacityError(f"simulation takes fewer than {MAX_SIMULATED_BALLOTS:,} ballots; the election has {n:,}")
         values = [assorter_values(aset.assertions[i], prefs) for i in walked]
         stops[walked] = _trial_stops(values, [means[i] for i in walked], counts, cfg, workers).T
     per = tuple(_median_stop(s, n) for s in stops)

@@ -367,7 +367,7 @@ class TestSimulation:
         # frozen at these exact settings when trials moved to signature counts and one stream per trial
         cfg = AuditConfig(seed=42)
         asn = one_assertion_asn(PairwisePositive(0, 1), election1, cfg)
-        assert asn == 5367
+        assert asn == 5371
 
     def test_deterministic_across_runs_and_workers(self, election1):
         cfg = AuditConfig(seed=7, trials=60)
@@ -428,9 +428,8 @@ class TestSimulationModel:
             alone = one_assertion_stops(assertion, election3, cfg)
             assert alone.tolist() == whole[i].tolist() == flipped[-1 - i].tolist()
 
-    # Election3 has 7 signatures: at rate 0.002 its 29,000 ballots give more errors than
-    # its 42 misread cells, at 0.0005 fewer, so the two draw the table by its two branches.
-    @pytest.mark.parametrize("error_rate", [0.002, 0.0005])
+    # At rate 0.5 nearly every one of election3's 42 misread cells holds ballots, at 0.0005 few do.
+    @pytest.mark.parametrize("error_rate", [0.5, 0.0005])
     def test_a_walk_to_n_draws_every_ballot_once(self, election3, monkeypatch, error_rate):
         tables, drawn = [], []
         error_cells, first_crossings = audit_module._error_cells, audit_module._first_crossings
@@ -505,6 +504,11 @@ class TestEstimate:
         message = "^simulation takes fewer than 1,000,000,000 ballots; the election has 1,000,000,000$"
         with pytest.raises(CapacityError, match=message):
             one_assertion_estimate(PairwisePositive(0, 1), at, cfg)
+        # A set that needs no simulated draw has no limit: none, or only full counts.
+        empty = estimate_audit(AssertionSet("x", 0), at, cfg)
+        assert (empty.overall, empty.full_count_flag, empty.stops) == (0, False, ())
+        false = one_assertion_estimate(PairwisePositive(1, 0), at, cfg)
+        assert (false.overall, false.full_count_flag, false.stops[0].tolist()) == (10**9, True, [10**9 + 1] * 3)
 
     def test_full_hand_count_dominates(self, election1):
         aset = AssertionSet("smith-minimax", None, escalation="tie")
