@@ -58,6 +58,7 @@ from .audit import (
     AuditConfig,
     AuditReport,
     AuditSample,
+    InfeasibleAuditError,
     estimate_audit,
     kk_pvalue_trace,
     load_samples,

@@ -390,6 +390,10 @@ def load_samples(source: str | Path | Iterable[str], election: Election) -> list
     return samples
 
 
+class InfeasibleAuditError(ValueError):
+    """Raised when an assertion set admits no audit of the requested style."""
+
+
 @dataclass(frozen=True)
 class AssertionAuditRecord:
     assertion: Assertion
@@ -426,6 +430,8 @@ def run_audit(
     the sample first escalates to a full hand count, as an escalated set does
     at once.  A sample too large, or a comparison sample with any draw
     lacking its reported ballot, is a :class:`~condaudit.ballots.ParseError`.
+    A comparison audit of a set whose reported tallies do not support every
+    assertion raises :class:`InfeasibleAuditError`.
     """
     if aset.full_hand_count:
         return AuditReport("escalate-full-count", 0, cfg.risk_limit, ())
@@ -442,7 +448,7 @@ def run_audit(
         tallies = pairwise_tallies(election)
         reported_means = [claim_mean(a, tallies, n) for a in aset.assertions]
         if not all(mean > 0.5 for mean in reported_means):
-            raise ValueError(
+            raise InfeasibleAuditError(
                 "comparison audit is impossible: reported tallies do not support the assertion (mean <= 1/2)"
             )
 

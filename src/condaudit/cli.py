@@ -7,18 +7,26 @@ audit over a drawn sample).  Methods come from the library's
 ``assertions.METHODS``; this module renders results and reports usage
 errors.  Ingest warnings go to stderr (``parse`` reports them on stdout).
 
-Exit codes: 0 success, 1 full-hand-count or infeasible-audit outcome,
-2 parse/schema errors, 64 usage errors.
+Exit codes: 0 success; 1 full-hand-count outcome, infeasible audit
+(``InfeasibleAuditError``), capacity limit (``CapacityError``) or out of
+memory; 2 parse/schema errors; 64 usage errors; 70 internal error (any other
+exception, reported with its traceback).  ``--format json`` output is
+``json.dumps(obj, indent=2)`` byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
+import traceback
 from dataclasses import fields
+from json.encoder import c_make_encoder, encode_basestring_ascii
+
+import numpy as np
 
 from . import ballots as ballots_io
 from .assertions import (
@@ -30,7 +38,16 @@ from .assertions import (
     import_assertions,
     method_assertions,
 )
-from .audit import AUDIT_STYLES, ASNEstimate, AuditConfig, AuditReport, estimate_audit, load_samples, run_audit
+from .audit import (
+    AUDIT_STYLES,
+    ASNEstimate,
+    AuditConfig,
+    AuditReport,
+    InfeasibleAuditError,
+    estimate_audit,
+    load_samples,
+    run_audit,
+)
 from .ballots import ParseError
 from .model import Election, pairwise_tallies
 from .tabulation import CapacityError, IrvResult
@@ -39,6 +56,7 @@ EXIT_OK = 0
 EXIT_FULL_COUNT = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 INFINITY = "∞"
 
@@ -261,9 +279,77 @@ def _method_assertions(args, election: Election) -> AssertionSet:
 # Rendering
 
 
+# A list of at least this many floats writes each distinct value once.
+_FLOAT_RUN = 64
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _layout(depth: int):
+    """``(encode, sep, close)`` for a container ``depth`` levels down: the C
+    encoder for its scalars, whose item separator ``sep`` carries the indent,
+    and the newline and indent before its closing bracket.  Built once per
+    depth, since ``JSONEncoder.encode`` builds a C encoder per call."""
+    sep = ",\n" + "  " * (depth + 1)
+    encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                            ": ", sep, False, False, True)
+    return (lambda obj: "".join(encode(obj, 0))), sep, "\n" + "  " * depth
+
+
+def _is_nested(value) -> bool:
+    return isinstance(value, _CONTAINERS)
+
+
+def _is_nested_item(item) -> bool:
+    return isinstance(item[1], _CONTAINERS)
+
+
+def _dumps(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for an acyclic ``obj``,
+    without the pure-Python encoder json falls back to whenever ``indent`` is set.
+
+    Each run of scalars in a container is written by one call of the C
+    encoder; only items that are containers are walked here.  A long list of
+    floats (an audit's p-value trace, a running minimum with few distinct
+    values) formats each distinct bit pattern once, as ``float.__repr__``
+    costs the same whoever calls it.  Bit patterns, not values, key the
+    texts: ``0.0 == -0.0``, and NaN equals nothing.
+    """
+    encode, sep, close = _layout(depth)
+    if isinstance(obj, dict):
+        brackets, items, nested, scalars = "{}", obj.items(), _is_nested_item, dict
+        write = lambda item: f"{_key(item[0])}: {_dumps(item[1], depth + 1)}"
+    elif isinstance(obj, (list, tuple)):
+        brackets, items, nested, scalars = "[]", obj, _is_nested, list
+        write = lambda value: _dumps(value, depth + 1)
+    else:
+        return encode(obj)
+    if not obj:
+        return brackets
+    if scalars is list and len(obj) >= _FLOAT_RUN and list(map(type, obj)).count(float) == len(obj):
+        distinct, order = np.unique(np.fromiter(obj, np.float64, len(obj)).view(np.int64), return_inverse=True)
+        texts = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+        body = sep.join(texts[order].tolist())
+    elif not any(map(nested, items)):
+        body = encode(obj)[1:-1]
+    else:
+        body = sep.join(
+            sep.join(map(write, run)) if is_nested else encode(scalars(run))[1:-1]
+            for is_nested, run in itertools.groupby(items, nested)
+        )
+    return f"{brackets[0]}{sep[1:]}{body}{close}{brackets[1]}"
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a string, or a float, int, bool or None turned into one."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return _layout(0)[0]({key: None})[1 : -len(": null}")]
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -324,7 +410,7 @@ def _audit_payload(aset: AssertionSet, report: AuditReport, election: Election):
             "assertion": describe(rec.assertion, names),
             "certified": rec.certified,
             "p_value": rec.p_value,
-            "p_trace": list(rec.p_trace),
+            "p_trace": rec.p_trace,
         }
         for rec in report.records
     ] + _escalation_rows(aset, certified=False, p_value=1.0, p_trace=[])
@@ -381,9 +467,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapacityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, InfeasibleAuditError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_FULL_COUNT
+    except Exception:
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 def _dispatch(args) -> int:
@@ -407,6 +496,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
     for note in notes:  # parse reports them in its output; every other command on stderr
         print(note, file=sys.stderr)
+    if not election.candidates:  # parse describes such a file; no other command can count it
+        raise ParseError("the election names no candidates")
 
     if args.command == "tabulate":
         tabulate, _ = METHODS[args.method]
@@ -415,7 +506,7 @@ def _dispatch(args) -> int:
 
     if args.command == "assertions":
         aset = _method_assertions(args, election)
-        text = json.dumps(export_assertions(aset, election), indent=2)
+        text = _dumps(export_assertions(aset, election))
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

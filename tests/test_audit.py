@@ -25,6 +25,7 @@ from condaudit import (
     AuditSample,
     CapacityError,
     Election,
+    InfeasibleAuditError,
     PairwisePositive,
     ParseError,
     RankingComparison,
@@ -317,7 +318,7 @@ class TestComparisonAssorter:
         tied = Election(("A", "B"), {(0,): 5, (1,): 5})
         aset = AssertionSet("condorcet", 0, (PairwisePositive(0, 1),))
         cfg = AuditConfig(seed=5, trials=10, style="comparison")
-        with pytest.raises(ValueError, match="mean"):
+        with pytest.raises(InfeasibleAuditError, match="mean"):
             run_audit(aset, [AuditSample(audited=(0,), reported=(0,))], tied, cfg)
         est = estimate_audit(aset, tied, cfg)
         assert est.full_count_flag and est.per_assertion == (10,)
@@ -331,7 +332,7 @@ class TestComparisonAssorter:
         est = estimate_audit(aset, smith_tie_election, cfg)
         assert est.full_count_flag and est.per_assertion == (6,)
         assert est.stops[0].tolist() == [7] * 10
-        with pytest.raises(ValueError, match="mean"):
+        with pytest.raises(InfeasibleAuditError, match="mean"):
             run_audit(aset, [AuditSample(audited=(0, 1, 2), reported=(0, 1, 2))], smith_tie_election, cfg)
 
 
@@ -628,7 +629,7 @@ class TestRunAudit:
     def test_comparison_rejects_reportedly_false_assertions(self):
         e = unanimous_election()
         aset = AssertionSet("x", 1, (PairwisePositive(1, 0),))
-        with pytest.raises(ValueError, match="mean"):
+        with pytest.raises(InfeasibleAuditError, match="mean"):
             run_audit(aset, [AuditSample(audited=(0,), reported=(0,))], e, AuditConfig(style="comparison"))
 
     @pytest.mark.parametrize("style", ["polling", "comparison"])

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import resource
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import condaudit
 from condaudit import AssertionSet, cli, import_assertions, parse_native, serialize_election
@@ -771,3 +774,124 @@ def test_module_entry_point(e3_path):
     )
     assert proc.returncode == 0
     assert "none" in proc.stdout
+
+
+def test_election_without_candidates_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"candidates": [], "ballots": []}))
+    assert run_cli(capsys, "parse", str(path))[0] == 0
+    for command in ("tabulate", "estimate"):
+        assert run_cli(capsys, command, str(path), "--method", "minimax") == (
+            2, "", "error: the election names no candidates\n"
+        )
+
+
+def _raiser(exc: BaseException):
+    def raise_it(*args, **kwargs):
+        raise exc
+    return raise_it
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 64, 70])
+def test_each_kind_of_outcome_has_its_exit_code(capsys, monkeypatch, tmp_path, e1_path, tie_path, code):
+    bad = tmp_path / "bad.soi"
+    bad.write_text("# NUMBER ALTERNATIVES: 2\n2: 1,1,2\n")
+    election, method = {0: (e1_path, "condorcet"), 1: (tie_path, "smith-minimax"), 2: (str(bad), "condorcet"),
+                        64: (e1_path, None), 70: (e1_path, "condorcet")}[code]
+    if code == 70:  # a ValueError from a fault in the program is not an infeasible audit
+        monkeypatch.setattr(cli, "estimate_audit", _raiser(ValueError("internal fault")))
+    method_args = ["--method", method] if method else []
+    got, out, err = run_cli(capsys, "estimate", election, *method_args, "--trials", "3")
+    assert got == code
+    if code in (0, 1):
+        assert out.startswith("Method: ") and err == ""
+    elif code == 70:
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("\nValueError: internal fault\n")
+    else:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith({2: "error: line 2: ", 64: "usage error: "}[code])
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 3.67 GiB for an array with shape (493000000,) and data type int64"),
+         "error: Unable to allocate 3.67 GiB for an array with shape (493000000,) and data type int64\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_out_of_memory_exits_1_with_one_error_line(capsys, monkeypatch, e3_path, exc, line):
+    monkeypatch.setattr(cli, "estimate_audit", _raiser(exc))
+    assert run_cli(capsys, "estimate", e3_path, "--method", "ranked-pairs", "--trials", "3") == (1, "", line)
+
+
+def test_json_output_never_reaches_the_pure_python_encoder(capsys, monkeypatch, tmp_path):
+    # json.dumps(..., indent=2) builds its encoder with json.encoder._make_iterencode; the C path does not.
+    golden = Path(__file__).parent / "golden"
+    exit_codes = json.loads((golden / "exit_codes.json").read_text())
+    election = str(golden / "election3.json")
+    set_path = str(golden / "election3.kemeny.assertions.out")
+    written = tmp_path / "set.json"
+    cases = {
+        "election3.ranked-pairs.tabulate.json": ["tabulate", election, "--method", "ranked-pairs", "--format", "json"],
+        "election3.kemeny.assertions": ["assertions", election, "--method", "kemeny"],
+        "election3.ranked-pairs.estimate.comparison.json": [
+            "estimate", election, "--method", "ranked-pairs", "--style", "comparison", "--format", "json",
+            "--trials", "20", "--seed", "7", "--workers", "2",
+        ],
+        "election3.kemeny.audit.polling.json": [
+            "audit", election, "--format", "json", "--assertions-file", set_path,
+            "--samples-file", str(golden / "election3-samples.jsonl"),
+        ],
+    }
+    monkeypatch.setattr(json.encoder, "_make_iterencode", _raiser(AssertionError("pure-Python JSON encoder")))
+    code, out, err = run_cli(capsys, "parse", election, "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["total_ballots"] == 29000
+    for case, argv in cases.items():
+        assert run_cli(capsys, *argv) == (exit_codes[case], (golden / f"{case}.out").read_text(), ""), case
+    code, out, err = run_cli(capsys, "assertions", election, "--method", "kemeny", "-o", str(written))
+    assert (code, err) == (0, "")
+    assert written.read_text() == (golden / "election3.kemeny.assertions.out").read_text()
+
+
+def test_audit_payload_writes_the_trace_without_a_copy():
+    golden = Path(__file__).parent / "golden"
+    election = condaudit.parse_path(str(golden / "election3.json")).election
+    aset = import_assertions((golden / "election3.ranked-pairs.assertions.out").read_text(), election)
+    samples = condaudit.load_samples(str(golden / "election3-samples.jsonl"), election)
+    report = condaudit.run_audit(aset, samples, election, condaudit.AuditConfig())
+    payload, _ = cli._audit_payload(aset, report, election)
+    assert [row["p_trace"] for row in payload["assertions"]] == [rec.p_trace for rec in report.records]
+    assert all(row["p_trace"] is rec.p_trace for row, rec in zip(payload["assertions"], report.records))
+
+
+_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1e-310, 2.2250738585072014e-308]
+)
+_STRINGS = st.text() | st.text(st.characters(min_codepoint=0x80), min_size=1)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**200).map(lambda n: -n if n % 2 else n)
+            | _FLOATS | _STRINGS)
+# Lists longer than the writer's float-run threshold, drawn from a few values so that they repeat.
+_LONG_RUNS = st.lists(_FLOATS, min_size=1, max_size=6) | st.lists(_FLOATS | _SCALARS, min_size=1, max_size=6)
+_LONG_LISTS = st.builds(
+    lambda pool, size, rng: [rng.choice(pool) for _ in range(size)],
+    _LONG_RUNS, st.integers(cli._FLOAT_RUN, 3 * cli._FLOAT_RUN), st.randoms(use_true_random=False),
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS | _LONG_LISTS,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_STRINGS, kids, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(_DOCUMENTS)
+@example([0.0, -0.0] * 40)
+@example({"p_trace": (math.nan,) * 70, "e": [[], {}, ()], "": {"é": [[{}]]}})
+@example({7: [1.5], 2.5: {}, None: [[]], False: "x", True: {}})
+@settings(max_examples=200, deadline=None)
+def test_dumps_is_json_dumps_indent_2(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
