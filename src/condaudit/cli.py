@@ -279,8 +279,6 @@ def _method_assertions(args, election: Election) -> AssertionSet:
 # Rendering
 
 
-# A list of at least this many floats writes each distinct value once.
-_FLOAT_RUN = 64
 _CONTAINERS = (dict, list, tuple)
 
 
@@ -309,11 +307,11 @@ def _dumps(obj, depth: int = 0) -> str:
     without the pure-Python encoder json falls back to whenever ``indent`` is set.
 
     Each run of scalars in a container is written by one call of the C
-    encoder; only items that are containers are walked here.  A long list of
-    floats (an audit's p-value trace, a running minimum with few distinct
-    values) formats each distinct bit pattern once, as ``float.__repr__``
-    costs the same whoever calls it.  Bit patterns, not values, key the
-    texts: ``0.0 == -0.0``, and NaN equals nothing.
+    encoder; only items that are containers are walked here.  A list of floats
+    (an audit's p-value trace, a running minimum with few distinct values)
+    formats each distinct bit pattern once, as ``float.__repr__`` costs the
+    same whoever calls it.  Bit patterns, not values, key the texts:
+    ``0.0 == -0.0``, and NaN equals nothing.
     """
     encode, sep, close = _layout(depth)
     if isinstance(obj, dict):
@@ -326,7 +324,7 @@ def _dumps(obj, depth: int = 0) -> str:
         return encode(obj)
     if not obj:
         return brackets
-    if scalars is list and len(obj) >= _FLOAT_RUN and list(map(type, obj)).count(float) == len(obj):
+    if scalars is list and list(map(type, obj)).count(float) == len(obj):
         distinct, order = np.unique(np.fromiter(obj, np.float64, len(obj)).view(np.int64), return_inverse=True)
         texts = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
         body = sep.join(texts[order].tolist())

@@ -874,11 +874,11 @@ _FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
 _STRINGS = st.text() | st.text(st.characters(min_codepoint=0x80), min_size=1)
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**200).map(lambda n: -n if n % 2 else n)
             | _FLOATS | _STRINGS)
-# Lists longer than the writer's float-run threshold, drawn from a few values so that they repeat.
+# Long lists drawn from a few values, so that they repeat as a p-value trace does.
 _LONG_RUNS = st.lists(_FLOATS, min_size=1, max_size=6) | st.lists(_FLOATS | _SCALARS, min_size=1, max_size=6)
 _LONG_LISTS = st.builds(
     lambda pool, size, rng: [rng.choice(pool) for _ in range(size)],
-    _LONG_RUNS, st.integers(cli._FLOAT_RUN, 3 * cli._FLOAT_RUN), st.randoms(use_true_random=False),
+    _LONG_RUNS, st.integers(64, 192), st.randoms(use_true_random=False),
 )
 _DOCUMENTS = st.recursive(
     _SCALARS | _LONG_LISTS,
@@ -890,6 +890,7 @@ _DOCUMENTS = st.recursive(
 
 @given(_DOCUMENTS)
 @example([0.0, -0.0] * 40)
+@example([-0.0, 0.0, math.nan])
 @example({"p_trace": (math.nan,) * 70, "e": [[], {}, ()], "": {"é": [[{}]]}})
 @example({7: [1.5], 2.5: {}, None: [[]], False: "x", True: {}})
 @settings(max_examples=200, deadline=None)
