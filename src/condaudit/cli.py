@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -279,70 +278,45 @@ def _method_assertions(args, election: Election) -> AssertionSet:
 # Rendering
 
 
-_CONTAINERS = (dict, list, tuple)
+# The C encoder for every scalar and non-string key.  Its item separator never
+# shows: it writes one value at a time, or a dict of one item.
+_encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                         ": ", ", ", False, False, True)
 
 
-@functools.cache
-def _layout(depth: int):
-    """``(encode, sep, close)`` for a container ``depth`` levels down: the C
-    encoder for its scalars, whose item separator ``sep`` carries the indent,
-    and the newline and indent before its closing bracket.  Built once per
-    depth, since ``JSONEncoder.encode`` builds a C encoder per call."""
-    sep = ",\n" + "  " * (depth + 1)
-    encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
-                            ": ", sep, False, False, True)
-    return (lambda obj: "".join(encode(obj, 0))), sep, "\n" + "  " * depth
-
-
-def _is_nested(value) -> bool:
-    return isinstance(value, _CONTAINERS)
-
-
-def _is_nested_item(item) -> bool:
-    return isinstance(item[1], _CONTAINERS)
-
-
-def _dumps(obj, depth: int = 0) -> str:
+def _dumps(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for an acyclic ``obj``,
     without the pure-Python encoder json falls back to whenever ``indent`` is set.
 
-    Each run of scalars in a container is written by one call of the C
-    encoder; only items that are containers are walked here.  A list of floats
-    (an audit's p-value trace, a running minimum with few distinct values)
-    formats each distinct bit pattern once, as ``float.__repr__`` costs the
-    same whoever calls it.  Bit patterns, not values, key the texts:
+    One walk: ``newline`` is the newline and indent before the closing bracket
+    of ``obj``, and each item of a dict, list or tuple is written one level
+    deeper.  Scalars go through the C encoder.  A non-empty list or tuple of
+    floats only (an audit's p-value trace, a running minimum with few distinct
+    values) formats each distinct bit pattern once, as ``float.__repr__``
+    costs the same whoever calls it.  Bit patterns, not values, key the texts:
     ``0.0 == -0.0``, and NaN equals nothing.
     """
-    encode, sep, close = _layout(depth)
+    if not isinstance(obj, (dict, list, tuple)):
+        return "".join(_encode(obj, 0))
+    inner = newline + "  "
     if isinstance(obj, dict):
-        brackets, items, nested, scalars = "{}", obj.items(), _is_nested_item, dict
-        write = lambda item: f"{_key(item[0])}: {_dumps(item[1], depth + 1)}"
-    elif isinstance(obj, (list, tuple)):
-        brackets, items, nested, scalars = "[]", obj, _is_nested, list
-        write = lambda value: _dumps(value, depth + 1)
-    else:
-        return encode(obj)
-    if not obj:
-        return brackets
-    if scalars is list and list(map(type, obj)).count(float) == len(obj):
+        brackets, items = "{}", [f"{_key(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
+    elif obj and list(map(type, obj)).count(float) == len(obj):
         distinct, order = np.unique(np.fromiter(obj, np.float64, len(obj)).view(np.int64), return_inverse=True)
         texts = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
-        body = sep.join(texts[order].tolist())
-    elif not any(map(nested, items)):
-        body = encode(obj)[1:-1]
+        brackets, items = "[]", texts[order].tolist()
     else:
-        body = sep.join(
-            sep.join(map(write, run)) if is_nested else encode(scalars(run))[1:-1]
-            for is_nested, run in itertools.groupby(items, nested)
-        )
-    return f"{brackets[0]}{sep[1:]}{body}{close}{brackets[1]}"
+        brackets, items = "[]", [_dumps(value, inner) for value in obj]
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{newline}{brackets[1]}"
 
 
 def _key(key) -> str:
     """A dict key as json writes it: a string, or a float, int, bool or None turned into one."""
     if isinstance(key, str):
         return encode_basestring_ascii(key)
-    return _layout(0)[0]({key: None})[1 : -len(": null}")]
+    return "".join(_encode({key: None}, 0))[1 : -len(": null}")]
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -389,15 +363,10 @@ def _estimate_payload(aset: AssertionSet, est: ASNEstimate, election: Election, 
         f"risk limit: {cfg.risk_limit:g}   error rate: {cfg.error_rate:g}   seed: {cfg.seed}",
         f"{'Assertion':<{width}}  {'ASN':>8}  {'(%)':>8}",
     ]
-    for r in rows:
-        if r["asn"] is None:
-            lines.append(f"{r['assertion']:<{width}}  {INFINITY:>8}  {INFINITY:>8}")
-        else:
-            lines.append(f"{r['assertion']:<{width}}  {r['asn']:>8}  {r['pct']:>7.2f}%")
-    if est.full_count_flag:
-        lines.append(f"{'Overall':<{width}}  {INFINITY:>8}  {INFINITY:>8}")
-    else:
-        lines.append(f"{'Overall':<{width}}  {est.overall:>8}  {est.percentage:>7.2f}%")
+    table = [(r["assertion"], r["asn"], r["pct"]) for r in rows] + [("Overall", payload["overall_asn"], est.percentage)]
+    for label, asn, pct in table:
+        shown = f"{INFINITY:>8}  {INFINITY:>8}" if asn is None else f"{asn:>8}  {pct:>7.2f}%"
+        lines.append(f"{label:<{width}}  {shown}")
     return payload, lines
 
 

@@ -256,20 +256,11 @@ def ranked_pairs_tabulate(score_matrix: np.ndarray) -> RankedPairsResult:
 
     # Group equal-score majorities; only groups that actually came into play
     # can influence the outcome.
-    blocks: list[list[tuple[int, int, int]]] = []
-    for _, group in itertools.groupby(pairs, key=lambda p: p[0]):
-        blocks.append(list(group))
-    block_spans: list[tuple[int, int]] = []
-    start = 0
-    for block in blocks:
-        block_spans.append((start, start + len(block)))
-        start += len(block)
+    blocks = [list(group) for _, group in itertools.groupby(pairs, key=lambda p: p[0])]
+    starts = [0, *itertools.accumulate(map(len, blocks))]
 
     def touched_blocks(n_consumed: int) -> set[int]:
-        return {
-            b for b, (lo, hi) in enumerate(block_spans)
-            if lo < n_consumed and len(blocks[b]) > 1
-        }
+        return {b for b, block in enumerate(blocks) if starts[b] < n_consumed and len(block) > 1}
 
     relevant = touched_blocks(consumed)
     if not relevant:

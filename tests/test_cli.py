@@ -893,6 +893,9 @@ _DOCUMENTS = st.recursive(
 @example([-0.0, 0.0, math.nan])
 @example({"p_trace": (math.nan,) * 70, "e": [[], {}, ()], "": {"é": [[{}]]}})
 @example({7: [1.5], 2.5: {}, None: [[]], False: "x", True: {}})
+@example({"a": 1, "b": [1, 2.5], "c": "x", "d": {"e": None}, "f": 2.5})
+@example([1, [2.0, -0.0], "s", {"k": (0.5, 0.5)}, None])
+@example([[[[0.1, 0.1, math.nan]]]])
 @settings(max_examples=200, deadline=None)
 def test_dumps_is_json_dumps_indent_2(doc):
     assert cli._dumps(doc) == json.dumps(doc, indent=2)
