@@ -39,14 +39,15 @@ of execution order or parallelism, and an assertion's stops do not depend on
 the rest of its set.  The hypergeometric draw takes fewer than
 ``MAX_SIMULATED_BALLOTS`` (10**9) ballots.
 
-A batch audit scores its drawn sample once per assertion, traces each
-assertion's p-value over the sample, and stops at the largest first crossing
-of the risk limit.
-
-A comparison audit scores each draw against the assertion's reported mean,
-read exactly from the election's pairwise tallies by :func:`claim_mean`.
-Only a reported mean above 1/2 admits one: otherwise an estimate flags the
-set for a full hand count and an audit raises.
+Simulation and audit score through one path.  One signature table, the
+profile's signatures in sorted order and then an audit's sampled ballots
+that the profile lacks, at count 0, gives every assertion's assorter per
+signature and its reported mean, read exactly from the table's tallies by
+:func:`claim_mean`.  One cell scorer scores (reported, audited) cells for
+either style.  Only a reported mean above 1/2 admits a comparison audit:
+otherwise an estimate flags the set for a full hand count and an audit
+raises.  A batch audit traces each assertion's p-value over the sample and
+stops at the largest first crossing of the risk limit.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ballots import ParseError, read_text, resolve_names, roster_index
-from .model import Ballot, Election, pairwise_tallies, preference_matrix
+from .model import Ballot, Election, preference_matrix
 from .assertions import Assertion, AssertionSet, assorter_values, claim_mean
 from .tabulation import CapacityError
 
@@ -191,17 +192,40 @@ def _first_crossings(draws, scores: Sequence[np.ndarray], population: int, risk_
 
 
 # ---------------------------------------------------------------------------
-# Comparison (overstatement) assorter
+# Scoring: one signature table, one cell scorer
 
 
-def _comparison_score(reported, audited, reported_mean: float):
-    """Overstatement score ``(1 - w) / (2 - v)`` from polling assorters ``a``; elementwise on arrays.
+def _scoring(aset: AssertionSet, election: Election, sampled: Iterable[Ballot] = ()):
+    """The signature table of an election and its sampled ballots, scored for every assertion of ``aset``.
 
-    ``w = a(reported) - a(audited)`` is the overstatement and ``v = 2 * reported_mean - 1``
-    the reported margin.  The score's population mean exceeds 1/2 exactly when
-    the assertion holds on the audited ballots; only a reported mean above 1/2 admits it.
+    The table's rows are the profile's signatures in sorted order, then each
+    sampled ballot the profile lacks, with count 0.  Returns each signature's
+    row, each row's ballot count, each assertion's assorter per row, and each
+    assertion's reported mean, read exactly by :func:`claim_mean` from the
+    table's tallies, to which a count-0 row adds nothing.
     """
-    return (1 - (reported - audited)) / (2 - (2 * reported_mean - 1))
+    sigs = sorted(election.profile)
+    sigs += [ballot for ballot in dict.fromkeys(sampled) if ballot not in election.profile]
+    counts = np.array([election.profile.get(sig, 0) for sig in sigs], dtype=np.int64)
+    prefs = preference_matrix(sigs, election.num_candidates)
+    tallies = np.tensordot(counts, prefs, axes=1)
+    values = [assorter_values(a, prefs) for a in aset.assertions]
+    means = [claim_mean(a, tallies, election.total_ballots) for a in aset.assertions]
+    return {sig: row for row, sig in enumerate(sigs)}, counts, values, means
+
+
+def _cell_scores(values: Sequence[np.ndarray], means: Sequence[float], reported, audited, style) -> list[np.ndarray]:
+    """Each assertion's score of (reported, audited) cells, given as rows of its ``values``.
+
+    Polling scores the audited row.  Comparison scores the overstatement
+    ``(1 - w) / (2 - v)``, where ``w = a(reported) - a(audited)`` and ``v =
+    2 * means[i] - 1`` is the reported margin; its population mean exceeds
+    1/2 exactly when the assertion holds on the audited ballots, and only a
+    reported mean above 1/2 admits it.
+    """
+    if style == "polling":
+        return [v[audited] for v in values]
+    return [(1 - (v[reported] - v[audited])) / (2 - (2 * mean - 1)) for v, mean in zip(values, means)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +235,6 @@ def _comparison_score(reported, audited, reported_mean: float):
 # Simulation takes populations below this size: numpy's marginal multivariate
 # hypergeometric draw needs its colors to sum below 10**9.
 MAX_SIMULATED_BALLOTS = 10**9
-
-
-def _signature_table(election: Election) -> tuple[np.ndarray, np.ndarray]:
-    """The election's distinct signatures, in sorted order: their ballot counts and preference matrix."""
-    sigs = sorted(election.profile)
-    counts = np.array([election.profile[s] for s in sigs], dtype=np.int64)
-    return counts, preference_matrix(sigs, election.num_candidates)
 
 
 def _error_cells(counts: np.ndarray, error_rate: float, rng: np.random.Generator):
@@ -233,7 +250,7 @@ def _error_cells(counts: np.ndarray, error_rate: float, rng: np.random.Generator
     """
     s = counts.size
     sigs = np.arange(s)
-    if error_rate == 0 or s < 2:
+    if s < 2:
         return sigs, sigs, counts
     errors = rng.binomial(counts, error_rate)
     reported = np.repeat(sigs, errors)
@@ -263,10 +280,7 @@ def _trial_stops(
     def one_trial(trial: int) -> list[int]:
         rng = np.random.default_rng([cfg.seed & _SEED_MASK, trial])
         reported, audited, cells = _error_cells(counts, cfg.error_rate, rng)
-        if cfg.style == "comparison":
-            scores = [_comparison_score(v[reported], v[audited], mean) for v, mean in zip(values, means)]
-        else:
-            scores = [v[audited] for v in values]
+        scores = _cell_scores(values, means, reported, audited, cfg.style)
         remaining = cells.copy()
 
         def draws(start: int, end: int) -> np.ndarray:
@@ -322,18 +336,14 @@ def estimate_audit(
     n = election.total_ballots
     if aset.full_hand_count:
         return ASNEstimate((), n, True, n, ())
-    # One signature table serves every assertion, and its counts give the tallies.
-    counts, prefs = _signature_table(election)
-    tallies = np.tensordot(counts, prefs, axes=1)
-    means = [claim_mean(assertion, tallies, n) for assertion in aset.assertions]
+    _, counts, values, means = _scoring(aset, election)
     # A comparison audit needs a reported mean above 1/2; without one every trial is a full count.
     walked = [i for i, mean in enumerate(means) if cfg.style == "polling" or mean > 0.5]
     stops = np.full((len(means), cfg.trials), n + 1, dtype=np.int64)
     if walked:
         if n >= MAX_SIMULATED_BALLOTS:
             raise CapacityError(f"simulation takes fewer than {MAX_SIMULATED_BALLOTS:,} ballots; the election has {n:,}")
-        values = [assorter_values(aset.assertions[i], prefs) for i in walked]
-        stops[walked] = _trial_stops(values, [means[i] for i in walked], counts, cfg, workers).T
+        stops[walked] = _trial_stops([values[i] for i in walked], [means[i] for i in walked], counts, cfg, workers).T
     per = tuple(_median_stop(s, n) for s in stops)
     full = len(walked) < len(means)
     overall = n if full else max(per, default=0)
@@ -362,7 +372,8 @@ def load_samples(source: str | Path | Iterable[str], election: Election) -> list
     election has ballots, are data errors.
     """
     if isinstance(source, (str, Path)):
-        lines = read_text(source).splitlines()
+        # Not splitlines(): a JSON string may hold U+2028, U+2029 and NEL raw.
+        lines = read_text(source).split("\n")
     else:
         lines = [ln.rstrip("\n") for ln in source]
     index = roster_index(election.candidates)
@@ -443,29 +454,15 @@ def run_audit(
     if comparison and any(s.reported is None for s in samples):
         raise ParseError("comparison audits need a reported ballot per sample")
 
-    reported_means: list[float] = []
-    if comparison:
-        tallies = pairwise_tallies(election)
-        reported_means = [claim_mean(a, tallies, n) for a in aset.assertions]
-        if not all(mean > 0.5 for mean in reported_means):
-            raise InfeasibleAuditError(
-                "comparison audit is impossible: reported tallies do not support the assertion (mean <= 1/2)"
-            )
-
-    drawn = [s.audited for s in samples] + [s.reported for s in samples if comparison]
-
-    # Score each distinct sampled ballot once per assertion.
-    sigs = list(dict.fromkeys(drawn))
-    rows = {sig: row for row, sig in enumerate(sigs)}
-    drawn_rows = np.array([rows[b] for b in drawn], dtype=np.intp)
-    prefs = preference_matrix(sigs, election.num_candidates)
-    traces = []
-    for idx, assertion in enumerate(aset.assertions):
-        values = assorter_values(assertion, prefs)
-        x = values[drawn_rows[: len(samples)]]
-        if comparison:
-            x = _comparison_score(values[drawn_rows[len(samples) :]], x, reported_means[idx])
-        traces.append(kk_pvalue_trace(x, n))
+    sampled = [s.audited for s in samples] + [s.reported for s in samples if comparison]
+    rows, _, values, means = _scoring(aset, election, sampled)
+    if comparison and not all(mean > 0.5 for mean in means):
+        raise InfeasibleAuditError(
+            "comparison audit is impossible: reported tallies do not support the assertion (mean <= 1/2)"
+        )
+    audited = np.array([rows[s.audited] for s in samples], dtype=np.intp)
+    reported = np.array([rows[s.reported] for s in samples], dtype=np.intp) if comparison else audited
+    traces = [kk_pvalue_trace(x, n) for x in _cell_scores(values, means, reported, audited, cfg.style)]
 
     crossings = [np.flatnonzero(p <= cfg.risk_limit) for p in traces]
     if all(c.size for c in crossings):

@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
         if with_format:
             p.add_argument("--format", choices=("text", "json"), default="text")
         if with_audit:
-            p.add_argument("--risk-limit", type=float, default=0.05)
-            p.add_argument("--style", choices=AUDIT_STYLES, default="polling")
+            p.add_argument("--risk-limit", type=float, default=AuditConfig.risk_limit)
+            p.add_argument("--style", choices=AUDIT_STYLES, default=AuditConfig.style)
             p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("parse", help="parse a ballot file and report its shape")
@@ -113,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate audit sample sizes by simulation")
     common(p, with_audit=True)
-    p.add_argument("--error-rate", type=float, default=0.002)
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--error-rate", type=float, default=AuditConfig.error_rate)
+    p.add_argument("--trials", type=int, default=AuditConfig.trials)
     # No default here: main reads $CONDAUDIT_SEED at each call, so the parser is built once.
     p.add_argument("--seed", type=_seed, help="simulation seed (default: $CONDAUDIT_SEED or 0)")
     p.set_defaults(subparser=p)

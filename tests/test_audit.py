@@ -47,11 +47,12 @@ from condaudit.audit import (
     _MAX_CHUNK,
     NULL_MEAN,
     PADDING,
-    _comparison_score,
+    _cell_scores,
     _error_cells,
     _first_crossings,
     _kk_chunk,
     _kk_pvalue,
+    _scoring,
 )
 from condaudit.ballots import parse_path, scale
 
@@ -296,8 +297,8 @@ class TestFrozenStopVectors:
 
 
 def comparison_value(assertion, reported, audited, reported_mean):
-    reported_value, audited_value = assorter_values(assertion, preference_matrix([reported, audited], 2))
-    return _comparison_score(reported_value, audited_value, reported_mean)
+    values = assorter_values(assertion, preference_matrix([reported, audited], 2))
+    return _cell_scores([values], [reported_mean], 0, 1, "comparison")[0]
 
 
 class TestComparisonAssorter:
@@ -454,7 +455,7 @@ class TestSimulationModel:
         cfg = AuditConfig(seed=2, trials=6, error_rate=error_rate)
         est = one_assertion_estimate(PairwisePositive(0, 1), election3, cfg)
         assert est.stops[0].tolist() == [n + 1] * 6
-        counts, _ = audit_module._signature_table(election3)
+        _, counts, _, _ = _scoring(AssertionSet("x", 0), election3)
         misread = 0
         for (reported, audited, cells), items in zip(tables, drawn):
             assert np.bincount(np.concatenate(items), minlength=cells.size).tolist() == cells.tolist()
@@ -551,9 +552,8 @@ class TestEstimate:
                 run()
                 counts.append(len(calls))
         assert len(full.assertions) > 1
-        # An audit's second table, in comparison style, is the profile's for the reported tallies.
-        audit_tables = 2 if style == "comparison" else 1
-        assert counts == [1, audit_tables, 1, audit_tables]
+        # The audit's table holds the profile and the sample, and gives the reported tallies too.
+        assert counts == [1, 1, 1, 1]
 
 
 def polling_lines(ballots, names):
@@ -632,10 +632,18 @@ class TestRunAudit:
         with pytest.raises(InfeasibleAuditError, match="mean"):
             run_audit(aset, [AuditSample(audited=(0,), reported=(0,))], e, AuditConfig(style="comparison"))
 
-    @pytest.mark.parametrize("style", ["polling", "comparison"])
-    def test_matches_independent_kk(self, election3, style):
+    # Swapped, the golden sample's 14 audited ballots outside the profile are reported ones.
+    @pytest.mark.parametrize(
+        "style, swapped",
+        [("polling", False), ("comparison", False), ("comparison", True)],
+        ids=["polling", "comparison", "comparison-reported-outside-profile"],
+    )
+    def test_matches_independent_kk(self, election3, style, swapped):
         aset = method_assertions("ranked-pairs", election3)
         samples = load_samples(GOLDEN / "election3-samples.jsonl", election3)
+        if swapped:
+            samples = [AuditSample(audited=s.reported, reported=s.audited) for s in samples]
+            assert any(s.reported not in election3.profile for s in samples)
         cfg = AuditConfig(style=style)
         report = run_audit(aset, samples, election3, cfg)
         n = election3.total_ballots
@@ -721,6 +729,15 @@ class TestSampleFiles:
         path.write_text("\n".join(polling_lines([(0,), (1,)], election1.candidates)) + "\n")
         samples = load_samples(path, election1)
         assert len(samples) == 2
+
+    def test_file_lines_split_on_newline_only(self, tmp_path):
+        # A JSON string may hold U+2028, U+2029 and NEL raw; "\r\n" and a final newline end a line too.
+        e = Election(("A\u2028x", "B\x85y\u2029"), {(0, 1): 3})
+        line = json.dumps({"audited": list(e.candidates)}, ensure_ascii=False)
+        path = tmp_path / "samples.jsonl"
+        for text in (f"{line}\n{line}\n{line}", f"{line}\n" * 3, f"{line}\r\n" * 3):
+            path.write_text(text, encoding="utf-8", newline="")
+            assert [s.audited for s in load_samples(path, e)] == [(0, 1)] * 3
 
 
 class TestAuditConfig:
