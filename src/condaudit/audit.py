@@ -33,11 +33,12 @@ The per-assertion ASN is the median over trials, and a set's overall ASN is
 the largest per-assertion ASN.  Before the first crossing no draw has
 crossed, so the walk looks for the first draw whose own log-martingale gives
 a p-value at or below the risk limit: it needs no running peak, and takes
-``exp`` only for the few draws near the limit.  Each trial's random stream
-is derived from (seed, trial index), so results are reproducible regardless
-of execution order or parallelism, and an assertion's stops do not depend on
-the rest of its set.  The hypergeometric draw takes fewer than
-``MAX_SIMULATED_BALLOTS`` (10**9) ballots.
+that p-value for every draw it walks, the test a batch audit applies to its
+traces.  Each trial's random stream is derived from (seed, trial index), so
+results are reproducible regardless of execution order or parallelism, and
+an assertion's stops do not depend on the rest of its set.  The
+hypergeometric draw takes fewer than ``MAX_SIMULATED_BALLOTS`` (10**9)
+ballots.
 
 Simulation and audit score through one path.  One signature table, the
 profile's signatures in sorted order and then an audit's sampled ballots
@@ -119,10 +120,11 @@ def _kk_chunk(x: np.ndarray, population: int, start: int, carry: tuple[float, fl
     m = (population * (NULL_MEAN + PADDING) - sums[:-1]) / (population - np.arange(start, start + y.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.log(y) - np.log(m)
-    log_mart = np.cumsum(np.concatenate(([carry[1]], steps)))[1:]
+    marts = np.cumsum(np.concatenate(([carry[1]], steps)))
+    log_mart = marts[1:]
     # m <= 0 persists (the padded sum only grows), so no accumulate over the mask is needed.
     log_mart[m <= 0] = np.inf
-    return log_mart, (sums[-1], log_mart[-1])
+    return log_mart, (sums[-1], marts[-1])
 
 
 def _kk_pvalue(peak: np.ndarray) -> np.ndarray:
@@ -135,8 +137,6 @@ def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size > population:
         raise ValueError("more draws than the population holds")
-    if x.size == 0:
-        return np.empty(0, dtype=np.float64)
     return _kk_pvalue(np.maximum.accumulate(_kk_chunk(x, population, 0, _KK_START)[0]))
 
 
@@ -161,18 +161,9 @@ def _first_crossings(draws, scores: Sequence[np.ndarray], population: int, risk_
 
     No draw before the first crossing crossed, so the first crossing is the
     first draw whose own log-martingale gives a p-value at or below the risk
-    limit, and the walk needs no running peak.  Only draws whose
-    log-martingale reaches ``-log(risk_limit)``, less a slack for rounding,
-    take the exact test.
+    limit, and the walk needs no running peak.  Every walked draw takes that
+    p-value, the test :func:`run_audit` applies to its traces.
     """
-    if risk_limit >= 1:
-        threshold = -math.inf  # p <= 1 always: every draw crosses
-    else:
-        # A risk limit of 0 takes only p = 0, which exp reaches far above this threshold.
-        threshold = -math.log(max(risk_limit, 1e-300))
-        # Relative slack for a large threshold, absolute near 0, where exp's rounding
-        # near 1 is large against the threshold itself.
-        threshold -= 1e-9 * (1.0 + threshold)
     stops = [population + 1] * len(scores)
     carries = [_KK_START] * len(scores)
     walking = list(range(len(scores)))
@@ -182,8 +173,7 @@ def _first_crossings(draws, scores: Sequence[np.ndarray], population: int, risk_
         items = draws(start, end)
         for i in list(walking):
             log_mart, carries[i] = _kk_chunk(scores[i][items], population, start, carries[i])
-            candidates = np.flatnonzero(log_mart >= threshold)
-            crossed = candidates[_kk_pvalue(log_mart[candidates]) <= risk_limit]
+            crossed = np.flatnonzero(_kk_pvalue(log_mart) <= risk_limit)
             if crossed.size:
                 stops[i] = start + int(crossed[0]) + 1
                 walking.remove(i)
@@ -363,7 +353,7 @@ class AuditSample:
     reported: Ballot | None = None
 
 
-def load_samples(source: str | Path | Iterable[str], election: Election) -> list[AuditSample]:
+def load_samples(source: str | Path, election: Election) -> list[AuditSample]:
     """Read a JSON-lines sample file in draw order.
 
     Each line is ``{"audited": [names...]}`` or
@@ -371,11 +361,8 @@ def load_samples(source: str | Path | Iterable[str], election: Election) -> list
     against the election roster; unknown names, and more samples than the
     election has ballots, are data errors.
     """
-    if isinstance(source, (str, Path)):
-        # Not splitlines(): a JSON string may hold U+2028, U+2029 and NEL raw.
-        lines = read_text(source).split("\n")
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
+    # Not splitlines(): a JSON string may hold U+2028, U+2029 and NEL raw.
+    lines = read_text(source).split("\n")
     index = roster_index(election.candidates)
     n = election.total_ballots
 
@@ -464,11 +451,9 @@ def run_audit(
     reported = np.array([rows[s.reported] for s in samples], dtype=np.intp) if comparison else audited
     traces = [kk_pvalue_trace(x, n) for x in _cell_scores(values, means, reported, audited, cfg.style)]
 
-    crossings = [np.flatnonzero(p <= cfg.risk_limit) for p in traces]
-    if all(c.size for c in crossings):
-        examined = max((int(c[0]) + 1 for c in crossings), default=0)
-    else:
-        examined = len(samples)
+    # A p-trace never rises, so its first crossing follows the draws above the risk limit.
+    firsts = [int((p > cfg.risk_limit).sum()) + 1 for p in traces]
+    examined = min(len(samples), max(firsts, default=0))
 
     records = []
     for assertion, p in zip(aset.assertions, traces):

@@ -228,8 +228,9 @@ def parse_native(text: str) -> ParseReport:
 def parse_path(path: str | Path) -> ParseReport:
     """Parse an election file, choosing the format from the extension.
 
-    ``.json`` files use the native format; anything else is treated as a
-    Preflib ordinal file (with a content sniff as fallback).
+    ``.json`` files use the native format and ``.soi``/``.soc`` files the
+    Preflib ordinal format; any other file is native if its text starts with
+    ``{``, and Preflib otherwise.
     """
     path = Path(path)
     text = read_text(path)

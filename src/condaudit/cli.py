@@ -89,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_audit=False, with_format=True):
-        p.add_argument("election", help="election file (.json native format, otherwise Preflib ordinal)")
+        p.add_argument(
+            "election", help="election file: .json native, .soi/.soc Preflib ordinal, any other native if it starts with '{'"
+        )
         p.add_argument("--scale", type=_positive_int, default=1, help="multiply every ballot count (default 1)")
         if with_format:
             p.add_argument("--format", choices=("text", "json"), default="text")

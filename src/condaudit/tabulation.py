@@ -151,23 +151,23 @@ def _positive_pairs(s: np.ndarray) -> list[tuple[int, int, int]]:
     return pairs
 
 
-def _bfs_path(adj: list[set[int]], start: int, goal: int) -> list[int]:
-    """Shortest edge path start -> goal over committed edges."""
-    parent: dict[int, int] = {start: start}
-    queue = deque([start])
+def _inference(adj: list[set[int]], winner: int, loser: int) -> TransitiveInference:
+    """``winner > loser`` through the shortest path of committed edges."""
+    parent: dict[int, int] = {winner: winner}
+    queue = deque([winner])
     while queue:
         node = queue.popleft()
-        if node == goal:
+        if node == loser:
             break
         for nxt in adj[node]:
             if nxt not in parent:
                 parent[nxt] = node
                 queue.append(nxt)
-    path = [goal]
-    while path[-1] != start:
+    path = [loser]
+    while path[-1] != winner:
         path.append(parent[path[-1]])
     path.reverse()
-    return path
+    return TransitiveInference(winner, loser, tuple(zip(path, path[1:])))
 
 
 def _run_ranked_pairs(k: int, ordered: list[tuple[int, int, int]]):
@@ -181,46 +181,34 @@ def _run_ranked_pairs(k: int, ordered: list[tuple[int, int, int]]):
     full = (1 << k) - 1
     commits: list[CommittedPair] = []
     inferences: list[TransitiveInference] = []
-    inferred: set[tuple[int, int]] = set()
-
-    if k == 1:
-        return 0, (), (), 0
 
     consumed = 0
-    winner: int | None = None
     for score, i, j in ordered:
+        if full in reach:
+            break
         consumed += 1
         if reach[j] >> i & 1:
             # i > j contradicts stronger, already-committed preferences;
-            # record the opposite inference with one witnessing path.
-            if (j, i) not in inferred:
-                path = _bfs_path(adj, j, i)
-                basis = tuple(zip(path, path[1:]))
-                inferences.append(TransitiveInference(j, i, basis))
-                inferred.add((j, i))
+            # record the opposite inference with one witnessing path.  Each
+            # pair comes once, so no inference repeats.
+            inferences.append(_inference(adj, j, i))
             continue
         adj[i].add(j)
         commits.append(CommittedPair(i, j, score))
-        gained = reach[j]
         for a in range(k):
             if reach[a] >> i & 1:
-                reach[a] |= gained
-        for w in range(k):
-            if reach[w] == full:
-                winner = w
-                break
-        if winner is not None:
-            break
+                reach[a] |= reach[j]
 
+    winner = reach.index(full) if full in reach else None
     if winner is not None:
         # Preferences of the winner established only through paths are part
         # of what declared them the winner; record those inferences too.
-        for c in range(k):
-            if c != winner and c not in adj[winner] and (winner, c) not in inferred:
-                path = _bfs_path(adj, winner, c)
-                basis = tuple(zip(path, path[1:]))
-                inferences.append(TransitiveInference(winner, c, basis))
-                inferred.add((winner, c))
+        inferred = {(t.winner, t.loser) for t in inferences}
+        inferences += [
+            _inference(adj, winner, c)
+            for c in range(k)
+            if c != winner and c not in adj[winner] and (winner, c) not in inferred
+        ]
 
     return winner, tuple(commits), tuple(inferences), consumed
 
@@ -273,35 +261,27 @@ def ranked_pairs_tabulate(score_matrix: np.ndarray) -> RankedPairsResult:
     if condorcet_winner(s) is not None:
         return RankedPairsResult(winner, commits, inferences, tie_flag=True)
 
-    escalate = RankedPairsResult(
-        None, commits, inferences, tie_flag=True,
-        reason="ordering of equal-score majorities can change the winner",
-    )
     runs = 0
-    while True:
-        total = math.prod(math.factorial(len(blocks[b])) for b in sorted(relevant))
-        if runs + total > MAX_TIE_ORDERINGS:
+    searched: set[int] = set()
+    while relevant != searched:
+        searched = set(relevant)
+        runs += math.prod(math.factorial(len(blocks[b])) for b in searched)
+        if runs > MAX_TIE_ORDERINGS:
             return RankedPairsResult(
                 None, commits, inferences, tie_flag=True,
                 reason=f"too many orderings of equal-score majorities to verify (> {MAX_TIE_ORDERINGS})",
             )
-        grew = False
-        perm_sets = [
-            itertools.permutations(blocks[b]) if b in relevant else [tuple(blocks[b])]
-            for b in range(len(blocks))
-        ]
+        perm_sets = [itertools.permutations(block) if b in searched else [block] for b, block in enumerate(blocks)]
         for arrangement in itertools.product(*perm_sets):
-            runs += 1
             ordering = [pair for block in arrangement for pair in block]
             alt_winner, *_, alt_consumed = _run_ranked_pairs(k, ordering)
             if alt_winner != winner:
-                return escalate
-            fresh = touched_blocks(alt_consumed) - relevant
-            if fresh:
-                relevant |= fresh
-                grew = True
-        if not grew:
-            return RankedPairsResult(winner, commits, inferences, tie_flag=True)
+                return RankedPairsResult(
+                    None, commits, inferences, tie_flag=True,
+                    reason="ordering of equal-score majorities can change the winner",
+                )
+            relevant |= touched_blocks(alt_consumed)
+    return RankedPairsResult(winner, commits, inferences, tie_flag=True)
 
 
 # ---------------------------------------------------------------------------

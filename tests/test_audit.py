@@ -141,6 +141,13 @@ class TestKaplanKolmogorov:
         with pytest.raises(ValueError):
             kk_pvalue_trace(np.ones(2), 1)
 
+    def test_empty_input(self):
+        # An empty chunk returns no log-martingales and the carry it was given.
+        log_mart, carry = _kk_chunk(np.empty(0), 10, 4, (4.4, 1.5))
+        assert log_mart.size == 0 and carry == (4.4, 1.5)
+        p = kk_pvalue_trace(np.empty(0), 10)
+        assert p.dtype == np.float64 and p.size == 0
+
     def test_rejects_oversized_batch(self):
         with pytest.raises(ValueError):
             kk_pvalue_trace(np.ones(11), 10)
@@ -688,40 +695,47 @@ class TestRunAudit:
             run_audit(aset, samples, e, AuditConfig())
 
 
+def sample_file(tmp_path, lines):
+    """A sample file holding ``lines``, one per line."""
+    path = tmp_path / "samples.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestSampleFiles:
-    def test_polling_lines(self, election1):
+    def test_polling_lines(self, tmp_path, election1):
         lines = polling_lines([(0, 1), (), (2, 0, 1)], election1.candidates)
-        samples = load_samples(lines, election1)
+        samples = load_samples(sample_file(tmp_path, lines), election1)
         assert [s.audited for s in samples] == [(0, 1), (), (2, 0, 1)]
         assert all(s.reported is None for s in samples)
 
-    def test_comparison_lines(self, election1):
+    def test_comparison_lines(self, tmp_path, election1):
         lines = comparison_lines([((0, 1), (1, 0))], election1.candidates)
-        samples = load_samples(lines, election1)
+        samples = load_samples(sample_file(tmp_path, lines), election1)
         assert samples[0].reported == (0, 1)
         assert samples[0].audited == (1, 0)
 
-    def test_unknown_candidate_is_data_error(self, election1):
+    def test_unknown_candidate_is_data_error(self, tmp_path, election1):
         with pytest.raises(ParseError) as err:
-            load_samples(['{"audited": ["Z"]}'], election1)
+            load_samples(sample_file(tmp_path, ['{"audited": ["Z"]}']), election1)
         assert err.value.line == 1
 
-    def test_more_samples_than_ballots_is_data_error(self):
+    def test_more_samples_than_ballots_is_data_error(self, tmp_path):
         e = Election(("A", "B"), {(0,): 2})
         lines = polling_lines([(0,), (1,)], e.candidates)
-        assert len(load_samples(lines, e)) == 2
+        assert len(load_samples(sample_file(tmp_path, lines), e)) == 2
         with pytest.raises(ParseError, match="more samples than the 2 ballots") as err:
-            load_samples([*lines, "", lines[0]], e)
+            load_samples(sample_file(tmp_path, [*lines, "", lines[0]]), e)
         assert err.value.line == 4
 
-    def test_line_without_audited_is_data_error(self, election1):
+    def test_line_without_audited_is_data_error(self, tmp_path, election1):
         with pytest.raises(ParseError) as err:
-            load_samples(['{"audited": ["A"]}', '{"reported": ["A"]}'], election1)
+            load_samples(sample_file(tmp_path, ['{"audited": ["A"]}', '{"reported": ["A"]}']), election1)
         assert str(err.value) == "line 2: each sample needs an 'audited' ballot"
 
-    def test_malformed_json_reports_line(self, election1):
+    def test_malformed_json_reports_line(self, tmp_path, election1):
         with pytest.raises(ParseError) as err:
-            load_samples(['{"audited": ["A"]}', "{bad"], election1)
+            load_samples(sample_file(tmp_path, ['{"audited": ["A"]}', "{bad"]), election1)
         assert err.value.line == 2
 
     def test_file_round_trip(self, tmp_path, election1):

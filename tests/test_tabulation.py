@@ -223,6 +223,7 @@ class TestRankedPairs:
             g.add_edges_from((p.winner, p.loser) for p in rp.commits)
             assert nx.is_directed_acyclic_graph(g)
             committed = {(p.winner, p.loser) for p in rp.commits}
+            assert len({(inf.winner, inf.loser) for inf in rp.inferences}) == len(rp.inferences)
             for inf in rp.inferences:
                 assert set(inf.basis) <= committed
                 # basis is a path from inference winner to loser
