@@ -6,14 +6,17 @@ scored per ballot by an *assorter*: a value in [0, 1] whose population mean
 exceeds 1/2 exactly when the claimed inequality holds.
 
 Each claim is integer weights ``W`` over ordered candidate pairs
-(:func:`pair_weights`): a ballot contributes ``g = sum_ij W[i, j] *
-prefers(i, j)`` and scores ``(g - a) / (-2a)`` with ``a = -h``.  The
-normaliser ``h`` is 1 for a pairwise claim and 2 for a score comparison,
-where ``-h`` is the minimum of ``g``; for a ranking comparison over k
-candidates it is ``k(k-1)/2``, below the minimum of ``g`` whenever the two
-rankings order some pair alike.  A claim's reported mean is exact: with its
-integer margin ``M = sum_ij W[i, j] * tallies[i, j]`` over ``N`` ballots it is
-``(M + hN) / 2hN`` (:func:`claim_mean`), above 1/2 exactly when ``M > 0``.
+(:func:`claim_weights`, which stacks a whole set's claims): a ballot
+contributes ``g = sum_ij W[i, j] * prefers(i, j)`` and scores ``(g - a) /
+(-2a)`` with ``a = -h``.  The normaliser ``h`` is 1 for a pairwise claim and
+2 for a score comparison, where ``-h`` is the minimum of ``g``; for a
+ranking comparison over k candidates it is ``k(k-1)/2``, below the minimum
+of ``g`` whenever the two rankings order some pair alike.  A claim's
+reported mean is exact: with its integer margin ``M = sum_ij W[i, j] *
+tallies[i, j]`` over ``N`` ballots it is ``(M + hN) / 2hN``
+(:func:`claim_means`), above 1/2 exactly when ``M > 0``.  A set scores as
+one matrix: :func:`claim_values` gives every claim's assorter of every
+signature in one product.
 
 Three claim shapes are supported:
 
@@ -155,40 +158,56 @@ class AssertionSet:
 # Assorters
 
 
-def pair_weights(assertion: Assertion, num_candidates: int) -> tuple[np.ndarray, int]:
-    """The claim as integer weights ``W`` over ordered pairs, plus its normaliser ``h``.
+def claim_weights(assertions: Sequence[Assertion], num_candidates: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each claim as integer weights ``W`` over ordered pairs, shape (A, k, k), and normaliser ``h``, shape (A,).
 
-    A ballot's signed contribution is ``g = sum_ij W[i, j] * prefers(i, j)``
-    and its assorter is ``(g + h) / 2h``.
+    A ballot's signed contribution to claim ``a`` is ``g = sum_ij W[a, i, j] *
+    prefers(i, j)`` and its assorter is ``(g + h[a]) / 2h[a]``.
     """
-    if not isinstance(assertion, get_args(Assertion)):
-        raise TypeError(f"not an assertion: {assertion!r}")
-    plus, minus, h = assertion.claim()
-    weights = np.zeros((num_candidates, num_candidates), dtype=np.int64)
-    for pair in plus:
-        weights[pair] += 1
-    for pair in minus:
-        weights[pair] -= 1
-    return weights, h
+    entries, hs = [], []
+    for row, assertion in enumerate(assertions):
+        if not isinstance(assertion, get_args(Assertion)):
+            raise TypeError(f"not an assertion: {assertion!r}")
+        plus, minus, h = assertion.claim()
+        entries += [(row, i, j, 1) for i, j in plus] + [(row, i, j, -1) for i, j in minus]
+        hs.append(h)
+    weights = np.zeros((len(hs), num_candidates, num_candidates), dtype=np.int64)
+    if entries:
+        row, i, j, sign = np.array(entries, dtype=np.intp).T
+        np.add.at(weights, (row, i, j), sign)
+    return weights, np.array(hs, dtype=np.int64)
+
+
+def claim_values(weights: np.ndarray, h: np.ndarray, prefs: np.ndarray) -> np.ndarray:
+    """Each claim's assorter of every signature in a :func:`preference_matrix`: shape (A, S), each in [0, 1]."""
+    g = np.tensordot(weights, prefs, axes=([1, 2], [1, 2]))
+    return (g + h[:, None]) / (2 * h[:, None])
+
+
+def claim_means(weights: np.ndarray, h: np.ndarray, tallies: np.ndarray, total: int) -> np.ndarray:
+    """Each claim's population mean, exactly, from the pairwise tallies of ``total`` ballots.
+
+    A claim's integer margin ``M = sum(W * tallies)`` gives the mean
+    ``(M + h*N) / 2hN``, correctly rounded; it exceeds 1/2 exactly when
+    ``M > 0``.  An empty election has mean 1/2: no evidence either way.
+    """
+    if total == 0:
+        return np.full(len(h), 0.5)
+    margins = (weights * tallies).sum(axis=(1, 2)).tolist()
+    return np.array([(m + norm * total) / (2 * norm * total) for m, norm in zip(margins, h.tolist())])
 
 
 def assorter_values(assertion: Assertion, prefs: np.ndarray) -> np.ndarray:
     """Assorter of every signature in a :func:`preference_matrix`; each in [0, 1]."""
-    weights, h = pair_weights(assertion, prefs.shape[-1])
-    return (np.tensordot(prefs, weights, axes=2) + h) / (2 * h)
+    return claim_values(*claim_weights([assertion], prefs.shape[-1]), prefs)[0]
 
 
 def claim_mean(assertion: Assertion, tallies: np.ndarray, total: int) -> float:
     """Population mean of the assorter, exactly, from the pairwise tallies of ``total`` ballots.
 
-    The claim's integer margin ``M = sum(W * tallies)`` gives the mean
-    ``(M + h*N) / 2hN``, correctly rounded; it exceeds 1/2 exactly when
-    ``M > 0``.  An empty election has mean 1/2: no evidence either way.
+    The one formula of :func:`claim_means`, for one claim.
     """
-    if total == 0:
-        return 0.5
-    weights, h = pair_weights(assertion, tallies.shape[0])
-    return (int((weights * tallies).sum()) + h * total) / (2 * h * total)
+    return float(claim_means(*claim_weights([assertion], tallies.shape[0]), tallies, total)[0])
 
 
 def assorter_mean(assertion: Assertion, election: Election) -> float:

@@ -25,10 +25,12 @@ signature: a table of (reported, audited) cells and their ballot counts.
 It then draws the ballots in a uniformly random order, in chunks that grow
 to 8,192 draws: a chunk's count per cell is a multivariate hypergeometric
 draw from the ballots not yet drawn, and the chunk is shuffled.  Every
-assertion of the set reads the same draws, and each walks them with its own
-test to its first crossing of the risk limit; drawing stops once all have
-crossed, so a trial costs O(stop + signatures + misread ballots) in time and
-memory, and builds no array of N ballots.
+assertion of the set reads the same draws, as one row of one (assertions x
+draws) matrix: the kernel walks every row still walking at once, in slices
+of at most ``_MAX_CHUNK`` values, and a row leaves at its first crossing of
+the risk limit; drawing stops once all have crossed, so a trial costs
+O(stop + signatures + misread ballots) in time and memory, and builds no
+array of N ballots.
 The per-assertion ASN is the median over trials, and a set's overall ASN is
 the largest per-assertion ASN.  Before the first crossing no draw has
 crossed, so the walk looks for the first draw whose own log-martingale gives
@@ -43,18 +45,19 @@ ballots.
 Simulation and audit score through one path.  One signature table, the
 profile's signatures in sorted order and then an audit's sampled ballots
 that the profile lacks, at count 0, gives every assertion's assorter per
-signature and its reported mean, read exactly from the table's tallies by
-:func:`claim_mean`.  One cell scorer scores (reported, audited) cells for
-either style.  Only a reported mean above 1/2 admits a comparison audit:
-otherwise an estimate flags the set for a full hand count and an audit
-raises.  A batch audit traces each assertion's p-value over the sample and
-stops at the largest first crossing of the risk limit.
+signature, as one (assertions x signatures) matrix, and its reported mean,
+read exactly from the table's tallies by :func:`claim_means`.  One cell
+scorer scores (reported, audited) cells for every assertion and either
+style.  Only a reported mean above 1/2 admits a comparison audit: otherwise
+an estimate flags the set for a full hand count and an audit raises.  A
+batch audit traces every assertion's p-value over the sample as rows of one
+matrix, in the same slices, and stops at the largest first crossing of the
+risk limit.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,7 +67,7 @@ import numpy as np
 
 from .ballots import ParseError, read_text, resolve_names, roster_index
 from .model import Ballot, Election, preference_matrix
-from .assertions import Assertion, AssertionSet, assorter_values, claim_mean
+from .assertions import Assertion, AssertionSet, claim_means, claim_values, claim_weights
 from .tabulation import CapacityError
 
 AUDIT_STYLES = ("polling", "comparison")
@@ -101,30 +104,36 @@ class AuditConfig:
 # Kaplan-Kolmogorov risk function
 
 
-# (padded sum, log-martingale) before the first draw.
-_KK_START = (0.0, 0.0)
-
-
-def _kk_chunk(x: np.ndarray, population: int, start: int, carry: tuple[float, float]):
-    """Log-martingales of draws ``start .. start + len(x) - 1``, continuing the test from ``carry``.
-
-    Returns them, ``+inf`` where the null is impossible, and the carry after
-    the last draw.  Each running value enters its ``cumsum`` as the first
-    element, so the sums stay sequential and a trace cut into chunks is
-    bit-identical to one computed whole.
-    """
+def _padded(x) -> tuple[np.ndarray, np.ndarray]:
+    """Nonnegative values ``x`` padded, ``x + g``, and the logs of the padded values."""
+    x = np.asarray(x, dtype=np.float64)
     if not (x >= 0).all():  # also rejects NaN
         raise ValueError("assorter values must be nonnegative")
     y = x + PADDING
-    sums = np.cumsum(np.concatenate(([carry[0]], y)))
-    m = (population * (NULL_MEAN + PADDING) - sums[:-1]) / (population - np.arange(start, start + y.size))
+    return y, np.log(y)
+
+
+def _kk_chunk(y: np.ndarray, log_y: np.ndarray, population: int, start: int, carry: np.ndarray):
+    """Log-martingales of draws ``start .. start + n - 1`` of several tests, continuing each from its carry.
+
+    Row ``r`` of ``y`` (shape (rows, n)) holds test ``r``'s padded draws and
+    ``log_y`` their logs (:func:`_padded`); ``carry[:, r]`` is its padded sum
+    and log-martingale before them, zeros before the first draw.  Returns the
+    log-martingales, ``+inf`` where the null is impossible, and the carries
+    after the last draw.  Each running value enters its row's ``cumsum`` as
+    the first element, and a ``cumsum`` along a row is sequential, so a row
+    cut into chunks, or walked beside other rows, is bit-identical to one
+    traced whole and alone.
+    """
+    sums = np.cumsum(np.concatenate((carry[0][:, None], y), axis=1), axis=1)
+    m = (population * (NULL_MEAN + PADDING) - sums[:, :-1]) / (population - np.arange(start, start + y.shape[1]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        steps = np.log(y) - np.log(m)
-    marts = np.cumsum(np.concatenate(([carry[1]], steps)))
-    log_mart = marts[1:]
+        steps = log_y - np.log(m)
+    marts = np.cumsum(np.concatenate((carry[1][:, None], steps), axis=1), axis=1)
+    log_mart = marts[:, 1:]
     # m <= 0 persists (the padded sum only grows), so no accumulate over the mask is needed.
     log_mart[m <= 0] = np.inf
-    return log_mart, (sums[-1], marts[-1])
+    return log_mart, np.stack((sums[:, -1], marts[:, -1]))
 
 
 def _kk_pvalue(peak: np.ndarray) -> np.ndarray:
@@ -132,53 +141,90 @@ def _kk_pvalue(peak: np.ndarray) -> np.ndarray:
     return np.exp(-np.maximum(peak, 0.0))
 
 
+def _kk_traces(x: np.ndarray, population: int, risk_limit: float = -np.inf) -> np.ndarray:
+    """P-value after each draw of each row of ``x``, all draws from a population of ``population`` values.
+
+    The rows are traced together, in slices of at most ``_MAX_CHUNK`` values,
+    up to the end of the first slice after which every row's p-value is at or
+    below ``risk_limit``: a p-trace never rises, so each row's first crossing
+    lies in the prefix returned.  By default every draw is traced.
+    """
+    rows, size = x.shape
+    width = max(1, _MAX_CHUNK // max(rows, 1))
+    traces = np.empty((rows, size))
+    carry, peak = np.zeros((2, rows)), np.full((rows, 1), -np.inf)
+    for start in range(0, size, width):
+        cut = slice(start, start + width)
+        log_mart, carry = _kk_chunk(*_padded(x[:, cut]), population, start, carry)
+        np.maximum.accumulate(log_mart, axis=1, out=log_mart)
+        np.maximum(log_mart, peak, out=log_mart)
+        traces[:, cut], peak = _kk_pvalue(log_mart), log_mart[:, -1:]
+        if (traces[:, cut][:, -1] <= risk_limit).all():
+            return traces[:, : start + width]
+    return traces
+
+
 def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
     """P-value after each of a sequence of draws from a population of ``population`` values."""
     x = np.asarray(x, dtype=np.float64)
     if x.size > population:
         raise ValueError("more draws than the population holds")
-    return _kk_pvalue(np.maximum.accumulate(_kk_chunk(x, population, 0, _KK_START)[0]))
+    return _kk_traces(x.reshape(1, -1), population)[0]
 
 
 # Draws traced by a simulated trial before it first checks for a crossing,
 # the factor by which each further chunk grows, and the size it grows to.
+# The kernel takes at most _MAX_CHUNK values at a time (draws times tests).
 _FIRST_CHUNK = 256
 _CHUNK_GROWTH = 4
 _MAX_CHUNK = 8192
 
 
-def _first_crossings(draws, scores: Sequence[np.ndarray], population: int, risk_limit: float) -> list[int]:
+def _first_crossings(draws, scores, population: int, risk_limit: float) -> list[int]:
     """Draw count at which each of several p-values over one shared draw order first falls to ``risk_limit``.
 
-    ``draws(a, b)`` returns the items of draws ``a .. b - 1``, and
-    ``scores[i]`` maps an item to its value for test ``i``.  Draws are made
-    in chunks that grow to ``_MAX_CHUNK``; each test walks them with its own
-    carry and stops at the first chunk in which it crosses, and drawing stops
-    once every test has crossed.  A test that never crosses reports
-    ``population + 1``.  For each test, equal to the first index with
+    ``draws(a, b)`` returns the items of draws ``a .. b - 1``, and row ``i``
+    of the matrix ``scores`` maps an item to its value for test ``i``.
+    Draws are made in chunks that grow to ``_MAX_CHUNK``.  Every test still
+    walking is one row of one kernel call, which walks a chunk in slices of
+    at most ``_MAX_CHUNK // rows`` draws (at least one), so that no call
+    takes more than ``_MAX_CHUNK`` values, or one per row; a row leaves, with
+    its carry, at the slice in which it crosses, and drawing stops once every
+    row has left.  A test that never crosses reports ``population + 1``.
+    For each test, equal to the first index with
     ``kk_pvalue_trace(scores[i][items], population) <= risk_limit``, plus
     one, where ``items`` are all ``population`` draws.
 
-    No draw before the first crossing crossed, so the first crossing is the
-    first draw whose own log-martingale gives a p-value at or below the risk
-    limit, and the walk needs no running peak.  Every walked draw takes that
-    p-value, the test :func:`run_audit` applies to its traces.
+    The scores are checked, padded and logged once, and each slice gathers
+    its draws' padded values and logs from them.  No draw before the first
+    crossing crossed, so the first crossing is the first draw whose own
+    log-martingale gives a p-value at or below the risk limit, and the walk
+    needs no running peak.  Every walked draw takes that p-value, the test
+    :func:`run_audit` applies to its traces.
     """
-    stops = [population + 1] * len(scores)
-    carries = [_KK_START] * len(scores)
-    walking = list(range(len(scores)))
+    y, log_y = _padded(scores)
+    walking = np.arange(len(y))
+    stops = np.full(len(y), population + 1, dtype=np.int64)
+    carry = np.zeros((2, len(y)))
     start, size = 0, _FIRST_CHUNK
-    while walking and start < population:
+    while walking.size and start < population:
         end = min(start + size, population)
         items = draws(start, end)
-        for i in list(walking):
-            log_mart, carries[i] = _kk_chunk(scores[i][items], population, start, carries[i])
-            crossed = np.flatnonzero(_kk_pvalue(log_mart) <= risk_limit)
-            if crossed.size:
-                stops[i] = start + int(crossed[0]) + 1
-                walking.remove(i)
+        lo = 0
+        while walking.size and lo < items.size:
+            part = items[lo : lo + max(1, _MAX_CHUNK // walking.size)]
+            log_mart, carry = _kk_chunk(
+                np.take(y, part, axis=1), np.take(log_y, part, axis=1), population, start + lo, carry
+            )
+            crossed = _kk_pvalue(log_mart) <= risk_limit
+            done = crossed.any(axis=1)
+            if done.any():
+                stops[walking[done]] = start + lo + crossed[done].argmax(axis=1) + 1
+                keep = ~done
+                walking, y, log_y, carry = walking[keep], y[keep], log_y[keep], carry[:, keep]
+            lo += part.size
         start, size = end, min(size * _CHUNK_GROWTH, _MAX_CHUNK)
-    return stops
+    return stops.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -190,32 +236,35 @@ def _scoring(aset: AssertionSet, election: Election, sampled: Iterable[Ballot] =
 
     The table's rows are the profile's signatures in sorted order, then each
     sampled ballot the profile lacks, with count 0.  Returns each signature's
-    row, each row's ballot count, each assertion's assorter per row, and each
-    assertion's reported mean, read exactly by :func:`claim_mean` from the
-    table's tallies, to which a count-0 row adds nothing.
+    row, each row's ballot count, the assorter of every assertion (matrix
+    row) on every table row (column), and each assertion's reported mean,
+    read exactly by :func:`claim_means` from the table's tallies, to which a
+    count-0 row adds nothing.
     """
     sigs = sorted(election.profile)
     sigs += [ballot for ballot in dict.fromkeys(sampled) if ballot not in election.profile]
     counts = np.array([election.profile.get(sig, 0) for sig in sigs], dtype=np.int64)
     prefs = preference_matrix(sigs, election.num_candidates)
     tallies = np.tensordot(counts, prefs, axes=1)
-    values = [assorter_values(a, prefs) for a in aset.assertions]
-    means = [claim_mean(a, tallies, election.total_ballots) for a in aset.assertions]
+    weights, h = claim_weights(aset.assertions, election.num_candidates)
+    values = claim_values(weights, h, prefs)
+    means = claim_means(weights, h, tallies, election.total_ballots)
     return {sig: row for row, sig in enumerate(sigs)}, counts, values, means
 
 
-def _cell_scores(values: Sequence[np.ndarray], means: Sequence[float], reported, audited, style) -> list[np.ndarray]:
-    """Each assertion's score of (reported, audited) cells, given as rows of its ``values``.
+def _cell_scores(values: np.ndarray, means: np.ndarray, reported, audited, style) -> np.ndarray:
+    """Every assertion's score of (reported, audited) cells, given as columns of ``values``: shape (A, cells).
 
-    Polling scores the audited row.  Comparison scores the overstatement
+    Polling scores the audited column.  Comparison scores the overstatement
     ``(1 - w) / (2 - v)``, where ``w = a(reported) - a(audited)`` and ``v =
     2 * means[i] - 1`` is the reported margin; its population mean exceeds
     1/2 exactly when the assertion holds on the audited ballots, and only a
     reported mean above 1/2 admits it.
     """
+    scores = np.take(values, audited, axis=1)
     if style == "polling":
-        return [v[audited] for v in values]
-    return [(1 - (v[reported] - v[audited])) / (2 - (2 * mean - 1)) for v, mean in zip(values, means)]
+        return scores
+    return (1 - (np.take(values, reported, axis=1) - scores)) / (2 - (2 * means[:, None] - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +300,7 @@ def _error_cells(counts: np.ndarray, error_rate: float, rng: np.random.Generator
 
 
 def _trial_stops(
-    values: Sequence[np.ndarray], means: Sequence[float], counts: np.ndarray, cfg: AuditConfig, workers: int
+    values: np.ndarray, means: np.ndarray, counts: np.ndarray, cfg: AuditConfig, workers: int
 ) -> np.ndarray:
     """Per-trial first sample size at which the audit certifies each assertion: shape (trials, assertions).
 
@@ -290,11 +339,6 @@ def _trial_stops(
     return np.array(stops, dtype=np.int64)
 
 
-def _median_stop(stops: np.ndarray, population: int) -> int:
-    """The ASN of a trial-stop vector: its median, with never-certifying trials counted as ``N``."""
-    return int(math.ceil(float(np.median(np.minimum(stops, population)))))
-
-
 @dataclass(frozen=True)
 class ASNEstimate:
     """Estimated sample sizes for an assertion set: the medians of each assertion's trial ``stops``.
@@ -328,14 +372,15 @@ def estimate_audit(
         return ASNEstimate((), n, True, n, ())
     _, counts, values, means = _scoring(aset, election)
     # A comparison audit needs a reported mean above 1/2; without one every trial is a full count.
-    walked = [i for i, mean in enumerate(means) if cfg.style == "polling" or mean > 0.5]
+    walked = (means > 0.5) | (cfg.style == "polling")
     stops = np.full((len(means), cfg.trials), n + 1, dtype=np.int64)
-    if walked:
+    if walked.any():
         if n >= MAX_SIMULATED_BALLOTS:
             raise CapacityError(f"simulation takes fewer than {MAX_SIMULATED_BALLOTS:,} ballots; the election has {n:,}")
-        stops[walked] = _trial_stops([values[i] for i in walked], [means[i] for i in walked], counts, cfg, workers).T
-    per = tuple(_median_stop(s, n) for s in stops)
-    full = len(walked) < len(means)
+        stops[walked] = _trial_stops(values[walked], means[walked], counts, cfg, workers).T
+    # Each ASN is the median of its stops, with never-certifying trials counted as N.
+    per = tuple(np.ceil(np.median(np.minimum(stops, n), axis=1)).astype(np.int64).tolist())
+    full = not walked.all()
     overall = n if full else max(per, default=0)
     return ASNEstimate(per, overall, full, n, tuple(stops))
 
@@ -367,14 +412,17 @@ def load_samples(source: str | Path, election: Election) -> list[AuditSample]:
     n = election.total_ballots
 
     samples: list[AuditSample] = []
-    # A line recurs once per drawn ballot of its signature: each distinct line is read once.
-    seen: dict[str, AuditSample] = {}
+    # A line recurs once per drawn ballot of its signature: each distinct line
+    # is classified once, as blank (None) or as the sample it parses to.
+    seen: dict[str, AuditSample | None] = {}
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        sample = seen.get(line)
+        if sample is None and (line in seen or not line.strip()):
+            seen[line] = None
             continue
         if len(samples) == n:
             raise ParseError(f"more samples than the {n} ballots of the election", lineno)
-        if line not in seen:
+        if sample is None:
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -383,8 +431,8 @@ def load_samples(source: str | Path, election: Election) -> list[AuditSample]:
                 raise ParseError("each sample needs an 'audited' ballot", lineno)
             audited = resolve_names(doc["audited"], index, lineno, "'audited'")
             reported = resolve_names(doc["reported"], index, lineno, "'reported'") if "reported" in doc else None
-            seen[line] = AuditSample(audited, reported)
-        samples.append(seen[line])
+            sample = seen[line] = AuditSample(audited, reported)
+        samples.append(sample)
     return samples
 
 
@@ -443,21 +491,20 @@ def run_audit(
 
     sampled = [s.audited for s in samples] + [s.reported for s in samples if comparison]
     rows, _, values, means = _scoring(aset, election, sampled)
-    if comparison and not all(mean > 0.5 for mean in means):
+    if comparison and not (means > 0.5).all():
         raise InfeasibleAuditError(
             "comparison audit is impossible: reported tallies do not support the assertion (mean <= 1/2)"
         )
     audited = np.array([rows[s.audited] for s in samples], dtype=np.intp)
     reported = np.array([rows[s.reported] for s in samples], dtype=np.intp) if comparison else audited
-    traces = [kk_pvalue_trace(x, n) for x in _cell_scores(values, means, reported, audited, cfg.style)]
+    traces = _kk_traces(_cell_scores(values, means, reported, audited, cfg.style), n, cfg.risk_limit)
 
     # A p-trace never rises, so its first crossing follows the draws above the risk limit.
-    firsts = [int((p > cfg.risk_limit).sum()) + 1 for p in traces]
-    examined = min(len(samples), max(firsts, default=0))
+    firsts = (traces > cfg.risk_limit).sum(axis=1) + 1
+    examined = min(len(samples), int(firsts.max(initial=0)))
 
     records = []
-    for assertion, p in zip(aset.assertions, traces):
-        trace = tuple(p[:examined].tolist())
+    for assertion, trace in zip(aset.assertions, map(tuple, traces[:, :examined].tolist())):
         p_value = trace[-1] if trace else 1.0
         records.append(AssertionAuditRecord(assertion, p_value <= cfg.risk_limit, p_value, trace))
     outcome = "certified" if all(r.certified for r in records) else "escalate-full-count"

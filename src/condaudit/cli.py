@@ -286,32 +286,50 @@ _encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_asc
                          ": ", ", ", False, False, True)
 
 
-def _dumps(obj, newline: str = "\n") -> str:
+def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for an acyclic ``obj``,
     without the pure-Python encoder json falls back to whenever ``indent`` is set.
 
-    One walk: ``newline`` is the newline and indent before the closing bracket
-    of ``obj``, and each item of a dict, list or tuple is written one level
-    deeper.  Scalars go through the C encoder.  A non-empty list or tuple of
-    floats only (an audit's p-value trace, a running minimum with few distinct
-    values) formats each distinct bit pattern once, as ``float.__repr__``
-    costs the same whoever calls it.  Bit patterns, not values, key the texts:
-    ``0.0 == -0.0``, and NaN equals nothing.
+    One walk (:func:`_write`) appends every piece of text to one list, joined once.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
+    """Append the text of ``obj`` to ``out``; ``newline`` is the newline and indent before its closing bracket.
+
+    Each item of a dict, list or tuple is written one level deeper.  Scalars
+    go through the C encoder.  A non-empty list or tuple of floats only (an
+    audit's p-value trace, a running minimum with few distinct values)
+    formats each distinct bit pattern once, as ``float.__repr__`` costs the
+    same whoever calls it.  Bit patterns, not values, key the texts: ``0.0 ==
+    -0.0``, and NaN equals nothing.
     """
     if not isinstance(obj, (dict, list, tuple)):
-        return "".join(_encode(obj, 0))
+        out += _encode(obj, 0)
+        return
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    if not obj:
+        out.append(brackets)
+        return
     inner = newline + "  "
+    out.append(brackets[0] + inner)
     if isinstance(obj, dict):
-        brackets, items = "{}", [f"{_key(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
-    elif obj and list(map(type, obj)).count(float) == len(obj):
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(f",{inner}{_key(key)}: " if i else f"{_key(key)}: ")
+            _write(value, inner, out)
+    elif list(map(type, obj)).count(float) == len(obj):
         distinct, order = np.unique(np.fromiter(obj, np.float64, len(obj)).view(np.int64), return_inverse=True)
         texts = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
-        brackets, items = "[]", texts[order].tolist()
+        out.append(("," + inner).join(texts[order].tolist()))
     else:
-        brackets, items = "[]", [_dumps(value, inner) for value in obj]
-    if not items:
-        return brackets
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{newline}{brackets[1]}"
+        for i, value in enumerate(obj):
+            if i:
+                out.append("," + inner)
+            _write(value, inner, out)
+    out.append(newline + brackets[1])
 
 
 def _key(key) -> str:

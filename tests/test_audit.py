@@ -43,7 +43,6 @@ from condaudit import audit as audit_module
 from condaudit import model as model_module
 from condaudit.audit import (
     _FIRST_CHUNK,
-    _KK_START,
     _MAX_CHUNK,
     NULL_MEAN,
     PADDING,
@@ -52,6 +51,7 @@ from condaudit.audit import (
     _first_crossings,
     _kk_chunk,
     _kk_pvalue,
+    _padded,
     _scoring,
 )
 from condaudit.ballots import parse_path, scale
@@ -70,19 +70,26 @@ GOLDEN = Path(__file__).parent / "golden"
 STOP_VECTORS = Path(__file__).parent / "data" / "stop_vectors.json"
 
 
+def kk_start(rows):
+    """The kernel's carries before the first draw of ``rows`` tests: padded sums and log-martingales of 0."""
+    return np.zeros((2, rows))
+
+
 def chunk_pvalues(x, population, start, carry, peak):
-    """P-values of one chunk continuing the test from ``carry`` and the running ``peak``: (p, carry, peak)."""
-    log_mart, carry = _kk_chunk(x, population, start, carry)
-    peaks = np.maximum.accumulate(np.concatenate(([peak], log_mart)))[1:]
-    return _kk_pvalue(peaks), carry, peaks[-1]
+    """P-values of one chunk of the rows of ``x`` (tests by draws), continuing each test from its column of
+    ``carry`` and its entry of the running ``peak``: (p, carry, peak)."""
+    y, log_y = _padded(x)
+    log_mart, carry = _kk_chunk(y, log_y, population, start, carry)
+    peaks = np.maximum.accumulate(np.concatenate((peak[:, None], log_mart), axis=1), axis=1)[:, 1:]
+    return _kk_pvalue(peaks), carry, peaks[:, -1]
 
 
 def per_draw_trace(xs, population):
     """The kernel fed one draw at a time, carrying its state and running peak between draws."""
-    carry, peak, out = _KK_START, -math.inf, []
+    carry, peak, out = kk_start(1), np.array([-math.inf]), []
     for i, x in enumerate(xs):
-        p, carry, peak = chunk_pvalues(np.array([x], dtype=np.float64), population, i, carry, peak)
-        out.append(float(p[0]))
+        p, carry, peak = chunk_pvalues(np.array([[x]], dtype=np.float64), population, i, carry, peak)
+        out.append(float(p[0, 0]))
     return out
 
 
@@ -128,8 +135,12 @@ class TestKaplanKolmogorov:
         assert np.allclose(direct, batch, rtol=1e-12, atol=0)
 
     def test_rejects_negative_values(self):
+        # A walk checks its table of scores once, before the kernel sees any of them.
         with pytest.raises(ValueError):
-            _kk_chunk(np.array([-0.1]), 10, 0, _KK_START)
+            _padded(np.array([[0.5, -0.1]]))
+        for table in ([[0.5, 0.5], [1.0, -0.1]], [[0.5, np.nan]]):
+            with pytest.raises(ValueError):
+                _first_crossings(np.arange, np.array(table), 10, 0.05)
         with pytest.raises(ValueError):
             kk_pvalue_trace(np.array([-1.0]), 10)
         with pytest.raises(ValueError):
@@ -142,9 +153,10 @@ class TestKaplanKolmogorov:
             kk_pvalue_trace(np.ones(2), 1)
 
     def test_empty_input(self):
-        # An empty chunk returns no log-martingales and the carry it was given.
-        log_mart, carry = _kk_chunk(np.empty(0), 10, 4, (4.4, 1.5))
-        assert log_mart.size == 0 and carry == (4.4, 1.5)
+        # An empty chunk returns no log-martingales and the carries it was given.
+        given = np.array([[4.4, 0.0], [1.5, 2.0]])
+        log_mart, carry = _kk_chunk(np.empty((2, 0)), np.empty((2, 0)), 10, 4, given)
+        assert log_mart.shape == (2, 0) and carry.tolist() == given.tolist()
         p = kk_pvalue_trace(np.empty(0), 10)
         assert p.dtype == np.float64 and p.size == 0
 
@@ -190,14 +202,17 @@ class TestChunkedTrace:
     @given(_kk_sequences(), st.lists(st.integers(1, 3000), max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_chunks_match_whole_trace_bit_for_bit(self, seq, cuts):
+        # The sequence is walked in chunks beside its reverse, each a row of one kernel call.
         x = _kk_sequence(*seq)
-        whole = kk_pvalue_trace(x, x.size)
+        rows = np.stack((x, x[::-1]))
         edges = [0, *sorted({c for c in cuts if c < x.size}), x.size]
-        carry, peak, parts = _KK_START, -math.inf, []
+        carry, peak, parts = kk_start(2), np.full(2, -math.inf), []
         for start, end in zip(edges, edges[1:]):
-            p, carry, peak = chunk_pvalues(x[start:end], x.size, start, carry, peak)
+            p, carry, peak = chunk_pvalues(rows[:, start:end], x.size, start, carry, peak)
             parts.append(p)
-        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        chunked = np.concatenate(parts, axis=1)
+        for row, alone in zip(chunked, rows):
+            assert row.tobytes() == kk_pvalue_trace(alone, x.size).tobytes()
 
     @given(
         _kk_sequences(),
@@ -224,6 +239,33 @@ class TestChunkedTrace:
     def test_shared_walk_crosses_each_where_its_own_trace_does(self, kinds, n, risk_limit):
         check_first_crossings([_kk_sequence(n, *kind) for kind in kinds], risk_limit)
 
+    @given(
+        st.integers(1, 100),
+        st.integers(1, 6),
+        st.sampled_from([1, 100, _FIRST_CHUNK - 1, 1281, 5377, 13_569]) | st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+        st.integers(-2, 1) | st.none(),
+        st.floats(1e-6, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_walk_crosses_each_row_where_its_own_trace_does(self, rows, cells, n, seed, offset, risk_limit):
+        # Rows of random cell scores, walked together over random draws of the cells.  Copies of the
+        # first row cross in the same slice as it does, rows of the null mean never cross, and N may
+        # be below the first chunk.
+        rng = np.random.default_rng(seed)
+        table = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(rows, cells))
+        table[0] = rng.choice([0.5, 0.75, 1.0], size=cells)
+        table[rng.random(rows) < 0.3] = table[0]
+        table[rng.random(rows) < 0.2] = NULL_MEAN
+        items = rng.integers(0, cells, size=n)
+        # The first kernel slice takes _MAX_CHUNK // rows draws: a risk limit equal to the first row's
+        # p-value at the draw ``offset`` past that edge puts its crossing there, or earlier when its
+        # trace is flat before it.
+        target = min(_MAX_CHUNK // rows, _FIRST_CHUNK) + (offset or 0)
+        if offset is not None and 0 <= target < n:
+            risk_limit = float(kk_pvalue_trace(table[0][items], n)[target])
+        check_first_crossings(table, risk_limit, items)
+
     @pytest.mark.parametrize("kind", ["zeros", "null", "mixed", "spread", "impossible"])
     def test_first_crossing_at_risk_limits_zero_and_one(self, kind):
         x = _kk_sequence(20_000, kind, 5, 0.7)
@@ -238,20 +280,23 @@ def check_first_crossing(x, risk_limit):
     return check_first_crossings([x], risk_limit)[0]
 
 
-def check_first_crossings(xs, risk_limit):
-    """Assert that one chunked walk over the sequences ``xs``, all of one length, stops each where its
-    full trace first crosses, and draws no chunk after the last of those; return the stops."""
-    n = xs[0].size
+def check_first_crossings(xs, risk_limit, items=None):
+    """Assert that one chunked walk over the rows of ``xs`` (tests by cells), drawing the cells ``items``
+    (default: every cell once, in order), stops each row where the full trace of its own draws first
+    crosses, and draws no chunk after the last of those; return the stops."""
+    xs = np.asarray(xs, dtype=np.float64)
+    items = np.arange(xs.shape[1]) if items is None else items
+    n = items.size
     expected = []
     for x in xs:
-        crossed = np.flatnonzero(kk_pvalue_trace(x, n) <= risk_limit)
+        crossed = np.flatnonzero(kk_pvalue_trace(x[items], n) <= risk_limit)
         expected.append(int(crossed[0]) + 1 if crossed.size else n + 1)
 
     calls = []
 
     def draws(start, end):
         calls.append((start, end))
-        return np.arange(start, end)
+        return items[start:end]
 
     assert _first_crossings(draws, xs, n, risk_limit) == expected
     # Chunks are contiguous and capped, and the walk ends with the chunk holding the last stop.
@@ -304,8 +349,11 @@ class TestFrozenStopVectors:
 
 
 def comparison_value(assertion, reported, audited, reported_mean):
+    """The comparison score of one (reported, audited) cell: entry (0, 0) of a one-assertion, one-cell matrix."""
     values = assorter_values(assertion, preference_matrix([reported, audited], 2))
-    return _cell_scores([values], [reported_mean], 0, 1, "comparison")[0]
+    scores = _cell_scores(values[None], np.array([reported_mean]), np.array([0]), np.array([1]), "comparison")
+    assert scores.shape == (1, 1)
+    return scores[0, 0]
 
 
 class TestComparisonAssorter:
@@ -562,6 +610,32 @@ class TestEstimate:
         # The audit's table holds the profile and the sample, and gives the reported tallies too.
         assert counts == [1, 1, 1, 1]
 
+    def test_walk_takes_every_assertion_in_one_kernel_call(self, election3, monkeypatch):
+        aset = method_assertions("kemeny", election3)
+        chunks, values = [], []
+        kernel, walk = audit_module._kk_chunk, audit_module._first_crossings
+
+        def counting_kernel(*args):
+            values.append(args[0].size)
+            return kernel(*args)
+
+        def counting_walk(draws, *args):
+            def counted(start, end):
+                chunks.append(end - start)
+                return draws(start, end)
+
+            return walk(counted, *args)
+
+        monkeypatch.setattr(audit_module, "_kk_chunk", counting_kernel)
+        monkeypatch.setattr(audit_module, "_first_crossings", counting_walk)
+        # Polling trials walk three of the 18 assertions to about 27,000 draws, through capped chunks.
+        estimate_audit(aset, election3, AuditConfig(seed=7, trials=10))
+        assert len(aset.assertions) == 18 and max(chunks) == _MAX_CHUNK
+        # One call walks every assertion still walking, so calls do not scale with the assertions:
+        # each but the last slice of a drawn chunk holds more than half of _MAX_CHUNK values.
+        assert len(values) <= len(chunks) + sum(values) / (_MAX_CHUNK / 2)
+        assert max(values) <= _MAX_CHUNK
+
 
 def polling_lines(ballots, names):
     return [json.dumps({"audited": [names[c] for c in b]}) for b in ballots]
@@ -726,6 +800,11 @@ class TestSampleFiles:
         assert len(load_samples(sample_file(tmp_path, lines), e)) == 2
         with pytest.raises(ParseError, match="more samples than the 2 ballots") as err:
             load_samples(sample_file(tmp_path, [*lines, "", lines[0]]), e)
+        assert err.value.line == 4
+        # Whitespace-only lines are blank wherever they fall, and are not samples.
+        assert len(load_samples(sample_file(tmp_path, [" \t", *lines, " \t", "", " \t"]), e)) == 2
+        with pytest.raises(ParseError, match="more samples than the 2 ballots") as err:
+            load_samples(sample_file(tmp_path, [*lines, " \t", lines[1]]), e)
         assert err.value.line == 4
 
     def test_line_without_audited_is_data_error(self, tmp_path, election1):
