@@ -59,6 +59,7 @@ from .audit import (
     AuditReport,
     AuditSample,
     InfeasibleAuditError,
+    SampleStream,
     estimate_audit,
     kk_pvalue_trace,
     load_samples,

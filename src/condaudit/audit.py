@@ -28,9 +28,10 @@ draw from the ballots not yet drawn, and the chunk is shuffled.  Every
 assertion of the set reads the same draws, as one row of one (assertions x
 draws) matrix: the kernel walks every row still walking at once, in slices
 of at most ``_MAX_CHUNK`` values, and a row leaves at its first crossing of
-the risk limit; drawing stops once all have crossed, so a trial costs
-O(stop + signatures + misread ballots) in time and memory, and builds no
-array of N ballots.
+the risk limit; drawing stops once all have crossed.  So a trial costs
+O(stop + signatures + misread ballots) in time, and memory for its stop, its
+table and one block of misread ballots' targets, and builds no array of N
+ballots.
 The per-assertion ASN is the median over trials, and a set's overall ASN is
 the largest per-assertion ASN.  Before the first crossing no draw has
 crossed, so the walk looks for the first draw whose own log-martingale gives
@@ -49,10 +50,16 @@ signature, as one (assertions x signatures) matrix, and its reported mean,
 read exactly from the table's tallies by :func:`claim_means`.  One cell
 scorer scores (reported, audited) cells for every assertion and either
 style.  Only a reported mean above 1/2 admits a comparison audit: otherwise
-an estimate flags the set for a full hand count and an audit raises.  A
-batch audit traces every assertion's p-value over the sample as rows of one
-matrix, in the same slices, and stops at the largest first crossing of the
-risk limit.
+an estimate flags the set for a full hand count and an audit raises.
+
+Simulation and audit walk through one walker, :func:`_walk`, which takes a
+source of draws and a table of cell scores.  A sample file is a stream of
+cells too: :func:`load_samples` reads it as its distinct samples, each
+once, and one int array of their indices in draw order.  A batch audit
+scores only those distinct (reported, audited) cells and walks the array in
+the simulation's growing chunks and slices, recording every assertion's
+running p-value after each draw, and stops at the largest first crossing of
+the risk limit; nothing in it works once per draw in Python.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -141,90 +148,86 @@ def _kk_pvalue(peak: np.ndarray) -> np.ndarray:
     return np.exp(-np.maximum(peak, 0.0))
 
 
-def _kk_traces(x: np.ndarray, population: int, risk_limit: float = -np.inf) -> np.ndarray:
-    """P-value after each draw of each row of ``x``, all draws from a population of ``population`` values.
-
-    The rows are traced together, in slices of at most ``_MAX_CHUNK`` values,
-    up to the end of the first slice after which every row's p-value is at or
-    below ``risk_limit``: a p-trace never rises, so each row's first crossing
-    lies in the prefix returned.  By default every draw is traced.
-    """
-    rows, size = x.shape
-    width = max(1, _MAX_CHUNK // max(rows, 1))
-    traces = np.empty((rows, size))
-    carry, peak = np.zeros((2, rows)), np.full((rows, 1), -np.inf)
-    for start in range(0, size, width):
-        cut = slice(start, start + width)
-        log_mart, carry = _kk_chunk(*_padded(x[:, cut]), population, start, carry)
-        np.maximum.accumulate(log_mart, axis=1, out=log_mart)
-        np.maximum(log_mart, peak, out=log_mart)
-        traces[:, cut], peak = _kk_pvalue(log_mart), log_mart[:, -1:]
-        if (traces[:, cut][:, -1] <= risk_limit).all():
-            return traces[:, : start + width]
-    return traces
-
-
 def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
     """P-value after each of a sequence of draws from a population of ``population`` values."""
     x = np.asarray(x, dtype=np.float64)
     if x.size > population:
         raise ValueError("more draws than the population holds")
-    return _kk_traces(x.reshape(1, -1), population)[0]
+    trace = [np.empty((1, 0))]
+    _walk(np.arange, x.reshape(1, -1), population, -np.inf, x.size, trace)
+    return np.concatenate(trace, axis=1)[0]
 
 
-# Draws traced by a simulated trial before it first checks for a crossing,
-# the factor by which each further chunk grows, and the size it grows to.
-# The kernel takes at most _MAX_CHUNK values at a time (draws times tests).
+# Draws walked before the first check for a crossing, the factor by which
+# each further chunk grows, and the size it grows to.  The kernel takes at
+# most _MAX_CHUNK values at a time (draws times tests).
 _FIRST_CHUNK = 256
 _CHUNK_GROWTH = 4
 _MAX_CHUNK = 8192
 
 
-def _first_crossings(draws, scores, population: int, risk_limit: float) -> list[int]:
+def _walk(
+    draws, scores, population: int, risk_limit: float, size: int | None = None, trace: list | None = None
+) -> np.ndarray:
     """Draw count at which each of several p-values over one shared draw order first falls to ``risk_limit``.
 
-    ``draws(a, b)`` returns the items of draws ``a .. b - 1``, and row ``i``
-    of the matrix ``scores`` maps an item to its value for test ``i``.
-    Draws are made in chunks that grow to ``_MAX_CHUNK``.  Every test still
-    walking is one row of one kernel call, which walks a chunk in slices of
-    at most ``_MAX_CHUNK // rows`` draws (at least one), so that no call
-    takes more than ``_MAX_CHUNK`` values, or one per row; a row leaves, with
-    its carry, at the slice in which it crosses, and drawing stops once every
-    row has left.  A test that never crosses reports ``population + 1``.
-    For each test, equal to the first index with
-    ``kk_pvalue_trace(scores[i][items], population) <= risk_limit``, plus
-    one, where ``items`` are all ``population`` draws.
+    ``draws(a, b)`` returns the items of draws ``a .. b - 1``, of ``size``
+    draws (default ``population``) from a population of ``population``
+    values, and row ``i`` of the matrix ``scores`` maps an item to its value
+    for test ``i``.  Draws are made in chunks that grow to ``_MAX_CHUNK``.
+    Every test still walking is one row of one kernel call, which walks a
+    chunk in slices of at most ``_MAX_CHUNK // rows`` draws (at least one),
+    so that no call takes more than ``_MAX_CHUNK`` values, or one per row.
+    A test that never crosses reports ``population + 1``.  For each test,
+    equal to the first index with ``kk_pvalue_trace(scores[i][items],
+    population) <= risk_limit``, plus one, where ``items`` are all ``size``
+    draws.
 
     The scores are checked, padded and logged once, and each slice gathers
     its draws' padded values and logs from them.  No draw before the first
     crossing crossed, so the first crossing is the first draw whose own
     log-martingale gives a p-value at or below the risk limit, and the walk
-    needs no running peak.  Every walked draw takes that p-value, the test
-    :func:`run_audit` applies to its traces.
+    needs no running peak: a row leaves, with its carry, at the slice in
+    which it crosses, and drawing stops once every row has left.
+
+    Given a list ``trace``, the walk also appends to it each slice's
+    p-values, the running ones, as a (rows x draws) matrix, and keeps every
+    row walking until all have crossed: a batch audit's traces.
     """
+    size = population if size is None else size
     y, log_y = _padded(scores)
-    walking = np.arange(len(y))
+    walking = np.arange(len(y))  # the tests not yet crossed; without a trace, the kernel's rows too
     stops = np.full(len(y), population + 1, dtype=np.int64)
-    carry = np.zeros((2, len(y)))
-    start, size = 0, _FIRST_CHUNK
-    while walking.size and start < population:
-        end = min(start + size, population)
+    carry, peak = np.zeros((2, len(y))), np.full((len(y), 1), -np.inf)
+    start, chunk = 0, _FIRST_CHUNK
+    while walking.size and start < size:
+        end = min(start + chunk, size)
         items = draws(start, end)
         lo = 0
         while walking.size and lo < items.size:
-            part = items[lo : lo + max(1, _MAX_CHUNK // walking.size)]
+            part = items[lo : lo + max(1, _MAX_CHUNK // len(y))]
             log_mart, carry = _kk_chunk(
                 np.take(y, part, axis=1), np.take(log_y, part, axis=1), population, start + lo, carry
             )
-            crossed = _kk_pvalue(log_mart) <= risk_limit
-            done = crossed.any(axis=1)
-            if done.any():
-                stops[walking[done]] = start + lo + crossed[done].argmax(axis=1) + 1
-                keep = ~done
-                walking, y, log_y, carry = walking[keep], y[keep], log_y[keep], carry[:, keep]
+            if trace is not None:
+                np.maximum.accumulate(log_mart, axis=1, out=log_mart)
+                np.maximum(log_mart, peak, out=log_mart)
+                peak = log_mart[:, -1:]
+            p = _kk_pvalue(log_mart)
+            crossed = p <= risk_limit
+            if trace is not None:
+                trace.append(p)
+                crossed = crossed[walking]
+            first = crossed.any(axis=1)
+            if first.any():
+                stops[walking[first]] = start + lo + crossed[first].argmax(axis=1) + 1
+                keep = ~first
+                walking = walking[keep]
+                if trace is None:
+                    y, log_y, carry = y[keep], log_y[keep], carry[:, keep]
             lo += part.size
-        start, size = end, min(size * _CHUNK_GROWTH, _MAX_CHUNK)
-    return stops.tolist()
+        start, chunk = end, min(chunk * _CHUNK_GROWTH, _MAX_CHUNK)
+    return stops
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +279,10 @@ def _cell_scores(values: np.ndarray, means: np.ndarray, reported, audited, style
 MAX_SIMULATED_BALLOTS = 10**9
 
 
+# Misread ballots whose targets _error_cells draws at a time.
+_TARGET_BLOCK = 1 << 20
+
+
 def _error_cells(counts: np.ndarray, error_rate: float, rng: np.random.Generator):
     """One trial's ballots under the error model, as a table of (reported, audited) signature cells.
 
@@ -285,16 +292,26 @@ def _error_cells(counts: np.ndarray, error_rate: float, rng: np.random.Generator
     each goes to one uniform draw of the others.  Returns each cell's
     reported and audited signature and its ballot count; the diagonal cells
     come first, one per signature, and only the misread cells that hold a
-    ballot follow.  Building the table costs O(signatures + misread ballots).
+    ballot follow.  Building the table costs O(signatures + misread ballots)
+    in time, and memory for the table and one block of ``_TARGET_BLOCK``
+    misread ballots: the targets are drawn block by block, one stream however
+    it is cut, and each block's cell counts are merged into the table.
     """
     s = counts.size
     sigs = np.arange(s)
     if s < 2:
         return sigs, sigs, counts
     errors = rng.binomial(counts, error_rate)
-    reported = np.repeat(sigs, errors)
-    other, sent = np.unique(reported * (s - 1) + rng.integers(0, s - 1, size=reported.size), return_counts=True)
-    reported, other = np.divmod(other, s - 1)
+    ends = np.cumsum(errors)
+    keys, sent = np.empty(0, np.int64), np.empty(0, np.int64)
+    for lo in range(0, int(ends[-1]), _TARGET_BLOCK):
+        misread = np.arange(lo, min(lo + _TARGET_BLOCK, int(ends[-1])))
+        block = np.searchsorted(ends, misread, side="right") * (s - 1) + rng.integers(0, s - 1, size=misread.size)
+        # The table's keys join the block's once each, and count their ballots instead.
+        merged, merged_sent = np.unique(np.concatenate((keys, block)), return_counts=True)
+        merged_sent[np.searchsorted(merged, keys)] += sent - 1
+        keys, sent = merged, merged_sent
+    reported, other = np.divmod(keys, s - 1)
     audited = other + (other >= reported)
     return np.concatenate((sigs, reported)), np.concatenate((sigs, audited)), np.concatenate((counts - errors, sent))
 
@@ -316,7 +333,7 @@ def _trial_stops(
     """
     n = int(counts.sum())
 
-    def one_trial(trial: int) -> list[int]:
+    def one_trial(trial: int) -> np.ndarray:
         rng = np.random.default_rng([cfg.seed & _SEED_MASK, trial])
         reported, audited, cells = _error_cells(counts, cfg.error_rate, rng)
         scores = _cell_scores(values, means, reported, audited, cfg.style)
@@ -329,7 +346,7 @@ def _trial_stops(
             rng.shuffle(order)
             return order
 
-        return _first_crossings(draws, scores, n, cfg.risk_limit)
+        return _walk(draws, scores, n, cfg.risk_limit)
 
     if workers <= 1:
         stops = [one_trial(trial) for trial in range(cfg.trials)]
@@ -398,42 +415,73 @@ class AuditSample:
     reported: Ballot | None = None
 
 
-def load_samples(source: str | Path, election: Election) -> list[AuditSample]:
-    """Read a JSON-lines sample file in draw order.
+@dataclass(frozen=True, eq=False)
+class SampleStream:
+    """A drawn sample: its distinct samples, each once, and the index into
+    ``samples`` of every draw's sample, in draw order."""
+
+    samples: tuple[AuditSample, ...]
+    order: np.ndarray
+
+
+def _parse_sample(line: str, index: dict[str, int]) -> AuditSample:
+    """The sample one line of a sample file holds; a fault is a :class:`ParseError` without a line number."""
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}") from None
+    if not isinstance(doc, dict) or "audited" not in doc:
+        raise ParseError("each sample needs an 'audited' ballot")
+    audited = resolve_names(doc["audited"], index, where="'audited'")
+    reported = resolve_names(doc["reported"], index, where="'reported'") if "reported" in doc else None
+    return AuditSample(audited, reported)
+
+
+def load_samples(source: str | Path, election: Election) -> SampleStream:
+    """Read a JSON-lines sample file: its distinct samples and their draw order.
 
     Each line is ``{"audited": [names...]}`` or
-    ``{"reported": [...], "audited": [...]}``.  Candidate names are resolved
-    against the election roster; unknown names, and more samples than the
-    election has ballots, are data errors.
+    ``{"reported": [...], "audited": [...]}``; blank and whitespace-only lines
+    are skipped.  Candidate names are resolved against the election roster.
+    Malformed lines, unknown or repeated names, and more samples than the
+    election has ballots are data errors, raised for the first line that has
+    one; the count is checked before a line is parsed.
     """
     # Not splitlines(): a JSON string may hold U+2028, U+2029 and NEL raw.
     lines = read_text(source).split("\n")
     index = roster_index(election.candidates)
     n = election.total_ballots
 
+    # A line recurs once per drawn ballot of its signature.  Each distinct line
+    # is classified once, in the order lines first appear: as blank (-1) or as
+    # the index of the sample it parses to.  Classifying stops (-2) at a faulty
+    # line, or at a sample past the N-th distinct one, for which the count
+    # check fails at or before its first line.  The lines first seen after it
+    # stay -1: an error is raised at or before them.
+    codes = dict.fromkeys(lines, -1)
     samples: list[AuditSample] = []
-    # A line recurs once per drawn ballot of its signature: each distinct line
-    # is classified once, as blank (None) or as the sample it parses to.
-    seen: dict[str, AuditSample | None] = {}
-    for lineno, line in enumerate(lines, start=1):
-        sample = seen.get(line)
-        if sample is None and (line in seen or not line.strip()):
-            seen[line] = None
+    fault, stopped = None, False
+    for line in codes:
+        if not line.strip():
             continue
-        if len(samples) == n:
-            raise ParseError(f"more samples than the {n} ballots of the election", lineno)
-        if sample is None:
+        if len(samples) < n:
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
-            if not isinstance(doc, dict) or "audited" not in doc:
-                raise ParseError("each sample needs an 'audited' ballot", lineno)
-            audited = resolve_names(doc["audited"], index, lineno, "'audited'")
-            reported = resolve_names(doc["reported"], index, lineno, "'reported'") if "reported" in doc else None
-            sample = seen[line] = AuditSample(audited, reported)
-        samples.append(sample)
-    return samples
+                samples.append(_parse_sample(line, index))
+            except ParseError as exc:
+                fault = str(exc)
+            else:
+                codes[line] = len(samples) - 1
+                continue
+        codes[line], stopped = -2, True
+        break
+    at = np.fromiter(map(codes.__getitem__, lines), np.intp, len(lines))
+    drawn = np.flatnonzero(at != -1)
+    bad = int(np.argmax(at == -2)) if stopped else len(lines)
+    if np.count_nonzero(drawn <= bad) > n:
+        raise ParseError(f"more samples than the {n} ballots of the election", int(drawn[n]) + 1)
+    if fault is not None:
+        raise ParseError(fault, bad + 1)
+    return SampleStream(tuple(samples), at[drawn])
 
 
 class InfeasibleAuditError(ValueError):
@@ -464,27 +512,31 @@ class AuditReport:
 
 def run_audit(
     aset: AssertionSet,
-    samples: Sequence[AuditSample],
+    stream: SampleStream,
     election: Election,
     cfg: AuditConfig,
 ) -> AuditReport:
     """Feed a drawn sample through every assertion's sequential test.
 
-    Samples must be supplied in their (externally randomized) draw order.
-    The audit certifies at the first draw where every assertion's p-value is
-    at or below the risk limit, and consumes no sample after it; exhausting
-    the sample first escalates to a full hand count, as an escalated set does
-    at once.  A sample too large, or a comparison sample with any draw
-    lacking its reported ballot, is a :class:`~condaudit.ballots.ParseError`.
-    A comparison audit of a set whose reported tallies do not support every
-    assertion raises :class:`InfeasibleAuditError`.
+    The draws of ``stream`` must be in their (externally randomized) draw
+    order.  Each distinct sample is scored once, as a (reported, audited)
+    cell of the signature table, and the walk of :func:`_walk` traces every
+    assertion over the draws.  The audit certifies at the first draw where
+    every assertion's p-value is at or below the risk limit, and consumes no
+    sample after it; exhausting the sample first escalates to a full hand
+    count, as an escalated set does at once.  A sample too large, or a
+    comparison audit of a stream with a sample lacking its reported ballot,
+    is a :class:`~condaudit.ballots.ParseError`.  A comparison audit of a set whose
+    reported tallies do not support every assertion raises
+    :class:`InfeasibleAuditError`.
     """
     if aset.full_hand_count:
         return AuditReport("escalate-full-count", 0, cfg.risk_limit, ())
 
     n = election.total_ballots
-    if len(samples) > n:
-        raise ParseError(f"sample of {len(samples)} exceeds the population of {n} ballots")
+    samples, order = stream.samples, stream.order
+    if order.size > n:
+        raise ParseError(f"sample of {order.size} exceeds the population of {n} ballots")
     comparison = cfg.style == "comparison"
     if comparison and any(s.reported is None for s in samples):
         raise ParseError("comparison audits need a reported ballot per sample")
@@ -497,15 +549,15 @@ def run_audit(
         )
     audited = np.array([rows[s.audited] for s in samples], dtype=np.intp)
     reported = np.array([rows[s.reported] for s in samples], dtype=np.intp) if comparison else audited
-    traces = _kk_traces(_cell_scores(values, means, reported, audited, cfg.style), n, cfg.risk_limit)
+    scores = _cell_scores(values, means, reported, audited, cfg.style)
+    trace = [np.empty((len(scores), 0))]
+    stops = _walk(lambda start, end: order[start:end], scores, n, cfg.risk_limit, order.size, trace)
+    examined = min(order.size, int(stops.max(initial=0)))
 
-    # A p-trace never rises, so its first crossing follows the draws above the risk limit.
-    firsts = (traces > cfg.risk_limit).sum(axis=1) + 1
-    examined = min(len(samples), int(firsts.max(initial=0)))
-
+    traces = np.concatenate(trace, axis=1)[:, :examined].tolist()
     records = []
-    for assertion, trace in zip(aset.assertions, map(tuple, traces[:, :examined].tolist())):
-        p_value = trace[-1] if trace else 1.0
-        records.append(AssertionAuditRecord(assertion, p_value <= cfg.risk_limit, p_value, trace))
+    for assertion, p_trace in zip(aset.assertions, map(tuple, traces)):
+        p_value = p_trace[-1] if p_trace else 1.0
+        records.append(AssertionAuditRecord(assertion, p_value <= cfg.risk_limit, p_value, p_trace))
     outcome = "certified" if all(r.certified for r in records) else "escalate-full-count"
     return AuditReport(outcome, examined, cfg.risk_limit, tuple(records))

@@ -301,11 +301,11 @@ def _write(obj, newline: str, out: list[str]) -> None:
     """Append the text of ``obj`` to ``out``; ``newline`` is the newline and indent before its closing bracket.
 
     Each item of a dict, list or tuple is written one level deeper.  Scalars
-    go through the C encoder.  A non-empty list or tuple of floats only (an
-    audit's p-value trace, a running minimum with few distinct values)
-    formats each distinct bit pattern once, as ``float.__repr__`` costs the
-    same whoever calls it.  Bit patterns, not values, key the texts: ``0.0 ==
-    -0.0``, and NaN equals nothing.
+    go through the C encoder.  A non-empty list or tuple of floats only
+    formats each run of equal bit patterns once, as ``float.__repr__`` costs
+    the same whoever calls it: an audit's p-value trace is a running minimum,
+    so its runs are its few distinct values.  Bit patterns, not values, mark
+    the runs: ``0.0 == -0.0``, and NaN equals nothing.
     """
     if not isinstance(obj, (dict, list, tuple)):
         out += _encode(obj, 0)
@@ -321,9 +321,10 @@ def _write(obj, newline: str, out: list[str]) -> None:
             out.append(f",{inner}{_key(key)}: " if i else f"{_key(key)}: ")
             _write(value, inner, out)
     elif list(map(type, obj)).count(float) == len(obj):
-        distinct, order = np.unique(np.fromiter(obj, np.float64, len(obj)).view(np.int64), return_inverse=True)
-        texts = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
-        out.append(("," + inner).join(texts[order].tolist()))
+        bits = np.fromiter(obj, np.float64, len(obj)).view(np.int64)
+        starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        texts = np.array(json.dumps(bits[starts].view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+        out.append(("," + inner).join(np.repeat(texts, np.diff(starts, append=bits.size)).tolist()))
     else:
         for i, value in enumerate(obj):
             if i:
@@ -522,8 +523,8 @@ def _dispatch(args) -> int:
     if args.command == "audit":
         cfg = _cfg_from_args(args)
         aset = import_assertions(ballots_io.read_text(args.assertions_file), election)
-        samples = load_samples(args.samples_file, election)
-        report = run_audit(aset, samples, election, cfg)
+        stream = load_samples(args.samples_file, election)
+        report = run_audit(aset, stream, election, cfg)
         payload, lines = _audit_payload(aset, report, election)
         _emit(args, payload, lines)
         return EXIT_OK if report.certified else EXIT_FULL_COUNT

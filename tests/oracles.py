@@ -4,12 +4,14 @@ Everything here is deliberately written from the definitions, not from the
 library's implementations: subset enumeration for the Smith set, full
 permutation enumeration for Kemeny, integer signed-contribution sums for
 assorter means, a direct-product version of the sequential test, and a
-per-ballot simulation of audit sample sizes.
+per-ballot simulation of audit sample sizes, and a line-by-line reader of
+sample files from the README's rules.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -202,3 +204,42 @@ def expand(election: Election) -> list[tuple[int, ...]]:
     for sig, count in sorted(election.profile.items()):
         out.extend([sig] * count)
     return out
+
+
+def reference_samples(text: str, candidates, total: int):
+    """A sample file read line by line from the README's rules.
+
+    Returns the (audited, reported) ballots of every draw in draw order and
+    no fault, or no draws and the (message, line number) of the first line
+    at fault.
+    """
+    draws = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        if len(draws) == total:
+            return None, (f"more samples than the {total} ballots of the election", lineno)
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return None, (f"invalid JSON: {exc.msg}", lineno)
+        if not isinstance(doc, dict) or "audited" not in doc:
+            return None, ("each sample needs an 'audited' ballot", lineno)
+        ballots = []
+        for key in ("audited", "reported"):
+            names = doc.get(key)
+            if key not in doc:
+                ballots.append(None)
+                continue
+            if not isinstance(names, list):
+                return None, (f"'{key}' must be a list of candidate names", lineno)
+            for pos, name in enumerate(names):
+                if not isinstance(name, str):
+                    return None, (f"'{key}': candidate name {name!r} is not a string", lineno)
+                if name not in candidates:
+                    return None, (f"'{key}': unknown candidate name {name!r}", lineno)
+                if name in names[:pos]:
+                    return None, (f"'{key}': duplicate candidate {name!r}", lineno)
+            ballots.append(tuple(candidates.index(name) for name in names))
+        draws.append(tuple(ballots))
+    return draws, None

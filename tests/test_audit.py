@@ -8,12 +8,16 @@ re-captured, after a deliberate change of the simulation's random stream, with
 
 import json
 import math
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,6 +33,7 @@ from condaudit import (
     PairwisePositive,
     ParseError,
     RankingComparison,
+    SampleStream,
     ScoreComparison,
     assorter_values,
     estimate_audit,
@@ -48,11 +53,11 @@ from condaudit.audit import (
     PADDING,
     _cell_scores,
     _error_cells,
-    _first_crossings,
     _kk_chunk,
     _kk_pvalue,
     _padded,
     _scoring,
+    _walk,
 )
 from condaudit.ballots import parse_path, scale
 
@@ -62,6 +67,7 @@ from oracles import (
     ks_statistic,
     normalizer,
     per_ballot_stops,
+    reference_samples,
     signed_contribution,
     weighted_g_sum,
 )
@@ -91,6 +97,18 @@ def per_draw_trace(xs, population):
         p, carry, peak = chunk_pvalues(np.array([[x]], dtype=np.float64), population, i, carry, peak)
         out.append(float(p[0, 0]))
     return out
+
+
+def as_stream(samples):
+    """The run_audit input of a list of samples in draw order: each distinct sample once, and the draw order."""
+    distinct = dict.fromkeys(samples)
+    index = {sample: i for i, sample in enumerate(distinct)}
+    return SampleStream(tuple(distinct), np.array([index[s] for s in samples], dtype=np.intp))
+
+
+def in_draw_order(stream):
+    """The samples of a stream, one per draw, in draw order."""
+    return [stream.samples[i] for i in stream.order.tolist()]
 
 
 def first_crossing(ps, risk_limit=0.05):
@@ -140,7 +158,7 @@ class TestKaplanKolmogorov:
             _padded(np.array([[0.5, -0.1]]))
         for table in ([[0.5, 0.5], [1.0, -0.1]], [[0.5, np.nan]]):
             with pytest.raises(ValueError):
-                _first_crossings(np.arange, np.array(table), 10, 0.05)
+                _walk(np.arange, np.array(table), 10, 0.05)
         with pytest.raises(ValueError):
             kk_pvalue_trace(np.array([-1.0]), 10)
         with pytest.raises(ValueError):
@@ -283,7 +301,9 @@ def check_first_crossing(x, risk_limit):
 def check_first_crossings(xs, risk_limit, items=None):
     """Assert that one chunked walk over the rows of ``xs`` (tests by cells), drawing the cells ``items``
     (default: every cell once, in order), stops each row where the full trace of its own draws first
-    crosses, and draws no chunk after the last of those; return the stops."""
+    crosses, and draws no chunk after the last of those; and that the same walk with a trace gives the
+    same stops and, bit for bit, each row's full trace up to the end of the slice of the last stop.
+    Return the stops."""
     xs = np.asarray(xs, dtype=np.float64)
     items = np.arange(xs.shape[1]) if items is None else items
     n = items.size
@@ -298,12 +318,20 @@ def check_first_crossings(xs, risk_limit, items=None):
         calls.append((start, end))
         return items[start:end]
 
-    assert _first_crossings(draws, xs, n, risk_limit) == expected
+    assert _walk(draws, xs, n, risk_limit).tolist() == expected
     # Chunks are contiguous and capped, and the walk ends with the chunk holding the last stop.
     assert [c[0] for c in calls] == [0] + [c[1] for c in calls[:-1]]
     assert max(end - start for start, end in calls) <= _MAX_CHUNK
     last_start, last_end = calls[-1]
     assert last_start < max(expected) <= last_end if max(expected) <= n else last_end == n
+
+    trace = []
+    assert _walk(lambda start, end: items[start:end], xs, n, risk_limit, n, trace).tolist() == expected
+    traced = np.concatenate(trace, axis=1) if trace else np.empty((len(xs), 0))
+    walked = traced.shape[1]
+    assert min(max(expected), n) <= walked <= n and (walked == n or walked - max(expected) < _MAX_CHUNK)
+    for x, row in zip(xs, traced):
+        assert row.tobytes() == kk_pvalue_trace(x[items], n)[:walked].tobytes()
     return expected
 
 
@@ -375,7 +403,7 @@ class TestComparisonAssorter:
         aset = AssertionSet("condorcet", 0, (PairwisePositive(0, 1),))
         cfg = AuditConfig(seed=5, trials=10, style="comparison")
         with pytest.raises(InfeasibleAuditError, match="mean"):
-            run_audit(aset, [AuditSample(audited=(0,), reported=(0,))], tied, cfg)
+            run_audit(aset, as_stream([AuditSample(audited=(0,), reported=(0,))]), tied, cfg)
         est = estimate_audit(aset, tied, cfg)
         assert est.full_count_flag and est.per_assertion == (10,)
         assert est.stops[0].tolist() == [11] * 10
@@ -389,7 +417,7 @@ class TestComparisonAssorter:
         assert est.full_count_flag and est.per_assertion == (6,)
         assert est.stops[0].tolist() == [7] * 10
         with pytest.raises(InfeasibleAuditError, match="mean"):
-            run_audit(aset, [AuditSample(audited=(0, 1, 2), reported=(0, 1, 2))], smith_tie_election, cfg)
+            run_audit(aset, as_stream([AuditSample(audited=(0, 1, 2), reported=(0, 1, 2))]), smith_tie_election, cfg)
 
 
 def unanimous_election(n=500):
@@ -489,7 +517,7 @@ class TestSimulationModel:
     @pytest.mark.parametrize("error_rate", [0.5, 0.0005])
     def test_a_walk_to_n_draws_every_ballot_once(self, election3, monkeypatch, error_rate):
         tables, drawn = [], []
-        error_cells, first_crossings = audit_module._error_cells, audit_module._first_crossings
+        error_cells, walk = audit_module._error_cells, audit_module._walk
 
         def recording_cells(*args):
             tables.append(error_cells(*args))
@@ -502,10 +530,10 @@ class TestSimulationModel:
 
             drawn.append([])
             # Zeros never take the p-value to 0: the walk draws all N.
-            return first_crossings(recording, [np.zeros(tables[-1][2].size)], population, 0.0) * len(scores)
+            return np.tile(walk(recording, [np.zeros(tables[-1][2].size)], population, 0.0), len(scores))
 
         monkeypatch.setattr(audit_module, "_error_cells", recording_cells)
-        monkeypatch.setattr(audit_module, "_first_crossings", walk_to_n)
+        monkeypatch.setattr(audit_module, "_walk", walk_to_n)
         n = election3.total_ballots
         cfg = AuditConfig(seed=2, trials=6, error_rate=error_rate)
         est = one_assertion_estimate(PairwisePositive(0, 1), election3, cfg)
@@ -533,6 +561,59 @@ class TestSimulationModel:
         expected = np.outer(counts, np.full(s, error_rate / (s - 1))) * trials
         np.fill_diagonal(expected, counts * (1 - error_rate) * trials)
         assert np.all(np.abs(total - expected) <= 5 * np.sqrt(expected) + 1e-9)
+
+    @given(
+        st.lists(st.integers(0, 200), min_size=2, max_size=9),
+        st.floats(0, 0.9),
+        st.sampled_from([1, 2, 3, 7, 64, 777]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_error_cells_equal_the_one_shot_table(self, counts, error_rate, block, seed):
+        # Targets drawn in blocks of a few ballots give the table, and leave the stream, as one draw of all.
+        counts = np.array(counts, dtype=np.int64)
+        one_shot_rng, blocked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = one_shot_error_cells(counts, error_rate, one_shot_rng)
+        with mock.patch.object(audit_module, "_TARGET_BLOCK", block):
+            table = _error_cells(counts, error_rate, blocked_rng)
+        for ours, theirs in zip(table, expected):
+            assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
+        assert blocked_rng.random() == one_shot_rng.random()
+
+    def test_error_cells_memory_follows_the_table(self):
+        # 60,000,000 ballots of 3 signatures, half of them misread: one array of their 30,000,000
+        # targets takes 229 MiB, and drawing them at once needs several.  The blocked table needs one
+        # block of them, within a 512 MiB address space.
+        code = (
+            "import numpy as np; from condaudit.audit import _error_cells; "
+            "r, a, c = _error_cells(np.array([20_000_000] * 3), 0.5, np.random.default_rng(1)); "
+            "print(r.size, int(c.sum()), int(c[3:].sum()))"
+        )
+        cap = 512 << 20
+        src = str(Path(condaudit.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        cells, ballots, misread = map(int, proc.stdout.split())
+        assert (cells, ballots) == (9, 60_000_000) and abs(misread - 30_000_000) < 30_000
+
+
+def one_shot_error_cells(counts, error_rate, rng):
+    """The error table with every misread ballot's target drawn at once, in memory that grows with them."""
+    s = counts.size
+    sigs = np.arange(s)
+    errors = rng.binomial(counts, error_rate)
+    reported = np.repeat(sigs, errors)
+    keys, sent = np.unique(reported * (s - 1) + rng.integers(0, s - 1, size=reported.size), return_counts=True)
+    reported, other = np.divmod(keys, s - 1)
+    audited = other + (other >= reported)
+    return np.concatenate((sigs, reported)), np.concatenate((sigs, audited)), np.concatenate((counts - errors, sent))
 
 
 class TestEstimate:
@@ -613,7 +694,7 @@ class TestEstimate:
     def test_walk_takes_every_assertion_in_one_kernel_call(self, election3, monkeypatch):
         aset = method_assertions("kemeny", election3)
         chunks, values = [], []
-        kernel, walk = audit_module._kk_chunk, audit_module._first_crossings
+        kernel, walk = audit_module._kk_chunk, audit_module._walk
 
         def counting_kernel(*args):
             values.append(args[0].size)
@@ -627,7 +708,7 @@ class TestEstimate:
             return walk(counted, *args)
 
         monkeypatch.setattr(audit_module, "_kk_chunk", counting_kernel)
-        monkeypatch.setattr(audit_module, "_first_crossings", counting_walk)
+        monkeypatch.setattr(audit_module, "_walk", counting_walk)
         # Polling trials walk three of the 18 assertions to about 27,000 draws, through capped chunks.
         estimate_audit(aset, election3, AuditConfig(seed=7, trials=10))
         assert len(aset.assertions) == 18 and max(chunks) == _MAX_CHUNK
@@ -635,6 +716,35 @@ class TestEstimate:
         # each but the last slice of a drawn chunk holds more than half of _MAX_CHUNK values.
         assert len(values) <= len(chunks) + sum(values) / (_MAX_CHUNK / 2)
         assert max(values) <= _MAX_CHUNK
+
+    def test_estimate_and_audit_walk_through_one_walker(self, election3, monkeypatch):
+        # Simulated trials, a batch audit and a public p-value trace all walk through _walk, and the
+        # kernel is never called outside it.
+        walks, inside = [], []
+        kernel, walk = audit_module._kk_chunk, audit_module._walk
+
+        def checked_kernel(*args):
+            assert inside, "a kernel call outside the walker"
+            return kernel(*args)
+
+        def recording_walk(*args):
+            walks.append(len(args) == 6)  # only a traced walk is given its trace list
+            inside.append(True)
+            try:
+                return walk(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(audit_module, "_kk_chunk", checked_kernel)
+        monkeypatch.setattr(audit_module, "_walk", recording_walk)
+        aset = method_assertions("ranked-pairs", election3)
+        cfg = AuditConfig(seed=7, trials=4, style="comparison")
+        estimate_audit(aset, election3, cfg)
+        assert walks == [False] * 4
+        report = run_audit(aset, load_samples(GOLDEN / "election3-samples.jsonl", election3), election3, cfg)
+        assert report.certified and walks == [False] * 4 + [True]
+        kk_pvalue_trace(np.full(300, 0.7), 1000)
+        assert walks == [False] * 4 + [True, True]
 
 
 def polling_lines(ballots, names):
@@ -655,7 +765,7 @@ class TestRunAudit:
         e = unanimous_election()
         aset = AssertionSet("condorcet", 0, (PairwisePositive(0, 1),))
         samples = [AuditSample(audited=(0,)) for _ in range(50)]
-        report = run_audit(aset, samples, e, AuditConfig())
+        report = run_audit(aset, as_stream(samples), e, AuditConfig())
         assert report.outcome == "certified"
         assert report.ballots_examined < 50
         assert all(rec.certified for rec in report.records)
@@ -663,13 +773,13 @@ class TestRunAudit:
     def test_zero_samples_do_not_certify(self):
         e = unanimous_election()
         aset = AssertionSet("condorcet", 0, (PairwisePositive(0, 1),))
-        report = run_audit(aset, [], e, AuditConfig())
+        report = run_audit(aset, as_stream([]), e, AuditConfig())
         assert report.outcome == "escalate-full-count"
         assert all(rec.p_value == 1.0 for rec in report.records)
 
     def test_full_hand_count_escalates_immediately(self, election1):
         aset = AssertionSet("minimax", None, escalation="tie")
-        report = run_audit(aset, [AuditSample(audited=(0,))], election1, AuditConfig())
+        report = run_audit(aset, as_stream([AuditSample(audited=(0,))]), election1, AuditConfig())
         assert report.outcome == "escalate-full-count"
         assert report.ballots_examined == 0
         assert report.records == ()
@@ -678,7 +788,7 @@ class TestRunAudit:
     def test_empty_set_certifies_at_zero(self, style):
         aset = AssertionSet("x", 0, ())
         samples = [AuditSample(audited=(0,), reported=(0,))] * 5
-        report = run_audit(aset, samples, unanimous_election(), AuditConfig(style=style))
+        report = run_audit(aset, as_stream(samples), unanimous_election(), AuditConfig(style=style))
         assert report == AuditReport("certified", 0, 0.05, ())
 
     def test_p_traces_non_increasing(self, election3):
@@ -687,7 +797,7 @@ class TestRunAudit:
         pop = expand(election3)
         order = rng.permutation(len(pop))[:400]
         samples = [AuditSample(audited=pop[i], reported=pop[i]) for i in order]
-        report = run_audit(aset, samples, election3, AuditConfig(style="comparison"))
+        report = run_audit(aset, as_stream(samples), election3, AuditConfig(style="comparison"))
         for rec in report.records:
             diffs = np.diff(rec.p_trace)
             assert np.all(diffs <= 1e-15)
@@ -697,21 +807,21 @@ class TestRunAudit:
         aset = AssertionSet("condorcet", 0, (PairwisePositive(0, 1),))
         samples = [AuditSample(audited=(0,))]
         with pytest.raises(ValueError, match="reported"):
-            run_audit(aset, samples, e, AuditConfig(style="comparison"))
+            run_audit(aset, as_stream(samples), e, AuditConfig(style="comparison"))
 
     def test_data_faults_are_parse_errors(self):
         e = unanimous_election(3)
         aset = AssertionSet("condorcet", 0, (PairwisePositive(0, 1),))
         with pytest.raises(ParseError, match="^comparison audits need a reported ballot per sample$"):
-            run_audit(aset, [AuditSample(audited=(0,))], e, AuditConfig(style="comparison"))
+            run_audit(aset, as_stream([AuditSample(audited=(0,))]), e, AuditConfig(style="comparison"))
         with pytest.raises(ParseError, match="^sample of 4 exceeds the population of 3 ballots$"):
-            run_audit(aset, [AuditSample(audited=(0,))] * 4, e, AuditConfig())
+            run_audit(aset, as_stream([AuditSample(audited=(0,))] * 4), e, AuditConfig())
 
     def test_comparison_rejects_reportedly_false_assertions(self):
         e = unanimous_election()
         aset = AssertionSet("x", 1, (PairwisePositive(1, 0),))
         with pytest.raises(InfeasibleAuditError, match="mean"):
-            run_audit(aset, [AuditSample(audited=(0,), reported=(0,))], e, AuditConfig(style="comparison"))
+            run_audit(aset, as_stream([AuditSample(audited=(0,), reported=(0,))]), e, AuditConfig(style="comparison"))
 
     # Swapped, the golden sample's 14 audited ballots outside the profile are reported ones.
     @pytest.mark.parametrize(
@@ -721,12 +831,12 @@ class TestRunAudit:
     )
     def test_matches_independent_kk(self, election3, style, swapped):
         aset = method_assertions("ranked-pairs", election3)
-        samples = load_samples(GOLDEN / "election3-samples.jsonl", election3)
+        samples = in_draw_order(load_samples(GOLDEN / "election3-samples.jsonl", election3))
         if swapped:
             samples = [AuditSample(audited=s.reported, reported=s.audited) for s in samples]
             assert any(s.reported not in election3.profile for s in samples)
         cfg = AuditConfig(style=style)
-        report = run_audit(aset, samples, election3, cfg)
+        report = run_audit(aset, as_stream(samples), election3, cfg)
         n = election3.total_ballots
         expected = []
         for assertion in aset.assertions:
@@ -749,9 +859,9 @@ class TestRunAudit:
 
     def test_comparison_reads_only_consumed_samples(self, election3):
         aset = method_assertions("ranked-pairs", election3)
-        samples = load_samples(GOLDEN / "election3-samples.jsonl", election3)
+        samples = in_draw_order(load_samples(GOLDEN / "election3-samples.jsonl", election3))
         cfg = AuditConfig(style="comparison")
-        report = run_audit(aset, samples, election3, cfg)
+        report = run_audit(aset, as_stream(samples), election3, cfg)
         stop = report.ballots_examined
         assert report.certified and stop < len(samples)
         assert all(len(rec.p_trace) == stop for rec in report.records)
@@ -759,14 +869,64 @@ class TestRunAudit:
         for i in (stop - 1, stop):
             missing = [*samples[:i], AuditSample(audited=samples[i].audited), *samples[i + 1 :]]
             with pytest.raises(ParseError, match="^comparison audits need a reported ballot per sample$"):
-                run_audit(aset, missing, election3, cfg)
+                run_audit(aset, as_stream(missing), election3, cfg)
+
+    @pytest.mark.parametrize("style", ["polling", "comparison"])
+    def test_a_stream_is_scored_as_its_distinct_cells(self, election1, tmp_path, monkeypatch, style):
+        # All 8,300 ballots of election1, of 4 signatures, in a random order: the audit builds its table
+        # from the 4 distinct samples and scores 4 cells, once each.
+        ballots = expand(election1)
+        drawn = [ballots[i] for i in np.random.default_rng(4).permutation(len(ballots))]
+        names = election1.candidates
+        lines = comparison_lines(zip(drawn, drawn), names) if style == "comparison" else polling_lines(drawn, names)
+        stream = load_samples(sample_file(tmp_path, lines), election1)
+        assert (len(stream.samples), stream.order.size) == (4, 8300)
+        sampled, cells = [], []
+        scoring, cell_scores = audit_module._scoring, audit_module._cell_scores
+
+        def recording_scoring(aset, election, ballots=()):
+            sampled.append(list(ballots))
+            return scoring(aset, election, sampled[-1])
+
+        def recording_cells(values, means, reported, audited, style):
+            cells.append((len(reported), len(audited)))
+            return cell_scores(values, means, reported, audited, style)
+
+        monkeypatch.setattr(audit_module, "_scoring", recording_scoring)
+        monkeypatch.setattr(audit_module, "_cell_scores", recording_cells)
+        aset = method_assertions("ranked-pairs", election1)
+        report = run_audit(aset, stream, election1, AuditConfig(risk_limit=0.01, style=style))
+        assert report.certified
+        assert [len(s) for s in sampled] == [8 if style == "comparison" else 4] and cells == [(4, 4)]
 
     def test_oversized_sample_rejected(self):
         e = Election(("A", "B"), {(0,): 2})
         aset = AssertionSet("x", 0, (PairwisePositive(0, 1),))
         samples = [AuditSample(audited=(0,))] * 3
         with pytest.raises(ValueError, match="exceeds"):
-            run_audit(aset, samples, e, AuditConfig())
+            run_audit(aset, as_stream(samples), e, AuditConfig())
+
+
+# Sample lines for the loader's reference property: faulty ones, blank ones, and valid polling and
+# comparison lines over the candidates A, B and C.
+_SAMPLE_LINES = [
+    "{bad",
+    "[1]",
+    '"audited"',
+    '{"audited": "A"}',
+    '{"audited": [1]}',
+    '{"audited": ["Z"]}',
+    '{"audited": ["A", "A"]}',
+    '{"reported": ["A"]}',
+    '{"audited": ["A"], "reported": ["Q"]}',
+    '{"audited": ["B"], "reported": "A"}',
+    '{"audited": ["Z"], "reported": ["A", "A"]}',
+]
+_BLANK_LINES = ["", " ", " \t", "\r", "\u2028"]
+_BALLOTS = st.lists(st.sampled_from("ABC"), unique=True)
+_GOOD_LINES = _BALLOTS.map(lambda b: json.dumps({"audited": b})) | st.tuples(_BALLOTS, _BALLOTS).map(
+    lambda pair: json.dumps({"reported": pair[0], "audited": pair[1]})
+)
 
 
 def sample_file(tmp_path, lines):
@@ -779,13 +939,13 @@ def sample_file(tmp_path, lines):
 class TestSampleFiles:
     def test_polling_lines(self, tmp_path, election1):
         lines = polling_lines([(0, 1), (), (2, 0, 1)], election1.candidates)
-        samples = load_samples(sample_file(tmp_path, lines), election1)
+        samples = in_draw_order(load_samples(sample_file(tmp_path, lines), election1))
         assert [s.audited for s in samples] == [(0, 1), (), (2, 0, 1)]
         assert all(s.reported is None for s in samples)
 
     def test_comparison_lines(self, tmp_path, election1):
         lines = comparison_lines([((0, 1), (1, 0))], election1.candidates)
-        samples = load_samples(sample_file(tmp_path, lines), election1)
+        samples = in_draw_order(load_samples(sample_file(tmp_path, lines), election1))
         assert samples[0].reported == (0, 1)
         assert samples[0].audited == (1, 0)
 
@@ -794,18 +954,24 @@ class TestSampleFiles:
             load_samples(sample_file(tmp_path, ['{"audited": ["Z"]}']), election1)
         assert err.value.line == 1
 
-    def test_more_samples_than_ballots_is_data_error(self, tmp_path):
+    def test_more_samples_than_ballots_is_data_error(self, tmp_path, monkeypatch):
         e = Election(("A", "B"), {(0,): 2})
         lines = polling_lines([(0,), (1,)], e.candidates)
-        assert len(load_samples(sample_file(tmp_path, lines), e)) == 2
+        assert len(load_samples(sample_file(tmp_path, lines), e).order) == 2
         with pytest.raises(ParseError, match="more samples than the 2 ballots") as err:
             load_samples(sample_file(tmp_path, [*lines, "", lines[0]]), e)
         assert err.value.line == 4
         # Whitespace-only lines are blank wherever they fall, and are not samples.
-        assert len(load_samples(sample_file(tmp_path, [" \t", *lines, " \t", "", " \t"]), e)) == 2
+        assert len(load_samples(sample_file(tmp_path, [" \t", *lines, " \t", "", " \t"]), e).order) == 2
         with pytest.raises(ParseError, match="more samples than the 2 ballots") as err:
             load_samples(sample_file(tmp_path, [*lines, " \t", lines[1]]), e)
         assert err.value.line == 4
+        # No line past the N-th distinct sample is parsed: the count fails at or before it.
+        parsed, parse = [], audit_module._parse_sample
+        monkeypatch.setattr(audit_module, "_parse_sample", lambda line, index: parsed.append(line) or parse(line, index))
+        with pytest.raises(ParseError, match="more samples than the 2 ballots") as err:
+            load_samples(sample_file(tmp_path, polling_lines([(0,), (1,), (0, 1), (1, 0)], e.candidates)), e)
+        assert err.value.line == 3 and len(parsed) == 2
 
     def test_line_without_audited_is_data_error(self, tmp_path, election1):
         with pytest.raises(ParseError) as err:
@@ -821,7 +987,37 @@ class TestSampleFiles:
         path = tmp_path / "samples.jsonl"
         path.write_text("\n".join(polling_lines([(0,), (1,)], election1.candidates)) + "\n")
         samples = load_samples(path, election1)
-        assert len(samples) == 2
+        assert len(samples.order) == 2
+
+    @given(
+        st.lists(st.sampled_from(_SAMPLE_LINES) | st.sampled_from(_BLANK_LINES) | _GOOD_LINES, max_size=8).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=40) if pool else st.just([])
+        ),
+        st.integers(0, 30),
+        st.booleans(),
+    )
+    @example(['{"audited": ["A"]}'] * 3 + ["{bad"], 2, True)  # more lines than ballots before a bad line
+    @example(["{bad"] + ['{"audited": ["A"]}'] * 3, 2, True)  # and after it
+    @example(['{"audited": ["A"]}', " ", '{"audited": ["A"]}', '{"audited": ["Z"]}'], 2, False)  # at it
+    @example(['{"audited": ["A"]}', '{"audited": ["B"]}', '{"audited": ["A"], "reported": ["B"]}'], 5, True)
+    @settings(max_examples=300, deadline=None)
+    def test_loader_agrees_with_the_line_by_line_reference(self, tmp_path_factory, lines, total, final_newline):
+        e = Election(("A", "B", "C"), {(0,): total} if total else {})
+        text = "\n".join(lines) + "\n" * final_newline
+        path = tmp_path_factory.mktemp("samples") / "samples.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected, fault = reference_samples(text, e.candidates, total)
+        if fault is not None:
+            with pytest.raises(ParseError) as err:
+                load_samples(path, e)
+            assert (str(err.value), err.value.line) == (f"line {fault[1]}: {fault[0]}", fault[1])
+            return
+        stream = load_samples(path, e)
+        assert [(s.audited, s.reported) for s in in_draw_order(stream)] == expected
+        assert len(set(stream.samples)) == len(stream.samples) and stream.order.dtype == np.intp
+        # Each distinct sample appears in the order of its first draw.
+        assert stream.order.size == 0 or np.array_equal(np.unique(stream.order, return_index=True)[1].argsort(),
+                                                        np.arange(len(stream.samples)))
 
     def test_file_lines_split_on_newline_only(self, tmp_path):
         # A JSON string may hold U+2028, U+2029 and NEL raw; "\r\n" and a final newline end a line too.
@@ -830,7 +1026,7 @@ class TestSampleFiles:
         path = tmp_path / "samples.jsonl"
         for text in (f"{line}\n{line}\n{line}", f"{line}\n" * 3, f"{line}\r\n" * 3):
             path.write_text(text, encoding="utf-8", newline="")
-            assert [s.audited for s in load_samples(path, e)] == [(0, 1)] * 3
+            assert [s.audited for s in in_draw_order(load_samples(path, e))] == [(0, 1)] * 3
 
 
 class TestAuditConfig:

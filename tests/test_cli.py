@@ -861,8 +861,8 @@ def test_audit_payload_writes_the_trace_without_a_copy():
     golden = Path(__file__).parent / "golden"
     election = condaudit.parse_path(str(golden / "election3.json")).election
     aset = import_assertions((golden / "election3.ranked-pairs.assertions.out").read_text(), election)
-    samples = condaudit.load_samples(str(golden / "election3-samples.jsonl"), election)
-    report = condaudit.run_audit(aset, samples, election, condaudit.AuditConfig())
+    stream = condaudit.load_samples(str(golden / "election3-samples.jsonl"), election)
+    report = condaudit.run_audit(aset, stream, election, condaudit.AuditConfig())
     payload, _ = cli._audit_payload(aset, report, election)
     assert [row["p_trace"] for row in payload["assertions"]] == [rec.p_trace for rec in report.records]
     assert all(row["p_trace"] is rec.p_trace for row, rec in zip(payload["assertions"], report.records))
