@@ -362,7 +362,7 @@ class ASNEstimate:
 
     ``stops[i][t]`` is the draw count at which trial ``t`` first certifies
     assertion ``i``, ``N + 1`` if it never does; trial ``t`` of every
-    assertion reads the same draws.
+    assertion reads the same draws.  Each ``stops[i]`` is a read-only array.
     """
 
     per_assertion: tuple[int, ...]
@@ -399,6 +399,7 @@ def estimate_audit(
     per = tuple(np.ceil(np.median(np.minimum(stops, n), axis=1)).astype(np.int64).tolist())
     full = not walked.all()
     overall = n if full else max(per, default=0)
+    stops.flags.writeable = False
     return ASNEstimate(per, overall, full, n, tuple(stops))
 
 
@@ -418,7 +419,7 @@ class AuditSample:
 @dataclass(frozen=True, eq=False)
 class SampleStream:
     """A drawn sample: its distinct samples, each once, and the index into
-    ``samples`` of every draw's sample, in draw order."""
+    ``samples`` of every draw's sample, in draw order, as a read-only array."""
 
     samples: tuple[AuditSample, ...]
     order: np.ndarray
@@ -455,22 +456,24 @@ def load_samples(source: str | Path, election: Election) -> SampleStream:
     # A line recurs once per drawn ballot of its signature.  Each distinct line
     # is classified once, in the order lines first appear: as blank (-1) or as
     # the index of the sample it parses to.  Classifying stops (-2) at a faulty
-    # line, or at a sample past the N-th distinct one, for which the count
-    # check fails at or before its first line.  The lines first seen after it
-    # stay -1: an error is raised at or before them.
+    # line, or at a non-blank line past the N-th distinct one, for which the
+    # count check fails at or before its first line.  The lines first seen
+    # after it stay -1: an error is raised at or before them.
     codes = dict.fromkeys(lines, -1)
-    samples: list[AuditSample] = []
-    fault, stopped = None, False
+    samples: dict[AuditSample, int] = {}
+    parsed, fault, stopped = 0, None, False
     for line in codes:
         if not line.strip():
             continue
-        if len(samples) < n:
+        if parsed < n:
+            parsed += 1
             try:
-                samples.append(_parse_sample(line, index))
+                sample = _parse_sample(line, index)
             except ParseError as exc:
                 fault = str(exc)
             else:
-                codes[line] = len(samples) - 1
+                # Lines spelled differently may hold one sample: it keeps its first index.
+                codes[line] = samples.setdefault(sample, len(samples))
                 continue
         codes[line], stopped = -2, True
         break
@@ -481,7 +484,9 @@ def load_samples(source: str | Path, election: Election) -> SampleStream:
         raise ParseError(f"more samples than the {n} ballots of the election", int(drawn[n]) + 1)
     if fault is not None:
         raise ParseError(fault, bad + 1)
-    return SampleStream(tuple(samples), at[drawn])
+    order = at[drawn]
+    order.flags.writeable = False
+    return SampleStream(tuple(samples), order)
 
 
 class InfeasibleAuditError(ValueError):
@@ -490,10 +495,13 @@ class InfeasibleAuditError(ValueError):
 
 @dataclass(frozen=True)
 class AssertionAuditRecord:
+    """One assertion's audit: its p-value after the last examined draw, and ``p_trace``, a
+    read-only float64 row of its running p-value after each examined draw."""
+
     assertion: Assertion
     certified: bool
     p_value: float
-    p_trace: tuple[float, ...]
+    p_trace: np.ndarray = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -554,10 +562,12 @@ def run_audit(
     stops = _walk(lambda start, end: order[start:end], scores, n, cfg.risk_limit, order.size, trace)
     examined = min(order.size, int(stops.max(initial=0)))
 
-    traces = np.concatenate(trace, axis=1)[:, :examined].tolist()
-    records = []
-    for assertion, p_trace in zip(aset.assertions, map(tuple, traces)):
-        p_value = p_trace[-1] if p_trace else 1.0
-        records.append(AssertionAuditRecord(assertion, p_value <= cfg.risk_limit, p_value, p_trace))
+    traces = np.concatenate(trace, axis=1)[:, :examined]
+    traces.flags.writeable = False
+    p_values = traces[:, -1].tolist() if examined else [1.0] * len(traces)
+    records = [
+        AssertionAuditRecord(assertion, p_value <= cfg.risk_limit, p_value, p_trace)
+        for assertion, p_value, p_trace in zip(aset.assertions, p_values, traces)
+    ]
     outcome = "certified" if all(r.certified for r in records) else "escalate-full-count"
     return AuditReport(outcome, examined, cfg.risk_limit, tuple(records))

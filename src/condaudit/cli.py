@@ -11,7 +11,8 @@ Exit codes: 0 success; 1 full-hand-count outcome, infeasible audit
 (``InfeasibleAuditError``), capacity limit (``CapacityError``) or out of
 memory; 2 parse/schema errors; 64 usage errors; 70 internal error (any other
 exception, reported with its traceback).  ``--format json`` output is
-``json.dumps(obj, indent=2)`` byte for byte.
+``json.dumps(obj, indent=2)`` byte for byte, where ``obj`` is the payload
+with each float64 array (an audit's p-value traces) read as its ``tolist()``.
 """
 
 from __future__ import annotations
@@ -287,8 +288,9 @@ _encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_asc
 
 
 def _dumps(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, for an acyclic ``obj``,
-    without the pure-Python encoder json falls back to whenever ``indent`` is set.
+    """``json.dumps(obj, indent=2)``, byte for byte, for an acyclic ``obj`` whose
+    1-D float64 arrays are read as their ``tolist()``, without the pure-Python
+    encoder json falls back to whenever ``indent`` is set.
 
     One walk (:func:`_write`) appends every piece of text to one list, joined once.
     """
@@ -301,17 +303,19 @@ def _write(obj, newline: str, out: list[str]) -> None:
     """Append the text of ``obj`` to ``out``; ``newline`` is the newline and indent before its closing bracket.
 
     Each item of a dict, list or tuple is written one level deeper.  Scalars
-    go through the C encoder.  A non-empty list or tuple of floats only
-    formats each run of equal bit patterns once, as ``float.__repr__`` costs
-    the same whoever calls it: an audit's p-value trace is a running minimum,
-    so its runs are its few distinct values.  Bit patterns, not values, mark
-    the runs: ``0.0 == -0.0``, and NaN equals nothing.
+    go through the C encoder.  A 1-D float64 array is written as its
+    ``tolist()``, formatting each run of equal bit patterns once, as
+    ``float.__repr__`` costs the same whoever calls it: an audit's p-value
+    trace is a running minimum, so its runs are its few distinct values.  Bit
+    patterns, not values, mark the runs: ``0.0 == -0.0``, and NaN equals
+    nothing.  Any other array raises ``TypeError``, as ``json.dumps`` does.
     """
-    if not isinstance(obj, (dict, list, tuple)):
+    floats = isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64
+    if not (floats or isinstance(obj, (dict, list, tuple))):
         out += _encode(obj, 0)
         return
     brackets = "{}" if isinstance(obj, dict) else "[]"
-    if not obj:
+    if not len(obj):
         out.append(brackets)
         return
     inner = newline + "  "
@@ -320,8 +324,8 @@ def _write(obj, newline: str, out: list[str]) -> None:
         for i, (key, value) in enumerate(obj.items()):
             out.append(f",{inner}{_key(key)}: " if i else f"{_key(key)}: ")
             _write(value, inner, out)
-    elif list(map(type, obj)).count(float) == len(obj):
-        bits = np.fromiter(obj, np.float64, len(obj)).view(np.int64)
+    elif floats:
+        bits = obj.view(np.int64)
         starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
         texts = np.array(json.dumps(bits[starts].view(np.float64).tolist())[1:-1].split(", "), dtype=object)
         out.append(("," + inner).join(np.repeat(texts, np.diff(starts, append=bits.size)).tolist()))

@@ -899,6 +899,16 @@ class TestRunAudit:
         assert report.certified
         assert [len(s) for s in sampled] == [8 if style == "comparison" else 4] and cells == [(4, 4)]
 
+    def test_result_arrays_are_read_only(self, election3):
+        aset = method_assertions("ranked-pairs", election3)
+        est = estimate_audit(aset, election3, AuditConfig(trials=3))
+        stream = load_samples(GOLDEN / "election3-samples.jsonl", election3)
+        report = run_audit(aset, stream, election3, AuditConfig())
+        assert report.ballots_examined > 0
+        for array in (est.stops[0], stream.order, report.records[0].p_trace):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
     def test_oversized_sample_rejected(self):
         e = Election(("A", "B"), {(0,): 2})
         aset = AssertionSet("x", 0, (PairwisePositive(0, 1),))
@@ -972,6 +982,11 @@ class TestSampleFiles:
         with pytest.raises(ParseError, match="more samples than the 2 ballots") as err:
             load_samples(sample_file(tmp_path, polling_lines([(0,), (1,), (0, 1), (1, 0)], e.candidates)), e)
         assert err.value.line == 3 and len(parsed) == 2
+        # The budget counts distinct lines, not distinct samples: here three spellings of one sample.
+        parsed.clear()
+        with pytest.raises(ParseError, match="more samples than the 2 ballots") as err:
+            load_samples(sample_file(tmp_path, ['{"audited": ["A"]}', '{"audited":["A"]}', '{"audited":  ["A"]}']), e)
+        assert err.value.line == 3 and len(parsed) == 2
 
     def test_line_without_audited_is_data_error(self, tmp_path, election1):
         with pytest.raises(ParseError) as err:
@@ -1000,6 +1015,7 @@ class TestSampleFiles:
     @example(["{bad"] + ['{"audited": ["A"]}'] * 3, 2, True)  # and after it
     @example(['{"audited": ["A"]}', " ", '{"audited": ["A"]}', '{"audited": ["Z"]}'], 2, False)  # at it
     @example(['{"audited": ["A"]}', '{"audited": ["B"]}', '{"audited": ["A"], "reported": ["B"]}'], 5, True)
+    @example(['{"audited": ["A"]}', '{"audited":["A"]}\r', '{"audited": ["A"]}'], 3, True)  # one sample, two spellings
     @settings(max_examples=300, deadline=None)
     def test_loader_agrees_with_the_line_by_line_reference(self, tmp_path_factory, lines, total, final_newline):
         e = Election(("A", "B", "C"), {(0,): total} if total else {})

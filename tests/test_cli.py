@@ -864,8 +864,17 @@ def test_audit_payload_writes_the_trace_without_a_copy():
     stream = condaudit.load_samples(str(golden / "election3-samples.jsonl"), election)
     report = condaudit.run_audit(aset, stream, election, condaudit.AuditConfig())
     payload, _ = cli._audit_payload(aset, report, election)
-    assert [row["p_trace"] for row in payload["assertions"]] == [rec.p_trace for rec in report.records]
-    assert all(row["p_trace"] is rec.p_trace for row, rec in zip(payload["assertions"], report.records))
+    examined, records = report.ballots_examined, report.records
+    assert examined > 0 and len(records) > 1 and len(payload["assertions"]) == len(records)
+    # Every trace is a read-only float64 row of one (assertions x examined) matrix, written as it is.
+    matrix = records[0].p_trace.base
+    assert matrix.dtype == np.float64 and matrix.shape[0] == len(records)
+    for i, (row, rec) in enumerate(zip(payload["assertions"], records)):
+        assert row["p_trace"] is rec.p_trace
+        trace = rec.p_trace
+        assert trace.dtype == np.float64 and trace.shape == (examined,) and not trace.flags.writeable
+        assert trace.base is matrix and np.shares_memory(trace, matrix[i, :examined])
+        assert type(rec.p_value) is float and rec.p_value == trace[-1]
 
 
 _FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
@@ -880,12 +889,28 @@ _LONG_LISTS = st.builds(
     lambda pool, size, rng: [rng.choice(pool) for _ in range(size)],
     _LONG_RUNS, st.integers(64, 192), st.randoms(use_true_random=False),
 )
+# 1-D float64 arrays, as an audit's p-value traces are: short ones, and long ones drawn from a few values.
+_ARRAYS = st.lists(_FLOATS, max_size=4).map(lambda xs: np.array(xs, dtype=np.float64)) | st.builds(
+    lambda pool, size, rng: np.array([rng.choice(pool) for _ in range(size)], dtype=np.float64),
+    st.lists(_FLOATS, min_size=1, max_size=6), st.integers(64, 192), st.randoms(use_true_random=False),
+)
 _DOCUMENTS = st.recursive(
-    _SCALARS | _LONG_LISTS,
+    _SCALARS | _LONG_LISTS | _ARRAYS,
     lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
     | st.dictionaries(_STRINGS, kids, max_size=4),
     max_leaves=12,
 )
+
+
+def as_lists(doc):
+    """``doc`` with each array replaced by its ``tolist()``."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: as_lists(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(as_lists, doc))
+    return doc
 
 
 @given(_DOCUMENTS)
@@ -896,6 +921,15 @@ _DOCUMENTS = st.recursive(
 @example({"a": 1, "b": [1, 2.5], "c": "x", "d": {"e": None}, "f": 2.5})
 @example([1, [2.0, -0.0], "s", {"k": (0.5, 0.5)}, None])
 @example([[[[0.1, 0.1, math.nan]]]])
+@example({"p_trace": np.array([1.0] * 70 + [0.5, -0.0, 0.0, math.nan, -math.nan, 5e-324, 5e-324]), "e": np.empty(0)})
+@example([np.linspace(0, 1, 10)[::3], np.arange(12.0).reshape(3, 4)[1], (np.array([math.inf, -math.inf]),)])
 @settings(max_examples=200, deadline=None)
 def test_dumps_is_json_dumps_indent_2(doc):
-    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    assert cli._dumps(doc) == json.dumps(as_lists(doc), indent=2)
+
+
+@pytest.mark.parametrize("array", [np.arange(3, dtype=np.int64), np.zeros((2, 2))], ids=["int64", "2-d-float64"])
+def test_dumps_rejects_any_other_array(array):
+    for doc in (array, [1.5, array], {"p_trace": array}):
+        with pytest.raises(TypeError, match="^Object of type ndarray is not JSON serializable$"):
+            cli._dumps(doc)
