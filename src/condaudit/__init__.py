@@ -7,7 +7,7 @@ assertions per ballot as normalized assorters, and estimates or executes
 sequential audits under the Kaplan-Kolmogorov risk function.
 """
 
-from .model import Ballot, Election, pairwise_tallies, preference_matrix, prefers, restrict_to, scores
+from .model import Ballot, CapacityError, Election, pairwise_tallies, preference_matrix, prefers, restrict_to, scores
 from .ballots import (
     ParseError,
     ParseReport,
@@ -18,7 +18,6 @@ from .ballots import (
     serialize_election,
 )
 from .tabulation import (
-    CapacityError,
     CommittedPair,
     IrvResult,
     KemenyResult,

@@ -193,7 +193,8 @@ def claim_means(weights: np.ndarray, h: np.ndarray, tallies: np.ndarray, total: 
     """
     if total == 0:
         return np.full(len(h), 0.5)
-    margins = (weights * tallies).sum(axis=(1, 2)).tolist()
+    # In Python ints: a margin sums up to k(k-1) tallies of at most N each, past int64 for large N.
+    margins = (weights * tallies.astype(object)).sum(axis=(1, 2)).tolist()
     return np.array([(m + norm * total) / (2 * norm * total) for m, norm in zip(margins, h.tolist())])
 
 

@@ -35,13 +35,12 @@ ballots.
 The per-assertion ASN is the median over trials, and a set's overall ASN is
 the largest per-assertion ASN.  Before the first crossing no draw has
 crossed, so the walk looks for the first draw whose own log-martingale gives
-a p-value at or below the risk limit: it needs no running peak, and takes
-that p-value for every draw it walks, the test a batch audit applies to its
-traces.  Each trial's random stream is derived from (seed, trial index), so
-results are reproducible regardless of execution order or parallelism, and
-an assertion's stops do not depend on the rest of its set.  The
-hypergeometric draw takes fewer than ``MAX_SIMULATED_BALLOTS`` (10**9)
-ballots.
+a p-value at or below the risk limit: one crossing rule, with no running
+peak, for a simulated trial and a batch audit alike.  Each trial's random
+stream is derived from (seed, trial index), so results are reproducible
+regardless of execution order or parallelism, and an assertion's stops do
+not depend on the rest of its set.  The hypergeometric draw takes fewer
+than ``MAX_SIMULATED_BALLOTS`` (10**9) ballots.
 
 Simulation and audit score through one path.  One signature table, the
 profile's signatures in sorted order and then an audit's sampled ballots
@@ -57,9 +56,11 @@ source of draws and a table of cell scores.  A sample file is a stream of
 cells too: :func:`load_samples` reads it as its distinct samples, each
 once, and one int array of their indices in draw order.  A batch audit
 scores only those distinct (reported, audited) cells and walks the array in
-the simulation's growing chunks and slices, recording every assertion's
-running p-value after each draw, and stops at the largest first crossing of
-the risk limit; nothing in it works once per draw in Python.
+the simulation's growing chunks and slices, and stops at the largest first
+crossing of the risk limit.  Its traces, every assertion's running p-value
+after each draw, are the running minimum of the walked draws' p-values,
+taken once over the walked matrix; nothing in it works once per draw in
+Python.
 """
 
 from __future__ import annotations
@@ -73,9 +74,8 @@ from typing import Iterable
 import numpy as np
 
 from .ballots import ParseError, read_text, resolve_names, roster_index
-from .model import Ballot, Election, preference_matrix
+from .model import Ballot, CapacityError, Election, ballot_counts, preference_matrix
 from .assertions import Assertion, AssertionSet, claim_means, claim_values, claim_weights
-from .tabulation import CapacityError
 
 AUDIT_STYLES = ("polling", "comparison")
 
@@ -143,9 +143,9 @@ def _kk_chunk(y: np.ndarray, log_y: np.ndarray, population: int, start: int, car
     return log_mart, np.stack((sums[:, -1], marts[:, -1]))
 
 
-def _kk_pvalue(peak: np.ndarray) -> np.ndarray:
-    """P-values ``min(1, exp(-peak))`` of running peaks of the log-martingale."""
-    return np.exp(-np.maximum(peak, 0.0))
+def _kk_pvalue(log_mart: np.ndarray) -> np.ndarray:
+    """P-values ``min(1, exp(-log_mart))`` of log-martingales."""
+    return np.exp(-np.maximum(log_mart, 0.0))
 
 
 def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
@@ -153,9 +153,7 @@ def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size > population:
         raise ValueError("more draws than the population holds")
-    trace = [np.empty((1, 0))]
-    _walk(np.arange, x.reshape(1, -1), population, -np.inf, x.size, trace)
-    return np.concatenate(trace, axis=1)[0]
+    return _walk(np.arange, x.reshape(1, -1), population, -np.inf, x.size, trace=True)[1][0]
 
 
 # Draws walked before the first check for a crossing, the factor by which
@@ -167,8 +165,8 @@ _MAX_CHUNK = 8192
 
 
 def _walk(
-    draws, scores, population: int, risk_limit: float, size: int | None = None, trace: list | None = None
-) -> np.ndarray:
+    draws, scores, population: int, risk_limit: float, size: int | None = None, trace: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw count at which each of several p-values over one shared draw order first falls to ``risk_limit``.
 
     ``draws(a, b)`` returns the items of draws ``a .. b - 1``, of ``size``
@@ -178,27 +176,28 @@ def _walk(
     Every test still walking is one row of one kernel call, which walks a
     chunk in slices of at most ``_MAX_CHUNK // rows`` draws (at least one),
     so that no call takes more than ``_MAX_CHUNK`` values, or one per row.
-    A test that never crosses reports ``population + 1``.  For each test,
-    equal to the first index with ``kk_pvalue_trace(scores[i][items],
-    population) <= risk_limit``, plus one, where ``items`` are all ``size``
-    draws.
+    Returns ``(stops, trace)``.  A test that never crosses stops at
+    ``population + 1``; otherwise its stop is the first index with
+    ``kk_pvalue_trace(scores[i][items], population) <= risk_limit``, plus
+    one, where ``items`` are all ``size`` draws.
 
     The scores are checked, padded and logged once, and each slice gathers
     its draws' padded values and logs from them.  No draw before the first
-    crossing crossed, so the first crossing is the first draw whose own
-    log-martingale gives a p-value at or below the risk limit, and the walk
-    needs no running peak: a row leaves, with its carry, at the slice in
-    which it crosses, and drawing stops once every row has left.
+    crossing crossed, so with or without a trace a draw crosses when its own
+    log-martingale gives a p-value at or below the risk limit.  A row leaves,
+    with its carry, at the slice in which it crosses, and drawing stops once
+    every row has left.
 
-    Given a list ``trace``, the walk also appends to it each slice's
-    p-values, the running ones, as a (rows x draws) matrix, and keeps every
-    row walking until all have crossed: a batch audit's traces.
+    ``trace`` is ``None`` unless asked for; then every row walks until all
+    have crossed, and ``trace`` is the (rows x draws) running minimum of the
+    walked p-values: as ``exp(-max(l, 0))`` never increases with ``l``, that
+    is the p-value of the running peak, bit for bit.
     """
     size = population if size is None else size
     y, log_y = _padded(scores)
     walking = np.arange(len(y))  # the tests not yet crossed; without a trace, the kernel's rows too
     stops = np.full(len(y), population + 1, dtype=np.int64)
-    carry, peak = np.zeros((2, len(y))), np.full((len(y), 1), -np.inf)
+    carry, walked = np.zeros((2, len(y))), [np.empty((len(y), 0))]
     start, chunk = 0, _FIRST_CHUNK
     while walking.size and start < size:
         end = min(start + chunk, size)
@@ -209,25 +208,21 @@ def _walk(
             log_mart, carry = _kk_chunk(
                 np.take(y, part, axis=1), np.take(log_y, part, axis=1), population, start + lo, carry
             )
-            if trace is not None:
-                np.maximum.accumulate(log_mart, axis=1, out=log_mart)
-                np.maximum(log_mart, peak, out=log_mart)
-                peak = log_mart[:, -1:]
             p = _kk_pvalue(log_mart)
+            if trace:
+                walked.append(p)
+                p = p[walking]
             crossed = p <= risk_limit
-            if trace is not None:
-                trace.append(p)
-                crossed = crossed[walking]
             first = crossed.any(axis=1)
             if first.any():
                 stops[walking[first]] = start + lo + crossed[first].argmax(axis=1) + 1
                 keep = ~first
                 walking = walking[keep]
-                if trace is None:
+                if not trace:
                     y, log_y, carry = y[keep], log_y[keep], carry[:, keep]
             lo += part.size
         start, chunk = end, min(chunk * _CHUNK_GROWTH, _MAX_CHUNK)
-    return stops
+    return stops, np.minimum.accumulate(np.concatenate(walked, axis=1), axis=1) if trace else None
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +241,7 @@ def _scoring(aset: AssertionSet, election: Election, sampled: Iterable[Ballot] =
     """
     sigs = sorted(election.profile)
     sigs += [ballot for ballot in dict.fromkeys(sampled) if ballot not in election.profile]
-    counts = np.array([election.profile.get(sig, 0) for sig in sigs], dtype=np.int64)
+    counts = ballot_counts(election, sigs)
     prefs = preference_matrix(sigs, election.num_candidates)
     tallies = np.tensordot(counts, prefs, axes=1)
     weights, h = claim_weights(aset.assertions, election.num_candidates)
@@ -346,7 +341,7 @@ def _trial_stops(
             rng.shuffle(order)
             return order
 
-        return _walk(draws, scores, n, cfg.risk_limit)
+        return _walk(draws, scores, n, cfg.risk_limit)[0]
 
     if workers <= 1:
         stops = [one_trial(trial) for trial in range(cfg.trials)]
@@ -461,25 +456,21 @@ def load_samples(source: str | Path, election: Election) -> SampleStream:
     # after it stay -1: an error is raised at or before them.
     codes = dict.fromkeys(lines, -1)
     samples: dict[AuditSample, int] = {}
-    parsed, fault, stopped = 0, None, False
-    for line in codes:
-        if not line.strip():
-            continue
-        if parsed < n:
-            parsed += 1
-            try:
-                sample = _parse_sample(line, index)
-            except ParseError as exc:
-                fault = str(exc)
-            else:
-                # Lines spelled differently may hold one sample: it keeps its first index.
-                codes[line] = samples.setdefault(sample, len(samples))
-                continue
-        codes[line], stopped = -2, True
-        break
+    fault = None
+    for count, line in enumerate(filter(str.strip, codes)):
+        if count == n:
+            codes[line] = -2
+            break
+        try:
+            sample = _parse_sample(line, index)
+        except ParseError as exc:
+            codes[line], fault = -2, str(exc)
+            break
+        # Lines spelled differently may hold one sample: it keeps its first index.
+        codes[line] = samples.setdefault(sample, len(samples))
     at = np.fromiter(map(codes.__getitem__, lines), np.intp, len(lines))
     drawn = np.flatnonzero(at != -1)
-    bad = int(np.argmax(at == -2)) if stopped else len(lines)
+    bad = int(np.append(np.flatnonzero(at == -2), len(lines))[0])  # the stop, or past the last line
     if np.count_nonzero(drawn <= bad) > n:
         raise ParseError(f"more samples than the {n} ballots of the election", int(drawn[n]) + 1)
     if fault is not None:
@@ -558,11 +549,9 @@ def run_audit(
     audited = np.array([rows[s.audited] for s in samples], dtype=np.intp)
     reported = np.array([rows[s.reported] for s in samples], dtype=np.intp) if comparison else audited
     scores = _cell_scores(values, means, reported, audited, cfg.style)
-    trace = [np.empty((len(scores), 0))]
-    stops = _walk(lambda start, end: order[start:end], scores, n, cfg.risk_limit, order.size, trace)
+    stops, traces = _walk(lambda start, end: order[start:end], scores, n, cfg.risk_limit, order.size, trace=True)
     examined = min(order.size, int(stops.max(initial=0)))
-
-    traces = np.concatenate(trace, axis=1)[:, :examined]
+    traces = traces[:, :examined]
     traces.flags.writeable = False
     p_values = traces[:, -1].tolist() if examined else [1.0] * len(traces)
     records = [

@@ -53,9 +53,9 @@ _ALT_NAME_RE = re.compile(r"^ALTERNATIVE NAME (\d+)$")
 
 
 def read_text(path: str | Path) -> str:
-    """The text of an input file; bytes that are not UTF-8 are a :class:`ParseError`."""
+    """The text of an input file, its line ends as they are; bytes that are not UTF-8 are a :class:`ParseError`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -69,22 +69,22 @@ def roster_index(names: Sequence[str]) -> dict[str, int]:
     return index
 
 
-def resolve_names(names, index: dict[str, int], line: int | None = None, where: str = "ballot") -> Ballot:
+def resolve_names(names, index: dict[str, int], where: str = "ballot") -> Ballot:
     """The ballot a JSON list of candidate names denotes, given ``index`` by name.
 
     A value that is not a list, a name that is not a string, an unknown name
     and a repeated name are each a :class:`ParseError` naming ``where``.
     """
     if not isinstance(names, list):
-        raise ParseError(f"{where} must be a list of candidate names", line)
+        raise ParseError(f"{where} must be a list of candidate names")
     sig: list[int] = []
     for name in names:
         if not isinstance(name, str):
-            raise ParseError(f"{where}: candidate name {name!r} is not a string", line)
+            raise ParseError(f"{where}: candidate name {name!r} is not a string")
         if name not in index:
-            raise ParseError(f"{where}: unknown candidate name {name!r}", line)
+            raise ParseError(f"{where}: unknown candidate name {name!r}")
         if index[name] in sig:
-            raise ParseError(f"{where}: duplicate candidate {name!r}", line)
+            raise ParseError(f"{where}: duplicate candidate {name!r}")
         sig.append(index[name])
     return tuple(sig)
 

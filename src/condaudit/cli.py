@@ -49,8 +49,8 @@ from .audit import (
     run_audit,
 )
 from .ballots import ParseError
-from .model import Election, pairwise_tallies
-from .tabulation import CapacityError, IrvResult
+from .model import CapacityError, Election, pairwise_tallies
+from .tabulation import IrvResult
 
 EXIT_OK = 0
 EXIT_FULL_COUNT = 1

@@ -20,6 +20,10 @@ import numpy as np
 Ballot = tuple[int, ...]
 
 
+class CapacityError(ValueError):
+    """Raised when an input exceeds what a method can compute: a combinatorial blow-up or a count past int64."""
+
+
 @dataclass(frozen=True)
 class Election:
     """A candidate roster plus a multiset of ballot signatures.
@@ -109,9 +113,18 @@ def pairwise_tallies(election: Election) -> np.ndarray:
     ballots ranking neither count for neither, so opposing entries may sum
     to less than the total number of ballots.  The diagonal is zero.
     """
-    counts = np.fromiter(election.profile.values(), dtype=np.int64, count=len(election.profile))
-    prefs = preference_matrix(list(election.profile), election.num_candidates)
-    return np.tensordot(counts, prefs, axes=1)
+    sigs = list(election.profile)
+    return np.tensordot(ballot_counts(election, sigs), preference_matrix(sigs, election.num_candidates), axes=1)
+
+
+def ballot_counts(election: Election, signatures: Sequence[Ballot]) -> np.ndarray:
+    """The int64 ballot count of each of ``signatures``, 0 for one the profile lacks.
+
+    A tally or margin is at most the total, so a total of 2**63 ballots or more raises :class:`CapacityError`.
+    """
+    if election.total_ballots > np.iinfo(np.int64).max:
+        raise CapacityError(f"tallies count fewer than 2**63 ballots; the election has {election.total_ballots:,}")
+    return np.array([election.profile.get(sig, 0) for sig in signatures], dtype=np.int64)
 
 
 def scores(tallies: np.ndarray) -> np.ndarray:

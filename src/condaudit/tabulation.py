@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Election, restrict_to
+from .model import CapacityError, Election, restrict_to
 
 # Winner-stability search over orderings of equal-score blocks gives up past
 # this many tabulation runs and escalates instead.
@@ -29,10 +29,6 @@ MAX_TIE_ORDERINGS = 10_000
 
 # Kemeny enumerates k! rankings and its audit k! - (k-1)! assertions; both give up past this k.
 KEMENY_MAX_K = 8
-
-
-class CapacityError(ValueError):
-    """Raised when an enumeration-based method would blow up combinatorially."""
 
 
 # ---------------------------------------------------------------------------

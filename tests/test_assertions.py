@@ -32,6 +32,7 @@ from condaudit import (
     preference_matrix,
     ranked_pairs_assertions,
     ranked_pairs_tabulate,
+    scale,
     scores,
     smith_assertions,
     smith_set,
@@ -622,6 +623,15 @@ class TestExactMean:
             if e.num_candidates >= 2 and e.total_ballots:
                 checked += _check_exact_means(e)
         assert checked >= 500
+
+    @pytest.mark.parametrize("name", ["election1", "election3"])
+    def test_means_hold_up_to_the_int64_bound(self, request, name):
+        # A claim's margin sums several tallies, so near 2**63 ballots it is past int64: the mean is
+        # still exact, the same at any scale.
+        election = request.getfixturevalue(name)
+        big = scale(election, (2**63 - 1) // election.total_ballots)
+        for a in _generated_assertions(election):
+            assert assorter_mean(a, big) == assorter_mean(a, election), a
 
     def test_tied_claims_read_exactly_half(self, smith_tie_election):
         tied = RankingComparison((0, 1, 2), (1, 0, 2))

@@ -318,16 +318,16 @@ def check_first_crossings(xs, risk_limit, items=None):
         calls.append((start, end))
         return items[start:end]
 
-    assert _walk(draws, xs, n, risk_limit).tolist() == expected
+    stops, untraced = _walk(draws, xs, n, risk_limit)
+    assert stops.tolist() == expected and untraced is None
     # Chunks are contiguous and capped, and the walk ends with the chunk holding the last stop.
     assert [c[0] for c in calls] == [0] + [c[1] for c in calls[:-1]]
     assert max(end - start for start, end in calls) <= _MAX_CHUNK
     last_start, last_end = calls[-1]
     assert last_start < max(expected) <= last_end if max(expected) <= n else last_end == n
 
-    trace = []
-    assert _walk(lambda start, end: items[start:end], xs, n, risk_limit, n, trace).tolist() == expected
-    traced = np.concatenate(trace, axis=1) if trace else np.empty((len(xs), 0))
+    stops, traced = _walk(lambda start, end: items[start:end], xs, n, risk_limit, n, trace=True)
+    assert stops.tolist() == expected
     walked = traced.shape[1]
     assert min(max(expected), n) <= walked <= n and (walked == n or walked - max(expected) < _MAX_CHUNK)
     for x, row in zip(xs, traced):
@@ -530,7 +530,8 @@ class TestSimulationModel:
 
             drawn.append([])
             # Zeros never take the p-value to 0: the walk draws all N.
-            return np.tile(walk(recording, [np.zeros(tables[-1][2].size)], population, 0.0), len(scores))
+            stops, _ = walk(recording, [np.zeros(tables[-1][2].size)], population, 0.0)
+            return np.tile(stops, len(scores)), None
 
         monkeypatch.setattr(audit_module, "_error_cells", recording_cells)
         monkeypatch.setattr(audit_module, "_walk", walk_to_n)
@@ -642,6 +643,9 @@ class TestEstimate:
         message = "^simulation takes fewer than 1,000,000,000 ballots; the election has 1,000,000,000$"
         with pytest.raises(CapacityError, match=message):
             one_assertion_estimate(PairwisePositive(0, 1), at, cfg)
+        # Scoring counts in int64: a total of 2**63 ballots is refused before any tally is taken.
+        with pytest.raises(CapacityError, match="^tallies count fewer than 2\\*\\*63 ballots"):
+            one_assertion_estimate(PairwisePositive(0, 1), Election(("A", "B"), {(0,): 2**62, (1,): 2**62}), cfg)
         # A set that needs no simulated draw has no limit: none, or only full counts.
         empty = estimate_audit(AssertionSet("x", 0), at, cfg)
         assert (empty.overall, empty.full_count_flag, empty.stops) == (0, False, ())
@@ -727,11 +731,11 @@ class TestEstimate:
             assert inside, "a kernel call outside the walker"
             return kernel(*args)
 
-        def recording_walk(*args):
-            walks.append(len(args) == 6)  # only a traced walk is given its trace list
+        def recording_walk(*args, trace=False):
+            walks.append(trace)
             inside.append(True)
             try:
-                return walk(*args)
+                return walk(*args, trace=trace)
             finally:
                 inside.pop()
 
@@ -1016,6 +1020,7 @@ class TestSampleFiles:
     @example(['{"audited": ["A"]}', " ", '{"audited": ["A"]}', '{"audited": ["Z"]}'], 2, False)  # at it
     @example(['{"audited": ["A"]}', '{"audited": ["B"]}', '{"audited": ["A"], "reported": ["B"]}'], 5, True)
     @example(['{"audited": ["A"]}', '{"audited":["A"]}\r', '{"audited": ["A"]}'], 3, True)  # one sample, two spellings
+    @example(['{"audited": ["A"]}\r{"audited": ["B"]}'], 2, True)  # a lone "\r" ends no line
     @settings(max_examples=300, deadline=None)
     def test_loader_agrees_with_the_line_by_line_reference(self, tmp_path_factory, lines, total, final_newline):
         e = Election(("A", "B", "C"), {(0,): total} if total else {})

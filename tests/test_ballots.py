@@ -227,3 +227,16 @@ def test_parse_path_sniffs_formats(tmp_path, election1):
     sniffed = tmp_path / "e.dat"
     sniffed.write_text(serialize_election(election1))
     assert parse_path(sniffed).election == election1
+
+
+def test_parse_path_reads_line_ends_as_they_are(tmp_path):
+    # A lone "\r" ends no line: the file fails where its text does, at line 2.
+    text = "# NUMBER ALTERNATIVES: 2\n3: 1,2\r1: 1,3\n"
+    path = tmp_path / "e.soi"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError) as from_text:
+        parse_preflib(text)
+    with pytest.raises(ParseError) as from_file:
+        parse_path(path)
+    assert (str(from_file.value), from_file.value.line) == (str(from_text.value), from_text.value.line) == (
+        "line 2: malformed candidate number: '2\\r1: 1'", 2)

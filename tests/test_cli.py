@@ -646,6 +646,15 @@ def test_audit_ignores_seed_variable(capsys, monkeypatch):
     assert out == (golden / f"{case}.out").read_text()
 
 
+@pytest.mark.parametrize("factor", ["1500000000000000", "10000000000000000000"])
+@pytest.mark.parametrize("command", [["tabulate"], ["estimate", "--trials", "1"]])
+def test_tallies_past_int64_are_a_capacity_limit(capsys, e1_path, command, factor):
+    # 8,300 ballots scaled to 2**63 or more: no wrapped tally and no traceback.
+    code, out, err = run_cli(capsys, *command, e1_path, "--method", "ranked-pairs", "--scale", factor)
+    n = 8300 * int(factor)
+    assert (code, out, err) == (1, "", f"error: tallies count fewer than 2**63 ballots; the election has {n:,}\n")
+
+
 @pytest.mark.parametrize("flag", ["--scale", "--workers"])
 @pytest.mark.parametrize("value", ["0", "-5", "two"])
 def test_scale_and_workers_must_be_positive(capsys, e3_path, flag, value):

@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condaudit import Election, pairwise_tallies, prefers, restrict_to, scores
+from condaudit import (
+    CapacityError,
+    Election,
+    pairwise_tallies,
+    prefers,
+    ranked_pairs_tabulate,
+    restrict_to,
+    scale,
+    scores,
+)
 
 from oracles import random_election
 
@@ -57,6 +66,22 @@ class TestPairwiseTallies:
     def test_empty_profile(self):
         e = Election(("A", "B"), {})
         assert np.array_equal(pairwise_tallies(e), np.zeros((2, 2), dtype=int))
+
+    def test_tallies_refuse_2_to_the_63_ballots(self, election1):
+        # 8,300 x 1.5e15 ballots: an int64 tally would wrap and commit C > B.
+        with pytest.raises(CapacityError, match="2\\*\\*63 ballots"):
+            pairwise_tallies(scale(election1, 1_500_000_000_000_000))
+        with pytest.raises(CapacityError):
+            pairwise_tallies(Election(("A", "B"), {(0, 1): 2**62, (1, 0): 2**62}))
+        assert pairwise_tallies(Election(("A", "B"), {(0, 1): 2**62, (1, 0): 2**62 - 1}))[0, 1] == 2**62
+
+    def test_margins_scale_exactly_below_the_bound(self, election1):
+        factor = 100_000_000_000_000
+        big = ranked_pairs_tabulate(scores(pairwise_tallies(scale(election1, factor))))
+        small = ranked_pairs_tabulate(scores(pairwise_tallies(election1)))
+        assert [(c.winner, c.loser, c.score) for c in big.commits] == [
+            (c.winner, c.loser, c.score * factor) for c in small.commits
+        ]
 
 
 class TestScores:
