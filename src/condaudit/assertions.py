@@ -58,7 +58,7 @@ from typing import ClassVar, Sequence, Union, get_args
 import numpy as np
 
 from . import tabulation
-from .ballots import ParseError, resolve_names, roster_index
+from .ballots import ParseError, decode_json, resolve_names, roster_index
 from .model import Election, pairwise_tallies, scores
 
 
@@ -203,17 +203,10 @@ def assorter_values(assertion: Assertion, prefs: np.ndarray) -> np.ndarray:
     return claim_values(*claim_weights([assertion], prefs.shape[-1]), prefs)[0]
 
 
-def claim_mean(assertion: Assertion, tallies: np.ndarray, total: int) -> float:
-    """Population mean of the assorter, exactly, from the pairwise tallies of ``total`` ballots.
-
-    The one formula of :func:`claim_means`, for one claim.
-    """
-    return float(claim_means(*claim_weights([assertion], tallies.shape[0]), tallies, total)[0])
-
-
 def assorter_mean(assertion: Assertion, election: Election) -> float:
-    """Population mean of the assorter over every ballot in the election."""
-    return claim_mean(assertion, pairwise_tallies(election), election.total_ballots)
+    """Population mean of the assorter over every ballot in the election, exactly, by :func:`claim_means`."""
+    tallies = pairwise_tallies(election)
+    return float(claim_means(*claim_weights([assertion], tallies.shape[0]), tallies, election.total_ballots)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +445,11 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
     """
     if isinstance(doc, str):
         try:
-            doc = json.loads(doc)
+            doc = decode_json(doc)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc.msg}") from None
+        except ParseError as exc:  # a key given twice
+            raise SchemaError(str(exc)) from None
     if not isinstance(doc, dict):
         raise SchemaError("assertion document must be an object")
     index = roster_index(election.candidates)

@@ -73,7 +73,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ballots import ParseError, read_text, resolve_names, roster_index
+from .ballots import ParseError, decode_json, read_text, resolve_names, roster_index
 from .model import Ballot, CapacityError, Election, ballot_counts, preference_matrix
 from .assertions import Assertion, AssertionSet, claim_means, claim_values, claim_weights
 
@@ -423,7 +423,7 @@ class SampleStream:
 def _parse_sample(line: str, index: dict[str, int]) -> AuditSample:
     """The sample one line of a sample file holds; a fault is a :class:`ParseError` without a line number."""
     try:
-        doc = json.loads(line)
+        doc = decode_json(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}") from None
     if not isinstance(doc, dict) or "audited" not in doc:

@@ -3,10 +3,12 @@
 Two input formats are supported:
 
 * Preflib ordinal files in the metadata-header dialect: ``#``-prefixed
-  ``KEY: VALUE`` lines (``NUMBER ALTERNATIVES``, ``ALTERNATIVE NAME i``, ...)
-  followed by vote lines ``count: c1,c2,...`` with 1-based candidate numbers.
-  Only strict orders (``soc``/``soi``) are accepted; dialects with ties are
-  rejected.
+  ``KEY: VALUE`` lines and vote lines ``count: c1,c2,...`` with 1-based
+  candidate numbers.  The header keys read, each at most once, are the
+  nonnegative counts ``NUMBER ALTERNATIVES``, ``NUMBER VOTERS`` and ``NUMBER
+  UNIQUE ORDERS``, ``DATA TYPE`` and ``ALTERNATIVE NAME i``; other keys and
+  comments are skipped.  Only strict orders (``soc``/``soi``) are accepted;
+  dialects with ties are rejected.
 * A native JSON format:
   ``{"candidates": [names...], "ballots": [{"ranking": [names...], "count": n}, ...]}``.
 
@@ -14,9 +16,10 @@ Parsing never repairs a line silently: anything normalized on ingest (merged
 duplicate signatures, metadata mismatches) is surfaced as a warning.
 
 This module is the one input boundary: :func:`read_text` reads every input
-file (elections, sample files, assertion sets) and :func:`resolve_names`
-turns every JSON list of candidate names into a ballot, so a malformed file
-or name is a :class:`ParseError` wherever it arrives.
+file (elections, sample files, assertion sets), :func:`decode_json` decodes
+every JSON document in them and :func:`resolve_names` turns every JSON list
+of candidate names into a ballot, so a malformed file, a key given twice in
+one JSON object or a bad name is a :class:`ParseError` wherever it arrives.
 """
 
 from __future__ import annotations
@@ -60,16 +63,31 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _unique(pairs: list[tuple], what: str) -> dict:
+    """The dict of (key, value) ``pairs``; a key given twice is a :class:`ParseError` naming ``what``."""
+    table = dict(pairs)
+    if len(table) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ParseError(f"{what} {next(key for pos, key in enumerate(keys) if key in keys[:pos])!r}")
+    return table
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=lambda pairs: _unique(pairs, "repeated key"))
+
+
+def decode_json(text: str):
+    """``json.loads(text)``, except that a key given twice in one object is a :class:`ParseError`."""
+    if text.startswith("\ufeff"):  # refused as json.loads refuses it
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)
+
+
 def roster_index(names: Sequence[str]) -> dict[str, int]:
     """Candidate index by name; a name given twice is a :class:`ParseError`."""
-    index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
-        repeated = next(name for pos, name in enumerate(names) if name in names[:pos])
-        raise ParseError(f"duplicate candidate name {repeated!r}")
-    return index
+    return _unique([(name, i) for i, name in enumerate(names)], "duplicate candidate name")
 
 
-def resolve_names(names, index: dict[str, int], where: str = "ballot") -> Ballot:
+def resolve_names(names, index: dict[str, int], where: str) -> Ballot:
     """The ballot a JSON list of candidate names denotes, given ``index`` by name.
 
     A value that is not a list, a name that is not a string, an unknown name
@@ -89,12 +107,28 @@ def resolve_names(names, index: dict[str, int], where: str = "ballot") -> Ballot
     return tuple(sig)
 
 
+def _count(token: str, lineno: int, what: str) -> int:
+    count = _parse_int(token, lineno, what)
+    if count < 0:
+        raise ParseError(f"negative {what} {count}", lineno)
+    return count
+
+
+def _data_type(value: str, lineno: int, _: str) -> str:
+    if value.lower() not in ("soc", "soi"):
+        raise ParseError(f"unsupported data type {value!r}: only strict orders "
+                         "(soc/soi) are accepted, rankings with ties are not", lineno)
+    return value
+
+
+# The Preflib header keys read, each with the check of its value, besides ALTERNATIVE NAME i.
+_HEADER_CHECKS = {"NUMBER ALTERNATIVES": _count, "NUMBER VOTERS": _count, "NUMBER UNIQUE ORDERS": _count,
+                  "DATA TYPE": _data_type}
+
+
 def parse_preflib(text: str) -> ParseReport:
     """Parse a Preflib ordinal file (strict orders only) into an election."""
-    num_alternatives: int | None = None
-    declared_voters: int | None = None
-    declared_orders: int | None = None
-    alt_names: dict[int, tuple[int, str]] = {}  # number -> (line, name)
+    header: dict[str | int, tuple[int, int | str]] = {}  # key -> (line, value)
     votes: list[tuple[int, int, tuple[int, ...]]] = []  # (line, count, 1-based ranking)
     warnings: list[tuple[int, str]] = []
 
@@ -107,27 +141,18 @@ def parse_preflib(text: str) -> ParseReport:
             m = _METADATA_RE.match(stripped)
             if not m:
                 continue  # free-form comment
-            key, value = m.group(1), m.group(2)
-            if key == "NUMBER ALTERNATIVES":
-                num_alternatives = _parse_int(value, lineno, "NUMBER ALTERNATIVES")
-            elif key == "NUMBER VOTERS":
-                declared_voters = _parse_int(value, lineno, "NUMBER VOTERS")
-            elif key == "NUMBER UNIQUE ORDERS":
-                declared_orders = _parse_int(value, lineno, "NUMBER UNIQUE ORDERS")
-            elif key == "DATA TYPE":
-                if value.lower() not in ("soc", "soi"):
-                    raise ParseError(
-                        f"unsupported data type {value!r}: only strict orders "
-                        "(soc/soi) are accepted, rankings with ties are not",
-                        lineno,
-                    )
+            key, value = m.groups()
+            alt = _ALT_NAME_RE.match(key)
+            if alt:
+                key = int(alt.group(1))
+            elif key in _HEADER_CHECKS:
+                value = _HEADER_CHECKS[key](value, lineno, key)
             else:
-                m2 = _ALT_NAME_RE.match(key)
-                if m2:
-                    i = int(m2.group(1))
-                    if i in alt_names:
-                        raise ParseError(f"ALTERNATIVE NAME {i} repeats line {alt_names[i][0]}", lineno)
-                    alt_names[i] = (lineno, value)
+                continue  # a key that is not read
+            if key in header:
+                name = key if alt is None else f"ALTERNATIVE NAME {key}"
+                raise ParseError(f"{name} repeats line {header[key][0]}", lineno)
+            header[key] = (lineno, value)
             continue
 
         if "{" in stripped or "}" in stripped:
@@ -135,9 +160,7 @@ def parse_preflib(text: str) -> ParseReport:
         count_part, sep, rank_part = stripped.partition(":")
         if not sep:
             raise ParseError("expected 'count: c1,c2,...'", lineno)
-        count = _parse_int(count_part.strip(), lineno, "vote count")
-        if count < 0:
-            raise ParseError(f"negative vote count {count}", lineno)
+        count = _count(count_part.strip(), lineno, "vote count")
         rank_part = rank_part.strip()
         ranking: list[int] = []
         if rank_part:
@@ -150,20 +173,18 @@ def parse_preflib(text: str) -> ParseReport:
             raise ParseError("duplicate candidate within one ranking", lineno)
         votes.append((lineno, count, tuple(ranking)))
 
-    max_seen = max((max(r) for _, _, r in votes if r), default=0)
-    if num_alternatives is None:
-        num_alternatives = max_seen
-        if votes:
-            warnings.append((votes[0][0], f"NUMBER ALTERNATIVES missing; inferred {max_seen}"))
+    _, k = header.get("NUMBER ALTERNATIVES", (0, max((max(r) for _, _, r in votes if r), default=0)))
+    if "NUMBER ALTERNATIVES" not in header and votes:
+        warnings.append((votes[0][0], f"NUMBER ALTERNATIVES missing; inferred {k}"))
     for lineno, _, ranking in votes:
         for c in ranking:
-            if not 1 <= c <= num_alternatives:
-                raise ParseError(f"candidate number {c} out of range 1..{num_alternatives}", lineno)
+            if not 1 <= c <= k:
+                raise ParseError(f"candidate number {c} out of range 1..{k}", lineno)
 
-    for i, (lineno, _) in alt_names.items():
-        if not 1 <= i <= num_alternatives:
-            raise ParseError(f"ALTERNATIVE NAME {i} out of range 1..{num_alternatives}", lineno)
-    names = tuple(alt_names[i][1] if i in alt_names else f"C{i}" for i in range(1, num_alternatives + 1))
+    for i, (lineno, _) in header.items():
+        if isinstance(i, int) and not 1 <= i <= k:
+            raise ParseError(f"ALTERNATIVE NAME {i} out of range 1..{k}", lineno)
+    names = tuple(header[i][1] if i in header else f"C{i}" for i in range(1, k + 1))
     roster_index(names)
     profile: dict[Ballot, int] = {}
     first_line: dict[Ballot, int] = {}
@@ -178,10 +199,10 @@ def parse_preflib(text: str) -> ParseReport:
         profile[sig] = profile.get(sig, 0) + count
 
     election = Election(names, profile)
-    if declared_voters is not None and declared_voters != election.total_ballots:
-        warnings.append((0, f"NUMBER VOTERS declares {declared_voters} but votes sum to {election.total_ballots}"))
-    if declared_orders is not None and declared_orders != len(profile):
-        warnings.append((0, f"NUMBER UNIQUE ORDERS declares {declared_orders} but found {len(profile)}"))
+    for key, found, phrase in (("NUMBER VOTERS", election.total_ballots, "votes sum to"),
+                               ("NUMBER UNIQUE ORDERS", len(profile), "found")):
+        if key in header and header[key][1] != found:
+            warnings.append((0, f"{key} declares {header[key][1]} but {phrase} {found}"))
     return ParseReport(election, warnings)
 
 
@@ -195,7 +216,7 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 def parse_native(text: str) -> ParseReport:
     """Parse the native election JSON format."""
     try:
-        doc = json.loads(text)
+        doc = decode_json(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
     if not isinstance(doc, dict):
@@ -243,19 +264,11 @@ def parse_path(path: str | Path) -> ParseReport:
     return parse_native(text) if head == "{" else parse_preflib(text)
 
 
-def election_to_dict(election: Election) -> dict:
-    """Native-format dictionary for an election (deterministic ordering)."""
-    return {
-        "candidates": list(election.candidates),
-        "ballots": [
-            {"ranking": [election.candidates[c] for c in sig], "count": n}
-            for sig, n in sorted(election.profile.items())
-        ],
-    }
-
-
 def serialize_election(election: Election) -> str:
-    return json.dumps(election_to_dict(election), indent=2)
+    """Native-format JSON text for an election, its ballots in signature order."""
+    names = election.candidates
+    ballots = [{"ranking": [names[c] for c in sig], "count": n} for sig, n in sorted(election.profile.items())]
+    return json.dumps({"candidates": list(names), "ballots": ballots}, indent=2)
 
 
 def scale(election: Election, factor: int) -> Election:

@@ -412,7 +412,7 @@ def _audit_payload(aset: AssertionSet, report: AuditReport, election: Election):
         "risk_limit": report.risk_limit,
         "assertions": rows,
     }
-    width = max([len(r["assertion"]) for r in rows] + [len("Assertion")], default=len("Assertion"))
+    width = max([len(r["assertion"]) for r in rows] + [len("Assertion")])
     lines = [
         f"Outcome: {report.outcome}",
         f"Ballots examined: {report.ballots_examined}",

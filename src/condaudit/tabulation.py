@@ -305,7 +305,9 @@ def minimax_tabulate(score_matrix: np.ndarray) -> MinimaxResult:
 
     When a Condorcet winner exists it is the unique candidate with no loss
     and wins outright.  Ties for the smallest worst-loss cannot be resolved
-    by the method and yield ``winner=None``.
+    by the method and yield ``winner=None``.  Among opponents beating a
+    candidate by its worst loss, the lowest-index one is its strongest
+    defeater.
     """
     s = np.asarray(score_matrix)
     k = s.shape[0]
@@ -314,24 +316,20 @@ def minimax_tabulate(score_matrix: np.ndarray) -> MinimaxResult:
     if k == 1:
         return MinimaxResult(0, {}, {}, condorcet_case=True)
 
-    worst_loss: dict[int, int] = {}
-    strongest_defeater: dict[int, int] = {}
-    for c in range(k):
-        against = [(int(s[o, c]), o) for o in range(k) if o != c]
-        loss, defeater = max(against, key=lambda od: (od[0], -od[1]))
-        worst_loss[c] = loss
-        if loss > 0:
-            strongest_defeater[c] = defeater
+    # Row c of ``against``: the margins s[o, c] of every opponent o != c, in order of o.
+    against = s.T[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+    losses = against.max(axis=1)
+    slot = against.argmax(axis=1)  # the first maximum: the lowest-index defeater
+    defeaters = slot + (slot >= np.arange(k))
+    beaten = np.flatnonzero(losses > 0)
+    worst_loss = dict(enumerate(losses.tolist()))
+    strongest_defeater = dict(zip(beaten.tolist(), defeaters[beaten].tolist()))
 
     low = min(worst_loss.values())
-    lowest = [c for c in range(k) if worst_loss[c] == low]
-    if len(lowest) > 1:
-        return MinimaxResult(
-            None, worst_loss, strongest_defeater, condorcet_case=False,
-            reason="tie for the smallest worst pairwise loss",
-        )
-    winner = lowest[0]
-    return MinimaxResult(winner, worst_loss, strongest_defeater, condorcet_case=low < 0)
+    if np.count_nonzero(losses == low) > 1:
+        return MinimaxResult(None, worst_loss, strongest_defeater, condorcet_case=False,
+                             reason="tie for the smallest worst pairwise loss")
+    return MinimaxResult(int(losses.argmin()), worst_loss, strongest_defeater, condorcet_case=low < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -415,30 +413,21 @@ def kemeny_tabulate(tallies: np.ndarray) -> KemenyResult:
 
     Enumerates all k! rankings, so k is capped at ``KEMENY_MAX_K``; larger
     fields raise :class:`CapacityError` since the factorial search (and the
-    audit built on it) is impractical.  Equal-scoring rankings are resolved
-    lexicographically and flagged.
+    audit built on it) is impractical.  Of equal-scoring best rankings the
+    lexicographically first is kept, and ``tie_flag`` is set when the best
+    score occurs more than once.
     """
     t = np.asarray(tallies)
     k = t.shape[0]
     if k == 0:
         raise ValueError("kemeny requires at least one candidate")
     if k > KEMENY_MAX_K:
-        raise CapacityError(
-            f"kemeny enumeration over {k} candidates needs {k}! rankings; limit is {KEMENY_MAX_K}"
-        )
-    rows = t.tolist()
-    best_ranking: tuple[int, ...] | None = None
-    best_score = 0
-    tie_flag = False
-    for perm in itertools.permutations(range(k)):
-        score = 0
-        for p in range(k):
-            row = rows[perm[p]]
-            for q in range(p + 1, k):
-                score += row[perm[q]]
-        if best_ranking is None or score > best_score:
-            best_ranking, best_score, tie_flag = perm, score, False
-        elif score == best_score:
-            tie_flag = True  # lexicographically earliest ranking kept
-    assert best_ranking is not None
-    return KemenyResult(best_ranking, int(best_score), best_ranking[0], tie_flag)
+        raise CapacityError(f"kemeny enumeration over {k} candidates needs {k}! rankings; limit is {KEMENY_MAX_K}")
+    rankings = list(itertools.permutations(range(k)))
+    above, below = np.triu_indices(k, 1)
+    order = np.array(rankings, dtype=np.intp)
+    # In Python ints: a score sums k(k-1)/2 tallies, past int64 for large elections.
+    scores = t.astype(object)[order[:, above], order[:, below]].sum(axis=1).tolist()
+    best_score = max(scores)
+    best_ranking = rankings[scores.index(best_score)]
+    return KemenyResult(best_ranking, best_score, best_ranking[0], scores.count(best_score) > 1)

@@ -206,6 +206,20 @@ def expand(election: Election) -> list[tuple[int, ...]]:
     return out
 
 
+class _RepeatedKey(Exception):
+    """A JSON object names one key twice."""
+
+
+def _refuse_repeated_keys(pairs):
+    """A JSON object's dict, refusing its first key that an earlier pair already names."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise _RepeatedKey(key)
+        seen.add(key)
+    return dict(pairs)
+
+
 def reference_samples(text: str, candidates, total: int):
     """A sample file read line by line from the README's rules.
 
@@ -220,9 +234,11 @@ def reference_samples(text: str, candidates, total: int):
         if len(draws) == total:
             return None, (f"more samples than the {total} ballots of the election", lineno)
         try:
-            doc = json.loads(line)
+            doc = json.loads(line, object_pairs_hook=_refuse_repeated_keys)
         except json.JSONDecodeError as exc:
             return None, (f"invalid JSON: {exc.msg}", lineno)
+        except _RepeatedKey as exc:
+            return None, (f"repeated key {exc.args[0]!r}", lineno)
         if not isinstance(doc, dict) or "audited" not in doc:
             return None, ("each sample needs an 'audited' ballot", lineno)
         ballots = []

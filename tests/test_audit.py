@@ -935,6 +935,8 @@ _SAMPLE_LINES = [
     '{"audited": ["A"], "reported": ["Q"]}',
     '{"audited": ["B"], "reported": "A"}',
     '{"audited": ["Z"], "reported": ["A", "A"]}',
+    '{"audited": ["A"], "audited": ["B"]}',
+    '{"audited": ["A"], "reported": ["B"], "reported": ["A"]}',
 ]
 _BLANK_LINES = ["", " ", " \t", "\r", "\u2028"]
 _BALLOTS = st.lists(st.sampled_from("ABC"), unique=True)
@@ -1021,6 +1023,7 @@ class TestSampleFiles:
     @example(['{"audited": ["A"]}', '{"audited": ["B"]}', '{"audited": ["A"], "reported": ["B"]}'], 5, True)
     @example(['{"audited": ["A"]}', '{"audited":["A"]}\r', '{"audited": ["A"]}'], 3, True)  # one sample, two spellings
     @example(['{"audited": ["A"]}\r{"audited": ["B"]}'], 2, True)  # a lone "\r" ends no line
+    @example(['{"audited": ["A"]}', '{"audited": ["A"], "audited": ["B"]}'], 2, True)  # a key given twice
     @settings(max_examples=300, deadline=None)
     def test_loader_agrees_with_the_line_by_line_reference(self, tmp_path_factory, lines, total, final_newline):
         e = Election(("A", "B", "C"), {(0,): total} if total else {})

@@ -119,6 +119,31 @@ class TestParsePreflib:
         report = parse_preflib("# NUMBER ALTERNATIVES: 2\n5:\n")
         assert report.election.profile == {(): 5}
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("# NUMBER ALTERNATIVES: 3\n# NUMBER ALTERNATIVES: 2\n", "line 2: NUMBER ALTERNATIVES repeats line 1"),
+            ("# NUMBER VOTERS: 5\n# NUMBER VOTERS: 3\n", "line 2: NUMBER VOTERS repeats line 1"),
+            ("# NUMBER UNIQUE ORDERS: 1\n# NUMBER UNIQUE ORDERS: 1\n", "line 2: NUMBER UNIQUE ORDERS repeats line 1"),
+            ("# DATA TYPE: soc\n# DATA TYPE: soi\n", "line 2: DATA TYPE repeats line 1"),
+            ("# ALTERNATIVE NAME 1: A\n# ALTERNATIVE NAME 01: B\n", "line 2: ALTERNATIVE NAME 1 repeats line 1"),
+            ("# NUMBER ALTERNATIVES: -1\n", "line 1: negative NUMBER ALTERNATIVES -1"),
+            ("# NUMBER VOTERS: -3\n", "line 1: negative NUMBER VOTERS -3"),
+        ],
+        ids=["alternatives-twice", "voters-twice", "orders-twice", "data-type-twice", "name-twice", "negative-alternatives",
+             "negative-voters"],
+    )
+    def test_header_faults(self, header, message):
+        # Each header key read is given once, and a count is a nonnegative integer.
+        with pytest.raises(ParseError) as err:
+            parse_preflib(header + "3: 1,2\n")
+        assert str(err.value) == message
+
+    def test_unread_key_may_repeat(self):
+        report = parse_preflib("# TITLE: one\n# NUMBER ALTERNATIVES: 2\n# TITLE: two\n3: 1,2\n")
+        assert report.election.profile == {(0, 1): 3}
+        assert report.warnings == []
+
 
 class TestParseNative:
     def test_worked_example(self, election2):

@@ -581,6 +581,19 @@ INPUT_FAULTS = {
     "samples-audited": (
         "s.jsonl", '{"audited": ["A"]}\n{"reported": ["A"]}\n', "line 2: each sample needs an 'audited' ballot"
     ),
+    # A key given twice, which would otherwise keep its last value.
+    "native-repeated-ballots": (
+        "e.json", '{"candidates": ["A", "B"], "ballots": [{"ranking": ["A"], "count": 5}], "ballots": []}',
+        "repeated key 'ballots'",
+    ),
+    "native-repeated-count": (
+        "e.json", '{"candidates": ["A", "B"], "ballots": [{"ranking": ["A"], "count": 1, "count": 7}]}',
+        "repeated key 'count'",
+    ),
+    "set-repeated-key": ("set.json", '{"method": "x", "method": "y", "assertions": []}', "repeated key 'method'"),
+    "samples-repeated-key": (
+        "s.jsonl", '{"audited": ["A"]}\n{"audited": ["A"], "audited": ["B"]}\n', "line 2: repeated key 'audited'"
+    ),
 }
 
 

@@ -19,7 +19,7 @@ from condaudit import (
 )
 from condaudit.tabulation import _run_ranked_pairs
 
-from oracles import brute_force_kemeny, brute_force_smith, random_election
+from oracles import brute_force_kemeny, brute_force_smith, random_election, ranking_tally
 
 # 3-candidate cycle from the minimax worked example:
 # A beats B by 2000, B beats C by 5000, C beats A by 8000.
@@ -258,6 +258,28 @@ class TestMinimax:
         assert mm.winner == 2
         assert mm.worst_loss == {0: 7000, 1: 9000, 2: 5000, 3: 13000}
 
+    def test_strongest_defeater_is_lowest_index_among_equal_margins(self):
+        # 0 and 1 beat 2 by 2, and 1 and 2 beat 3 by 3.
+        s = np.array([[0, 1, 2, 0], [-1, 0, 2, 3], [-2, -2, 0, 3], [0, -3, -3, 0]])
+        mm = minimax_tabulate(s)
+        assert mm.worst_loss == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert mm.strongest_defeater == {1: 0, 2: 0, 3: 1}
+        assert (mm.winner, mm.condorcet_case) == (0, False)
+
+    def test_matches_definition(self):
+        # Small tallies make equal margins common.
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            k = int(rng.integers(2, 7))
+            s = scores(rng.integers(0, 3, size=(k, k)))
+            mm = minimax_tabulate(s)
+            losses = {c: max((int(s[o, c]), -o) for o in range(k) if o != c) for c in range(k)}
+            assert mm.worst_loss == {c: loss for c, (loss, _) in losses.items()}
+            assert mm.strongest_defeater == {c: -neg_o for c, (loss, neg_o) in losses.items() if loss > 0}
+            low = min(mm.worst_loss.values())
+            lowest = [c for c in range(k) if mm.worst_loss[c] == low]
+            assert mm.winner == (lowest[0] if len(lowest) == 1 else None)
+
 
 class TestSmith:
     def test_condorcet_winner_is_sole_member(self, election1, election2):
@@ -343,6 +365,28 @@ class TestKemeny:
             assert kr.best_score == oracle_score
             if not kr.tie_flag:
                 assert kr.best_ranking == oracle_ranking
+
+    def test_tie_flag_marks_a_repeated_best_score(self):
+        # Small tallies make equal scores common; the first best ranking in enumeration order is kept.
+        rng = np.random.default_rng(13)
+        flagged = 0
+        for _ in range(200):
+            k = int(rng.integers(1, 6))
+            t = rng.integers(0, 3, size=(k, k))
+            all_scores = [ranking_tally(perm, t) for perm in itertools.permutations(range(k))]
+            kr = kemeny_tabulate(t)
+            assert kr.best_score == max(all_scores)
+            assert kr.best_ranking == list(itertools.permutations(range(k)))[all_scores.index(kr.best_score)]
+            assert kr.tie_flag == (all_scores.count(kr.best_score) > 1)
+            flagged += kr.tie_flag
+        assert 0 < flagged < 200
+
+    def test_score_past_int64_is_exact(self):
+        # Ranking (0, 1, 2) sums three tallies of 4e18: 1.2e19, past 2**63 - 1.
+        t = np.array([[0, 4, 4], [1, 0, 4], [1, 1, 0]], dtype=np.int64) * 10**18
+        kr = kemeny_tabulate(t)
+        assert (kr.best_ranking, kr.best_score, kr.tie_flag) == ((0, 1, 2), 12 * 10**18, False)
+        assert type(kr.best_score) is int
 
     def test_best_score_dominates_all(self, election3):
         t = pairwise_tallies(election3)
