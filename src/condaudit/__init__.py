@@ -38,7 +38,6 @@ from .assertions import (
     AssertionSet,
     PairwisePositive,
     RankingComparison,
-    SchemaError,
     ScoreComparison,
     assorter_mean,
     assorter_values,

@@ -62,10 +62,6 @@ from .ballots import ParseError, decode_json, resolve_names, roster_index
 from .model import Election, pairwise_tallies, scores
 
 
-class SchemaError(ValueError):
-    """Malformed or inconsistent assertion-set document."""
-
-
 @dataclass(frozen=True)
 class PairwisePositive:
     winner: int
@@ -292,7 +288,7 @@ def smith_assertions(
     ``sm.inner`` (method ``smith-minimax``), or, when ``sm.inner`` is an IRV
     tabulation (method ``smith-irv``), the ``imported`` set over the members.
     An imported set that mentions a non-member, or whose winner is not
-    ``sm.winner``, is a :class:`SchemaError`.
+    ``sm.winner``, is a :class:`~condaudit.ballots.ParseError`.
     """
     irv = isinstance(sm.inner, tabulation.IrvResult)
     method = "smith-irv" if irv else "smith-minimax"
@@ -302,9 +298,9 @@ def smith_assertions(
     if irv and not imported.full_hand_count:
         mentioned = {c for a in imported.assertions for c in _candidates_of(a)}
         if imported.winner is None or imported.winner not in members or not mentioned <= set(members):
-            raise SchemaError("imported inner assertions must be over Smith-set members only")
+            raise ParseError("imported inner assertions must be over Smith-set members only")
         if sm.winner is not None and imported.winner != sm.winner:
-            raise SchemaError("imported inner assertions certify a winner other than IRV over the Smith set")
+            raise ParseError("imported inner assertions certify a winner other than IRV over the Smith set")
     if sm.winner is None:
         return AssertionSet(method, None, escalation=sm.reason)
 
@@ -437,34 +433,29 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
     """Load an assertion-set document, resolving names against the election.
 
     A ``full_hand_count`` entry, which must be the only entry of a document
-    with a null winner, gives an escalated set with its ``reason``.  An
-    unknown type tag, and a candidate field that
-    :func:`~condaudit.ballots.resolve_names` rejects, raise
-    :class:`SchemaError`.  When the document carries an election digest, a
-    mismatch with this election is an error.
+    with a null winner, gives an escalated set with its ``reason``.  Every
+    fault of the document is a :class:`~condaudit.ballots.ParseError`: JSON
+    that does not parse (naming its line), an unknown type tag, a candidate
+    field that :func:`~condaudit.ballots.resolve_names` rejects, a claim its
+    class refuses, and an election digest that does not match this election.
     """
     if isinstance(doc, str):
         try:
             doc = decode_json(doc)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}") from None
-        except ParseError as exc:  # a key given twice
-            raise SchemaError(str(exc)) from None
+            raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
     if not isinstance(doc, dict):
-        raise SchemaError("assertion document must be an object")
+        raise ParseError("assertion document must be an object")
     index = roster_index(election.candidates)
 
     def resolve(value, key: str, one: bool):
         """One candidate (``one``, an ``int`` field) or a tuple of them."""
-        try:
-            sig = resolve_names([value] if one else value, index, where=repr(key))
-        except ParseError as exc:
-            raise SchemaError(str(exc)) from None
+        sig = resolve_names([value] if one else value, index, where=repr(key))
         return sig[0] if one else sig
 
     method = doc.get("method")
     if not isinstance(method, str):
-        raise SchemaError("'method' must be a string")
+        raise ParseError("'method' must be a string")
     raw_winner = doc.get("winner")
     winner = None if raw_winner is None else resolve(raw_winner, "winner", True)
 
@@ -472,40 +463,39 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
     escalations: list[str] = []
     entries = doc.get("assertions")
     if not isinstance(entries, list):
-        raise SchemaError("'assertions' must be a list")
+        raise ParseError("'assertions' must be a list")
     for entry in entries:
         if not isinstance(entry, dict):
-            raise SchemaError("each assertion must be an object")
+            raise ParseError("each assertion must be an object")
         tag = entry.get("type")
         if tag == _ESCALATION_TAG:
             reason = entry.get("reason", "")
             if not isinstance(reason, str):
-                raise SchemaError("a full-hand-count 'reason' must be a string")
+                raise ParseError("a full-hand-count 'reason' must be a string")
             escalations.append(reason)
             continue
         cls = _BY_TAG.get(tag) if isinstance(tag, str) else None
+        if cls is None:
+            raise ParseError(f"unknown assertion type tag {tag!r}")
         try:
-            if cls is None:
-                raise SchemaError(f"unknown assertion type tag {tag!r}")
             candidates = {f.name: resolve(entry[f.name], f.name, _one_candidate(f)) for f in fields(cls)}
-            if cls is RankingComparison and set(candidates["preferred"]) != set(range(election.num_candidates)):
-                raise SchemaError("ranking comparisons must rank every candidate")
+        except KeyError as exc:
+            raise ParseError(f"malformed {tag} entry: {exc}") from None
+        if cls is RankingComparison and set(candidates["preferred"]) != set(range(election.num_candidates)):
+            raise ParseError("ranking comparisons must rank every candidate")
+        try:
             assertions.append(cls(**candidates))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed {tag or 'assertion'} entry: {exc}") from None
-        except ValueError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(str(exc)) from None
+        except ValueError as exc:  # the claim's own check
+            raise ParseError(str(exc)) from None
 
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
-        raise SchemaError("'metadata' must be an object")
+        raise ParseError("'metadata' must be an object")
     declared = metadata.get("election_sha256")
     if declared is not None and declared != election.digest():
-        raise SchemaError("assertion set was generated for a different election (digest mismatch)")
+        raise ParseError("assertion set was generated for a different election (digest mismatch)")
     if escalations and len(entries) != 1:
-        raise SchemaError("a full-hand-count sentinel must be the set's only member")
+        raise ParseError("a full-hand-count sentinel must be the set's only member")
     if escalations and winner is not None:
-        raise SchemaError("a full-hand-count set names no winner")
+        raise ParseError("a full-hand-count set names no winner")
     return AssertionSet(method, winner, tuple(assertions), escalations[0] if escalations else None)

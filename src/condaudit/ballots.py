@@ -4,11 +4,11 @@ Two input formats are supported:
 
 * Preflib ordinal files in the metadata-header dialect: ``#``-prefixed
   ``KEY: VALUE`` lines and vote lines ``count: c1,c2,...`` with 1-based
-  candidate numbers.  The header keys read, each at most once, are the
-  nonnegative counts ``NUMBER ALTERNATIVES``, ``NUMBER VOTERS`` and ``NUMBER
-  UNIQUE ORDERS``, ``DATA TYPE`` and ``ALTERNATIVE NAME i``; other keys and
-  comments are skipped.  Only strict orders (``soc``/``soi``) are accepted;
-  dialects with ties are rejected.
+  candidate numbers.  The header keys read, in any letter case and each at
+  most once, are the nonnegative counts ``NUMBER ALTERNATIVES``, ``NUMBER
+  VOTERS`` and ``NUMBER UNIQUE ORDERS``, ``DATA TYPE`` and ``ALTERNATIVE NAME
+  i``; other keys and comments are skipped.  Only strict orders
+  (``soc``/``soi``) are accepted; dialects with ties are rejected.
 * A native JSON format:
   ``{"candidates": [names...], "ballots": [{"ranking": [names...], "count": n}, ...]}``.
 
@@ -17,9 +17,11 @@ duplicate signatures, metadata mismatches) is surfaced as a warning.
 
 This module is the one input boundary: :func:`read_text` reads every input
 file (elections, sample files, assertion sets), :func:`decode_json` decodes
-every JSON document in them and :func:`resolve_names` turns every JSON list
-of candidate names into a ballot, so a malformed file, a key given twice in
-one JSON object or a bad name is a :class:`ParseError` wherever it arrives.
+every JSON document in them, :func:`resolve_names` turns every JSON list of
+candidate names into a ballot and :func:`parse_int` reads every integer
+written as text (Preflib counts and candidate numbers, integer flags and
+``$CONDAUDIT_SEED``).  A fault in any input file, whichever module finds it,
+is a :class:`ParseError`, the one error for bad input.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .model import Ballot, Election
 
 
 class ParseError(ValueError):
-    """Malformed election input.  ``line`` is 1-based when known."""
+    """A malformed or inconsistent input file of any kind.  ``line`` is 1-based when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -51,7 +53,7 @@ class ParseReport:
     warnings: list[tuple[int, str]] = field(default_factory=list)
 
 
-_METADATA_RE = re.compile(r"^#\s*([A-Z][A-Z0-9 ]*?)\s*:\s*(.*?)\s*$")
+_METADATA_RE = re.compile(r"^#\s*([A-Za-z][A-Za-z0-9 ]*?)\s*:\s*(.*?)\s*$")
 _ALT_NAME_RE = re.compile(r"^ALTERNATIVE NAME (\d+)$")
 
 
@@ -141,7 +143,7 @@ def parse_preflib(text: str) -> ParseReport:
             m = _METADATA_RE.match(stripped)
             if not m:
                 continue  # free-form comment
-            key, value = m.groups()
+            key, value = m.group(1).upper(), m.group(2)
             alt = _ALT_NAME_RE.match(key)
             if alt:
                 key = int(alt.group(1))
@@ -206,9 +208,16 @@ def parse_preflib(text: str) -> ParseReport:
     return ParseReport(election, warnings)
 
 
+def parse_int(token: str) -> int:
+    """``int(token)`` for ASCII digits after an optional ``-``, the one integer spelling of every input."""
+    if not (token.removeprefix("-").isdigit() and token.isascii()):  # int() also reads "+1", "1_0", other digits
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _parse_int(token: str, lineno: int, what: str) -> int:
     try:
-        return int(token)
+        return parse_int(token)
     except ValueError:
         raise ParseError(f"malformed {what}: {token!r}", lineno) from None
 

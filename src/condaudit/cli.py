@@ -9,10 +9,11 @@ errors.  Ingest warnings go to stderr (``parse`` reports them on stdout).
 
 Exit codes: 0 success; 1 full-hand-count outcome, infeasible audit
 (``InfeasibleAuditError``), capacity limit (``CapacityError``) or out of
-memory; 2 parse/schema errors; 64 usage errors; 70 internal error (any other
-exception, reported with its traceback).  ``--format json`` output is
-``json.dumps(obj, indent=2)`` byte for byte, where ``obj`` is the payload
-with each float64 array (an audit's p-value traces) read as its ``tolist()``.
+memory; 2 a bad input file of any kind (``ParseError``); 64 usage errors; 70
+internal error (any other exception, reported with its traceback).
+``--format json`` output is ``json.dumps(obj, indent=2)`` byte for byte,
+where ``obj`` is the payload with each float64 array (an audit's p-value
+traces) read as its ``tolist()``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from . import ballots as ballots_io
 from .assertions import (
     METHODS,
     AssertionSet,
-    SchemaError,
     describe,
     export_assertions,
     import_assertions,
@@ -67,22 +67,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _seed(raw: str) -> int:
-    """Parse --seed, or $CONDAUDIT_SEED in its absence (see :func:`main`),
-    so a malformed variable is a usage error like a malformed flag."""
-    try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"seed must be an integer (from --seed or $CONDAUDIT_SEED), got {raw!r}"
-        ) from None
+def _integer(message: str, least: float = float("-inf")):
+    """An argparse type: an integer of at least ``least``, read by :func:`~condaudit.ballots.parse_int`;
+    any other value is a usage error, ``message`` formatted with it."""
+    def parse(raw: str) -> int:
+        try:
+            if (value := ballots_io.parse_int(raw)) >= least:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(message.format(raw))
+    return parse
 
 
-def _positive_int(raw: str) -> int:
-    """Parse --scale and --workers: an integer of at least 1."""
-    if not (raw.isdecimal() and int(raw) >= 1):
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
-    return int(raw)
+_int = _integer("invalid int value: {!r}")  # --trials
+_positive_int = _integer("must be a positive integer, got {!r}", least=1)  # --scale and --workers
+# --seed, or $CONDAUDIT_SEED in its absence (see main): a malformed variable is a usage error like a malformed flag.
+_seed = _integer("seed must be an integer (from --seed or $CONDAUDIT_SEED), got {!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate audit sample sizes by simulation")
     common(p, with_audit=True)
     p.add_argument("--error-rate", type=float, default=AuditConfig.error_rate)
-    p.add_argument("--trials", type=int, default=AuditConfig.trials)
+    p.add_argument("--trials", type=_int, default=AuditConfig.trials)
     # No default here: main reads $CONDAUDIT_SEED at each call, so the parser is built once.
     p.add_argument("--seed", type=_seed, help="simulation seed (default: $CONDAUDIT_SEED or 0)")
     p.set_defaults(subparser=p)
@@ -450,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
             args.subparser.error(f"argument --seed: {exc}")
     try:
         return _dispatch(args)
-    except (ParseError, SchemaError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except UsageError as exc:

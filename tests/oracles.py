@@ -5,7 +5,8 @@ library's implementations: subset enumeration for the Smith set, full
 permutation enumeration for Kemeny, integer signed-contribution sums for
 assorter means, a direct-product version of the sequential test, and a
 per-ballot simulation of audit sample sizes, and a line-by-line reader of
-sample files from the README's rules.
+sample files from the README's rules.  ``json_values`` draws arbitrary JSON
+values to put in the fields of an input document.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from condaudit import (
     AuditConfig,
@@ -196,6 +198,13 @@ def random_election(rng: np.random.Generator, max_k: int = 6, max_signatures: in
         count = int(rng.integers(1, max_count + 1))
         profile[sig] = profile.get(sig, 0) + count
     return Election(names, profile)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
 
 
 def expand(election: Election) -> list[tuple[int, ...]]:

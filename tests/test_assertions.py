@@ -13,8 +13,8 @@ from condaudit import (
     Election,
     KemenyResult,
     PairwisePositive,
+    ParseError,
     RankingComparison,
-    SchemaError,
     ScoreComparison,
     assorter_mean,
     assorter_values,
@@ -42,6 +42,7 @@ from condaudit.assertions import _relabel
 
 from oracles import (
     claim_margin,
+    json_values,
     normalizer,
     random_election,
     signed_contribution,
@@ -297,14 +298,14 @@ class TestSmithAssertions:
     def test_irv_import_outside_smith_set(self, election1):
         sm = smith_set(pairwise_tallies(election1), irv=election1)  # {A}
         inner = AssertionSet("irv", 1, (PairwisePositive(1, 2),))
-        with pytest.raises(SchemaError, match="Smith-set members only"):
+        with pytest.raises(ParseError, match="Smith-set members only"):
             smith_assertions(sm, 3, imported=inner)
 
     def test_irv_import_for_another_winner(self, election3):
         sm = smith_set(pairwise_tallies(election3), irv=election3)
         assert sm.winner == 1  # IRV over the Smith set elects B
         inner = AssertionSet("irv", 0, (PairwisePositive(0, 1), PairwisePositive(0, 2)))
-        with pytest.raises(SchemaError, match="winner other than IRV"):
+        with pytest.raises(ParseError, match="winner other than IRV"):
             smith_assertions(sm, 4, imported=inner)
 
     def test_irv_import_escalated(self, election3):
@@ -430,12 +431,12 @@ class TestInterchange:
             "winner": "A",
             "assertions": [{"type": "pairwise_positive", "winner": "Z", "loser": "B"}],
         }
-        with pytest.raises(SchemaError, match="unknown candidate"):
+        with pytest.raises(ParseError, match="unknown candidate"):
             import_assertions(doc, election1)
 
     def test_unknown_type_tag_rejected(self, election1):
         doc = {"method": "x", "winner": "A", "assertions": [{"type": "mystery"}]}
-        with pytest.raises(SchemaError, match="unknown assertion type"):
+        with pytest.raises(ParseError, match="unknown assertion type"):
             import_assertions(doc, election1)
 
     def test_hand_written_single_assertion(self, election1):
@@ -455,12 +456,12 @@ class TestInterchange:
     )
     def test_escalation_entry_stands_alone(self, election1, second):
         doc = {"method": "x", "winner": None, "assertions": [{"type": "full_hand_count", "reason": "tie"}, second]}
-        with pytest.raises(SchemaError, match=r"^a full-hand-count sentinel must be the set's only member$"):
+        with pytest.raises(ParseError, match=r"^a full-hand-count sentinel must be the set's only member$"):
             import_assertions(doc, election1)
 
     def test_escalation_names_no_winner(self, election1):
         doc = {"method": "irv", "winner": "B", "assertions": [{"type": "full_hand_count", "reason": "x"}]}
-        with pytest.raises(SchemaError, match=r"^a full-hand-count set names no winner$"):
+        with pytest.raises(ParseError, match=r"^a full-hand-count set names no winner$"):
             import_assertions(doc, election1)
         doc["winner"] = None
         assert import_assertions(doc, election1) == AssertionSet("irv", None, escalation="x")
@@ -468,7 +469,8 @@ class TestInterchange:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ("not json", "invalid JSON: Expecting value"),
+            ("not json", "line 1: invalid JSON: Expecting value"),
+            ('{"method": "x",\n "winner": "A",\n "assertions": }', "line 3: invalid JSON: Expecting value"),
             ([], "assertion document must be an object"),
             ({"method": 3, "assertions": []}, "'method' must be a string"),
             ({"method": "x", "assertions": {}}, "'assertions' must be a list"),
@@ -480,18 +482,18 @@ class TestInterchange:
             ({"method": "x", "assertions": [], "metadata": []}, "'metadata' must be an object"),
         ],
         ids=[
-            "invalid-json", "not-an-object", "method-not-a-string", "assertions-not-a-list",
+            "invalid-json", "invalid-json-on-line-3", "not-an-object", "method-not-a-string", "assertions-not-a-list",
             "entry-not-an-object", "entry-missing-a-field", "metadata-not-an-object",
         ],
     )
     def test_malformed_document_rejected(self, election1, doc, message):
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(ParseError) as err:
             import_assertions(doc, election1)
         assert str(err.value) == message
 
     def test_digest_mismatch_rejected(self, election1, election2):
         doc = export_assertions(condorcet_assertions(0, 3), election1)
-        with pytest.raises(SchemaError, match="digest"):
+        with pytest.raises(ParseError, match="digest"):
             import_assertions(doc, election2)
 
     @pytest.mark.parametrize(
@@ -512,7 +514,7 @@ class TestInterchange:
     )
     def test_candidate_fields_are_not_repaired(self, election3, entry):
         doc = {"method": "x", "winner": "A", "assertions": [entry]}
-        with pytest.raises(SchemaError):
+        with pytest.raises(ParseError):
             import_assertions(doc, election3)
 
     def test_describe(self, election3):
@@ -528,6 +530,46 @@ class TestInterchange:
         assert _relabel(RankingComparison((0, 1, 2, 3), (1, 0, 3, 2)), mapping) == RankingComparison(
             (2, 0, 3, 1), (0, 2, 1, 3)
         )
+
+
+_FUZZ_ELECTION = Election(("A", "B", "C", "D"), {(0, 1, 2, 3): 5, (1, 0, 3, 2): 3, (2,): 1})
+_NAMES = st.sampled_from(_FUZZ_ELECTION.candidates)
+_PAIRS = st.lists(_NAMES, min_size=2, max_size=2)
+_RANKINGS = st.permutations(_FUZZ_ELECTION.candidates)
+_TAG_FIELDS = {
+    "pairwise_positive": {"winner": _NAMES, "loser": _NAMES},
+    "score_comparison": {"hi": _PAIRS, "lo": _PAIRS},
+    "ranking_comparison": {"preferred": _RANKINGS, "other": _RANKINGS},
+    "full_hand_count": {"reason": st.text(max_size=4)},
+}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_json_document_loads_or_is_a_parse_error(data):
+    # Guard: each field holds a valid value or any JSON value, and nothing but a ParseError escapes.
+    def field(valid):  # one field in four holds any JSON value
+        return data.draw(json_values if data.draw(st.integers(0, 3)) == 0 else valid)
+
+    entries = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        tag = data.draw(st.sampled_from(sorted(_TAG_FIELDS)))
+        entry = {"type": field(st.just(tag))}
+        for key, valid in _TAG_FIELDS[tag].items():
+            if data.draw(st.integers(0, 9)):  # a field is sometimes missing
+                entry[key] = field(valid)
+        entries.append(entry)
+    doc = {
+        "method": field(st.text(max_size=4)),
+        "winner": field(st.none() | _NAMES),
+        "assertions": field(st.just(entries)),
+        "metadata": field(st.just({"election_sha256": _FUZZ_ELECTION.digest()})),
+    }
+    for form in (doc, json.dumps(doc)):
+        try:
+            import_assertions(form, _FUZZ_ELECTION)
+        except ParseError:
+            pass
 
 
 # ---------------------------------------------------------------------------

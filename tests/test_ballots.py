@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from condaudit import (
     serialize_election,
 )
 
-from oracles import random_election
+from oracles import json_values, random_election
 
 ELECTION1_SOI = """\
 # FILE NAME: election1.soi
@@ -124,14 +126,15 @@ class TestParsePreflib:
         [
             ("# NUMBER ALTERNATIVES: 3\n# NUMBER ALTERNATIVES: 2\n", "line 2: NUMBER ALTERNATIVES repeats line 1"),
             ("# NUMBER VOTERS: 5\n# NUMBER VOTERS: 3\n", "line 2: NUMBER VOTERS repeats line 1"),
+            ("# NUMBER VOTERS: 3\n# number voters: 3\n", "line 2: NUMBER VOTERS repeats line 1"),
             ("# NUMBER UNIQUE ORDERS: 1\n# NUMBER UNIQUE ORDERS: 1\n", "line 2: NUMBER UNIQUE ORDERS repeats line 1"),
             ("# DATA TYPE: soc\n# DATA TYPE: soi\n", "line 2: DATA TYPE repeats line 1"),
             ("# ALTERNATIVE NAME 1: A\n# ALTERNATIVE NAME 01: B\n", "line 2: ALTERNATIVE NAME 1 repeats line 1"),
             ("# NUMBER ALTERNATIVES: -1\n", "line 1: negative NUMBER ALTERNATIVES -1"),
             ("# NUMBER VOTERS: -3\n", "line 1: negative NUMBER VOTERS -3"),
         ],
-        ids=["alternatives-twice", "voters-twice", "orders-twice", "data-type-twice", "name-twice", "negative-alternatives",
-             "negative-voters"],
+        ids=["alternatives-twice", "voters-twice", "voters-twice-in-another-case", "orders-twice", "data-type-twice",
+             "name-twice", "negative-alternatives", "negative-voters"],
     )
     def test_header_faults(self, header, message):
         # Each header key read is given once, and a count is a nonnegative integer.
@@ -143,6 +146,40 @@ class TestParsePreflib:
         report = parse_preflib("# TITLE: one\n# NUMBER ALTERNATIVES: 2\n# TITLE: two\n3: 1,2\n")
         assert report.election.profile == {(0, 1): 3}
         assert report.warnings == []
+
+    @pytest.mark.parametrize(
+        "token", ["1_0", "+3", "\u0663", "\uff13"], ids=["underscore", "plus", "arabic-indic", "fullwidth"]
+    )
+    @pytest.mark.parametrize(
+        "template, at, what",
+        [
+            ("# NUMBER ALTERNATIVES: 2\n{}: 1,2\n", 2, "vote count"),
+            ("# NUMBER ALTERNATIVES: 9\n3: 1,{}\n", 2, "candidate number"),
+            ("# NUMBER ALTERNATIVES: {}\n3: 1,2\n", 1, "NUMBER ALTERNATIVES"),
+            ("# NUMBER ALTERNATIVES: 2\n# NUMBER VOTERS: {}\n3: 1,2\n", 2, "NUMBER VOTERS"),
+        ],
+        ids=["vote-count", "candidate-number", "alternatives", "voters"],
+    )
+    def test_integers_are_ascii_digits(self, template, at, what, token):
+        # int() reads each of these tokens; a Preflib file spells an integer in ASCII digits only.
+        with pytest.raises(ParseError) as err:
+            parse_preflib(template.format(token))
+        assert str(err.value) == f"line {at}: malformed {what}: {token!r}"
+
+    @pytest.mark.parametrize(
+        "text, candidates, warnings",
+        [
+            ("# number alternatives: 3\n1: 1,2\n", ("C1", "C2", "C3"), []),
+            ("# NUMBER ALTERNATIVES: 2\n# Number Voters: 5\n1: 1,2\n1: 2\n1: 2,1\n", ("C1", "C2"),
+             [(0, "NUMBER VOTERS declares 5 but votes sum to 3")]),
+            ("# Alternative Name 2: B\n# NUMBER ALTERNATIVES: 2\n1: 1,2\n", ("C1", "B"), []),
+        ],
+        ids=["alternatives", "voters", "alternative-name"],
+    )
+    def test_header_keys_are_read_in_any_case(self, text, candidates, warnings):
+        report = parse_preflib(text)
+        assert report.election.candidates == candidates
+        assert report.warnings == warnings
 
 
 class TestParseNative:
@@ -196,6 +233,25 @@ class TestParseNative:
         with pytest.raises(ParseError) as err:
             parse_native('{"candidates": ["A"],\n "ballots": }')
         assert err.value.line == 2
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_loads_or_is_a_parse_error(self, data):
+        # Guard: each field holds a valid value or any JSON value, and nothing but a ParseError escapes.
+        names = st.sampled_from(["A", "B", "C"])
+
+        def field(valid):  # one field in four holds any JSON value
+            return data.draw(json_values if data.draw(st.integers(0, 3)) == 0 else valid)
+
+        ballots = [
+            {"ranking": field(st.lists(names, max_size=3, unique=True)), "count": field(st.integers(0, 5))}
+            for _ in range(data.draw(st.integers(0, 3)))
+        ]
+        doc = {"candidates": field(st.permutations(["A", "B", "C"])), "ballots": field(st.just(ballots))}
+        try:
+            parse_native(json.dumps(doc))
+        except ParseError:
+            pass
 
     def test_merged_duplicate_signatures_warn(self):
         report = parse_native(

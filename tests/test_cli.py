@@ -568,7 +568,10 @@ INPUT_FAULTS = {
     "native-ballot-entry": ("e.json", '{"candidates": ["A"], "ballots": [["A"]]}', "ballots[0] must be an object"),
     "preflib-no-colon": ("e.soi", "# NUMBER ALTERNATIVES: 2\n3 1,2\n", "line 2: expected 'count: c1,c2,...'"),
     "preflib-empty-field": ("e.soi", "# NUMBER ALTERNATIVES: 2\n3: 1,,2\n", "line 2: empty candidate field in ranking"),
-    "set-invalid-json": ("set.json", "not json", "invalid JSON: Expecting value"),
+    "preflib-count-spelling": (
+        "e.soi", "# NUMBER ALTERNATIVES: 2\n1_0: 1,2\n+3: 2\n", "line 2: malformed vote count: '1_0'"
+    ),
+    "set-invalid-json": ("set.json", "not json", "line 1: invalid JSON: Expecting value"),
     "set-not-an-object": ("set.json", "[]", "assertion document must be an object"),
     "set-method": ("set.json", '{"method": 3, "assertions": []}', "'method' must be a string"),
     "set-assertions": ("set.json", '{"method": "x", "assertions": {}}', "'assertions' must be a list"),
@@ -675,6 +678,34 @@ def test_scale_and_workers_must_be_positive(capsys, e3_path, flag, value):
         main(["estimate", e3_path, "--method", "condorcet", "--trials", "1", flag, value])
     assert exc.value.code == 64
     assert "positive integer" in capsys.readouterr().err
+
+
+_SEED_MESSAGE = "argument --seed: seed must be an integer (from --seed or $CONDAUDIT_SEED), got {!r}"
+
+
+@pytest.mark.parametrize("value", ["1_0", "+7", "\u0663"], ids=["underscore", "plus", "arabic-indic"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--scale", "argument --scale: must be a positive integer, got {!r}"),
+        ("--workers", "argument --workers: must be a positive integer, got {!r}"),
+        ("--trials", "argument --trials: invalid int value: {!r}"),
+        ("--seed", _SEED_MESSAGE),
+        ("$CONDAUDIT_SEED", _SEED_MESSAGE),
+    ],
+    ids=["scale", "workers", "trials", "seed", "seed-variable"],
+)
+def test_integer_options_are_ascii_digits(capsys, monkeypatch, e3_path, flag, message, value):
+    # int() reads each of these values; every integer option spells one in ASCII digits only.
+    argv = ["estimate", e3_path, "--method", "condorcet", "--trials", "1"]
+    if flag == "$CONDAUDIT_SEED":
+        monkeypatch.setenv("CONDAUDIT_SEED", value)
+    else:
+        argv += [flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert capsys.readouterr().err.endswith(f"condaudit estimate: error: {message.format(value)}\n")
 
 
 @pytest.mark.parametrize(
