@@ -51,7 +51,6 @@ election.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, fields
 from typing import ClassVar, Sequence, Union, get_args
 
@@ -433,17 +432,17 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
     """Load an assertion-set document, resolving names against the election.
 
     A ``full_hand_count`` entry, which must be the only entry of a document
-    with a null winner, gives an escalated set with its ``reason``.  Every
-    fault of the document is a :class:`~condaudit.ballots.ParseError`: JSON
-    that does not parse (naming its line), an unknown type tag, a candidate
-    field that :func:`~condaudit.ballots.resolve_names` rejects, a claim its
-    class refuses, and an election digest that does not match this election.
+    with a null winner, gives an escalated set with its ``reason``; any other
+    document names its winner.  Every fault of the document is a
+    :class:`~condaudit.ballots.ParseError`, raised where it is found: JSON
+    that does not parse (by :func:`~condaudit.ballots.decode_json`, naming
+    its line), an unknown type tag, a candidate field that
+    :func:`~condaudit.ballots.resolve_names` rejects, a claim its class
+    refuses, a missing winner, and an election digest that does not match
+    this election.
     """
     if isinstance(doc, str):
-        try:
-            doc = decode_json(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+        doc = decode_json(doc)
     if not isinstance(doc, dict):
         raise ParseError("assertion document must be an object")
     index = roster_index(election.candidates)
@@ -498,4 +497,6 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
         raise ParseError("a full-hand-count sentinel must be the set's only member")
     if escalations and winner is not None:
         raise ParseError("a full-hand-count set names no winner")
+    if not escalations and winner is None:
+        raise ParseError("a set that does not escalate names its winner")
     return AssertionSet(method, winner, tuple(assertions), escalations[0] if escalations else None)

@@ -65,7 +65,6 @@ Python.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -351,6 +350,12 @@ def _trial_stops(
     return np.array(stops, dtype=np.int64)
 
 
+def _escalates(aset: AssertionSet, election: Election) -> bool:
+    """Whether ``aset`` certifies nothing: it escalates, or it holds no assertion in an election of two or
+    more candidates, so nothing shows that its winner beat another."""
+    return aset.full_hand_count or (not aset.assertions and election.num_candidates >= 2)
+
+
 @dataclass(frozen=True)
 class ASNEstimate:
     """Estimated sample sizes for an assertion set: the medians of each assertion's trial ``stops``.
@@ -374,13 +379,15 @@ class ASNEstimate:
 def estimate_audit(
     aset: AssertionSet, election: Election, cfg: AuditConfig, workers: int = 1
 ) -> ASNEstimate:
-    """Estimate the sample size to audit a whole set: the max over its members (all N if it escalates).
+    """Estimate the sample size to audit a whole set: the max over its members.
 
-    A population of ``MAX_SIMULATED_BALLOTS`` or more raises :class:`CapacityError`
-    when some assertion needs simulating.
+    A set that certifies nothing, one that escalates or holds no assertion
+    in an election of two or more candidates, is a full count of all N.  A
+    population of ``MAX_SIMULATED_BALLOTS`` or more raises
+    :class:`CapacityError` when some assertion needs simulating.
     """
     n = election.total_ballots
-    if aset.full_hand_count:
+    if _escalates(aset, election):
         return ASNEstimate((), n, True, n, ())
     _, counts, values, means = _scoring(aset, election)
     # A comparison audit needs a reported mean above 1/2; without one every trial is a full count.
@@ -421,11 +428,8 @@ class SampleStream:
 
 
 def _parse_sample(line: str, index: dict[str, int]) -> AuditSample:
-    """The sample one line of a sample file holds; a fault is a :class:`ParseError` without a line number."""
-    try:
-        doc = decode_json(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}") from None
+    """The sample one line of a sample file holds; a fault is a :class:`ParseError`."""
+    doc = decode_json(line)
     if not isinstance(doc, dict) or "audited" not in doc:
         raise ParseError("each sample needs an 'audited' ballot")
     audited = resolve_names(doc["audited"], index, where="'audited'")
@@ -464,7 +468,7 @@ def load_samples(source: str | Path, election: Election) -> SampleStream:
         try:
             sample = _parse_sample(line, index)
         except ParseError as exc:
-            codes[line], fault = -2, str(exc)
+            codes[line], fault = -2, exc
             break
         # Lines spelled differently may hold one sample: it keeps its first index.
         codes[line] = samples.setdefault(sample, len(samples))
@@ -474,7 +478,7 @@ def load_samples(source: str | Path, election: Election) -> SampleStream:
     if np.count_nonzero(drawn <= bad) > n:
         raise ParseError(f"more samples than the {n} ballots of the election", int(drawn[n]) + 1)
     if fault is not None:
-        raise ParseError(fault, bad + 1)
+        raise ParseError(fault.reason, bad + 1)
     order = at[drawn]
     order.flags.writeable = False
     return SampleStream(tuple(samples), order)
@@ -523,13 +527,14 @@ def run_audit(
     assertion over the draws.  The audit certifies at the first draw where
     every assertion's p-value is at or below the risk limit, and consumes no
     sample after it; exhausting the sample first escalates to a full hand
-    count, as an escalated set does at once.  A sample too large, or a
-    comparison audit of a stream with a sample lacking its reported ballot,
-    is a :class:`~condaudit.ballots.ParseError`.  A comparison audit of a set whose
-    reported tallies do not support every assertion raises
-    :class:`InfeasibleAuditError`.
+    count, as a set that certifies nothing (one that escalates, or holds no
+    assertion in an election of two or more candidates) does at once.  A
+    sample too large, or a comparison audit of a stream with a sample
+    lacking its reported ballot, is a :class:`~condaudit.ballots.ParseError`.
+    A comparison audit of a set whose reported tallies do not support every
+    assertion raises :class:`InfeasibleAuditError`.
     """
-    if aset.full_hand_count:
+    if _escalates(aset, election):
         return AuditReport("escalate-full-count", 0, cfg.risk_limit, ())
 
     n = election.total_ballots

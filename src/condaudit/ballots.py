@@ -7,8 +7,10 @@ Two input formats are supported:
   candidate numbers.  The header keys read, in any letter case and each at
   most once, are the nonnegative counts ``NUMBER ALTERNATIVES``, ``NUMBER
   VOTERS`` and ``NUMBER UNIQUE ORDERS``, ``DATA TYPE`` and ``ALTERNATIVE NAME
-  i``; other keys and comments are skipped.  Only strict orders
-  (``soc``/``soi``) are accepted; dialects with ties are rejected.
+  i``; a key that starts with one of them but is not one (``ALTERNATIVE
+  NAME1``) is malformed, and other keys and comments are skipped.  Only
+  strict orders (``soc``/``soi``) are accepted; dialects with ties are
+  rejected.
 * A native JSON format:
   ``{"candidates": [names...], "ballots": [{"ranking": [names...], "count": n}, ...]}``.
 
@@ -16,12 +18,14 @@ Parsing never repairs a line silently: anything normalized on ingest (merged
 duplicate signatures, metadata mismatches) is surfaced as a warning.
 
 This module is the one input boundary: :func:`read_text` reads every input
-file (elections, sample files, assertion sets), :func:`decode_json` decodes
-every JSON document in them, :func:`resolve_names` turns every JSON list of
-candidate names into a ballot and :func:`parse_int` reads every integer
-written as text (Preflib counts and candidate numbers, integer flags and
-``$CONDAUDIT_SEED``).  A fault in any input file, whichever module finds it,
-is a :class:`ParseError`, the one error for bad input.
+file (elections, sample files, assertion sets) and :func:`decode_json`
+decodes every JSON document in them, the only code that sees a
+``json.JSONDecodeError``.  :func:`resolve_names` turns every JSON list of
+candidate names into a ballot, :func:`parse_int` reads every integer written
+as text (Preflib counts and candidate numbers, integer flags and
+``$CONDAUDIT_SEED``) and :func:`parse_decimal` every decimal flag.  A fault
+in any input file, whichever module finds it, is a :class:`ParseError`, the
+one error for bad input, raised where it is found.
 """
 
 from __future__ import annotations
@@ -36,13 +40,11 @@ from .model import Ballot, Election
 
 
 class ParseError(ValueError):
-    """A malformed or inconsistent input file of any kind.  ``line`` is 1-based when known."""
+    """A malformed or inconsistent input file of any kind: ``reason``, at 1-based ``line`` when known."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, reason: str, line: int | None = None):
+        self.reason, self.line = reason, line
+        super().__init__(reason if line is None else f"line {line}: {reason}")
 
 
 @dataclass
@@ -78,10 +80,14 @@ _DECODER = json.JSONDecoder(object_pairs_hook=lambda pairs: _unique(pairs, "repe
 
 
 def decode_json(text: str):
-    """``json.loads(text)``, except that a key given twice in one object is a :class:`ParseError`."""
-    if text.startswith("\ufeff"):  # refused as json.loads refuses it
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    return _DECODER.decode(text)
+    """``json.loads(text)``, except that every fault is a :class:`ParseError`: text that is not JSON
+    (a leading UTF-8 BOM too) names its line, and a key given twice in one object names the key."""
+    try:
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
 
 
 def roster_index(names: Sequence[str]) -> dict[str, int]:
@@ -126,6 +132,7 @@ def _data_type(value: str, lineno: int, _: str) -> str:
 # The Preflib header keys read, each with the check of its value, besides ALTERNATIVE NAME i.
 _HEADER_CHECKS = {"NUMBER ALTERNATIVES": _count, "NUMBER VOTERS": _count, "NUMBER UNIQUE ORDERS": _count,
                   "DATA TYPE": _data_type}
+_READ_KEYS = ("ALTERNATIVE NAME", *_HEADER_CHECKS)
 
 
 def parse_preflib(text: str) -> ParseReport:
@@ -149,6 +156,8 @@ def parse_preflib(text: str) -> ParseReport:
                 key = int(alt.group(1))
             elif key in _HEADER_CHECKS:
                 value = _HEADER_CHECKS[key](value, lineno, key)
+            elif key.startswith(_READ_KEYS):  # a near miss ("ALTERNATIVE NAME1") is not skipped as unread
+                raise ParseError(f"malformed header key {m.group(1)!r}", lineno)
             else:
                 continue  # a key that is not read
             if key in header:
@@ -215,6 +224,17 @@ def parse_int(token: str) -> int:
     return int(token)
 
 
+_DECIMAL_RE = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
+def parse_decimal(token: str) -> float:
+    """``float(token)`` for ASCII digits with at most one ``.`` and an optional exponent, after an optional
+    ``-``: the one decimal spelling of every input."""
+    if not _DECIMAL_RE.fullmatch(token):  # float() also reads "+1", "1_0", " 1", "nan", "inf", other digits
+        raise ValueError(f"not a decimal: {token!r}")
+    return float(token)
+
+
 def _parse_int(token: str, lineno: int, what: str) -> int:
     try:
         return parse_int(token)
@@ -224,10 +244,7 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 def parse_native(text: str) -> ParseReport:
     """Parse the native election JSON format."""
-    try:
-        doc = decode_json(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    doc = decode_json(text)
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     names = doc.get("candidates")

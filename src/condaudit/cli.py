@@ -67,12 +67,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _integer(message: str, least: float = float("-inf")):
-    """An argparse type: an integer of at least ``least``, read by :func:`~condaudit.ballots.parse_int`;
-    any other value is a usage error, ``message`` formatted with it."""
-    def parse(raw: str) -> int:
+def _number(read, message: str, least: float = float("-inf")):
+    """An argparse type: a number of at least ``least``, read by ``read`` (:func:`~condaudit.ballots.parse_int`
+    or :func:`~condaudit.ballots.parse_decimal`); any other value is a usage error, ``message`` formatted with it."""
+    def parse(raw: str):
         try:
-            if (value := ballots_io.parse_int(raw)) >= least:
+            if (value := read(raw)) >= least:
                 return value
         except ValueError:
             pass
@@ -80,10 +80,11 @@ def _integer(message: str, least: float = float("-inf")):
     return parse
 
 
-_int = _integer("invalid int value: {!r}")  # --trials
-_positive_int = _integer("must be a positive integer, got {!r}", least=1)  # --scale and --workers
+_int = _number(ballots_io.parse_int, "invalid int value: {!r}")  # --trials
+_positive_int = _number(ballots_io.parse_int, "must be a positive integer, got {!r}", least=1)  # --scale, --workers
 # --seed, or $CONDAUDIT_SEED in its absence (see main): a malformed variable is a usage error like a malformed flag.
-_seed = _integer("seed must be an integer (from --seed or $CONDAUDIT_SEED), got {!r}")
+_seed = _number(ballots_io.parse_int, "seed must be an integer (from --seed or $CONDAUDIT_SEED), got {!r}")
+_float = _number(ballots_io.parse_decimal, "invalid float value: {!r}")  # --risk-limit and --error-rate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_format:
             p.add_argument("--format", choices=("text", "json"), default="text")
         if with_audit:
-            p.add_argument("--risk-limit", type=float, default=AuditConfig.risk_limit)
+            p.add_argument("--risk-limit", type=_float, default=AuditConfig.risk_limit)
             p.add_argument("--style", choices=AUDIT_STYLES, default=AuditConfig.style)
             p.add_argument("--workers", type=_positive_int, default=1)
 
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate audit sample sizes by simulation")
     common(p, with_audit=True)
-    p.add_argument("--error-rate", type=float, default=AuditConfig.error_rate)
+    p.add_argument("--error-rate", type=_float, default=AuditConfig.error_rate)
     p.add_argument("--trials", type=_int, default=AuditConfig.trials)
     # No default here: main reads $CONDAUDIT_SEED at each call, so the parser is built once.
     p.add_argument("--seed", type=_seed, help="simulation seed (default: $CONDAUDIT_SEED or 0)")

@@ -480,10 +480,17 @@ class TestInterchange:
                 "malformed pairwise_positive entry: 'loser'",
             ),
             ({"method": "x", "assertions": [], "metadata": []}, "'metadata' must be an object"),
+            ({"method": "x", "assertions": []}, "a set that does not escalate names its winner"),
+            (
+                {"method": "x", "winner": None,
+                 "assertions": [{"type": "pairwise_positive", "winner": "A", "loser": "B"}]},
+                "a set that does not escalate names its winner",
+            ),
         ],
         ids=[
             "invalid-json", "invalid-json-on-line-3", "not-an-object", "method-not-a-string", "assertions-not-a-list",
-            "entry-not-an-object", "entry-missing-a-field", "metadata-not-an-object",
+            "entry-not-an-object", "entry-missing-a-field", "metadata-not-an-object", "no-winner",
+            "claims-without-a-winner",
         ],
     )
     def test_malformed_document_rejected(self, election1, doc, message):

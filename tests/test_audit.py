@@ -646,9 +646,9 @@ class TestEstimate:
         # Scoring counts in int64: a total of 2**63 ballots is refused before any tally is taken.
         with pytest.raises(CapacityError, match="^tallies count fewer than 2\\*\\*63 ballots"):
             one_assertion_estimate(PairwisePositive(0, 1), Election(("A", "B"), {(0,): 2**62, (1,): 2**62}), cfg)
-        # A set that needs no simulated draw has no limit: none, or only full counts.
+        # A set that needs no simulated draw has no limit: an empty one, which is a full count, or only full counts.
         empty = estimate_audit(AssertionSet("x", 0), at, cfg)
-        assert (empty.overall, empty.full_count_flag, empty.stops) == (0, False, ())
+        assert (empty.overall, empty.full_count_flag, empty.stops) == (10**9, True, ())
         false = one_assertion_estimate(PairwisePositive(1, 0), at, cfg)
         assert (false.overall, false.full_count_flag, false.stops[0].tolist()) == (10**9, True, [10**9 + 1] * 3)
 
@@ -658,6 +658,14 @@ class TestEstimate:
         assert est.full_count_flag
         assert est.overall == 8300
         assert est.percentage == 100.0
+
+    def test_empty_set_is_a_full_count(self, election1):
+        # No claim shows that the winner beat anyone, unless there is no one to beat.
+        cfg = AuditConfig(seed=0, trials=10)
+        est = estimate_audit(AssertionSet("irv", 1), election1, cfg)
+        assert (est.per_assertion, est.overall, est.full_count_flag, est.percentage) == ((), 8300, True, 100.0)
+        sole = estimate_audit(AssertionSet("condorcet", 0), Election(("A",), {(0,): 7}), cfg)
+        assert (sole.per_assertion, sole.overall, sole.full_count_flag) == ((), 0, False)
 
     def test_election3_comparison_regression(self, election3):
         # frozen from the first run at these exact settings
@@ -789,11 +797,15 @@ class TestRunAudit:
         assert report.records == ()
 
     @pytest.mark.parametrize("style", ["polling", "comparison"])
-    def test_empty_set_certifies_at_zero(self, style):
+    def test_empty_set_escalates_at_zero(self, style):
+        # No claim shows that A beat B, so the set certifies nothing; with one candidate there is no one to beat.
         aset = AssertionSet("x", 0, ())
         samples = [AuditSample(audited=(0,), reported=(0,))] * 5
         report = run_audit(aset, as_stream(samples), unanimous_election(), AuditConfig(style=style))
-        assert report == AuditReport("certified", 0, 0.05, ())
+        assert report == AuditReport("escalate-full-count", 0, 0.05, ())
+        sole = Election(("A",), {(0,): 500})
+        assert run_audit(aset, as_stream(samples), sole, AuditConfig(style=style)) == AuditReport(
+            "certified", 0, 0.05, ())
 
     def test_p_traces_non_increasing(self, election3):
         aset = method_assertions("ranked-pairs", election3)

@@ -15,6 +15,7 @@ from condaudit import (
     scale,
     serialize_election,
 )
+from condaudit.ballots import parse_decimal
 
 from oracles import json_values, random_election
 
@@ -142,6 +143,23 @@ class TestParsePreflib:
             parse_preflib(header + "3: 1,2\n")
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "key",
+        ["ALTERNATIVE NAME1", "ALTERNATIVE NAME", "ALTERNATIVE NAMES", "alternative name1", "ALTERNATIVE NAME 1 2",
+         "NUMBER ALTERNATIVES2", "NUMBER VOTERSX", "NUMBER UNIQUE ORDERS 1", "DATA TYPES"],
+    )
+    def test_near_miss_header_key_is_a_fault(self, key):
+        # A key that starts like a read key but is not one would otherwise be skipped as unread.
+        with pytest.raises(ParseError) as err:
+            parse_preflib(f"# NUMBER ALTERNATIVES: 2\n# {key}: Alice\n3: 1,2\n")
+        assert str(err.value) == f"line 2: malformed header key {key!r}"
+
+    @pytest.mark.parametrize("key", ["FILE NAME", "NUMBER CATEGORIES", "NUMBER", "ALTERNATIVE", "DATA"])
+    def test_unread_key_is_skipped(self, key):
+        # Guard: a key that is no read key's prefix stays unread.
+        report = parse_preflib(f"# NUMBER ALTERNATIVES: 2\n# {key}: x\n3: 1,2\n")
+        assert (report.election.candidates, report.warnings) == (("C1", "C2"), [])
+
     def test_unread_key_may_repeat(self):
         report = parse_preflib("# TITLE: one\n# NUMBER ALTERNATIVES: 2\n# TITLE: two\n3: 1,2\n")
         assert report.election.profile == {(0, 1): 3}
@@ -180,6 +198,20 @@ class TestParsePreflib:
         report = parse_preflib(text)
         assert report.election.candidates == candidates
         assert report.warnings == warnings
+
+
+@pytest.mark.parametrize("token, value", [("0.05", 0.05), (".05", 0.05), ("5.", 5.0), ("5e-2", 0.05), ("1e-05", 1e-05),
+                                          ("1", 1.0), ("-0.5", -0.5), ("2E+3", 2000.0)])
+def test_decimal_spellings(token, value):
+    assert parse_decimal(token) == value
+
+
+@pytest.mark.parametrize("token", ["0.0_5", "\u0660.\u0660\u0665", "+0.05", " 0.05", "0.05\n", "nan", "inf", ".", "",
+                                   "1.2.3", "1e", "e5", "--1", "0x1"])
+def test_decimal_spellings_refused(token):
+    # float() reads most of these; parse_decimal reads ASCII digits, one '.', an exponent and a leading '-' only.
+    with pytest.raises(ValueError, match="^not a decimal: "):
+        parse_decimal(token)
 
 
 class TestParseNative:

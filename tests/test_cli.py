@@ -561,6 +561,7 @@ def test_preflib_roster_faults_are_parse_errors(capsys, tmp_path, header, messag
     assert err == f"error: {message}\n"
 
 
+_BOM = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 INPUT_FAULTS = {
     "native-top-level": ("e.json", '["A"]', "top-level value must be an object"),
     "native-candidates": ("e.json", '{"candidates": "AB", "ballots": []}', "'candidates' must be a list of names"),
@@ -570,6 +571,10 @@ INPUT_FAULTS = {
     "preflib-empty-field": ("e.soi", "# NUMBER ALTERNATIVES: 2\n3: 1,,2\n", "line 2: empty candidate field in ranking"),
     "preflib-count-spelling": (
         "e.soi", "# NUMBER ALTERNATIVES: 2\n1_0: 1,2\n+3: 2\n", "line 2: malformed vote count: '1_0'"
+    ),
+    "preflib-near-miss-key": (
+        "e.soi", "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME1: Alice\n# ALTERNATIVE NAME 2: Bob\n3: 1,2\n",
+        "line 2: malformed header key 'ALTERNATIVE NAME1'",
     ),
     "set-invalid-json": ("set.json", "not json", "line 1: invalid JSON: Expecting value"),
     "set-not-an-object": ("set.json", "[]", "assertion document must be an object"),
@@ -581,6 +586,8 @@ INPUT_FAULTS = {
         "malformed pairwise_positive entry: 'loser'",
     ),
     "set-metadata": ("set.json", '{"method": "x", "assertions": [], "metadata": []}', "'metadata' must be an object"),
+    "set-no-winner": ("set.json", '{"method": "x", "winner": null, "assertions": []}',
+                      "a set that does not escalate names its winner"),
     "samples-audited": (
         "s.jsonl", '{"audited": ["A"]}\n{"reported": ["A"]}\n', "line 2: each sample needs an 'audited' ballot"
     ),
@@ -597,6 +604,10 @@ INPUT_FAULTS = {
     "samples-repeated-key": (
         "s.jsonl", '{"audited": ["A"]}\n{"audited": ["A"], "audited": ["B"]}\n', "line 2: repeated key 'audited'"
     ),
+    # Guards: a UTF-8 BOM is refused as json.loads refuses it, at the line it starts, in each JSON input.
+    "native-bom": ("e.json", '\ufeff{"candidates": [], "ballots": []}', f"line 1: invalid JSON: {_BOM}"),
+    "set-bom": ("set.json", '\ufeff{"method": "x", "winner": "A", "assertions": []}', f"line 1: invalid JSON: {_BOM}"),
+    "samples-bom": ("s.jsonl", '{"audited": ["A"]}\n\ufeff{"audited": ["A"]}\n', f"line 2: invalid JSON: {_BOM}"),
 }
 
 
@@ -606,15 +617,51 @@ def test_input_faults_exit_2(capsys, tmp_path, e1_path, name, text, message):
     path.write_text(text)
     good_set = str(tmp_path / "good.json")
     assert run_cli(capsys, "assertions", e1_path, "--method", "condorcet", "-o", good_set)[0] == 0
-    argv = {
-        "e.json": ["parse", str(path)],
-        "e.soi": ["parse", str(path)],
-        "set.json": ["estimate", e1_path, "--assertions-file", str(path), "--trials", "3"],
-        "s.jsonl": ["audit", e1_path, "--assertions-file", good_set, "--samples-file", str(path)],
+    good_samples = tmp_path / "good.jsonl"
+    good_samples.write_text('{"audited": ["A"]}\n')
+    # An election file is read first by every subcommand.
+    election = [
+        ["parse", str(path)],
+        ["estimate", str(path), "--method", "condorcet", "--trials", "3"],
+        ["audit", str(path), "--assertions-file", good_set, "--samples-file", str(good_samples)],
+    ]
+    commands = {
+        "e.json": election,
+        "e.soi": election,
+        "set.json": [["estimate", e1_path, "--assertions-file", str(path), "--trials", "3"]],
+        "s.jsonl": [["audit", e1_path, "--assertions-file", good_set, "--samples-file", str(path)]],
     }[name]
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: {message}\n"
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "audit"])
+def test_empty_set_certifies_nothing(capsys, tmp_path, e1_path, command):
+    # IRV elects A in election1; a set with no claim for B shows nothing and is a full count.
+    set_path, samples = tmp_path / "set.json", tmp_path / "s.jsonl"
+    set_path.write_text('{"method": "irv", "winner": "B", "assertions": []}')
+    samples.write_text('{"audited": ["A"]}\n')
+    options = {"estimate": ["--trials", "5"], "audit": ["--samples-file", str(samples)]}[command]
+    code, out, err = run_cli(capsys, command, e1_path, "--assertions-file", str(set_path), *options)
+    assert (code, err) == (1, "")
+    assert out == {
+        "estimate": "Method: irv   winner: B\n"
+                    "Population: 8300 ballots   style: polling   trials: 5   risk limit: 0.05   error rate: 0.002   "
+                    "seed: 0\nAssertion       ASN       (%)\nOverall           ∞         ∞\n",
+        "audit": "Outcome: escalate-full-count\nBallots examined: 0\nAssertion     p-value  certified\n",
+    }[command]
+
+
+def test_one_member_smith_set_takes_an_inner_set_without_claims(capsys, tmp_path, e1_path):
+    # Guard: election1's Smith set is {A}, so the inner set names A and claims nothing; stage one certifies A.
+    inner = tmp_path / "inner.json"
+    inner.write_text('{"method": "irv", "winner": "A", "assertions": []}')
+    code, out, _ = run_cli(capsys, "estimate", e1_path, "--method", "smith-irv", "--assertions-file", str(inner),
+                           "--trials", "5")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[3:]] == ["s(A,B)", "s(A,C)", "Overall"]
 
 
 _PREFLIB_HEADER = (
@@ -708,9 +755,37 @@ def test_integer_options_are_ascii_digits(capsys, monkeypatch, e3_path, flag, me
     assert capsys.readouterr().err.endswith(f"condaudit estimate: error: {message.format(value)}\n")
 
 
+_DECIMAL_FLAGS = ["--risk-limit", "--error-rate"]
+
+
+@pytest.mark.parametrize(
+    "value", ["0.0_5", "\u0660.\u0660\u0665", "+0.05", " 0.05", "nan", "inf"],
+    ids=["underscore", "arabic-indic", "plus", "space", "nan", "inf"],
+)
+@pytest.mark.parametrize("flag", _DECIMAL_FLAGS)
+def test_decimal_options_are_ascii_digits(capsys, e3_path, flag, value):
+    # float() reads each of these values; a decimal option is ASCII digits, one '.' and an exponent at most.
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", e3_path, "--method", "condorcet", "--trials", "1", flag, value])
+    assert exc.value.code == 64
+    message = f"condaudit estimate: error: argument {flag}: invalid float value: {value!r}\n"
+    assert capsys.readouterr().err.endswith(message)
+
+
+@pytest.mark.parametrize("value, read", [("0.05", 0.05), (".05", 0.05), ("5e-2", 0.05), ("1e-05", 1e-05)])
+@pytest.mark.parametrize("flag", _DECIMAL_FLAGS)
+def test_decimal_options_keep_their_spellings(capsys, e1_path, flag, value, read):
+    # Guard: spellings that float() and parse_decimal both read keep their values.
+    code, out, _ = run_cli(capsys, "estimate", e1_path, "--method", "condorcet", "--trials", "1", "--format", "json",
+                           flag, value)
+    assert code == 0
+    assert json.loads(out)[flag[2:].replace("-", "_")] == read
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
+        ("--risk-limit", "1", "risk_limit must be in (0, 1)"),
         ("--risk-limit", "1.5", "risk_limit must be in (0, 1)"),
         ("--trials", "0", "trials must be positive"),
         ("--error-rate", "1", "error_rate must be in [0, 1)"),
