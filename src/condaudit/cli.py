@@ -44,6 +44,7 @@ from .audit import (
     AuditConfig,
     AuditReport,
     InfeasibleAuditError,
+    _escalates,
     estimate_audit,
     load_samples,
     run_audit,
@@ -354,11 +355,11 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _escalation_rows(aset: AssertionSet, **row) -> list[dict]:
-    """The one row an escalated set shows in place of assertions; none for any other set."""
-    reason = aset.escalation
-    if reason is None:
+def _escalation_rows(aset: AssertionSet, election: Election, **row) -> list[dict]:
+    """The one row that says why a set certifies nothing, beside its assertions; none for any other set."""
+    if not _escalates(aset, election):
         return []
+    reason = "no assertion" if aset.escalation is None else aset.escalation
     return [{"assertion": f"full hand count: {reason}" if reason else "full hand count", **row}]
 
 
@@ -368,7 +369,7 @@ def _estimate_payload(aset: AssertionSet, est: ASNEstimate, election: Election, 
         {"assertion": describe(a, names), "asn": asn,
          "pct": round(100.0 * asn / est.population, 2) if est.population else 0.0}
         for a, asn in zip(aset.assertions, est.per_assertion)
-    ] + _escalation_rows(aset, asn=None, pct=None)
+    ] + _escalation_rows(aset, election, asn=None, pct=None)
     payload = {
         "method": aset.method,
         "winner": None if aset.winner is None else names[aset.winner],
@@ -407,7 +408,7 @@ def _audit_payload(aset: AssertionSet, report: AuditReport, election: Election):
             "p_trace": rec.p_trace,
         }
         for rec in report.records
-    ] + _escalation_rows(aset, certified=False, p_value=1.0, p_trace=[])
+    ] + _escalation_rows(aset, election, certified=False, p_value=1.0, p_trace=[])
     payload = {
         "outcome": report.outcome,
         "ballots_examined": report.ballots_examined,

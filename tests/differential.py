@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    PYTHONPATH=src python tests/differential.py [--cases N] [--dump FILE] [--family NAME ...]
+    PYTHONPATH=src python tests/differential.py [--cases N] [--dump FILE]
 
 Each family (estimate, walk, audit, parse, tabulate, generate, import) runs
 ``--cases`` cases (default 1000), case ``i`` from its own seed, so the first
@@ -317,12 +317,11 @@ def run(family: str, cases: int):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cases", type=int, default=1000, help="cases per family (default 1000)")
-    parser.add_argument("--family", action="append", choices=FAMILIES, help="run only these families")
     parser.add_argument("--dump", help="write one JSON line per case here")
     args = parser.parse_args(argv)
     dump = open(args.dump, "w", encoding="utf-8") if args.dump else None
     try:
-        for family in args.family or FAMILIES:
+        for family in FAMILIES:
             sha, outcomes = hashlib.sha256(), Counter()
             for line, outcome in run(family, args.cases):
                 sha.update(line.encode() + b"\n")

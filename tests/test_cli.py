@@ -639,7 +639,7 @@ def test_input_faults_exit_2(capsys, tmp_path, e1_path, name, text, message):
 
 @pytest.mark.parametrize("command", ["estimate", "audit"])
 def test_empty_set_certifies_nothing(capsys, tmp_path, e1_path, command):
-    # IRV elects A in election1; a set with no claim for B shows nothing and is a full count.
+    # IRV elects A in election1; a set with no claim for B shows nothing and is a full count, and says so.
     set_path, samples = tmp_path / "set.json", tmp_path / "s.jsonl"
     set_path.write_text('{"method": "irv", "winner": "B", "assertions": []}')
     samples.write_text('{"audited": ["A"]}\n')
@@ -649,8 +649,11 @@ def test_empty_set_certifies_nothing(capsys, tmp_path, e1_path, command):
     assert out == {
         "estimate": "Method: irv   winner: B\n"
                     "Population: 8300 ballots   style: polling   trials: 5   risk limit: 0.05   error rate: 0.002   "
-                    "seed: 0\nAssertion       ASN       (%)\nOverall           ∞         ∞\n",
-        "audit": "Outcome: escalate-full-count\nBallots examined: 0\nAssertion     p-value  certified\n",
+                    "seed: 0\nAssertion                           ASN       (%)\n"
+                    "full hand count: no assertion         ∞         ∞\n"
+                    "Overall                               ∞         ∞\n",
+        "audit": "Outcome: escalate-full-count\nBallots examined: 0\nAssertion                         p-value  certified\n"
+                 "full hand count: no assertion           1  no\n",
     }[command]
 
 
@@ -877,9 +880,12 @@ def test_minimax_winner_without_a_strict_loss_escalates(capsys, tmp_path):
 
 
 def test_escalation_row_names_its_reason():
-    assert cli._escalation_rows(AssertionSet("x", None, escalation="tie")) == [{"assertion": "full hand count: tie"}]
-    assert cli._escalation_rows(AssertionSet("x", None, escalation="")) == [{"assertion": "full hand count"}]
-    assert cli._escalation_rows(AssertionSet("x", 0)) == []
+    two, one = condaudit.Election(tuple("AB"), {(0, 1): 1}), condaudit.Election(("A",), {(0,): 1})
+    rows = cli._escalation_rows
+    assert rows(AssertionSet("x", None, escalation="tie"), two) == [{"assertion": "full hand count: tie"}]
+    assert rows(AssertionSet("x", None, escalation=""), two) == [{"assertion": "full hand count"}]
+    assert rows(AssertionSet("x", 0), two) == [{"assertion": "full hand count: no assertion"}]
+    assert rows(AssertionSet("x", 0), one) == []
 
 
 def test_audit_config_fields_are_the_cli_options():
