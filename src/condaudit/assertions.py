@@ -6,7 +6,8 @@ scored per ballot by an *assorter*: a value in [0, 1] whose population mean
 exceeds 1/2 exactly when the claimed inequality holds.
 
 Each claim is integer weights ``W`` over ordered candidate pairs
-(:func:`claim_weights`, which stacks a whole set's claims): a ballot
+(:func:`claim_weights`, which stacks a whole set's claims from one
+:func:`~condaudit.model.preference_matrix` of their rankings): a ballot
 contributes ``g = sum_ij W[i, j] * prefers(i, j)`` and scores ``(g - a) /
 (-2a)`` with ``a = -h``.  The normaliser ``h`` is 1 for a pairwise claim and
 2 for a score comparison, where ``-h`` is the minimum of ``g``; for a
@@ -16,7 +17,7 @@ reported mean is exact: with its integer margin ``M = sum_ij W[i, j] *
 tallies[i, j]`` over ``N`` ballots it is ``(M + hN) / 2hN``
 (:func:`claim_means`), above 1/2 exactly when ``M > 0``.  A set scores as
 one matrix: :func:`claim_values` gives every claim's assorter of every
-signature in one product.
+signature in one float64 product, exact since ``g`` is a small integer.
 
 Three claim shapes are supported:
 
@@ -30,9 +31,13 @@ Three claim shapes are supported:
 Each shape is declared once, on its class: its JSON ``tag``, its candidate
 fields (an ``int`` field is one candidate, a tuple field several), its
 ``text`` form (formatted with each field's candidate names joined by ``,``)
-and its ``claim()``: the pairs ``W`` weights +1, the pairs it weights -1,
-and ``h``.  Weights, relabelling, text, export and import read these
-declarations and nothing else about a shape.
+and its ``claim()``: the rankings weighted +1, the rankings weighted -1,
+and ``h``.  ``W`` is the +1 rankings' preference rows less the -1
+rankings': a ranking's row prefers each of its ordered pairs, and also each
+candidate it ranks to each it does not.  Those last entries cancel because
+the +1 and the -1 rankings of every claim rank the same candidate sets,
+counted with multiplicity.  Weights, relabelling, text, export and import
+read these declarations and nothing else about a shape.
 
 An outcome no ballot sample can verify is not an assertion: its
 :class:`AssertionSet` holds none and says in ``escalation`` why it escalates
@@ -50,6 +55,7 @@ election.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, fields
 from typing import ClassVar, Sequence, Union, get_args
@@ -58,9 +64,11 @@ import numpy as np
 
 from . import tabulation
 from .ballots import ParseError, decode_json, resolve_names, roster_index
-from .model import Election, pairwise_tallies, scores
+from .model import Election, pairwise_tallies, preference_matrix, scores
 
 
+# Each claim() gives its +1 rankings, its -1 rankings and h.  Both sides rank the same candidate sets, counted with
+# multiplicity, so the entries of W for a ranked over an unranked candidate cancel.
 @dataclass(frozen=True)
 class PairwisePositive:
     winner: int
@@ -116,8 +124,8 @@ class RankingComparison:
             raise ValueError("compared rankings must start with different candidates")
 
     def claim(self) -> tuple[list, list, int]:
-        plus = list(itertools.combinations(self.preferred, 2))
-        return plus, list(itertools.combinations(self.other, 2)), len(plus)
+        n = len(self.preferred)
+        return [self.preferred], [self.other], n * (n - 1) // 2
 
 
 Assertion = Union[PairwisePositive, ScoreComparison, RankingComparison]
@@ -157,25 +165,29 @@ def claim_weights(assertions: Sequence[Assertion], num_candidates: int) -> tuple
     """Each claim as integer weights ``W`` over ordered pairs, shape (A, k, k), and normaliser ``h``, shape (A,).
 
     A ballot's signed contribution to claim ``a`` is ``g = sum_ij W[a, i, j] *
-    prefers(i, j)`` and its assorter is ``(g + h[a]) / 2h[a]``.
+    prefers(i, j)`` and its assorter is ``(g + h[a]) / 2h[a]``.  ``W`` sums
+    the claim's signed rows of one :func:`preference_matrix` of all rankings.
     """
-    entries, hs = [], []
-    for row, assertion in enumerate(assertions):
+    rankings, signs, starts, hs = [], [], [], []
+    for assertion in assertions:
         if not isinstance(assertion, get_args(Assertion)):
             raise TypeError(f"not an assertion: {assertion!r}")
         plus, minus, h = assertion.claim()
-        entries += [(row, i, j, 1) for i, j in plus] + [(row, i, j, -1) for i, j in minus]
+        starts.append(len(rankings))
+        rankings += plus + minus
+        signs += [1] * len(plus) + [-1] * len(minus)
         hs.append(h)
-    weights = np.zeros((len(hs), num_candidates, num_candidates), dtype=np.int64)
-    if entries:
-        row, i, j, sign = np.array(entries, dtype=np.intp).T
-        np.add.at(weights, (row, i, j), sign)
-    return weights, np.array(hs, dtype=np.int64)
+    signed = np.where(preference_matrix(rankings, num_candidates), np.array(signs, dtype=np.int8)[:, None, None], 0)
+    return np.add.reduceat(signed, starts, axis=0, dtype=np.int64), np.array(hs, dtype=np.int64)
 
 
 def claim_values(weights: np.ndarray, h: np.ndarray, prefs: np.ndarray) -> np.ndarray:
-    """Each claim's assorter of every signature in a :func:`preference_matrix`: shape (A, S), each in [0, 1]."""
-    g = np.tensordot(weights, prefs, axes=([1, 2], [1, 2]))
+    """Each claim's assorter of every signature in a :func:`preference_matrix`: shape (A, S), each in [0, 1].
+
+    ``g`` is a float64 product: an integer of at most k(k-1) in size, exact in any order of summation.
+    """
+    k2 = weights.shape[1] * weights.shape[2]
+    g = weights.reshape(len(weights), k2).astype(np.float64) @ prefs.reshape(len(prefs), k2).T.astype(np.float64)
     return (g + h[:, None]) / (2 * h[:, None])
 
 
@@ -331,7 +343,7 @@ def _relabel(assertion: Assertion, mapping: Sequence[int]) -> Assertion:
 
 def _candidates_of(assertion: Assertion) -> set[int]:
     plus, minus, _ = assertion.claim()
-    return {c for pair in plus + minus for c in pair}
+    return {c for ranking in plus + minus for c in ranking}
 
 
 def kemeny_assertions(kr: tabulation.KemenyResult) -> AssertionSet:
@@ -388,18 +400,16 @@ def method_assertions(method: str, election: Election, imported: AssertionSet | 
 # Text and JSON interchange
 
 
-def _one_candidate(f) -> bool:
-    """An ``int`` field holds one candidate; a tuple field holds several."""
-    return f.type == "int"  # annotations are strings: this module postpones their evaluation
+@functools.cache
+def _layout(cls) -> tuple[tuple[str, bool], ...]:
+    """Each field of a claim class: its name, and whether it holds one candidate (an ``int`` field) or several."""
+    return tuple((f.name, f.type == "int") for f in fields(cls))  # annotations are strings here
 
 
 def _map_candidates(claim: Assertion, fn, several=list) -> dict:
     """Each field of a claim with ``fn`` applied to its one candidate, or ``several`` over its candidates."""
-    out = {}
-    for f in fields(claim):
-        value = getattr(claim, f.name)
-        out[f.name] = fn(value) if _one_candidate(f) else several(fn(c) for c in value)
-    return out
+    return {name: fn(getattr(claim, name)) if one else several(map(fn, getattr(claim, name)))
+            for name, one in _layout(type(claim))}
 
 
 def describe(assertion: Assertion, names: Sequence[str]) -> str:
@@ -477,7 +487,7 @@ def import_assertions(doc: dict | str, election: Election) -> AssertionSet:
         if cls is None:
             raise ParseError(f"unknown assertion type tag {tag!r}")
         try:
-            candidates = {f.name: resolve(entry[f.name], f.name, _one_candidate(f)) for f in fields(cls)}
+            candidates = {name: resolve(entry[name], name, one) for name, one in _layout(cls)}
         except KeyError as exc:
             raise ParseError(f"malformed {tag} entry: {exc}") from None
         if cls is RankingComparison and set(candidates["preferred"]) != set(range(election.num_candidates)):

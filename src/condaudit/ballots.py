@@ -7,10 +7,12 @@ Two input formats are supported:
   candidate numbers.  The header keys read, in any letter case and each at
   most once, are the nonnegative counts ``NUMBER ALTERNATIVES``, ``NUMBER
   VOTERS`` and ``NUMBER UNIQUE ORDERS``, ``DATA TYPE`` and ``ALTERNATIVE NAME
-  i``; a key that starts with one of them but is not one (``ALTERNATIVE
-  NAME1``) is malformed, and other keys and comments are skipped.  Only
-  strict orders (``soc``/``soi``) are accepted; dialects with ties are
-  rejected.
+  i``.  A ``#`` line whose text before its first ``:``, upper-cased and
+  with each run of whitespace, ``_`` and ``-`` read as one space, starts
+  with one of them but is not one (``ALTERNATIVE NAME1``, ``ALTERNATIVE_NAME
+  1``, ``ALTERNATIVE  NAME 1``) is a malformed key; other keys and comments
+  are skipped.  Only strict orders (``soc``/``soi``) are accepted; dialects
+  with ties are rejected.
 * A native JSON format:
   ``{"candidates": [names...], "ballots": [{"ranking": [names...], "count": n}, ...]}``.
 
@@ -148,18 +150,18 @@ def parse_preflib(text: str) -> ParseReport:
             continue
         if stripped.startswith("#"):
             m = _METADATA_RE.match(stripped)
-            if not m:
-                continue  # free-form comment
-            key, value = m.group(1).upper(), m.group(2)
+            key, value = (m.group(1).upper(), m.group(2)) if m else ("", "")
             alt = _ALT_NAME_RE.match(key)
             if alt:
                 key = int(alt.group(1))
             elif key in _HEADER_CHECKS:
                 value = _HEADER_CHECKS[key](value, lineno, key)
-            elif key.startswith(_READ_KEYS):  # a near miss ("ALTERNATIVE NAME1") is not skipped as unread
-                raise ParseError(f"malformed header key {m.group(1)!r}", lineno)
             else:
-                continue  # a key that is not read
+                # A near miss ("ALTERNATIVE NAME1", "ALTERNATIVE_NAME 1") is not skipped as unread.
+                head, colon, _ = stripped[1:].partition(":")
+                if colon and re.sub(r"[\s_-]+", " ", head.upper()).strip().startswith(_READ_KEYS):
+                    raise ParseError(f"malformed header key {head.strip()!r}", lineno)
+                continue  # a free-form comment or a key that is not read
             if key in header:
                 name = key if alt is None else f"ALTERNATIVE NAME {key}"
                 raise ParseError(f"{name} repeats line {header[key][0]}", lineno)

@@ -4,7 +4,7 @@ Usage, from the repository root::
 
     PYTHONPATH=src python tests/differential.py [--cases N] [--dump FILE]
 
-Each family (estimate, walk, audit, parse, tabulate, generate, import) runs
+Each family (estimate, walk, audit, parse, tabulate, generate, import, score) runs
 ``--cases`` cases (default 1000), case ``i`` from its own seed, so the first
 cases of a larger run are those of a smaller one.  One line per family gives
 the sha256 of its cases' results and the count of each outcome.  ``--dump``
@@ -34,6 +34,11 @@ from condaudit import (
     AssertionSet,
     AuditConfig,
     Election,
+    PairwisePositive,
+    RankingComparison,
+    ScoreComparison,
+    assorter_mean,
+    assorter_values,
     estimate_audit,
     export_assertions,
     import_assertions,
@@ -43,6 +48,7 @@ from condaudit import (
     pairwise_tallies,
     parse_native,
     parse_preflib,
+    preference_matrix,
     run_audit,
     serialize_election,
 )
@@ -140,6 +146,11 @@ def parse_case(rng: np.random.Generator):
                 lines[int(rng.integers(0, len(lines)))],
                 "",
             ][int(rng.integers(0, 12))]
+        if rng.random() < 0.1:  # a near-miss key, drawn last so that every other case keeps its text
+            pos = int(rng.integers(0, len(header)))
+            old, new = [("NAME ", "NAME-"), ("ALTERNATIVE ", "ALTERNATIVE_"), ("ALTERNATIVE ", "ALTERNATIVE  "),
+                        ("NUMBER ", "NUMBER_")][int(rng.integers(0, 4))]
+            lines[pos] = lines[pos].replace(old, new, 1)
         text = "\n".join(lines) + "\n"
         reader = parse_preflib
     try:
@@ -208,6 +219,39 @@ def import_case(rng: np.random.Generator):
     except ValueError as exc:
         return case, *fault(exc)
     return case, "escalation" if aset.full_hand_count else "ok", plain(aset)
+
+
+def _random_claim(rng: np.random.Generator, k: int):
+    """A claim of any shape over k >= 2 candidates; a ranking comparison ranks a subset of two or more."""
+    shape = int(rng.integers(0, 3))
+    if shape == 0:
+        return PairwisePositive(*map(int, rng.choice(k, 2, replace=False)))
+    if shape == 1:
+        hi, lo = tuple(map(int, rng.choice(k, 2, replace=False))), tuple(map(int, rng.choice(k, 2, replace=False)))
+        return ScoreComparison(hi, lo) if hi != lo else PairwisePositive(*hi)
+    preferred = [int(c) for c in rng.permutation(k)[: int(rng.integers(2, k + 1))]]
+    other = [int(c) for c in rng.permutation(preferred)]
+    return RankingComparison(preferred, other if other[0] != preferred[0] else other[1:] + other[:1])
+
+
+def score_case(rng: np.random.Generator):
+    """A generated set and a few random claims, each scored on the profile's signatures and three random ballots."""
+    election = election_of(rng)
+    k = election.num_candidates
+    method = str(rng.choice(GENERATED))
+    case = {"election": serialize_election(election), "method": method}
+    try:
+        claims = list(method_assertions(method, election).assertions)
+    except ValueError as exc:
+        return case, *fault(exc)
+    claims += [_random_claim(rng, k) for _ in range(int(rng.integers(0, 4)))]
+    extra = [tuple(int(c) for c in rng.permutation(k)[: int(rng.integers(0, k + 1))]) for _ in range(3)]
+    prefs = preference_matrix(sorted(election.profile) + extra, k)
+    case["claims"] = [[type(a).__name__, plain(a)] for a in claims]
+    case["extra"] = extra
+    values = [assorter_values(a, prefs) for a in claims]
+    means = [assorter_mean(a, election) for a in claims]
+    return case, "set" if claims else "empty", {"values": digest(values), "means": digest(means)}
 
 
 def _assertion_set(rng: np.random.Generator, election: Election) -> AssertionSet:
@@ -301,6 +345,7 @@ FAMILIES = {
     "tabulate": tabulate_case,
     "generate": generate_case,
     "import": import_case,
+    "score": score_case,
 }
 
 

@@ -3,9 +3,9 @@
 Everything here is deliberately written from the definitions, not from the
 library's implementations: subset enumeration for the Smith set, full
 permutation enumeration for Kemeny, integer signed-contribution sums for
-assorter means, a direct-product version of the sequential test, and a
-per-ballot simulation of audit sample sizes, and a line-by-line reader of
-sample files from the README's rules.  ``json_values`` draws arbitrary JSON
+assorter means, claim weights added up pair by pair, a direct-product
+version of the sequential test, a per-ballot simulation of audit sample
+sizes, and a line-by-line reader of sample files from the README's rules.  ``json_values`` draws arbitrary JSON
 values to put in the fields of an input document.
 """
 
@@ -93,6 +93,27 @@ def signed_contribution(assertion, ballot) -> int:
                         total += sign
         return total
     raise TypeError(f"no contribution for {assertion!r}")
+
+
+def pair_weights(assertions, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each claim's weights ``W`` (A, k, k) and ``h`` (A,), added up one ordered pair at a time from the definitions."""
+    weights = np.zeros((len(assertions), k, k), dtype=np.int64)
+    hs = []
+    for row, assertion in enumerate(assertions):
+        if isinstance(assertion, PairwisePositive):
+            w, l = assertion.winner, assertion.loser
+            plus, minus, h = [(w, l)], [(l, w)], 1
+        elif isinstance(assertion, ScoreComparison):
+            (i, j), (c, w) = assertion.hi, assertion.lo
+            plus, minus, h = [(i, j), (w, c)], [(c, w), (j, i)], 2
+        else:
+            plus = list(itertools.combinations(assertion.preferred, 2))
+            minus, h = list(itertools.combinations(assertion.other, 2)), len(plus)
+        for pairs, sign in ((plus, 1), (minus, -1)):
+            for i, j in pairs:
+                weights[row, i, j] += sign
+        hs.append(h)
+    return weights, np.array(hs, dtype=np.int64)
 
 
 def normalizer(assertion) -> int:

@@ -38,12 +38,13 @@ from condaudit import (
     smith_set,
 )
 
-from condaudit.assertions import _relabel
+from condaudit.assertions import _relabel, claim_values, claim_weights
 
 from oracles import (
     claim_margin,
     json_values,
     normalizer,
+    pair_weights,
     random_election,
     signed_contribution,
     weighted_g_sum,
@@ -724,3 +725,47 @@ def test_theorem_style_falsifiability():
             means = [assorter_mean(a, e) for a in aset.assertions]
             assert min(means) <= 0.5, (e.profile, wrong, means)
     assert tested > 50
+
+
+@st.composite
+def _claims(draw, k: int):
+    """A claim of any shape over k candidates; a ranking comparison ranks a subset of two or more."""
+    pair = st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True).map(tuple)
+    shape = draw(st.integers(0, 2))
+    if shape == 0:
+        return PairwisePositive(*draw(pair))
+    if shape == 1:
+        hi = draw(pair)
+        return ScoreComparison(hi, draw(pair.filter(lambda lo: lo != hi)))
+    preferred = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=k, unique=True))
+    return RankingComparison(preferred, draw(st.permutations(preferred).filter(lambda p: p[0] != preferred[0])))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_claim_weights_match_the_pair_oracle(data):
+    k = data.draw(st.integers(2, 7))
+    claims = data.draw(st.lists(_claims(k), max_size=8))
+    ballot = st.permutations(range(k)).flatmap(lambda p: st.integers(0, k).map(lambda n: tuple(p[:n])))
+    prefs = preference_matrix(data.draw(st.lists(ballot, max_size=10)), k)
+    weights, h = claim_weights(claims, k)
+    expected_weights, expected_h = pair_weights(claims, k)
+    assert weights.dtype == h.dtype == np.int64
+    np.testing.assert_array_equal(weights, expected_weights)
+    np.testing.assert_array_equal(h, expected_h)
+    for row, claim in enumerate(claims):  # a mixed-shape set's rows are its claims' own
+        one_weights, one_h = claim_weights([claim], k)
+        np.testing.assert_array_equal(one_weights[0], weights[row])
+        assert one_h[0] == h[row]
+    # The float64 product gives the integer product's assorters bit for bit.
+    g = np.tensordot(weights, prefs, axes=([1, 2], [1, 2]))
+    assert claim_values(weights, h, prefs).tobytes() == ((g + h[:, None]) / (2 * h[:, None])).tobytes()
+
+
+@given(st.integers(2, 7).flatmap(_claims))
+@settings(max_examples=200, deadline=None)
+def test_claim_rankings_rank_the_same_candidate_sets(claim):
+    # Guard: W is its +1 rankings' preference rows less its -1 rankings', and a ranking's row also prefers each
+    # candidate it ranks to each it does not.  Those entries cancel only when both sides rank the same sets.
+    plus, minus, _ = claim.claim()
+    assert sorted(sorted(r) for r in plus) == sorted(sorted(r) for r in minus)

@@ -695,13 +695,16 @@ class TestEstimate:
         counts = []
         for size in (1, len(full.assertions)):
             aset = AssertionSet(full.method, full.winner, full.assertions[:size])
+            rankings = sum(len(plus) + len(minus) for plus, minus, _ in (a.claim() for a in aset.assertions))
             for run in (lambda: estimate_audit(aset, election3, cfg), lambda: run_audit(aset, samples, election3, cfg)):
                 calls.clear()
                 run()
                 counts.append(len(calls))
+                assert rankings in calls
         assert len(full.assertions) > 1
-        # The audit's table holds the profile and the sample, and gives the reported tallies too.
-        assert counts == [1, 1, 1, 1]
+        # One matrix for the signature table, whose rows give the reported tallies too (the audit's holds the
+        # profile and the sample), and one for all the set's claims.
+        assert counts == [2, 2, 2, 2]
 
     def test_walk_takes_every_assertion_in_one_kernel_call(self, election3, monkeypatch):
         aset = method_assertions("kemeny", election3)

@@ -146,7 +146,10 @@ class TestParsePreflib:
     @pytest.mark.parametrize(
         "key",
         ["ALTERNATIVE NAME1", "ALTERNATIVE NAME", "ALTERNATIVE NAMES", "alternative name1", "ALTERNATIVE NAME 1 2",
-         "NUMBER ALTERNATIVES2", "NUMBER VOTERSX", "NUMBER UNIQUE ORDERS 1", "DATA TYPES"],
+         "NUMBER ALTERNATIVES2", "NUMBER VOTERSX", "NUMBER UNIQUE ORDERS 1", "DATA TYPES",
+         # Runs of whitespace, "_" and "-" read as one space: each would otherwise be a free-form comment.
+         "ALTERNATIVE NAME-1", "ALTERNATIVE_NAME 1", "ALTERNATIVE  NAME 1", "ALTERNATIVE\tNAME 1",
+         "alternative--name 1", "NUMBER_VOTERS", "_DATA TYPE", "NUMBER VOTERS (declared)", "DATA TYPE\u00e9"],
     )
     def test_near_miss_header_key_is_a_fault(self, key):
         # A key that starts like a read key but is not one would otherwise be skipped as unread.
@@ -154,10 +157,17 @@ class TestParsePreflib:
             parse_preflib(f"# NUMBER ALTERNATIVES: 2\n# {key}: Alice\n3: 1,2\n")
         assert str(err.value) == f"line 2: malformed header key {key!r}"
 
-    @pytest.mark.parametrize("key", ["FILE NAME", "NUMBER CATEGORIES", "NUMBER", "ALTERNATIVE", "DATA"])
+    @pytest.mark.parametrize("key", ["FILE NAME", "NUMBER CATEGORIES", "NUMBER", "ALTERNATIVE", "DATA", "NUMBER-OF VOTERS",
+                                     "ALTERNATIVES NAME 1", "A NUMBER VOTERS"])
     def test_unread_key_is_skipped(self, key):
         # Guard: a key that is no read key's prefix stays unread.
         report = parse_preflib(f"# NUMBER ALTERNATIVES: 2\n# {key}: x\n3: 1,2\n")
+        assert (report.election.candidates, report.warnings) == (("C1", "C2"), [])
+
+    @pytest.mark.parametrize("line", ["# ALTERNATIVE NAME-1 Alice", "# NUMBER_VOTERS 3", "#:ALTERNATIVE_NAME 1: x"])
+    def test_comment_is_skipped(self, line):
+        # Guard: a key is the text before the line's first ":", so a line without one, or with an empty key, is a comment.
+        report = parse_preflib(f"# NUMBER ALTERNATIVES: 2\n{line}\n3: 1,2\n")
         assert (report.election.candidates, report.warnings) == (("C1", "C2"), [])
 
     def test_unread_key_may_repeat(self):

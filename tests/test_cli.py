@@ -576,6 +576,19 @@ INPUT_FAULTS = {
         "e.soi", "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME1: Alice\n# ALTERNATIVE NAME 2: Bob\n3: 1,2\n",
         "line 2: malformed header key 'ALTERNATIVE NAME1'",
     ),
+    # Runs of whitespace, "_" and "-" in a key read as one space: none of these is a comment.
+    "preflib-near-miss-hyphen": (
+        "e.soi", "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME-1: Alice\n3: 1,2\n",
+        "line 2: malformed header key 'ALTERNATIVE NAME-1'",
+    ),
+    "preflib-near-miss-underscore": (
+        "e.soi", "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE_NAME 1: Alice\n3: 1,2\n",
+        "line 2: malformed header key 'ALTERNATIVE_NAME 1'",
+    ),
+    "preflib-near-miss-two-spaces": (
+        "e.soi", "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE  NAME 1: Alice\n3: 1,2\n",
+        "line 2: malformed header key 'ALTERNATIVE  NAME 1'",
+    ),
     "set-invalid-json": ("set.json", "not json", "line 1: invalid JSON: Expecting value"),
     "set-not-an-object": ("set.json", "[]", "assertion document must be an object"),
     "set-method": ("set.json", '{"method": 3, "assertions": []}', "'method' must be a string"),
