@@ -9,15 +9,18 @@ Each claim is integer weights ``W`` over ordered candidate pairs
 (:func:`claim_weights`, which stacks a whole set's claims from one
 :func:`~condaudit.model.preference_matrix` of their rankings): a ballot
 contributes ``g = sum_ij W[i, j] * prefers(i, j)`` and scores ``(g - a) /
-(-2a)`` with ``a = -h``.  The normaliser ``h`` is 1 for a pairwise claim and
-2 for a score comparison, where ``-h`` is the minimum of ``g``; for a
-ranking comparison over k candidates it is ``k(k-1)/2``, below the minimum
-of ``g`` whenever the two rankings order some pair alike.  A claim's
-reported mean is exact: with its integer margin ``M = sum_ij W[i, j] *
-tallies[i, j]`` over ``N`` ballots it is ``(M + hN) / 2hN``
-(:func:`claim_means`), above 1/2 exactly when ``M > 0``.  A set scores as
-one matrix: :func:`claim_values` gives every claim's assorter of every
-signature in one float64 product, exact since ``g`` is a small integer.
+(-2a)`` with ``a = -h``, for any integer normaliser ``h`` at least the
+largest ``|g|``, ``d = sum_{i<j} |W[i, j]|``.  :func:`normalizers` states
+which ``h`` an audit uses.  A comparison audit takes ``h = d``: 1 for a
+pairwise claim, 2 for a score comparison and, for a ranking comparison, the
+number of pairs its two rankings order differently.  A polling audit keeps
+``claim()``'s ``h``, which is ``d`` but for a ranking comparison of n
+candidates, where it is ``n(n-1)/2``.  A claim's reported mean is exact:
+with its integer margin ``M = sum_ij W[i, j] * tallies[i, j]`` over ``N``
+ballots it is ``(M + hN) / 2hN`` (:func:`claim_means`), above 1/2 exactly
+when ``M > 0``.  A set scores as one matrix: :func:`claim_values` gives
+every claim's assorter of every signature in one float64 product, exact
+since ``g`` is a small integer.
 
 Three claim shapes are supported:
 
@@ -181,9 +184,24 @@ def claim_weights(assertions: Sequence[Assertion], num_candidates: int) -> tuple
     return np.add.reduceat(signed, starts, axis=0, dtype=np.int64), np.array(hs, dtype=np.int64)
 
 
-def claim_values(weights: np.ndarray, h: np.ndarray, prefs: np.ndarray) -> np.ndarray:
-    """Each claim's assorter of every signature in a :func:`preference_matrix`: shape (A, S), each in [0, 1].
+def normalizers(weights: np.ndarray, h: np.ndarray, style: str) -> np.ndarray:
+    """The normaliser each claim is scored with in an audit of ``style``: shape (A,).
 
+    Polling keeps ``claim()``'s ``h``.  Comparison takes ``d = sum_{i<j} |W[i, j]|``,
+    the largest ``|g|`` any ballot gives the claim, as ``W`` is antisymmetric:
+    1 for a pairwise claim, 2 for a score comparison, and for a ranking
+    comparison the number of pairs its two rankings order differently.  A
+    larger normaliser only shrinks the reported margin every correct
+    comparison ballot's score rides on.  Either gives values in [0, 1] and a
+    mean above 1/2 exactly when the margin is above 0.
+    """
+    return np.abs(weights).sum(axis=(1, 2)) // 2 if style == "comparison" else h
+
+
+def claim_values(weights: np.ndarray, h: np.ndarray, prefs: np.ndarray) -> np.ndarray:
+    """Each claim's assorter ``(g + h) / 2h`` of every signature in a :func:`preference_matrix`: shape (A, S).
+
+    Each value is in [0, 1] for a normaliser ``h`` of at least :func:`normalizers`' comparison ``d``.
     ``g`` is a float64 product: an integer of at most k(k-1) in size, exact in any order of summation.
     """
     k2 = weights.shape[1] * weights.shape[2]
@@ -192,7 +210,7 @@ def claim_values(weights: np.ndarray, h: np.ndarray, prefs: np.ndarray) -> np.nd
 
 
 def claim_means(weights: np.ndarray, h: np.ndarray, tallies: np.ndarray, total: int) -> np.ndarray:
-    """Each claim's population mean, exactly, from the pairwise tallies of ``total`` ballots.
+    """Each claim's population mean under normaliser ``h``, exactly, from the pairwise tallies of ``total`` ballots.
 
     A claim's integer margin ``M = sum(W * tallies)`` gives the mean
     ``(M + h*N) / 2hN``, correctly rounded; it exceeds 1/2 exactly when
@@ -206,12 +224,12 @@ def claim_means(weights: np.ndarray, h: np.ndarray, tallies: np.ndarray, total: 
 
 
 def assorter_values(assertion: Assertion, prefs: np.ndarray) -> np.ndarray:
-    """Assorter of every signature in a :func:`preference_matrix`; each in [0, 1]."""
+    """Polling assorter, with ``claim()``'s ``h``, of every signature in a :func:`preference_matrix`; each in [0, 1]."""
     return claim_values(*claim_weights([assertion], prefs.shape[-1]), prefs)[0]
 
 
 def assorter_mean(assertion: Assertion, election: Election) -> float:
-    """Population mean of the assorter over every ballot in the election, exactly, by :func:`claim_means`."""
+    """Population mean of the polling assorter over every ballot in the election, exactly, by :func:`claim_means`."""
     tallies = pairwise_tallies(election)
     return float(claim_means(*claim_weights([assertion], tallies.shape[0]), tallies, election.total_ballots)[0])
 

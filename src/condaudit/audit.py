@@ -46,7 +46,8 @@ Simulation and audit score through one path.  One signature table, the
 profile's signatures in sorted order and then an audit's sampled ballots
 that the profile lacks, at count 0, gives every assertion's assorter per
 signature, as one (assertions x signatures) matrix, and its reported mean,
-read exactly from the table's tallies by :func:`claim_means`.  One cell
+read exactly from the table's tallies by :func:`claim_means`, both with the
+normaliser the audit's style gives the claim (:func:`normalizers`).  One cell
 scorer scores (reported, audited) cells for every assertion and either
 style.  Only a reported mean above 1/2 admits a comparison audit: otherwise
 an estimate flags the set for a full hand count and an audit raises.
@@ -74,7 +75,7 @@ import numpy as np
 
 from .ballots import ParseError, decode_json, read_text, resolve_names, roster_index
 from .model import Ballot, CapacityError, Election, ballot_counts, preference_matrix
-from .assertions import Assertion, AssertionSet, claim_means, claim_values, claim_weights
+from .assertions import Assertion, AssertionSet, claim_means, claim_values, claim_weights, normalizers
 
 AUDIT_STYLES = ("polling", "comparison")
 
@@ -228,7 +229,7 @@ def _walk(
 # Scoring: one signature table, one cell scorer
 
 
-def _scoring(aset: AssertionSet, election: Election, sampled: Iterable[Ballot] = ()):
+def _scoring(aset: AssertionSet, election: Election, style: str, sampled: Iterable[Ballot] = ()):
     """The signature table of an election and its sampled ballots, scored for every assertion of ``aset``.
 
     The table's rows are the profile's signatures in sorted order, then each
@@ -236,7 +237,9 @@ def _scoring(aset: AssertionSet, election: Election, sampled: Iterable[Ballot] =
     row, each row's ballot count, the assorter of every assertion (matrix
     row) on every table row (column), and each assertion's reported mean,
     read exactly by :func:`claim_means` from the table's tallies, to which a
-    count-0 row adds nothing.
+    count-0 row adds nothing.  Both are scored with the normaliser
+    :func:`~condaudit.assertions.normalizers` gives each claim in an audit of
+    ``style``.
     """
     sigs = sorted(election.profile)
     sigs += [ballot for ballot in dict.fromkeys(sampled) if ballot not in election.profile]
@@ -244,6 +247,7 @@ def _scoring(aset: AssertionSet, election: Election, sampled: Iterable[Ballot] =
     prefs = preference_matrix(sigs, election.num_candidates)
     tallies = np.tensordot(counts, prefs, axes=1)
     weights, h = claim_weights(aset.assertions, election.num_candidates)
+    h = normalizers(weights, h, style)
     values = claim_values(weights, h, prefs)
     means = claim_means(weights, h, tallies, election.total_ballots)
     return {sig: row for row, sig in enumerate(sigs)}, counts, values, means
@@ -389,7 +393,7 @@ def estimate_audit(
     n = election.total_ballots
     if _escalates(aset, election):
         return ASNEstimate((), n, True, n, ())
-    _, counts, values, means = _scoring(aset, election)
+    _, counts, values, means = _scoring(aset, election, cfg.style)
     # A comparison audit needs a reported mean above 1/2; without one every trial is a full count.
     walked = (means > 0.5) | (cfg.style == "polling")
     stops = np.full((len(means), cfg.trials), n + 1, dtype=np.int64)
@@ -546,7 +550,7 @@ def run_audit(
         raise ParseError("comparison audits need a reported ballot per sample")
 
     sampled = [s.audited for s in samples] + [s.reported for s in samples if comparison]
-    rows, _, values, means = _scoring(aset, election, sampled)
+    rows, _, values, means = _scoring(aset, election, cfg.style, sampled)
     if comparison and not (means > 0.5).all():
         raise InfeasibleAuditError(
             "comparison audit is impossible: reported tallies do not support the assertion (mean <= 1/2)"

@@ -4,8 +4,8 @@ Everything here is deliberately written from the definitions, not from the
 library's implementations: subset enumeration for the Smith set, full
 permutation enumeration for Kemeny, integer signed-contribution sums for
 assorter means, claim weights added up pair by pair, a direct-product
-version of the sequential test, a per-ballot simulation of audit sample
-sizes, and a line-by-line reader of sample files from the README's rules.  ``json_values`` draws arbitrary JSON
+version of the sequential test, each audit style's normaliser, a per-ballot
+simulation of audit sample sizes, and a line-by-line reader of sample files from the README's rules.  ``json_values`` draws arbitrary JSON
 values to put in the fields of an input document.
 """
 
@@ -116,8 +116,22 @@ def pair_weights(assertions, k: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, np.array(hs, dtype=np.int64)
 
 
-def normalizer(assertion) -> int:
-    """-2a for the assertion's proto-assorter: the mean shift denominator."""
+def comparison_normalizer(assertion) -> int:
+    """The largest |g| one ballot can give the assertion: 1, 2, or the pairs its two rankings order differently."""
+    if isinstance(assertion, PairwisePositive):
+        return 1
+    if isinstance(assertion, ScoreComparison):
+        return 2
+    if isinstance(assertion, RankingComparison):
+        place = {c: p for p, c in enumerate(assertion.other)}
+        return sum(place[x] > place[y] for x, y in itertools.combinations(assertion.preferred, 2))
+    raise TypeError(f"no normalizer for {assertion!r}")
+
+
+def normalizer(assertion, style: str) -> int:
+    """-2a for the assertion's proto-assorter in an audit of ``style``: the mean shift denominator, twice h."""
+    if style == "comparison":
+        return 2 * comparison_normalizer(assertion)
     if isinstance(assertion, PairwisePositive):
         return 2
     if isinstance(assertion, ScoreComparison):
@@ -175,14 +189,15 @@ def per_ballot_stops(assertions, election: Election, cfg: AuditConfig, rng: np.r
     ``cfg.error_rate``, by a uniformly random other signature, permutes all
     N and stops at the first draw whose p-value over the full trace is at or
     below the risk limit; ``N + 1`` if none is.  Assorter values come from
-    the signed contributions, and a comparison draw scores
-    ``(1 - (reported - audited)) / (2 - margin)`` against the reported mean.
+    the signed contributions, normalised for ``cfg.style``, and a comparison
+    draw scores ``(1 - (reported - audited)) / (2 - margin)`` against the
+    reported mean.
     """
     sigs = sorted(election.profile)
     population = np.repeat(np.arange(len(sigs)), [election.profile[s] for s in sigs])
     n = population.size
-    values = [np.array([0.5 + signed_contribution(a, s) / normalizer(a) for s in sigs]) for a in assertions]
-    means = [0.5 + weighted_g_sum(a, election) / (normalizer(a) * n) for a in assertions]
+    values = [np.array([0.5 + signed_contribution(a, s) / normalizer(a, cfg.style) for s in sigs]) for a in assertions]
+    means = [0.5 + weighted_g_sum(a, election) / (normalizer(a, cfg.style) * n) for a in assertions]
     stops = np.empty((len(assertions), cfg.trials), dtype=np.int64)
     for trial in range(cfg.trials):
         audited = population.copy()

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -38,10 +39,11 @@ from condaudit import (
     smith_set,
 )
 
-from condaudit.assertions import _relabel, claim_values, claim_weights
+from condaudit.assertions import _relabel, claim_means, claim_values, claim_weights, normalizers
 
 from oracles import (
     claim_margin,
+    comparison_normalizer,
     json_values,
     normalizer,
     pair_weights,
@@ -611,7 +613,7 @@ def _check_soundness(assertion, election, tallies):
     if total:
         assert (mean > 0.5) == (margin_ > 0)
         assert (mean == 0.5) == (margin_ == 0) or abs(
-            mean - (0.5 + g_sum / (normalizer(assertion) * total))
+            mean - (0.5 + g_sum / (normalizer(assertion, "polling") * total))
         ) < 1e-12
 
 
@@ -630,7 +632,8 @@ def test_assorter_mean_matches_tally_inequality(seed):
         for sig, batched in zip(e.profile, assorter_values(a, prefs)):
             v = ballot_value(a, sig, e.num_candidates)
             assert 0.0 <= v <= 1.0
-            assert v == batched == (signed_contribution(a, sig) + normalizer(a) / 2) / normalizer(a)
+            two_h = normalizer(a, "polling")
+            assert v == batched == (signed_contribution(a, sig) + two_h / 2) / two_h
 
 
 def _generated_assertions(election):
@@ -656,7 +659,7 @@ def _check_exact_means(election) -> int:
     n = election.total_ballots
     generated = _generated_assertions(election)
     for a in generated:
-        two_h = normalizer(a)
+        two_h = normalizer(a, "polling")
         assert assorter_mean(a, election) == float(Fraction(claim_margin(a, t) + two_h // 2 * n, two_h * n)), a
     return len(generated)
 
@@ -769,3 +772,25 @@ def test_claim_rankings_rank_the_same_candidate_sets(claim):
     # candidate it ranks to each it does not.  Those entries cancel only when both sides rank the same sets.
     plus, minus, _ = claim.claim()
     assert sorted(sorted(r) for r in plus) == sorted(sorted(r) for r in minus)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_comparison_normaliser_is_the_largest_swing_of_one_ballot(data):
+    # Over every strict and partial ballot of k <= 5 candidates: a comparison audit's h is the largest |g|.
+    k = data.draw(st.integers(2, 5))
+    claims = data.draw(st.lists(_claims(k), min_size=1, max_size=6))
+    ballots = list(dict.fromkeys(p[:n] for p in itertools.permutations(range(k)) for n in range(k + 1)))
+    weights, h = claim_weights(claims, k)
+    d = normalizers(weights, h, "comparison")
+    assert d.tolist() == [comparison_normalizer(c) for c in claims]
+    assert d.tolist() == [max(abs(signed_contribution(c, b)) for b in ballots) for c in claims]
+    assert (d >= 1).all()
+    assert normalizers(weights, h, "polling").tolist() == h.tolist() == [normalizer(c, "polling") // 2 for c in claims]
+    values = claim_values(weights, d, preference_matrix(ballots, k))
+    assert ((values >= 0) & (values <= 1)).all()
+    profile = data.draw(st.dictionaries(st.sampled_from(ballots), st.integers(1, 60), max_size=8))
+    election = Election(tuple("ABCDE"[:k]), profile)
+    tallies = pairwise_tallies(election)
+    means = claim_means(weights, d, tallies, election.total_ballots)
+    assert [mean > 0.5 for mean in means] == [claim_margin(c, tallies) > 0 for c in claims]

@@ -409,6 +409,30 @@ class TestComparisonAssorter:
         assert est.stops[0].tolist() == [11] * 10
 
 
+    def test_comparison_audits_keep_the_risk_limit_on_a_true_tie(self):
+        # Guard: the reported profile is 600 x A>B>C>D and 400 x B>A>D>C, but 100 of the first are truly
+        # B>A>D>C, so every claim below has a reported margin above 0 and a true margin of exactly 0.  Scored
+        # at h = d (1, 2, and 1 and 2 discordant pairs), each certifies at most at the risk limit.
+        first, second = (0, 1, 2, 3), (1, 0, 3, 2)
+        election = Election(("A", "B", "C", "D"), {first: 600, second: 400})
+        claims = (
+            PairwisePositive(0, 1),
+            ScoreComparison((0, 1), (3, 2)),
+            RankingComparison(first, (1, 0, 2, 3)),
+            RankingComparison(first, second),
+        )
+        aset = AssertionSet("x", 0, claims)
+        cfg = AuditConfig(style="comparison")
+        cells = [AuditSample(first, first), AuditSample(second, first), AuditSample(second, second)]
+        drawn = np.repeat(np.arange(3), [500, 100, 400])
+        rng, runs = np.random.default_rng(2029), 1000
+        certified = np.zeros(len(claims))
+        for _ in range(runs):
+            report = run_audit(aset, SampleStream(tuple(cells), rng.permutation(drawn)), election, cfg)
+            certified += [record.certified for record in report.records]
+        bound = cfg.risk_limit + 3 * math.sqrt(cfg.risk_limit * (1 - cfg.risk_limit) / runs)
+        assert (certified / runs <= bound).all(), certified / runs
+
     def test_exact_tie_admits_no_comparison_audit(self, smith_tie_election):
         tied = RankingComparison((0, 1, 2), (1, 0, 2))  # margin 0: the mean is exactly 1/2
         aset = AssertionSet("kemeny", 0, (tied,))
@@ -487,13 +511,20 @@ class TestSimulation:
 class TestSimulationModel:
     """The count-based trial against the per-ballot model it samples, and its shared stream."""
 
-    @pytest.mark.parametrize("style, trials", [("polling", 300), ("comparison", 150)])
-    def test_stops_follow_the_per_ballot_model(self, election1, election3, style, trials):
-        # election1's s(A,B) > 0 in polling style, election3's Ranked Pairs set in comparison style.
-        if style == "polling":
+    @pytest.mark.parametrize(
+        "style, trials, method",
+        [("polling", 300, "condorcet"), ("comparison", 150, "ranked-pairs"), ("comparison", 150, "kemeny")],
+        ids=["polling-300", "comparison-150", "kemeny-comparison-150"],
+    )
+    def test_stops_follow_the_per_ballot_model(self, election1, election3, style, trials, method):
+        # election1's s(A,B) > 0 in polling style, election3's Ranked Pairs set and election1's Kemeny set
+        # (ranking comparisons of one to three discordant pairs) in comparison style.
+        if method == "condorcet":
             election, aset = election1, AssertionSet("condorcet", 0, (PairwisePositive(0, 1),))
-        else:
+        elif method == "ranked-pairs":
             election, aset = election3, method_assertions("ranked-pairs", election3)
+        else:
+            election, aset = election1, method_assertions("kemeny", election1)
         cfg = AuditConfig(seed=11, trials=trials, style=style)
         stops = estimate_audit(aset, election, cfg).stops
         reference = per_ballot_stops(aset.assertions, election, cfg, np.random.default_rng(5))
@@ -539,7 +570,7 @@ class TestSimulationModel:
         cfg = AuditConfig(seed=2, trials=6, error_rate=error_rate)
         est = one_assertion_estimate(PairwisePositive(0, 1), election3, cfg)
         assert est.stops[0].tolist() == [n + 1] * 6
-        _, counts, _, _ = _scoring(AssertionSet("x", 0), election3)
+        _, counts, _, _ = _scoring(AssertionSet("x", 0), election3, "polling")
         misread = 0
         for (reported, audited, cells), items in zip(tables, drawn):
             assert np.bincount(np.concatenate(items), minlength=cells.size).tolist() == cells.tolist()
@@ -859,7 +890,7 @@ class TestRunAudit:
         n = election3.total_ballots
         expected = []
         for assertion in aset.assertions:
-            h2 = normalizer(assertion)
+            h2 = normalizer(assertion, style)
             polling = [0.5 + signed_contribution(assertion, s.audited) / h2 for s in samples]
             xs = polling
             if style == "comparison":
@@ -903,9 +934,9 @@ class TestRunAudit:
         sampled, cells = [], []
         scoring, cell_scores = audit_module._scoring, audit_module._cell_scores
 
-        def recording_scoring(aset, election, ballots=()):
+        def recording_scoring(aset, election, style, ballots=()):
             sampled.append(list(ballots))
-            return scoring(aset, election, sampled[-1])
+            return scoring(aset, election, style, sampled[-1])
 
         def recording_cells(values, means, reported, audited, style):
             cells.append((len(reported), len(audited)))
