@@ -83,12 +83,14 @@ AUDIT_STYLES = ("polling", "comparison")
 PADDING = 0.1
 NULL_MEAN = 0.5
 
-_SEED_MASK = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Parameters shared by estimation and audit execution."""
+    """Parameters shared by estimation and audit execution.
+
+    ``seed`` is nonnegative and names the simulation's streams as given:
+    trial ``t`` draws from ``default_rng([seed, t])``.
+    """
 
     risk_limit: float = 0.05
     error_rate: float = 0.002
@@ -103,6 +105,8 @@ class AuditConfig:
             raise ValueError("error_rate must be in [0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.style not in AUDIT_STYLES:
             raise ValueError(f"style must be one of {AUDIT_STYLES}")
 
@@ -332,7 +336,7 @@ def _trial_stops(
     n = int(counts.sum())
 
     def one_trial(trial: int) -> np.ndarray:
-        rng = np.random.default_rng([cfg.seed & _SEED_MASK, trial])
+        rng = np.random.default_rng([cfg.seed, trial])
         reported, audited, cells = _error_cells(counts, cfg.error_rate, rng)
         scores = _cell_scores(values, means, reported, audited, cfg.style)
         remaining = cells.copy()

@@ -17,17 +17,19 @@ Two input formats are supported:
   ``{"candidates": [names...], "ballots": [{"ranking": [names...], "count": n}, ...]}``.
 
 Parsing never repairs a line silently: anything normalized on ingest (merged
-duplicate signatures, metadata mismatches) is surfaced as a warning.
+duplicate signatures, metadata mismatches) is surfaced as a warning, at its
+1-based line, or at line ``None`` when no line holds it (a declared count, a
+native file's repeated ranking).
 
 This module is the one input boundary: :func:`read_text` reads every input
 file (elections, sample files, assertion sets) and :func:`decode_json`
 decodes every JSON document in them, the only code that sees a
 ``json.JSONDecodeError``.  :func:`resolve_names` turns every JSON list of
 candidate names into a ballot, :func:`parse_int` reads every integer written
-as text (Preflib counts and candidate numbers, integer flags and
-``$CONDAUDIT_SEED``) and :func:`parse_decimal` every decimal flag.  A fault
-in any input file, whichever module finds it, is a :class:`ParseError`, the
-one error for bad input, raised where it is found.
+as text (Preflib counts and candidate numbers, and integer flags) and
+:func:`parse_decimal` every decimal flag.  A fault in any input file,
+whichever module finds it, is a :class:`ParseError`, the one error for bad
+input, raised where it is found.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ class ParseError(ValueError):
 
 @dataclass
 class ParseReport:
-    """A parsed election plus any (line, message) ingest warnings."""
+    """A parsed election plus any (line, message) ingest warnings, ``line`` 1-based or ``None`` as in ParseError."""
 
     election: Election
-    warnings: list[tuple[int, str]] = field(default_factory=list)
+    warnings: list[tuple[int | None, str]] = field(default_factory=list)
 
 
 _METADATA_RE = re.compile(r"^#\s*([A-Za-z][A-Za-z0-9 ]*?)\s*:\s*(.*?)\s*$")
@@ -141,7 +143,7 @@ def parse_preflib(text: str) -> ParseReport:
     """Parse a Preflib ordinal file (strict orders only) into an election."""
     header: dict[str | int, tuple[int, int | str]] = {}  # key -> (line, value)
     votes: list[tuple[int, int, tuple[int, ...]]] = []  # (line, count, 1-based ranking)
-    warnings: list[tuple[int, str]] = []
+    warnings: list[tuple[int | None, str]] = []
 
     # Not splitlines(): line numbers count "\n" alone, and strip() drops the "\r" of "\r\n".
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -215,7 +217,7 @@ def parse_preflib(text: str) -> ParseReport:
     for key, found, phrase in (("NUMBER VOTERS", election.total_ballots, "votes sum to"),
                                ("NUMBER UNIQUE ORDERS", len(profile), "found")):
         if key in header and header[key][1] != found:
-            warnings.append((0, f"{key} declares {header[key][1]} but {phrase} {found}"))
+            warnings.append((None, f"{key} declares {header[key][1]} but {phrase} {found}"))
     return ParseReport(election, warnings)
 
 
@@ -254,7 +256,7 @@ def parse_native(text: str) -> ParseReport:
         raise ParseError("'candidates' must be a list of names")
     index = roster_index(names)
 
-    warnings: list[tuple[int, str]] = []
+    warnings: list[tuple[int | None, str]] = []
     profile: dict[Ballot, int] = {}
     entries = doc.get("ballots", [])
     if not isinstance(entries, list):
@@ -268,7 +270,7 @@ def parse_native(text: str) -> ParseReport:
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ParseError(f"{where}.count must be a nonnegative integer")
         if sig in profile:
-            warnings.append((0, f"{where}: duplicate signature; counts merged"))
+            warnings.append((None, f"{where}: duplicate signature; counts merged"))
         profile[sig] = profile.get(sig, 0) + count
 
     return ParseReport(Election(tuple(names), profile), warnings)

@@ -6,11 +6,14 @@ method structures), ``assertions`` (emit an assertion-set JSON document),
 audit over a drawn sample).  Methods come from the library's
 ``assertions.METHODS``; this module renders results and reports usage
 errors.  Ingest warnings go to stderr (``parse`` reports them on stdout).
+Settings come from the command line only: the simulation seed is ``--seed``
+(default 0), and no environment variable is read.
 
 Exit codes: 0 success; 1 full-hand-count outcome, infeasible audit
 (``InfeasibleAuditError``), capacity limit (``CapacityError``) or out of
-memory; 2 a bad input file of any kind (``ParseError``); 64 usage errors; 70
-internal error (any other exception, reported with its traceback).
+memory; 2 a bad input file of any kind (``ParseError``); 64 usage errors,
+and text output that standard output cannot encode (none of it is written);
+70 internal error (any other exception, reported with its traceback).
 ``--format json`` output is ``json.dumps(obj, indent=2)`` byte for byte,
 where ``obj`` is the payload with each float64 array (an audit's p-value
 traces) read as its ``tolist()``.
@@ -21,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import traceback
 from dataclasses import fields
@@ -81,10 +83,8 @@ def _number(read, message: str, least: float = float("-inf")):
     return parse
 
 
-_int = _number(ballots_io.parse_int, "invalid int value: {!r}")  # --trials
+_int = _number(ballots_io.parse_int, "invalid int value: {!r}")  # --trials and --seed
 _positive_int = _number(ballots_io.parse_int, "must be a positive integer, got {!r}", least=1)  # --scale, --workers
-# --seed, or $CONDAUDIT_SEED in its absence (see main): a malformed variable is a usage error like a malformed flag.
-_seed = _number(ballots_io.parse_int, "seed must be an integer (from --seed or $CONDAUDIT_SEED), got {!r}")
 _float = _number(ballots_io.parse_decimal, "invalid float value: {!r}")  # --risk-limit and --error-rate
 
 
@@ -121,9 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_audit=True)
     p.add_argument("--error-rate", type=_float, default=AuditConfig.error_rate)
     p.add_argument("--trials", type=_int, default=AuditConfig.trials)
-    # No default here: main reads $CONDAUDIT_SEED at each call, so the parser is built once.
-    p.add_argument("--seed", type=_seed, help="simulation seed (default: $CONDAUDIT_SEED or 0)")
-    p.set_defaults(subparser=p)
+    p.add_argument("--seed", type=_int, default=AuditConfig.seed)
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--assertions-file",
                    help="assertion set to estimate (or the inner set with --method smith-irv)")
@@ -348,11 +346,8 @@ def _key(key) -> str:
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(_dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
+    # One print: a stream that cannot encode a character of the text receives none of it.
+    print(_dumps(payload) if args.format == "json" else "\n".join(text_lines))
 
 
 def _escalation_rows(aset: AssertionSet, election: Election, **row) -> list[dict]:
@@ -446,11 +441,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "seed", 0) is None:  # --seed absent: $CONDAUDIT_SEED, or 0 if it is unset
-        try:
-            args.seed = _seed(os.environ.get("CONDAUDIT_SEED", "0"))
-        except argparse.ArgumentTypeError as exc:
-            args.subparser.error(f"argument --seed: {exc}")
     try:
         return _dispatch(args)
     except ParseError as exc:
@@ -461,6 +451,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnicodeEncodeError as exc:
+        print(f"error: standard output cannot encode the text output ({exc.encoding}); use --format json",
+              file=sys.stderr)
         return EXIT_USAGE
     except (CapacityError, InfeasibleAuditError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -495,6 +495,13 @@ class TestSimulation:
         two = one_assertion_stops(a, election1, AuditConfig(seed=2, trials=40))
         assert not np.array_equal(one, two)
 
+    def test_seed_is_taken_as_given(self, election1):
+        # Seeds 2**64 apart name two streams: none is folded onto another.
+        a = PairwisePositive(0, 1)
+        low = one_assertion_stops(a, election1, AuditConfig(seed=0, trials=40))
+        high = one_assertion_stops(a, election1, AuditConfig(seed=1 << 64, trials=40))
+        assert not np.array_equal(low, high)
+
     def test_full_hand_count_costs_population(self, election1):
         cfg = AuditConfig(seed=0, trials=10)
         est = estimate_audit(AssertionSet("condorcet", None, escalation="tie"), election1, cfg)
@@ -506,6 +513,25 @@ class TestSimulation:
         cfg = AuditConfig(seed=5, trials=10, style="comparison")
         asn = one_assertion_asn(PairwisePositive(1, 0), unanimous_election(), cfg)
         assert asn == 500
+
+
+_SILENT = "ROADMAP item 5: a median that never certifies escalates"
+
+
+class TestSilentCertification:
+    """Estimates that report a certification no trial reached; each must escalate."""
+
+    @pytest.mark.xfail(strict=True, reason=_SILENT)
+    def test_median_stop_past_the_population(self, election1):
+        # Nearly every ballot misread: no trial certifies, and the median of N + 1 reads as N = 8,300.
+        cfg = AuditConfig(trials=3, error_rate=0.99999)
+        assert estimate_audit(method_assertions("condorcet", election1), election1, cfg).full_count_flag
+
+    @pytest.mark.xfail(strict=True, reason=_SILENT)
+    def test_kemeny_polling_without_ballots(self):
+        # No ballot to draw: every stop is N + 1 = 1, read as N = 0. Comparison style already escalates.
+        e = Election(tuple("ABC"), {})
+        assert estimate_audit(method_assertions("kemeny", e), e, AuditConfig(trials=3)).full_count_flag
 
 
 class TestSimulationModel:
@@ -1117,6 +1143,7 @@ class TestAuditConfig:
             {"error_rate": 1.0},
             {"trials": 0},
             {"style": "bayesian"},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -116,7 +116,7 @@ class TestParsePreflib:
 
     def test_unique_order_count_mismatch_warns(self):
         report = parse_preflib("# NUMBER ALTERNATIVES: 2\n# NUMBER UNIQUE ORDERS: 2\n3: 1,2\n")
-        assert report.warnings == [(0, "NUMBER UNIQUE ORDERS declares 2 but found 1")]
+        assert report.warnings == [(None, "NUMBER UNIQUE ORDERS declares 2 but found 1")]
 
     def test_empty_ranking_allowed(self):
         report = parse_preflib("# NUMBER ALTERNATIVES: 2\n5:\n")
@@ -199,7 +199,7 @@ class TestParsePreflib:
         [
             ("# number alternatives: 3\n1: 1,2\n", ("C1", "C2", "C3"), []),
             ("# NUMBER ALTERNATIVES: 2\n# Number Voters: 5\n1: 1,2\n1: 2\n1: 2,1\n", ("C1", "C2"),
-             [(0, "NUMBER VOTERS declares 5 but votes sum to 3")]),
+             [(None, "NUMBER VOTERS declares 5 but votes sum to 3")]),
             ("# Alternative Name 2: B\n# NUMBER ALTERNATIVES: 2\n1: 1,2\n", ("C1", "B"), []),
         ],
         ids=["alternatives", "voters", "alternative-name"],

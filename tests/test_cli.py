@@ -19,6 +19,8 @@ from condaudit.cli import main
 
 from oracles import expand, random_election
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 @pytest.fixture
 def e1_path(tmp_path, election1):
@@ -59,6 +61,15 @@ class TestParse:
         code, out, _ = run_cli(capsys, "parse", str(p), "--scale", "10", "--format", "json")
         assert code == 0
         assert json.loads(out)["total_ballots"] == 30
+
+    def test_warning_that_no_line_holds(self, capsys, tmp_path):
+        # A native file's ballots are not lines: the warning's line is null in JSON and left out of the text.
+        p = tmp_path / "repeated.json"
+        p.write_text(json.dumps({"candidates": ["A", "B"], "ballots": [{"ranking": ["A"], "count": 1}] * 2}))
+        message = "ballots[1]: duplicate signature; counts merged"
+        code, out, _ = run_cli(capsys, "parse", str(p), "--format", "json")
+        assert (code, json.loads(out)["warnings"]) == (0, [{"line": None, "message": message}])
+        assert run_cli(capsys, "parse", str(p))[1].endswith(f"\nwarning: {message}\n")
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         p = tmp_path / "bad.soi"
@@ -345,41 +356,6 @@ class TestEstimate:
     def test_needs_method_or_file(self, capsys, e1_path):
         code, _, err = run_cli(capsys, "estimate", e1_path)
         assert code == 64
-
-    def test_env_var_seed_default(self, capsys, e1_path, monkeypatch):
-        monkeypatch.setenv("CONDAUDIT_SEED", "99")
-        _, out, _ = run_cli(
-            capsys, "estimate", "--method", "condorcet", e1_path,
-            "--trials", "5", "--style", "comparison", "--format", "json",
-        )
-        assert json.loads(out)["seed"] == 99
-
-    def test_env_var_seed_is_read_at_each_call(self, capsys, e1_path, monkeypatch):
-        seeds = []
-        for value in ("5", "6"):
-            monkeypatch.setenv("CONDAUDIT_SEED", value)
-            _, out, _ = run_cli(
-                capsys, "estimate", "--method", "condorcet", e1_path, "--trials", "2", "--format", "json",
-            )
-            seeds.append(json.loads(out)["seed"])
-        monkeypatch.delenv("CONDAUDIT_SEED")
-        _, out, _ = run_cli(
-            capsys, "estimate", "--method", "condorcet", e1_path, "--trials", "2", "--format", "json",
-        )
-        assert seeds + [json.loads(out)["seed"]] == [5, 6, 0]
-
-    def test_malformed_env_var_seed_is_usage_error(self, capsys, e1_path, monkeypatch):
-        monkeypatch.setenv("CONDAUDIT_SEED", "12x")
-        with pytest.raises(SystemExit) as exc:
-            main(["estimate", "--method", "condorcet", e1_path, "--trials", "5"])
-        assert exc.value.code == 64
-        assert "CONDAUDIT_SEED" in capsys.readouterr().err
-        # An explicit --seed does not read the variable.
-        code, out, _ = run_cli(
-            capsys, "estimate", "--method", "condorcet", e1_path, "--trials", "5", "--seed", "3",
-            "--format", "json",
-        )
-        assert code == 0 and json.loads(out)["seed"] == 3
 
 
 class TestAudit:
@@ -743,9 +719,6 @@ def test_scale_and_workers_must_be_positive(capsys, e3_path, flag, value):
     assert "positive integer" in capsys.readouterr().err
 
 
-_SEED_MESSAGE = "argument --seed: seed must be an integer (from --seed or $CONDAUDIT_SEED), got {!r}"
-
-
 @pytest.mark.parametrize("value", ["1_0", "+7", "\u0663"], ids=["underscore", "plus", "arabic-indic"])
 @pytest.mark.parametrize(
     "flag, message",
@@ -753,20 +726,14 @@ _SEED_MESSAGE = "argument --seed: seed must be an integer (from --seed or $CONDA
         ("--scale", "argument --scale: must be a positive integer, got {!r}"),
         ("--workers", "argument --workers: must be a positive integer, got {!r}"),
         ("--trials", "argument --trials: invalid int value: {!r}"),
-        ("--seed", _SEED_MESSAGE),
-        ("$CONDAUDIT_SEED", _SEED_MESSAGE),
+        ("--seed", "argument --seed: invalid int value: {!r}"),
     ],
-    ids=["scale", "workers", "trials", "seed", "seed-variable"],
+    ids=["scale", "workers", "trials", "seed"],
 )
-def test_integer_options_are_ascii_digits(capsys, monkeypatch, e3_path, flag, message, value):
+def test_integer_options_are_ascii_digits(capsys, e3_path, flag, message, value):
     # int() reads each of these values; every integer option spells one in ASCII digits only.
-    argv = ["estimate", e3_path, "--method", "condorcet", "--trials", "1"]
-    if flag == "$CONDAUDIT_SEED":
-        monkeypatch.setenv("CONDAUDIT_SEED", value)
-    else:
-        argv += [flag, value]
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["estimate", e3_path, "--method", "condorcet", "--trials", "1", flag, value])
     assert exc.value.code == 64
     assert capsys.readouterr().err.endswith(f"condaudit estimate: error: {message.format(value)}\n")
 
@@ -804,6 +771,7 @@ def test_decimal_options_keep_their_spellings(capsys, e1_path, flag, value, read
         ("--risk-limit", "1", "risk_limit must be in (0, 1)"),
         ("--risk-limit", "1.5", "risk_limit must be in (0, 1)"),
         ("--trials", "0", "trials must be positive"),
+        ("--seed", "-1", "seed must be nonnegative"),
         ("--error-rate", "1", "error_rate must be in [0, 1)"),
     ],
 )
@@ -834,6 +802,51 @@ def _child_env():
     """Environment for a child process that imports the same condaudit as this process."""
     src = str(Path(condaudit.__file__).parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def _run_child(*argv, **env):
+    """The exit code, stdout and stderr (bytes) of ``condaudit argv`` in a child process, ``env`` added to its own."""
+    proc = subprocess.run([sys.executable, "-m", "condaudit", *argv], capture_output=True,
+                          env={**_child_env(), **env}, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_output_reads_no_environment_variable():
+    # --seed is the seed's one channel: setting $CONDAUDIT_SEED changes nothing.
+    estimate = ["estimate", str(GOLDEN / "election1.json"), "--method", "condorcet", "--trials", "5"]
+    assert _run_child(*estimate, CONDAUDIT_SEED="5") == _run_child(*estimate, "--seed", "0")
+    # Nor does the hash seed change a golden output.
+    exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    cases = {
+        "election2.kemeny.tabulate.text": ["tabulate", str(GOLDEN / "election2.json"), "--method", "kemeny"],
+        "election3.ranked-pairs.audit.polling.text": [
+            "audit", str(GOLDEN / "election3.json"),
+            "--assertions-file", str(GOLDEN / "election3.ranked-pairs.assertions.out"),
+            "--samples-file", str(GOLDEN / "election3-samples.jsonl"),
+        ],
+    }
+    for case, argv in cases.items():
+        expected = (exit_codes[case], (GOLDEN / f"{case}.out").read_bytes(), b"")
+        assert _run_child(*argv, PYTHONHASHSEED="0") == _run_child(*argv, PYTHONHASHSEED="1") == expected
+
+
+@pytest.mark.parametrize("command", ["estimate", "parse", "tabulate"])
+def test_text_that_stdout_cannot_encode_is_an_environment_error(capsys, tmp_path, command):
+    # Each text holds a character ASCII lacks: the estimate's '∞' and the name 'Zoë', which tabulate
+    # writes only after two ASCII lines. Unbuffered, any line written before the fault would show.
+    names = tmp_path / "names.json"
+    names.write_text(json.dumps({"candidates": ["A", "Zoë"], "ballots": [{"ranking": ["A", "Zoë"], "count": 3}]}))
+    argv = {
+        "estimate": ["estimate", str(GOLDEN / "smith_tie.json"), "--method", "smith-minimax", "--trials", "3"],
+        "parse": ["parse", str(names)],
+        "tabulate": ["tabulate", str(names), "--method", "ranked-pairs"],
+    }[command]
+    assert _run_child(*argv, PYTHONIOENCODING="ascii", PYTHONUNBUFFERED="1") == (
+        64, b"", b"error: standard output cannot encode the text output (ascii); use --format json\n"
+    )
+    # JSON output is ASCII: the same run in JSON reaches stdout whole.
+    code, out, _ = _run_child(*argv, "--format", "json", PYTHONIOENCODING="ascii")
+    assert (code, out.decode("ascii")) == run_cli(capsys, *argv, "--format", "json")[:2]
 
 
 def test_estimate_below_the_population_limit_needs_memory_for_the_sample_only(capsys, e3_path):
@@ -913,14 +926,9 @@ def test_audit_config_fields_are_the_cli_options():
 def test_module_entry_point(e3_path):
     # The child imports the same condaudit as this process, even when pytest
     # alone put its source directory on sys.path.
-    proc = subprocess.run(
-        [sys.executable, "-m", "condaudit", "tabulate", "--method", "condorcet", e3_path],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-    )
-    assert proc.returncode == 0
-    assert "none" in proc.stdout
+    code, out, _ = _run_child("tabulate", "--method", "condorcet", e3_path)
+    assert code == 0
+    assert b"none" in out
 
 
 def test_election_without_candidates_is_parse_error(capsys, tmp_path):
