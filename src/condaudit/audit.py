@@ -25,22 +25,25 @@ signature: a table of (reported, audited) cells and their ballot counts.
 It then draws the ballots in a uniformly random order, in chunks that grow
 to 8,192 draws: a chunk's count per cell is a multivariate hypergeometric
 draw from the ballots not yet drawn, and the chunk is shuffled.  Every
-assertion of the set reads the same draws, as one row of one (assertions x
-draws) matrix: the kernel walks every row still walking at once, in slices
-of at most ``_MAX_CHUNK`` values, and a row leaves at its first crossing of
-the risk limit; drawing stops once all have crossed.  So a trial costs
-O(stop + signatures + misread ballots) in time, and memory for its stop, its
-table and one block of misread ballots' targets, and builds no array of N
-ballots.
+assertion of the set reads the same draws.  Trials are walked in blocks,
+of one trial or as many as fit in 256 (trial, assertion) pairs: a block
+builds one table of its trials' cells and scores it once, and each pair is
+one row of one walk, which reads its own trial's draws.  The kernel walks
+every row still walking at once, in slices of at most ``_MAX_CHUNK``
+values; a row leaves at its first crossing of the risk limit, and a trial
+stops drawing once all its rows have crossed.  So a trial costs O(stop +
+signatures + misread ballots) in time, and a block memory for its stops,
+its table, one chunk of draws per trial and one block of misread ballots'
+targets; no array of N ballots is built.
 The per-assertion ASN is the median over trials, and a set's overall ASN is
 the largest per-assertion ASN.  Before the first crossing no draw has
 crossed, so the walk looks for the first draw whose own log-martingale gives
 a p-value at or below the risk limit: one crossing rule, with no running
 peak, for a simulated trial and a batch audit alike.  Each trial's random
 stream is derived from (seed, trial index), so results are reproducible
-regardless of execution order or parallelism, and an assertion's stops do
-not depend on the rest of its set.  The hypergeometric draw takes fewer
-than ``MAX_SIMULATED_BALLOTS`` (10**9) ballots.
+regardless of execution order, blocking or parallelism, and an assertion's
+stops do not depend on the rest of its set.  The hypergeometric draw takes
+fewer than ``MAX_SIMULATED_BALLOTS`` (10**9) ballots.
 
 Simulation and audit score through one path.  One signature table, the
 profile's signatures in sorted order and then an audit's sampled ballots
@@ -157,40 +160,52 @@ def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size > population:
         raise ValueError("more draws than the population holds")
-    return _walk(np.arange, x.reshape(1, -1), population, -np.inf, x.size, trace=True)[1][0]
+    return _walk(lambda start, end, _: np.arange(start, end)[None], x.reshape(1, -1), population, -np.inf,
+                 size=x.size, trace=True)[1][0]
 
 
 # Draws walked before the first check for a crossing, the factor by which
 # each further chunk grows, and the size it grows to.  The kernel takes at
-# most _MAX_CHUNK values at a time (draws times tests).
+# most _MAX_CHUNK values at a time (draws times rows).
 _FIRST_CHUNK = 256
 _CHUNK_GROWTH = 4
 _MAX_CHUNK = 8192
 
+# The rows a block of simulated trials walks at most, (trials x assertions):
+# a block's first kernel slice takes at least 32 draws per row.
+_BLOCK_ROWS = _MAX_CHUNK // 32
+
 
 def _walk(
-    draws, scores, population: int, risk_limit: float, size: int | None = None, trace: bool = False
+    draws, scores, population: int, risk_limit: float, trials: int = 1, size: int | None = None, trace: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw count at which each of several p-values over one shared draw order first falls to ``risk_limit``.
+    """Draw count at which each of several p-values first falls to ``risk_limit``, over one draw order per trial.
 
-    ``draws(a, b)`` returns the items of draws ``a .. b - 1``, of ``size``
-    draws (default ``population``) from a population of ``population``
-    values, and row ``i`` of the matrix ``scores`` maps an item to its value
-    for test ``i``.  Draws are made in chunks that grow to ``_MAX_CHUNK``.
-    Every test still walking is one row of one kernel call, which walks a
-    chunk in slices of at most ``_MAX_CHUNK // rows`` draws (at least one),
-    so that no call takes more than ``_MAX_CHUNK`` values, or one per row.
-    Returns ``(stops, trace)``.  A test that never crosses stops at
+    Row ``i`` of the (tests x cells) matrix ``scores`` maps a cell to its
+    value for test ``i``, and each of ``trials`` trials draws ``size`` cells
+    (default ``population``) in its own order from a population of
+    ``population`` values.  Row ``t * tests + i`` of the walk is test ``i``
+    over trial ``t``'s draws.  ``draws(a, b, ts)`` returns a (trials x
+    (b - a)) array whose row ``t``, for each trial ``t`` of the array ``ts``,
+    holds the cells of trial ``t``'s draws ``a .. b - 1``; no other row is
+    read.  It is called, with the trials that still have a row walking, for
+    chunks that grow to ``_MAX_CHUNK`` draws.  Every row still walking
+    is one row of one kernel call, which walks a chunk in slices of at most
+    ``_MAX_CHUNK // rows`` draws (at least one), so that no call takes more
+    than ``_MAX_CHUNK`` values, or one per row.  Returns ``(stops, trace)``,
+    one entry or row per walk row.  A row that never crosses stops at
     ``population + 1``; otherwise its stop is the first index with
-    ``kk_pvalue_trace(scores[i][items], population) <= risk_limit``, plus
-    one, where ``items`` are all ``size`` draws.
+    ``kk_pvalue_trace(scores[i][cells], population) <= risk_limit``, plus
+    one, where ``cells`` are all ``size`` draws of its trial.
 
     The scores are checked, padded and logged once, and each slice gathers
-    its draws' padded values and logs from them.  No draw before the first
-    crossing crossed, so with or without a trace a draw crosses when its own
+    every row's padded values and logs from its own trial's draws, by flat
+    index.  No row reads another row, so a row walked beside others is bit
+    for bit the row walked alone.  No draw before the first crossing
+    crossed, so with or without a trace a draw crosses when its own
     log-martingale gives a p-value at or below the risk limit.  A row leaves,
-    with its carry, at the slice in which it crosses, and drawing stops once
-    every row has left.
+    with its carry, at the slice in which it crosses, a trial stops drawing
+    once all its rows have left, and the walk ends once every row has.
 
     ``trace`` is ``None`` unless asked for; then every row walks until all
     have crossed, and ``trace`` is the (rows x draws) running minimum of the
@@ -199,19 +214,23 @@ def _walk(
     """
     size = population if size is None else size
     y, log_y = _padded(scores)
-    walking = np.arange(len(y))  # the tests not yet crossed; without a trace, the kernel's rows too
-    stops = np.full(len(y), population + 1, dtype=np.int64)
-    carry, walked = np.zeros((2, len(y))), [np.empty((len(y), 0))]
+    tests, cells = y.shape
+    rows = tests * trials
+    walking = np.arange(rows)  # the rows not yet crossed; without a trace, the kernel's rows too
+    stops = np.full(rows, population + 1, dtype=np.int64)
+    carry, walked = np.zeros((2, rows)), [np.empty((rows, 0))]
     start, chunk = 0, _FIRST_CHUNK
     while walking.size and start < size:
         end = min(start + chunk, size)
-        items = draws(start, end)
+        # Each kernel row's trial, and where its test's scores start in the flat table.
+        at, base = np.divmod(np.arange(rows) if trace else walking, tests)
+        base *= cells
+        items = draws(start, end, np.flatnonzero(np.bincount(at)))
         lo = 0
-        while walking.size and lo < items.size:
-            part = items[lo : lo + max(1, _MAX_CHUNK // len(y))]
-            log_mart, carry = _kk_chunk(
-                np.take(y, part, axis=1), np.take(log_y, part, axis=1), population, start + lo, carry
-            )
+        while walking.size and lo < items.shape[1]:
+            part = np.take(items[:, lo : lo + max(1, _MAX_CHUNK // base.size)], at, axis=0)
+            part += base[:, None]
+            log_mart, carry = _kk_chunk(np.take(y, part), np.take(log_y, part), population, start + lo, carry)
             p = _kk_pvalue(log_mart)
             if trace:
                 walked.append(p)
@@ -223,8 +242,8 @@ def _walk(
                 keep = ~first
                 walking = walking[keep]
                 if not trace:
-                    y, log_y, carry = y[keep], log_y[keep], carry[:, keep]
-            lo += part.size
+                    at, base, carry = at[keep], base[keep], carry[:, keep]
+            lo += part.shape[1]
         start, chunk = end, min(chunk * _CHUNK_GROWTH, _MAX_CHUNK)
     return stops, np.minimum.accumulate(np.concatenate(walked, axis=1), axis=1) if trace else None
 
@@ -285,37 +304,57 @@ MAX_SIMULATED_BALLOTS = 10**9
 _TARGET_BLOCK = 1 << 20
 
 
-def _error_cells(counts: np.ndarray, error_rate: float, rng: np.random.Generator):
-    """One trial's ballots under the error model, as a table of (reported, audited) signature cells.
+def _error_cells(counts: np.ndarray, error_rate: float, rngs: list[np.random.Generator]):
+    """A block of trials' ballots under the error model, as one table of (reported, audited) signature cells.
 
-    Each of the ``counts[s]`` ballots of signature ``s`` is independently
-    misread, with probability ``error_rate``, as a uniformly random *other*
-    signature: ``Binomial(counts[s], error_rate)`` of them are misread, and
-    each goes to one uniform draw of the others.  Returns each cell's
-    reported and audited signature and its ballot count; the diagonal cells
-    come first, one per signature, and only the misread cells that hold a
-    ballot follow.  Building the table costs O(signatures + misread ballots)
-    in time, and memory for the table and one block of ``_TARGET_BLOCK``
-    misread ballots: the targets are drawn block by block, one stream however
-    it is cut, and each block's cell counts are merged into the table.
+    Trial ``t`` draws from its own stream ``rngs[t]``.  Each of the
+    ``counts[s]`` ballots of signature ``s`` is independently misread, with
+    probability ``error_rate``, as a uniformly random *other* signature:
+    ``Binomial(counts[s], error_rate)`` of them are misread, and each goes to
+    one uniform draw of the others.  Returns each cell's reported and audited
+    signature and its ballot count, and the ``trials + 1`` bounds of the
+    trials' cells: trial ``t``'s are ``bounds[t]:bounds[t + 1]``, its
+    diagonal cells first, one per signature, and then only its misread cells
+    that hold a ballot.  Building the table costs O(trials x signatures +
+    misread ballots) in time, and memory for the table and one block of
+    ``_TARGET_BLOCK`` misread ballots: the targets are drawn block by block,
+    each trial's from its own stream, one stream however it is cut, and each
+    block's cell counts are merged into the table.
     """
-    s = counts.size
-    sigs = np.arange(s)
+    s, trials = counts.size, len(rngs)
+    sigs = np.tile(np.arange(s), trials)
     if s < 2:
-        return sigs, sigs, counts
-    errors = rng.binomial(counts, error_rate)
+        return sigs, sigs, np.tile(counts, trials), np.arange(trials + 1) * s
+    errors = np.stack([rng.binomial(counts, error_rate) for rng in rngs])
+    # Misread ballots are numbered across the block, trial by trial: ballot b is of (trial, signature) entry
+    # searchsorted(ends, b, "right") of the flat errors, and trial t's are those before firsts[t + 1].
     ends = np.cumsum(errors)
+    firsts = np.concatenate(([0], ends[s - 1 :: s])).tolist()
     keys, sent = np.empty(0, np.int64), np.empty(0, np.int64)
-    for lo in range(0, int(ends[-1]), _TARGET_BLOCK):
-        misread = np.arange(lo, min(lo + _TARGET_BLOCK, int(ends[-1])))
-        block = np.searchsorted(ends, misread, side="right") * (s - 1) + rng.integers(0, s - 1, size=misread.size)
+    for lo in range(0, firsts[-1], _TARGET_BLOCK):
+        hi = min(lo + _TARGET_BLOCK, firsts[-1])
+        targets = [
+            rng.integers(0, s - 1, size=min(b, hi) - max(a, lo))
+            for rng, a, b in zip(rngs, firsts, firsts[1:])
+            if a < hi and b > lo
+        ]
+        block = np.searchsorted(ends, np.arange(lo, hi), side="right") * (s - 1) + np.concatenate(targets)
         # The table's keys join the block's once each, and count their ballots instead.
         merged, merged_sent = np.unique(np.concatenate((keys, block)), return_counts=True)
         merged_sent[np.searchsorted(merged, keys)] += sent - 1
         keys, sent = merged, merged_sent
-    reported, other = np.divmod(keys, s - 1)
-    audited = other + (other >= reported)
-    return np.concatenate((sigs, reported)), np.concatenate((sigs, audited)), np.concatenate((counts - errors, sent))
+    entry, other = np.divmod(keys, s - 1)
+    trial, reported = np.divmod(entry, s)
+    bounds = np.concatenate(([0], np.cumsum(s + np.bincount(trial, minlength=trials))))
+    # Trial t's diagonal cells start at bounds[t]; its misread cells follow them, in key order.
+    at = np.concatenate(((bounds[:-1, None] + np.arange(s)).ravel(), np.arange(keys.size) + (trial + 1) * s))
+    table = np.empty((3, bounds[-1]), dtype=np.int64)
+    table[:, at] = (
+        np.concatenate((sigs, reported)),
+        np.concatenate((sigs, other + (other >= reported))),
+        np.concatenate(((counts - errors).ravel(), sent)),
+    )
+    return table[0], table[1], table[2], bounds
 
 
 def _trial_stops(
@@ -332,30 +371,44 @@ def _trial_stops(
     if it never certifies.  Every assertion of a trial reads the same draws,
     from one stream keyed by (seed, trial).  A comparison trial scores each
     draw against the assertion's reported mean ``means[i]``, which must exceed 1/2.
+
+    The trials are walked in blocks of ``_BLOCK_ROWS // assertions`` trials
+    (at least one), and each of ``workers`` threads takes whole blocks.  A block
+    builds one table of its trials' cells, scores and pads it once, and
+    walks each (trial, assertion) pair as one row of one :func:`_walk`.  A
+    trial draws a chunk, from its own stream and in the order it would
+    alone, only while one of its rows walks, so no stop depends on the
+    block a trial falls in or on the worker that walks it.
     """
     n = int(counts.sum())
+    block = max(1, _BLOCK_ROWS // len(values))
 
-    def one_trial(trial: int) -> np.ndarray:
-        rng = np.random.default_rng([cfg.seed, trial])
-        reported, audited, cells = _error_cells(counts, cfg.error_rate, rng)
+    def one_block(first: int) -> np.ndarray:
+        rngs = [np.random.default_rng([cfg.seed, trial]) for trial in range(first, min(first + block, cfg.trials))]
+        reported, audited, cells, bounds = _error_cells(counts, cfg.error_rate, rngs)
         scores = _cell_scores(values, means, reported, audited, cfg.style)
-        remaining = cells.copy()
+        bounds = bounds.tolist()
 
-        def draws(start: int, end: int) -> np.ndarray:
-            drawn = rng.multivariate_hypergeometric(remaining, end - start, method="marginals")
-            remaining[:] -= drawn
-            order = np.repeat(np.arange(drawn.size), drawn)
-            rng.shuffle(order)
-            return order
+        def draws(start: int, end: int, trials: np.ndarray) -> np.ndarray:
+            chunk = np.empty((len(rngs), end - start), dtype=np.int64)
+            for t in trials.tolist():
+                remaining = cells[bounds[t] : bounds[t + 1]]  # a view: the trial's ballots not yet drawn
+                drawn = rngs[t].multivariate_hypergeometric(remaining, end - start, method="marginals")
+                remaining -= drawn
+                order = np.repeat(np.arange(bounds[t], bounds[t + 1]), drawn)
+                rngs[t].shuffle(order)
+                chunk[t] = order
+            return chunk
 
-        return _walk(draws, scores, n, cfg.risk_limit)[0]
+        return _walk(draws, scores, n, cfg.risk_limit, len(rngs))[0].reshape(len(rngs), -1)
 
+    firsts = range(0, cfg.trials, block)
     if workers <= 1:
-        stops = [one_trial(trial) for trial in range(cfg.trials)]
+        stops = [one_block(first) for first in firsts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            stops = list(pool.map(one_trial, range(cfg.trials)))
-    return np.array(stops, dtype=np.int64)
+            stops = list(pool.map(one_block, firsts))
+    return np.concatenate(stops)
 
 
 def _escalates(aset: AssertionSet, election: Election) -> bool:
@@ -562,7 +615,9 @@ def run_audit(
     audited = np.array([rows[s.audited] for s in samples], dtype=np.intp)
     reported = np.array([rows[s.reported] for s in samples], dtype=np.intp) if comparison else audited
     scores = _cell_scores(values, means, reported, audited, cfg.style)
-    stops, traces = _walk(lambda start, end: order[start:end], scores, n, cfg.risk_limit, order.size, trace=True)
+    stops, traces = _walk(
+        lambda start, end, _: order[None, start:end], scores, n, cfg.risk_limit, size=order.size, trace=True
+    )
     examined = min(order.size, int(stops.max(initial=0)))
     traces = traces[:, :examined]
     traces.flags.writeable = False

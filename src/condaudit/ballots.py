@@ -188,9 +188,12 @@ def parse_preflib(text: str) -> ParseReport:
             raise ParseError("duplicate candidate within one ranking", lineno)
         votes.append((lineno, count, tuple(ranking)))
 
-    _, k = header.get("NUMBER ALTERNATIVES", (0, max((max(r) for _, _, r in votes if r), default=0)))
-    if "NUMBER ALTERNATIVES" not in header and votes:
-        warnings.append((votes[0][0], f"NUMBER ALTERNATIVES missing; inferred {k}"))
+    if "NUMBER ALTERNATIVES" in header:
+        _, k = header["NUMBER ALTERNATIVES"]
+    else:
+        k = max((max(r) for _, _, r in votes if r), default=0)
+        if votes:
+            warnings.append((votes[0][0], f"NUMBER ALTERNATIVES missing; inferred {k}"))
     for lineno, _, ranking in votes:
         for c in ranking:
             if not 1 <= c <= k:

@@ -503,7 +503,9 @@ def _dispatch(args) -> int:
             written = f"{count} assertion{'s' * (count != 1)}"
             if aset.full_hand_count:
                 written = "a full-hand-count escalation"
-            print(f"wrote {written} to {args.output}")
+            # The file is written: a path standard output cannot encode is shown escaped, not refused.
+            line, encoding = f"wrote {written} to {args.output}", sys.stdout.encoding or "utf-8"
+            print(line.encode(encoding, "backslashreplace").decode(encoding))
         else:
             print(text)
         return EXIT_OK

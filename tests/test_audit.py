@@ -47,6 +47,7 @@ from condaudit import assertions as assertions_module
 from condaudit import audit as audit_module
 from condaudit import model as model_module
 from condaudit.audit import (
+    AUDIT_STYLES,
     _FIRST_CHUNK,
     _MAX_CHUNK,
     NULL_MEAN,
@@ -67,6 +68,7 @@ from oracles import (
     ks_statistic,
     normalizer,
     per_ballot_stops,
+    random_election,
     reference_samples,
     signed_contribution,
     weighted_g_sum,
@@ -314,9 +316,10 @@ def check_first_crossings(xs, risk_limit, items=None):
 
     calls = []
 
-    def draws(start, end):
+    def draws(start, end, trials):
+        assert trials.tolist() == [0]
         calls.append((start, end))
-        return items[start:end]
+        return items[None, start:end]
 
     stops, untraced = _walk(draws, xs, n, risk_limit)
     assert stops.tolist() == expected and untraced is None
@@ -326,7 +329,7 @@ def check_first_crossings(xs, risk_limit, items=None):
     last_start, last_end = calls[-1]
     assert last_start < max(expected) <= last_end if max(expected) <= n else last_end == n
 
-    stops, traced = _walk(lambda start, end: items[start:end], xs, n, risk_limit, n, trace=True)
+    stops, traced = _walk(lambda start, end, _: items[None, start:end], xs, n, risk_limit, size=n, trace=True)
     assert stops.tolist() == expected
     walked = traced.shape[1]
     assert min(max(expected), n) <= walked <= n and (walked == n or walked - max(expected) < _MAX_CHUNK)
@@ -573,37 +576,48 @@ class TestSimulationModel:
     # At rate 0.5 nearly every one of election3's 42 misread cells holds ballots, at 0.0005 few do.
     @pytest.mark.parametrize("error_rate", [0.5, 0.0005])
     def test_a_walk_to_n_draws_every_ballot_once(self, election3, monkeypatch, error_rate):
+        # Six trials in blocks of four and two: each trial's draws, from its own cells of its block's table,
+        # count every one of those cells' ballots once.
         tables, drawn = [], []
         error_cells, walk = audit_module._error_cells, audit_module._walk
 
         def recording_cells(*args):
-            tables.append(error_cells(*args))
-            return tables[-1]
+            table = error_cells(*args)
+            tables.append([a.copy() for a in table])  # the walk draws the cells' ballots down in place
+            return table
 
-        def walk_to_n(draws, scores, population, risk_limit):
-            def recording(start, end):
-                drawn[-1].append(draws(start, end))
-                return drawn[-1][-1]
+        def walk_to_n(draws, scores, population, risk_limit, trials):
+            def recording(start, end, ts):
+                chunk = draws(start, end, ts)
+                for t in ts.tolist():
+                    drawn[-1][t].append(chunk[t])
+                return chunk
 
-            drawn.append([])
+            drawn.append([[] for _ in range(trials)])
             # Zeros never take the p-value to 0: the walk draws all N.
-            stops, _ = walk(recording, [np.zeros(tables[-1][2].size)], population, 0.0)
-            return np.tile(stops, len(scores)), None
+            stops, _ = walk(recording, np.zeros((1, tables[-1][2].size)), population, 0.0, trials)
+            return np.repeat(stops, len(scores)), None
 
         monkeypatch.setattr(audit_module, "_error_cells", recording_cells)
         monkeypatch.setattr(audit_module, "_walk", walk_to_n)
+        monkeypatch.setattr(audit_module, "_BLOCK_ROWS", 4)
         n = election3.total_ballots
         cfg = AuditConfig(seed=2, trials=6, error_rate=error_rate)
         est = one_assertion_estimate(PairwisePositive(0, 1), election3, cfg)
         assert est.stops[0].tolist() == [n + 1] * 6
+        assert [len(trials) for trials in drawn] == [4, 2]
         _, counts, _, _ = _scoring(AssertionSet("x", 0), election3, "polling")
         misread = 0
-        for (reported, audited, cells), items in zip(tables, drawn):
-            assert np.bincount(np.concatenate(items), minlength=cells.size).tolist() == cells.tolist()
-            assert np.bincount(reported, weights=cells, minlength=counts.size).tolist() == counts.tolist()
-            pairs = list(zip(reported.tolist(), audited.tolist()))
-            assert len(set(pairs)) == len(pairs) and (cells >= 0).all()
-            misread += int(cells[reported != audited].sum())
+        for (reported, audited, cells, bounds), block in zip(tables, drawn):
+            assert bounds.size == len(block) + 1 and bounds[-1] == cells.size
+            for lo, hi, items in zip(bounds.tolist(), bounds[1:].tolist(), block):
+                items = np.concatenate(items)
+                assert items.size == n and lo <= items.min() and items.max() < hi
+                assert np.bincount(items - lo, minlength=hi - lo).tolist() == cells[lo:hi].tolist()
+                assert np.bincount(reported[lo:hi], weights=cells[lo:hi], minlength=counts.size).tolist() == counts.tolist()
+                pairs = list(zip(reported[lo:hi].tolist(), audited[lo:hi].tolist()))
+                assert len(set(pairs)) == len(pairs) and (cells[lo:hi] >= 0).all()
+                misread += int(cells[lo:hi][reported[lo:hi] != audited[lo:hi]].sum())
         assert misread > 0
 
     @pytest.mark.parametrize("error_rate", [0.05, 0.0005])
@@ -614,7 +628,8 @@ class TestSimulationModel:
         rng = np.random.default_rng(21)
         total = np.zeros((s, s))
         for _ in range(trials):
-            reported, audited, cells = _error_cells(counts, error_rate, rng)
+            reported, audited, cells, bounds = _error_cells(counts, error_rate, [rng])
+            assert bounds.tolist() == [0, cells.size]
             np.add.at(total, (reported, audited), cells)
         expected = np.outer(counts, np.full(s, error_rate / (s - 1))) * trials
         np.fill_diagonal(expected, counts * (1 - error_rate) * trials)
@@ -625,18 +640,24 @@ class TestSimulationModel:
         st.floats(0, 0.9),
         st.sampled_from([1, 2, 3, 7, 64, 777]),
         st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
     )
     @settings(max_examples=40, deadline=None)
-    def test_blocked_error_cells_equal_the_one_shot_table(self, counts, error_rate, block, seed):
-        # Targets drawn in blocks of a few ballots give the table, and leave the stream, as one draw of all.
+    def test_blocked_error_cells_equal_the_one_shot_table(self, counts, error_rate, block, seed, trials):
+        # Targets drawn in blocks of a few ballots give the table, and leave the stream, as one draw of all;
+        # a block of trials gives each trial's one-shot table in turn, from that trial's own stream.
         counts = np.array(counts, dtype=np.int64)
-        one_shot_rng, blocked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = one_shot_error_cells(counts, error_rate, one_shot_rng)
+        one_shot_rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
+        blocked_rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
+        expected = [one_shot_error_cells(counts, error_rate, rng) for rng in one_shot_rngs]
         with mock.patch.object(audit_module, "_TARGET_BLOCK", block):
-            table = _error_cells(counts, error_rate, blocked_rng)
-        for ours, theirs in zip(table, expected):
+            *table, bounds = _error_cells(counts, error_rate, blocked_rngs)
+        assert bounds.tolist() == np.cumsum([0] + [cells.size for _, _, cells in expected]).tolist()
+        for ours, theirs in zip(table, zip(*expected)):
+            theirs = np.concatenate(theirs)
             assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
-        assert blocked_rng.random() == one_shot_rng.random()
+        for blocked_rng, one_shot_rng in zip(blocked_rngs, one_shot_rngs):
+            assert blocked_rng.random() == one_shot_rng.random()
 
     def test_error_cells_memory_follows_the_table(self):
         # 60,000,000 ballots of 3 signatures, half of them misread: one array of their 30,000,000
@@ -644,7 +665,7 @@ class TestSimulationModel:
         # block of them, within a 512 MiB address space.
         code = (
             "import numpy as np; from condaudit.audit import _error_cells; "
-            "r, a, c = _error_cells(np.array([20_000_000] * 3), 0.5, np.random.default_rng(1)); "
+            "r, a, c, _ = _error_cells(np.array([20_000_000] * 3), 0.5, [np.random.default_rng(1)]); "
             "print(r.size, int(c.sum()), int(c[3:].sum()))"
         )
         cap = 512 << 20
@@ -765,7 +786,7 @@ class TestEstimate:
 
     def test_walk_takes_every_assertion_in_one_kernel_call(self, election3, monkeypatch):
         aset = method_assertions("kemeny", election3)
-        chunks, values = [], []
+        chunks, values, walks = [], [], []
         kernel, walk = audit_module._kk_chunk, audit_module._walk
 
         def counting_kernel(*args):
@@ -773,10 +794,11 @@ class TestEstimate:
             return kernel(*args)
 
         def counting_walk(draws, *args):
-            def counted(start, end):
+            def counted(start, end, trials):
                 chunks.append(end - start)
-                return draws(start, end)
+                return draws(start, end, trials)
 
+            walks.append(args[3])
             return walk(counted, *args)
 
         monkeypatch.setattr(audit_module, "_kk_chunk", counting_kernel)
@@ -784,14 +806,16 @@ class TestEstimate:
         # Polling trials walk three of the 18 assertions to about 27,000 draws, through capped chunks.
         estimate_audit(aset, election3, AuditConfig(seed=7, trials=10))
         assert len(aset.assertions) == 18 and max(chunks) == _MAX_CHUNK
-        # One call walks every assertion still walking, so calls do not scale with the assertions:
-        # each but the last slice of a drawn chunk holds more than half of _MAX_CHUNK values.
+        assert walks == [10]  # 180 rows: one block
+        # One call walks every row still walking, of every trial of the block, so calls grow with neither
+        # the assertions nor the trials: each but the last slice of a drawn chunk holds more than half of
+        # _MAX_CHUNK values.
         assert len(values) <= len(chunks) + sum(values) / (_MAX_CHUNK / 2)
         assert max(values) <= _MAX_CHUNK
 
     def test_estimate_and_audit_walk_through_one_walker(self, election3, monkeypatch):
-        # Simulated trials, a batch audit and a public p-value trace all walk through _walk, and the
-        # kernel is never called outside it.
+        # Simulated trials, a batch audit and a public p-value trace all walk through _walk, one walk per
+        # block of trials, and the kernel is never called outside it.
         walks, inside = [], []
         kernel, walk = audit_module._kk_chunk, audit_module._walk
 
@@ -799,24 +823,54 @@ class TestEstimate:
             assert inside, "a kernel call outside the walker"
             return kernel(*args)
 
-        def recording_walk(*args, trace=False):
-            walks.append(trace)
+        def recording_walk(*args, **kwargs):
+            walks.append((args[4] if len(args) > 4 else kwargs.get("trials", 1), kwargs.get("trace", False)))
             inside.append(True)
             try:
-                return walk(*args, trace=trace)
+                return walk(*args, **kwargs)
             finally:
                 inside.pop()
 
         monkeypatch.setattr(audit_module, "_kk_chunk", checked_kernel)
         monkeypatch.setattr(audit_module, "_walk", recording_walk)
         aset = method_assertions("ranked-pairs", election3)
-        cfg = AuditConfig(seed=7, trials=4, style="comparison")
+        cfg = AuditConfig(seed=7, trials=5, style="comparison")
         estimate_audit(aset, election3, cfg)
-        assert walks == [False] * 4
+        assert len(aset.assertions) == 5 and walks == [(5, False)]  # 25 rows: one block
+        # Blocks of two trials: three walks.
+        monkeypatch.setattr(audit_module, "_BLOCK_ROWS", 2 * len(aset.assertions))
+        estimate_audit(aset, election3, cfg)
+        assert walks[1:] == [(2, False), (2, False), (1, False)]
+        del walks[:]
         report = run_audit(aset, load_samples(GOLDEN / "election3-samples.jsonl", election3), election3, cfg)
-        assert report.certified and walks == [False] * 4 + [True]
+        assert report.certified and walks == [(1, True)]
         kk_pvalue_trace(np.full(300, 0.7), 1000)
-        assert walks == [False] * 4 + [True, True]
+        assert walks == [(1, True), (1, True)]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 9]),
+        st.sampled_from(AUDIT_STYLES),
+        st.sampled_from([0.0, 0.5]),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stops_do_not_depend_on_the_blocks_or_the_workers(self, seed, signatures, style, error_rate, trials):
+        # Every claim between two candidates of a small random election, some of them false, walked in
+        # blocks of 1, 2, 7 and all trials, on one worker and on four.
+        rng = np.random.default_rng(seed)
+        election = random_election(rng, max_k=4, max_signatures=signatures)
+        k = election.num_candidates
+        aset = AssertionSet("x", 0, tuple(PairwisePositive(i, j) for i in range(k) for j in range(k) if i != j))
+        cfg = AuditConfig(seed=seed, trials=trials, style=style, error_rate=error_rate)
+        means = _scoring(aset, election, style)[3]
+        walked = len(means) if style == "polling" else int((means > 0.5).sum())
+        runs = []
+        for block in (1, 2, 7, trials):
+            with mock.patch.object(audit_module, "_BLOCK_ROWS", block * walked):
+                runs += [estimate_audit(aset, election, cfg, workers=workers) for workers in (1, 4)]
+        for run in runs:
+            assert run == runs[0] and [s.tolist() for s in run.stops] == [s.tolist() for s in runs[0].stops]
 
 
 def polling_lines(ballots, names):

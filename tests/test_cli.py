@@ -849,6 +849,17 @@ def test_text_that_stdout_cannot_encode_is_an_environment_error(capsys, tmp_path
     assert (code, out.decode("ascii")) == run_cli(capsys, *argv, "--format", "json")[:2]
 
 
+def test_written_set_confirms_a_path_stdout_cannot_encode(tmp_path):
+    # The set is written whatever the stream's encoding, and its confirmation line shows the path escaped.
+    out_path = tmp_path / "zoë.json"
+    argv = ["assertions", str(GOLDEN / "election1.json"), "--method", "condorcet", "-o", str(out_path)]
+    assert _run_child(*argv, PYTHONIOENCODING="ascii") == (
+        0, f"wrote 2 assertions to {out_path}\n".encode("ascii", "backslashreplace"), b""
+    )
+    assert [a["type"] for a in json.loads(out_path.read_text(encoding="utf-8"))["assertions"]] == ["pairwise_positive"] * 2
+    assert _run_child(*argv, PYTHONIOENCODING="utf-8") == (0, f"wrote 2 assertions to {out_path}\n".encode(), b"")
+
+
 def test_estimate_below_the_population_limit_needs_memory_for_the_sample_only(capsys, e3_path):
     # N = 34,000 x 29,000 = 986,000,000 ballots, in a process whose address space is capped at 1 GiB.
     args = ["estimate", e3_path, "--method", "ranked-pairs", "--style", "comparison", "--trials", "5", "--seed", "7",
