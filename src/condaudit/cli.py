@@ -12,7 +12,8 @@ Settings come from the command line only: the simulation seed is ``--seed``
 Exit codes: 0 success; 1 full-hand-count outcome, infeasible audit
 (``InfeasibleAuditError``), capacity limit (``CapacityError``) or out of
 memory; 2 a bad input file of any kind (``ParseError``); 64 usage errors,
-and text output that standard output cannot encode (none of it is written);
+and text output that standard output cannot encode (none of it is written;
+the line confirming an ``assertions -o`` file escapes what it cannot encode);
 70 internal error (any other exception, reported with its traceback).
 ``--format json`` output is ``json.dumps(obj, indent=2)`` byte for byte,
 where ``obj`` is the payload with each float64 array (an audit's p-value

@@ -1,3 +1,5 @@
+import simd  # noqa: F401  (first: it pins numpy's dispatch before numpy is imported)
+
 import pytest
 
 from condaudit import Election

@@ -6,6 +6,8 @@ re-captured, after a deliberate change of the simulation's random stream, with
     PYTHONPATH=src python tests/test_audit.py --write
 """
 
+import simd  # noqa: F401  (first: it pins numpy's dispatch before numpy is imported)
+
 import json
 import math
 import os

@@ -13,6 +13,8 @@ A deliberate change of output is re-captured with
 
 from __future__ import annotations
 
+import simd  # noqa: F401  (first: it pins numpy's dispatch before numpy is imported)
+
 import contextlib
 import io
 import itertools
@@ -83,6 +85,14 @@ def test_golden_output(case, exit_codes):
         # pytest's own diff of two outputs of up to 330 KB takes tens of seconds.
         pytest.fail(_first_difference(out, expected), pytrace=False)
     assert code == exit_codes[case]
+
+
+def test_numpy_dispatches_below_avx512():
+    # The goldens' p-value traces are captured with numpy's AVX2 or baseline exp and log (see simd.py).
+    from numpy.lib.introspect import opt_func_info
+
+    current = {sig["current"] for func in opt_func_info().values() for sig in func.values()}
+    assert not [target for target in current if target == "X86_V4" or target.startswith("AVX512")], current
 
 
 def _first_difference(out: str, expected: str) -> str:
