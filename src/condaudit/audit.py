@@ -171,8 +171,8 @@ _FIRST_CHUNK = 256
 _CHUNK_GROWTH = 4
 _MAX_CHUNK = 8192
 
-# The rows a block of simulated trials walks at most, (trials x assertions):
-# a block's first kernel slice takes at least 32 draws per row.
+# The (trial, assertion) rows of a block of simulated trials: at most this
+# many, or one trial's.  A full block's first kernel slice takes 32 draws per row.
 _BLOCK_ROWS = _MAX_CHUNK // 32
 
 
@@ -217,14 +217,14 @@ def _walk(
     tests, cells = y.shape
     rows = tests * trials
     walking = np.arange(rows)  # the rows not yet crossed; without a trace, the kernel's rows too
+    # Each kernel row's trial, and where its test's scores start in the flat table.
+    at, base = np.divmod(walking, tests)
+    base *= cells
     stops = np.full(rows, population + 1, dtype=np.int64)
     carry, walked = np.zeros((2, rows)), [np.empty((rows, 0))]
     start, chunk = 0, _FIRST_CHUNK
     while walking.size and start < size:
         end = min(start + chunk, size)
-        # Each kernel row's trial, and where its test's scores start in the flat table.
-        at, base = np.divmod(np.arange(rows) if trace else walking, tests)
-        base *= cells
         items = draws(start, end, np.flatnonzero(np.bincount(at)))
         lo = 0
         while walking.size and lo < items.shape[1]:
