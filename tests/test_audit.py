@@ -613,13 +613,14 @@ class TestSimulationModel:
         for (reported, audited, cells, bounds), block in zip(tables, drawn):
             assert bounds.size == len(block) + 1 and bounds[-1] == cells.size
             for lo, hi, items in zip(bounds.tolist(), bounds[1:].tolist(), block):
-                items = np.concatenate(items)
+                items, trial = np.concatenate(items), slice(lo, hi)
                 assert items.size == n and lo <= items.min() and items.max() < hi
-                assert np.bincount(items - lo, minlength=hi - lo).tolist() == cells[lo:hi].tolist()
-                assert np.bincount(reported[lo:hi], weights=cells[lo:hi], minlength=counts.size).tolist() == counts.tolist()
-                pairs = list(zip(reported[lo:hi].tolist(), audited[lo:hi].tolist()))
-                assert len(set(pairs)) == len(pairs) and (cells[lo:hi] >= 0).all()
-                misread += int(cells[lo:hi][reported[lo:hi] != audited[lo:hi]].sum())
+                assert np.bincount(items - lo, minlength=hi - lo).tolist() == cells[trial].tolist()
+                per_signature = np.bincount(reported[trial], weights=cells[trial], minlength=counts.size)
+                assert per_signature.tolist() == counts.tolist()
+                pairs = list(zip(reported[trial].tolist(), audited[trial].tolist()))
+                assert len(set(pairs)) == len(pairs) and (cells[trial] >= 0).all()
+                misread += int(cells[trial][reported[trial] != audited[trial]].sum())
         assert misread > 0
 
     @pytest.mark.parametrize("error_rate", [0.05, 0.0005])

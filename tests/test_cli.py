@@ -856,7 +856,8 @@ def test_written_set_confirms_a_path_stdout_cannot_encode(tmp_path):
     assert _run_child(*argv, PYTHONIOENCODING="ascii") == (
         0, f"wrote 2 assertions to {out_path}\n".encode("ascii", "backslashreplace"), b""
     )
-    assert [a["type"] for a in json.loads(out_path.read_text(encoding="utf-8"))["assertions"]] == ["pairwise_positive"] * 2
+    written = json.loads(out_path.read_text(encoding="utf-8"))
+    assert [a["type"] for a in written["assertions"]] == ["pairwise_positive"] * 2
     assert _run_child(*argv, PYTHONIOENCODING="utf-8") == (0, f"wrote 2 assertions to {out_path}\n".encode(), b"")
 
 
