@@ -7,7 +7,7 @@ assertions per ballot as normalized assorters, and estimates or executes
 sequential audits under the Kaplan-Kolmogorov risk function.
 """
 
-from .model import Ballot, CapacityError, Election, pairwise_tallies, preference_matrix, prefers, restrict_to, scores
+from .model import Ballot, CapacityError, Election, pairwise_tallies, preference_matrix, restrict_to, scores
 from .ballots import (
     ParseError,
     ParseReport,
@@ -39,8 +39,6 @@ from .assertions import (
     PairwisePositive,
     RankingComparison,
     ScoreComparison,
-    assorter_mean,
-    assorter_values,
     condorcet_assertions,
     describe,
     export_assertions,

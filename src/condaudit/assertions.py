@@ -5,11 +5,13 @@ method's assertion set implies its reported winner won.  Every assertion is
 scored per ballot by an *assorter*: a value in [0, 1] whose population mean
 exceeds 1/2 exactly when the claimed inequality holds.
 
-Each claim is integer weights ``W`` over ordered candidate pairs
-(:func:`claim_weights`, which stacks a whole set's claims from one
-:func:`~condaudit.model.preference_matrix` of their rankings): a ballot
-contributes ``g = sum_ij W[i, j] * prefers(i, j)`` and scores ``(g - a) /
-(-2a)`` with ``a = -h``, for any integer normaliser ``h`` at least the
+A ballot prefers i over j when it ranks i above j, or ranks i and not j;
+:func:`~condaudit.model.preference_matrix` holds that relation as a boolean
+row ``P`` per ballot, and is its one implementation.  Each claim is integer
+weights ``W`` over ordered candidate pairs (:func:`claim_weights`, which
+stacks a whole set's claims from one ``preference_matrix`` of their
+rankings): a ballot contributes ``g = sum_ij W[i, j] * P[i, j]`` and scores
+``(g - a) / (-2a)`` with ``a = -h``, for any integer normaliser ``h`` at least the
 largest ``|g|``, ``d = sum_{i<j} |W[i, j]|``.  :func:`normalizers` states
 which ``h`` an audit uses.  A comparison audit takes ``h = d``: 1 for a
 pairwise claim, 2 for a score comparison and, for a ranking comparison, the
@@ -168,7 +170,8 @@ def claim_weights(assertions: Sequence[Assertion], num_candidates: int) -> tuple
     """Each claim as integer weights ``W`` over ordered pairs, shape (A, k, k), and normaliser ``h``, shape (A,).
 
     A ballot's signed contribution to claim ``a`` is ``g = sum_ij W[a, i, j] *
-    prefers(i, j)`` and its assorter is ``(g + h[a]) / 2h[a]``.  ``W`` sums
+    P[i, j]``, over its row ``P`` of a :func:`preference_matrix`, and its
+    assorter is ``(g + h[a]) / 2h[a]``.  ``W`` sums
     the claim's signed rows of one :func:`preference_matrix` of all rankings.
     """
     rankings, signs, starts, hs = [], [], [], []
@@ -221,17 +224,6 @@ def claim_means(weights: np.ndarray, h: np.ndarray, tallies: np.ndarray, total: 
     # In Python ints: a margin sums up to k(k-1) tallies of at most N each, past int64 for large N.
     margins = (weights * tallies.astype(object)).sum(axis=(1, 2)).tolist()
     return np.array([(m + norm * total) / (2 * norm * total) for m, norm in zip(margins, h.tolist())])
-
-
-def assorter_values(assertion: Assertion, prefs: np.ndarray) -> np.ndarray:
-    """Polling assorter, with ``claim()``'s ``h``, of every signature in a :func:`preference_matrix`; each in [0, 1]."""
-    return claim_values(*claim_weights([assertion], prefs.shape[-1]), prefs)[0]
-
-
-def assorter_mean(assertion: Assertion, election: Election) -> float:
-    """Population mean of the polling assorter over every ballot in the election, exactly, by :func:`claim_means`."""
-    tallies = pairwise_tallies(election)
-    return float(claim_means(*claim_weights([assertion], tallies.shape[0]), tallies, election.total_ballots)[0])
 
 
 # ---------------------------------------------------------------------------

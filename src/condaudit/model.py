@@ -74,28 +74,14 @@ class Election:
         return hashlib.sha256(blob).hexdigest()
 
 
-def prefers(ballot: Ballot, i: int, j: int) -> bool:
-    """True iff the ballot prefers candidate ``i`` over candidate ``j``.
-
-    A ballot prefers i over j when i appears before j on it, or when i
-    appears and j does not.  A ballot mentioning neither, or only j,
-    expresses no preference for i.
-    """
-    if i == j:
-        raise ValueError("prefers() requires two distinct candidates")
-    for c in ballot:
-        if c == i:
-            return True
-        if c == j:
-            return False
-    return False
-
-
 def preference_matrix(signatures: Sequence[Ballot], num_candidates: int) -> np.ndarray:
     """Boolean array ``P`` with ``P[s, i, j]`` true iff signature s prefers i over j.
 
-    The array form of :func:`prefers`: i is preferred when its position is
-    smaller, with unranked candidates at position ``num_candidates``.
+    A ballot prefers i over j when i appears before j on it, or when i
+    appears and j does not; a ballot mentioning neither, or only j, expresses
+    no preference for i, and no ballot prefers a candidate over itself.  So
+    i is preferred when its position is smaller, with unranked candidates at
+    position ``num_candidates``.
     """
     lengths = np.fromiter(map(len, signatures), dtype=np.intp, count=len(signatures))
     ranked = np.fromiter(itertools.chain.from_iterable(signatures), dtype=np.intp, count=int(lengths.sum()))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CapacityError, Election, restrict_to
+from .model import CapacityError, Election, restrict_to, scores
 
 # Winner-stability search over orderings of equal-score blocks gives up past
 # this many tabulation runs and escalates instead.
@@ -380,11 +380,9 @@ def smith_set(tallies: np.ndarray, *, irv: Election | None = None) -> SmithResul
     IRV over ``irv`` restricted to the members when that election (the one
     ``tallies`` counts) is given, and that Minimax otherwise.
     """
-    t = np.asarray(tallies)
-    k = t.shape[0]
-    if k == 0:
+    s = scores(tallies)
+    if s.shape[0] == 0:
         raise ValueError("smith set requires at least one candidate")
-    s = t - t.T
 
     ordered = _undominated(s)
     tie_flag = any(

@@ -13,7 +13,7 @@ from two commits, ``diff`` into the list of cases a change moved.
 
 A fault is recorded by its message, not its class, and assertion documents
 are imported as dicts, so that commits that name their errors differently,
-or decode JSON differently, still compare.  Only the public API is used.
+or decode JSON differently, still compare.  Only public names are used.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from condaudit import (
     PairwisePositive,
     RankingComparison,
     ScoreComparison,
-    assorter_mean,
-    assorter_values,
     estimate_audit,
     export_assertions,
     import_assertions,
@@ -52,6 +50,7 @@ from condaudit import (
     run_audit,
     serialize_election,
 )
+from condaudit.assertions import claim_means, claim_values, claim_weights, normalizers
 
 from oracles import expand, random_election, reference_samples
 
@@ -235,7 +234,8 @@ def _random_claim(rng: np.random.Generator, k: int):
 
 
 def score_case(rng: np.random.Generator):
-    """A generated set and a few random claims, each scored on the profile's signatures and three random ballots."""
+    """A generated set and a few random claims, scored as one stack, as an audit scores a set, on the profile's
+    signatures and three random ballots."""
     election = election_of(rng)
     k = election.num_candidates
     method = str(rng.choice(GENERATED))
@@ -249,8 +249,10 @@ def score_case(rng: np.random.Generator):
     prefs = preference_matrix(sorted(election.profile) + extra, k)
     case["claims"] = [[type(a).__name__, plain(a)] for a in claims]
     case["extra"] = extra
-    values = [assorter_values(a, prefs) for a in claims]
-    means = [assorter_mean(a, election) for a in claims]
+    weights, h = claim_weights(claims, k)
+    h = normalizers(weights, h, "polling")
+    values = claim_values(weights, h, prefs)
+    means = claim_means(weights, h, pairwise_tallies(election), election.total_ballots)
     return case, "set" if claims else "empty", {"values": digest(values), "means": digest(means)}
 
 

@@ -21,8 +21,6 @@ from condaudit import (
     Election,
     PairwisePositive,
     ScoreComparison,
-    assorter_mean,
-    assorter_values,
     condorcet_assertions,
     condorcet_winner,
     estimate_audit,
@@ -41,6 +39,7 @@ from condaudit import (
     smith_assertions,
     smith_set,
 )
+from condaudit.assertions import claim_means, claim_values, claim_weights, normalizers
 from condaudit.cli import main as cli_main
 
 from oracles import (
@@ -167,21 +166,25 @@ def test_criterion_4_assorter_soundness():
             e = random_election(rng)
             t = pairwise_tallies(e)
             total = e.total_ballots
+            prefs = preference_matrix([(), *e.profile], e.num_candidates)
             for aset in _generated_sets(e):
-                for a in aset.assertions:
-                    checked += 1
-                    empty, *values = assorter_values(a, preference_matrix([(), *e.profile], e.num_candidates))
-                    assert empty == 0.5
-                    for v in values:
-                        assert 0.0 <= v <= 1.0
+                checked += len(aset.assertions)
+                # Each set is scored as one stack, in both audit styles, as an audit scores it.
+                weights, h = claim_weights(aset.assertions, e.num_candidates)
+                margins = [claim_margin(a, t) for a in aset.assertions]
+                if total:
+                    assert [weighted_g_sum(a, e) for a in aset.assertions] == margins
+                for style in ("polling", "comparison"):
+                    norm = normalizers(weights, h, style)
+                    values = claim_values(weights, norm, prefs)
+                    assert (values[:, 0] == 0.5).all()
+                    assert ((values >= 0.0) & (values <= 1.0)).all()
                     if total == 0:
                         continue
-                    mean = assorter_mean(a, e)
-                    margin = claim_margin(a, t)
-                    assert weighted_g_sum(a, e) == margin
-                    assert (mean > 0.5) == (margin > 0), (a, e.profile)
-                    if margin == 0:
-                        assert mean == pytest.approx(0.5, abs=1e-12)
+                    for a, mean, margin in zip(aset.assertions, claim_means(weights, norm, t, total), margins):
+                        assert (mean > 0.5) == (margin > 0), (a, style, e.profile)
+                        if margin == 0:
+                            assert mean == pytest.approx(0.5, abs=1e-12)
         assert checked >= 2000
 
 

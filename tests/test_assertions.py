@@ -17,8 +17,6 @@ from condaudit import (
     ParseError,
     RankingComparison,
     ScoreComparison,
-    assorter_mean,
-    assorter_values,
     condorcet_assertions,
     condorcet_winner,
     describe,
@@ -64,8 +62,15 @@ def as_pairs(aset):
 
 
 def ballot_value(assertion, ballot, k=4):
-    """The assorter of one ballot, scored as a one-row preference matrix over k candidates."""
-    return float(assorter_values(assertion, preference_matrix([ballot], k))[0])
+    """The polling assorter of one ballot: entry (0, 0) of a one-claim set scored on a one-row preference matrix."""
+    weights, h = claim_weights([assertion], k)
+    return float(claim_values(weights, normalizers(weights, h, "polling"), preference_matrix([ballot], k))[0, 0])
+
+
+def set_means(assertions, election, style="polling"):
+    """Each claim's reported mean in an audit of ``style``, the set scored as one stack, as an audit scores it."""
+    weights, h = claim_weights(assertions, election.num_candidates)
+    return claim_means(weights, normalizers(weights, h, style), pairwise_tallies(election), election.total_ballots)
 
 
 class TestAssorterValue:
@@ -116,7 +121,7 @@ class TestCondorcetAssertions:
     def test_election1(self, election1):
         aset = condorcet_assertions(0, 3)
         assert as_pairs(aset) == {(0, 1), (0, 2)}
-        assert all(assorter_mean(a, election1) > 0.5 for a in aset.assertions)
+        assert (set_means(aset.assertions, election1) > 0.5).all()
 
     def test_election2(self, election2):
         aset = condorcet_assertions(2, 3)
@@ -357,7 +362,7 @@ class TestKemenyAssertions:
         aset = kemeny_assertions(kemeny_tabulate(t))
         for a in aset.assertions:
             assert claim_margin(a, t) > 0
-            assert assorter_mean(a, election1) > 0.5
+        assert (set_means(aset.assertions, election1) > 0.5).all()
 
 
 class TestAssertionSetInvariants:
@@ -450,7 +455,7 @@ class TestInterchange:
         }
         aset = import_assertions(doc, election1)
         assert len(aset.assertions) == 1
-        assert assorter_mean(aset.assertions[0], election1) > 0.5
+        assert set_means(aset.assertions, election1)[0] > 0.5
 
     @pytest.mark.parametrize(
         "second",
@@ -604,17 +609,17 @@ def _random_assertion(rng, k):
             return RankingComparison(p1, p2)
 
 
-def _check_soundness(assertion, election, tallies):
-    g_sum = weighted_g_sum(assertion, election)
-    mean = assorter_mean(assertion, election)
-    margin_ = claim_margin(assertion, tallies)
-    assert g_sum == margin_, (assertion, g_sum, margin_)
-    total = election.total_ballots
-    if total:
-        assert (mean > 0.5) == (margin_ > 0)
-        assert (mean == 0.5) == (margin_ == 0) or abs(
-            mean - (0.5 + g_sum / (normalizer(assertion, "polling") * total))
-        ) < 1e-12
+def _check_soundness(assertions, election, tallies):
+    for assertion, mean in zip(assertions, set_means(assertions, election)):
+        g_sum = weighted_g_sum(assertion, election)
+        margin_ = claim_margin(assertion, tallies)
+        assert g_sum == margin_, (assertion, g_sum, margin_)
+        total = election.total_ballots
+        if total:
+            assert (mean > 0.5) == (margin_ > 0)
+            assert (mean == 0.5) == (margin_ == 0) or abs(
+                mean - (0.5 + g_sum / (normalizer(assertion, "polling") * total))
+            ) < 1e-12
 
 
 @given(st.integers(0, 10**6))
@@ -626,10 +631,11 @@ def test_assorter_mean_matches_tally_inequality(seed):
         return
     t = pairwise_tallies(e)
     prefs = preference_matrix(list(e.profile), e.num_candidates)
-    for _ in range(4):
-        a = _random_assertion(rng, e.num_candidates)
-        _check_soundness(a, e, t)
-        for sig, batched in zip(e.profile, assorter_values(a, prefs)):
+    claims = [_random_assertion(rng, e.num_candidates) for _ in range(4)]
+    _check_soundness(claims, e, t)
+    weights, h = claim_weights(claims, e.num_candidates)
+    for a, row in zip(claims, claim_values(weights, normalizers(weights, h, "polling"), prefs)):
+        for sig, batched in zip(e.profile, row):
             v = ballot_value(a, sig, e.num_candidates)
             assert 0.0 <= v <= 1.0
             two_h = normalizer(a, "polling")
@@ -654,13 +660,15 @@ def _generated_assertions(election):
 
 
 def _check_exact_means(election) -> int:
-    """Each generated assertion's mean is (M + hN) / 2hN, correctly rounded; returns how many were checked."""
+    """Each generated assertion's mean in either style is (M + hN) / 2hN, correctly rounded; returns how many were
+    checked."""
     t = pairwise_tallies(election)
     n = election.total_ballots
     generated = _generated_assertions(election)
-    for a in generated:
-        two_h = normalizer(a, "polling")
-        assert assorter_mean(a, election) == float(Fraction(claim_margin(a, t) + two_h // 2 * n, two_h * n)), a
+    for style in ("polling", "comparison"):
+        for a, mean in zip(generated, set_means(generated, election, style)):
+            two_h = normalizer(a, style)
+            assert mean == float(Fraction(claim_margin(a, t) + two_h // 2 * n, two_h * n)), (a, style)
     return len(generated)
 
 
@@ -683,15 +691,17 @@ class TestExactMean:
         # still exact, the same at any scale.
         election = request.getfixturevalue(name)
         big = scale(election, (2**63 - 1) // election.total_ballots)
-        for a in _generated_assertions(election):
-            assert assorter_mean(a, big) == assorter_mean(a, election), a
+        generated = _generated_assertions(election)
+        for style in ("polling", "comparison"):
+            assert set_means(generated, big, style).tolist() == set_means(generated, election, style).tolist(), style
 
     def test_tied_claims_read_exactly_half(self, smith_tie_election):
         tied = RankingComparison((0, 1, 2), (1, 0, 2))
         assert claim_margin(tied, pairwise_tallies(smith_tie_election)) == 0
-        assert assorter_mean(tied, smith_tie_election) == 0.5
-        assert assorter_mean(PairwisePositive(0, 1), Election(("A", "B"), {(0,): 5, (1,): 5})) == 0.5
-        assert assorter_mean(PairwisePositive(0, 1), Election(("A", "B"))) == 0.5
+        for style in ("polling", "comparison"):
+            assert set_means([tied], smith_tie_election, style).tolist() == [0.5]
+            assert set_means([PairwisePositive(0, 1)], Election(("A", "B"), {(0,): 5, (1,): 5}), style).tolist() == [0.5]
+            assert set_means([PairwisePositive(0, 1)], Election(("A", "B")), style).tolist() == [0.5]
 
 
 def test_theorem_style_falsifiability():
@@ -725,7 +735,7 @@ def test_theorem_style_falsifiability():
                 continue
             aset = ranked_pairs_assertions(forged_rp)
             tested += 1
-            means = [assorter_mean(a, e) for a in aset.assertions]
+            means = set_means(aset.assertions, e).tolist()
             assert min(means) <= 0.5, (e.profile, wrong, means)
     assert tested > 50
 

@@ -37,7 +37,6 @@ from condaudit import (
     RankingComparison,
     SampleStream,
     ScoreComparison,
-    assorter_values,
     estimate_audit,
     kk_pvalue_trace,
     load_samples,
@@ -48,6 +47,7 @@ from condaudit import (
 from condaudit import assertions as assertions_module
 from condaudit import audit as audit_module
 from condaudit import model as model_module
+from condaudit.assertions import claim_values, claim_weights, normalizers
 from condaudit.audit import (
     AUDIT_STYLES,
     _FIRST_CHUNK,
@@ -383,8 +383,9 @@ class TestFrozenStopVectors:
 
 def comparison_value(assertion, reported, audited, reported_mean):
     """The comparison score of one (reported, audited) cell: entry (0, 0) of a one-assertion, one-cell matrix."""
-    values = assorter_values(assertion, preference_matrix([reported, audited], 2))
-    scores = _cell_scores(values[None], np.array([reported_mean]), np.array([0]), np.array([1]), "comparison")
+    weights, h = claim_weights([assertion], 2)
+    values = claim_values(weights, normalizers(weights, h, "comparison"), preference_matrix([reported, audited], 2))
+    scores = _cell_scores(values, np.array([reported_mean]), np.array([0]), np.array([1]), "comparison")
     assert scores.shape == (1, 1)
     return scores[0, 0]
 

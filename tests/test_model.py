@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condaudit import (
     CapacityError,
     Election,
     pairwise_tallies,
-    prefers,
+    preference_matrix,
     ranked_pairs_tabulate,
     restrict_to,
     scale,
     scores,
 )
 
-from oracles import random_election
+from oracles import _ballot_prefers, random_election
 
 
 # Table of comparative tallies for the four-candidate example election.
@@ -38,20 +38,40 @@ ELECTION3_SCORES = np.array(
 
 
 class TestPrefers:
+    """Entries of one ballot's row of the preference matrix over A, B and C."""
+
     def test_ranked_before(self):
-        assert prefers((2, 0, 1), 0, 1)       # A before B on [C, A, B]
-        assert not prefers((2, 0, 1), 1, 2)   # C precedes B
+        row = preference_matrix([(2, 0, 1)], 3)[0]
+        assert row[0, 1]       # A before B on [C, A, B]
+        assert not row[1, 2]   # C precedes B
 
     def test_mentioned_vs_unmentioned(self):
-        assert prefers((0, 1), 0, 2)          # A appears, C does not
-        assert not prefers((0, 1), 2, 0)
+        row = preference_matrix([(0, 1)], 3)[0]
+        assert row[0, 2]       # A appears, C does not
+        assert not row[2, 0]
 
     def test_empty_ballot_mentions_neither(self):
-        assert not prefers((), 0, 1)
+        assert not preference_matrix([()], 3).any()
 
-    def test_same_candidate_rejected(self):
-        with pytest.raises(ValueError):
-            prefers((0, 1), 1, 1)
+
+def _ballots(k: int):
+    """Partial and empty rankings of k candidates."""
+    return st.permutations(range(k)).flatmap(lambda p: st.integers(0, k).map(lambda n: tuple(p[:n])))
+
+
+@given(st.integers(1, 7).flatmap(lambda k: st.tuples(st.just(k), st.lists(_ballots(k), max_size=10))))
+@example((3, [(2, 0, 1), (0, 1), ()]))  # ranked before, ranked over unranked, and the empty ballot
+@settings(max_examples=200, deadline=None)
+def test_preference_matrix_matches_the_ballot_oracle(case):
+    k, sigs = case
+    prefs = preference_matrix(sigs, k)
+    assert prefs.shape == (len(sigs), k, k) and prefs.dtype == bool
+    for s, sig in enumerate(sigs):
+        for i in range(k):
+            assert not prefs[s, i, i]
+            for j in range(k):
+                if i != j:
+                    assert prefs[s, i, j] == _ballot_prefers(sig, i, j), (sig, i, j)
 
 
 class TestPairwiseTallies:
@@ -203,7 +223,7 @@ def test_tallies_match_brute_force_prefers(seed):
     for i in range(k):
         for j in range(k):
             if i != j:
-                expected[i, j] = sum(n * prefers(sig, i, j) for sig, n in e.profile.items())
+                expected[i, j] = sum(n * _ballot_prefers(sig, i, j) for sig, n in e.profile.items())
     assert np.array_equal(pairwise_tallies(e), expected)
 
 
