@@ -14,9 +14,15 @@ from two commits, ``diff`` into the list of cases a change moved.
 A fault is recorded by its message, not its class, and assertion documents
 are imported as dicts, so that commits that name their errors differently,
 or decode JSON differently, still compare.  Only public names are used.
+
+numpy's dispatch is pinned below AVX-512 first (``tests/simd.py``), as in the
+test session, so that the walk and audit families' p-value traces, and so
+their lines, do not depend on whether the CPU has AVX-512.
 """
 
 from __future__ import annotations
+
+import simd  # noqa: F401  (first: it pins numpy's dispatch before numpy is imported)
 
 import argparse
 import dataclasses
