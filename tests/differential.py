@@ -240,8 +240,8 @@ def _random_claim(rng: np.random.Generator, k: int):
 
 
 def score_case(rng: np.random.Generator):
-    """A generated set and a few random claims, scored as one stack, as an audit scores a set, on the profile's
-    signatures and three random ballots."""
+    """A generated set and a few random claims, scored as one stack, as an audit scores a set, in each audit
+    style: each claim's values on the profile's signatures and three random ballots, and its reported mean."""
     election = election_of(rng)
     k = election.num_candidates
     method = str(rng.choice(GENERATED))
@@ -256,10 +256,14 @@ def score_case(rng: np.random.Generator):
     case["claims"] = [[type(a).__name__, plain(a)] for a in claims]
     case["extra"] = extra
     weights, h = claim_weights(claims, k)
-    h = normalizers(weights, h, "polling")
-    values = claim_values(weights, h, prefs)
-    means = claim_means(weights, h, pairwise_tallies(election), election.total_ballots)
-    return case, "set" if claims else "empty", {"values": digest(values), "means": digest(means)}
+    tallies = pairwise_tallies(election)
+
+    def scored(style: str) -> dict:
+        norm = normalizers(weights, h, style)
+        return {"values": digest(claim_values(weights, norm, prefs)),
+                "means": digest(claim_means(weights, norm, tallies, election.total_ballots))}
+
+    return case, "set" if claims else "empty", {**scored("polling"), "comparison": scored("comparison")}
 
 
 def _assertion_set(rng: np.random.Generator, election: Election) -> AssertionSet:
