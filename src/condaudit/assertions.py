@@ -5,15 +5,14 @@ method's assertion set implies its reported winner won.  Every assertion is
 scored per ballot by an *assorter*: a value in [0, 1] whose population mean
 exceeds 1/2 exactly when the claimed inequality holds.
 
-A ballot prefers i over j when it ranks i above j, or ranks i and not j;
-:func:`~condaudit.model.preference_matrix` holds that relation as a boolean
-row ``P`` per ballot, and is its one implementation.  Each claim is integer
-weights ``W`` over ordered candidate pairs (:func:`claim_weights`, which
-stacks a whole set's claims from one ``preference_matrix`` of their
-rankings): a ballot contributes ``g = sum_ij W[i, j] * P[i, j]`` and scores
-``(g - a) / (-2a)`` with ``a = -h``, for any integer normaliser ``h`` at least the
-largest ``|g|``, ``d = sum_{i<j} |W[i, j]|``.  :func:`normalizers` states
-which ``h`` an audit uses.  A comparison audit takes ``h = d``: 1 for a
+Each claim is integer weights ``W`` over ordered candidate pairs
+(:func:`claim_weights`, which stacks a whole set's claims from one
+:func:`~condaudit.model.preference_matrix` of their rankings, where the
+preference relation is stated): a ballot whose row of such a matrix is ``P``
+contributes ``g = sum_ij W[i, j] * P[i, j]`` and scores ``(g - a) / (-2a)``
+with ``a = -h``, for any integer normaliser ``h`` at least the largest
+``|g|``, ``d = sum_{i<j} |W[i, j]|``.  :func:`normalizers` states which
+``h`` an audit uses.  A comparison audit takes ``h = d``: 1 for a
 pairwise claim, 2 for a score comparison and, for a ranking comparison, the
 number of pairs its two rankings order differently.  A polling audit keeps
 ``claim()``'s ``h``, which is ``d`` but for a ranking comparison of n
@@ -170,9 +169,9 @@ def claim_weights(assertions: Sequence[Assertion], num_candidates: int) -> tuple
     """Each claim as integer weights ``W`` over ordered pairs, shape (A, k, k), and normaliser ``h``, shape (A,).
 
     A ballot's signed contribution to claim ``a`` is ``g = sum_ij W[a, i, j] *
-    P[i, j]``, over its row ``P`` of a :func:`preference_matrix`, and its
-    assorter is ``(g + h[a]) / 2h[a]``.  ``W`` sums
-    the claim's signed rows of one :func:`preference_matrix` of all rankings.
+    P[i, j]`` over its row ``P`` of a :func:`preference_matrix`, and its
+    assorter is ``(g + h[a]) / 2h[a]``.  ``W`` sums the claim's signed rows
+    of one :func:`preference_matrix` of all rankings.
     """
     rankings, signs, starts, hs = [], [], [], []
     for assertion in assertions:
