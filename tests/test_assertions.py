@@ -698,10 +698,11 @@ class TestExactMean:
     def test_tied_claims_read_exactly_half(self, smith_tie_election):
         tied = RankingComparison((0, 1, 2), (1, 0, 2))
         assert claim_margin(tied, pairwise_tallies(smith_tie_election)) == 0
+        even, empty = Election(("A", "B"), {(0,): 5, (1,): 5}), Election(("A", "B"))
         for style in ("polling", "comparison"):
             assert set_means([tied], smith_tie_election, style).tolist() == [0.5]
-            assert set_means([PairwisePositive(0, 1)], Election(("A", "B"), {(0,): 5, (1,): 5}), style).tolist() == [0.5]
-            assert set_means([PairwisePositive(0, 1)], Election(("A", "B")), style).tolist() == [0.5]
+            assert set_means([PairwisePositive(0, 1)], even, style).tolist() == [0.5]
+            assert set_means([PairwisePositive(0, 1)], empty, style).tolist() == [0.5]
 
 
 def test_theorem_style_falsifiability():
