@@ -30,20 +30,24 @@ of one trial or as many as fit in 256 (trial, assertion) pairs: a block
 builds one table of its trials' cells and scores it once, and each pair is
 one row of one walk, which reads its own trial's draws.  The kernel walks
 every row still walking at once, in slices of at most ``_MAX_CHUNK``
-values; a row leaves at its first crossing of the risk limit, and a trial
-stops drawing once all its rows have crossed.  So a trial costs O(stop +
-signatures + misread ballots) in time, and a block memory for its stops,
-its table, one chunk of draws per trial and one block of misread ballots'
-targets; no array of N ballots is built.
+values laid out draws by rows, whose running sums add two rows per
+complex lane; a row leaves at its first crossing of the risk limit, and a
+trial stops drawing once all its rows have crossed.  So a trial costs
+O(stop + signatures + misread ballots) in time, and a block memory for its
+stops, its table, one chunk of draws per trial and one block of misread
+ballots' targets; no array of N ballots is built.
 The per-assertion ASN is the median over trials, and a set's overall ASN is
 the largest per-assertion ASN.  Before the first crossing no draw has
 crossed, so the walk looks for the first draw whose own log-martingale gives
 a p-value at or below the risk limit: one crossing rule, with no running
-peak, for a simulated trial and a batch audit alike.  Each trial's random
-stream is derived from (seed, trial index), so results are reproducible
-regardless of execution order, blocking or parallelism, and an assertion's
-stops do not depend on the rest of its set.  The hypergeometric draw takes
-fewer than ``MAX_SIMULATED_BALLOTS`` (10**9) ballots.
+peak, for a simulated trial and a batch audit alike.  A simulated trial
+takes that exact test only in a slice whose log-martingales reach a screen
+just below ``-log(risk limit)``, so most of its draws take no ``exp``.
+Each trial's random stream is derived from (seed, trial index), so results
+are reproducible regardless of execution order, blocking or parallelism,
+and an assertion's stops do not depend on the rest of its set.  The
+hypergeometric draw takes fewer than ``MAX_SIMULATED_BALLOTS`` (10**9)
+ballots.
 
 Simulation and audit score through one path.  One signature table, the
 profile's signatures in sorted order and then an audit's sampled ballots
@@ -69,6 +73,7 @@ Python.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,32 +132,68 @@ def _padded(x) -> tuple[np.ndarray, np.ndarray]:
     return y, np.log(y)
 
 
-def _kk_chunk(y: np.ndarray, log_y: np.ndarray, population: int, start: int, carry: np.ndarray):
+def _running_sums(a: np.ndarray) -> np.ndarray:
+    """``np.cumsum(a, axis=0)`` of a C-contiguous float64 (draws x columns) array, bit for bit, two columns per lane.
+
+    A ``complex128`` view pairs columns ``2j`` and ``2j + 1`` in one lane, and numpy adds a complex
+    number's real and imaginary parts each on its own, draw after draw, so every column's running sum is
+    its own float64 ``cumsum``, at about half the cost of a column summed alone.  An odd last column takes
+    one plain running sum.  ``np.add.accumulate`` is the ufunc ``np.cumsum`` calls, without its wrapper.
+    """
+    out = np.empty_like(a)
+    pairs = a.shape[1] & ~1
+    if pairs:
+        np.add.accumulate(a[:, :pairs].view(np.complex128), axis=0, out=out[:, :pairs].view(np.complex128))
+    if pairs < a.shape[1]:
+        np.add.accumulate(a[:, -1], out=out[:, -1])
+    return out
+
+
+def _kk_chunk(y: np.ndarray, log_y: np.ndarray, population: int, start: int, carry):
     """Log-martingales of draws ``start .. start + n - 1`` of several tests, continuing each from its carry.
 
-    Row ``r`` of ``y`` (shape (rows, n)) holds test ``r``'s padded draws and
-    ``log_y`` their logs (:func:`_padded`); ``carry[:, r]`` is its padded sum
-    and log-martingale before them, zeros before the first draw.  Returns the
-    log-martingales, ``+inf`` where the null is impossible, and the carries
-    after the last draw.  Each running value enters its row's ``cumsum`` as
-    the first element, and a ``cumsum`` along a row is sequential, so a row
-    cut into chunks, or walked beside other rows, is bit-identical to one
-    traced whole and alone.
+    Column ``r`` of ``y`` (shape (n, rows)) holds test ``r``'s padded draws and ``log_y`` their logs
+    (:func:`_padded`); ``carry[0][r]`` and ``carry[1][r]`` are its padded sum and log-martingale before
+    them, zeros before the first draw.  Returns the (n, rows) log-martingales, ``+inf`` where the null is
+    impossible, and the carries after the last draw, as views of the last row of each running sum.  Each
+    carry enters its column's running sum (:func:`_running_sums`) as the first element, and a running sum
+    down a column is sequential, so a column cut into chunks, or walked beside other columns, is
+    bit-identical to one traced whole and alone.  The caller ignores floating-point errors: ``log(m)``
+    of an impossible null's ``m <= 0`` is NaN or ``-inf`` before it is masked.
     """
-    sums = np.cumsum(np.concatenate((carry[0][:, None], y), axis=1), axis=1)
-    m = (population * (NULL_MEAN + PADDING) - sums[:, :-1]) / (population - np.arange(start, start + y.shape[1]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = log_y - np.log(m)
-    marts = np.cumsum(np.concatenate((carry[1][:, None], steps), axis=1), axis=1)
-    log_mart = marts[:, 1:]
+    sums = _running_sums(np.concatenate((carry[0][None], y)))
+    # N - i is exact in float64 below 2**53, so the float denominators divide as the integers do.
+    left = population - np.arange(start, start + y.shape[0], dtype=np.float64)
+    m = (population * (NULL_MEAN + PADDING) - sums[:-1]) / left[:, None]
+    steps = np.concatenate((carry[1][None], log_y))
+    steps[1:] -= np.log(m)
+    marts = _running_sums(steps)
+    log_mart = marts[1:]
     # m <= 0 persists (the padded sum only grows), so no accumulate over the mask is needed.
     log_mart[m <= 0] = np.inf
-    return log_mart, np.stack((sums[:, -1], marts[:, -1]))
+    return log_mart, (sums[-1], marts[-1])
 
 
 def _kk_pvalue(log_mart: np.ndarray) -> np.ndarray:
     """P-values ``min(1, exp(-log_mart))`` of log-martingales."""
     return np.exp(-np.maximum(log_mart, 0.0))
+
+
+def _screen(risk_limit: float) -> float:
+    """A bound that the log-martingale of every draw whose p-value is at or below ``risk_limit`` reaches.
+
+    ``exp`` is within a few ulps of ``e**-l``, and within a few subnormal steps of it where it underflows,
+    so ``_kk_pvalue(l) <= risk_limit`` needs ``e**-l`` at most ``risk_limit * (1 + 2**-30) + 2**-1060``
+    and, with a margin for ``log``'s rounding, ``l`` at or above the bound.  A limit of 1 or more, and any
+    limit whose bound would not be positive, screens nothing out (``-inf``): ``max(l, 0)`` is then what
+    crosses, not ``l``.  A limit of 0 or a subnormal one screens in only the ``l`` near ``exp``'s
+    underflow, and a negative or NaN limit, which no p-value meets, everything out (``+inf``).
+    """
+    slack = risk_limit * (1 + 2**-30) + 2**-1060
+    if not slack > 0:
+        return math.inf
+    bound = -math.log(slack) - 2**-20 if slack < 1 else 0.0
+    return bound if bound > 0 else -math.inf
 
 
 def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
@@ -190,62 +231,82 @@ def _walk(
     holds the cells of trial ``t``'s draws ``a .. b - 1``; no other row is
     read.  It is called, with the trials that still have a row walking, for
     chunks that grow to ``_MAX_CHUNK`` draws.  Every row still walking
-    is one row of one kernel call, which walks a chunk in slices of at most
-    ``_MAX_CHUNK // rows`` draws (at least one), so that no call takes more
-    than ``_MAX_CHUNK`` values, or one per row.  Returns ``(stops, trace)``,
-    one entry or row per walk row.  A row that never crosses stops at
-    ``population + 1``; otherwise its stop is the first index with
+    is one column of one kernel call, which walks a chunk in slices of at
+    most ``_MAX_CHUNK // rows`` draws (at least one), so that no call takes
+    more than ``_MAX_CHUNK`` values, or one per row.  Returns ``(stops,
+    trace)``, one entry or row per walk row.  A row that never crosses stops
+    at ``population + 1``; otherwise its stop is the first index with
     ``kk_pvalue_trace(scores[i][cells], population) <= risk_limit``, plus
     one, where ``cells`` are all ``size`` draws of its trial.
 
-    The scores are checked, padded and logged once, and each slice gathers
-    every row's padded values and logs from its own trial's draws, by flat
-    index.  No row reads another row, so a row walked beside others is bit
-    for bit the row walked alone.  No draw before the first crossing
-    crossed, so with or without a trace a draw crosses when its own
-    log-martingale gives a p-value at or below the risk limit.  A row leaves,
-    with its carry, at the slice in which it crosses, a trial stops drawing
-    once all its rows have left, and the walk ends once every row has.
+    The scores are checked, padded and logged once.  Each slice builds the
+    flat indices of every row's draws in the table, transposed once to
+    (draws x rows), and gathers the padded values and logs by them, so the
+    kernel's running sums run down the columns (:func:`_running_sums`).  No
+    column reads another, so a row walked beside others is bit for bit the
+    row walked alone.  No draw before the first crossing crossed, so with or
+    without a trace a draw crosses when its own log-martingale gives a
+    p-value at or below the risk limit, with no slack.  Without a trace, a
+    slice takes that exact test only if one of its log-martingales reaches
+    the screen of :func:`_screen`, below which no p-value is at or below the
+    risk limit: most slices take no ``exp`` at all.  A row leaves, with its
+    carry, at the slice in which it crosses, a trial stops drawing once all
+    its rows have left, and the walk ends once every row has.  The walk
+    ignores floating-point errors, for the kernel, once.
 
     ``trace`` is ``None`` unless asked for; then every row walks until all
-    have crossed, and ``trace`` is the (rows x draws) running minimum of the
-    walked p-values: as ``exp(-max(l, 0))`` never increases with ``l``, that
-    is the p-value of the running peak, bit for bit.
+    have crossed, every slice takes the p-value of every walked draw, and
+    ``trace`` is the (rows x draws) running minimum of the walked p-values:
+    as ``exp(-max(l, 0))`` never increases with ``l``, that is the p-value
+    of the running peak, bit for bit.
     """
     size = population if size is None else size
     y, log_y = _padded(scores)
     tests, cells = y.shape
     rows = tests * trials
-    walking = np.arange(rows)  # the rows not yet crossed; without a trace, the kernel's rows too
-    # Each kernel row's trial, and where its test's scores start in the flat table.
+    walking = np.arange(rows)  # the rows not yet crossed; without a trace, the kernel's columns too
+    # Each kernel column's trial, and where its test's scores start in the flat table.
     at, base = np.divmod(walking, tests)
     base *= cells
     stops = np.full(rows, population + 1, dtype=np.int64)
-    carry, walked = np.zeros((2, rows)), [np.empty((rows, 0))]
+    carry, walked = np.zeros((2, rows)), [np.empty((0, rows))]
+    bound = _screen(risk_limit)
     start, chunk = 0, _FIRST_CHUNK
-    while walking.size and start < size:
-        end = min(start + chunk, size)
-        items = draws(start, end, np.flatnonzero(np.bincount(at)))
-        lo = 0
-        while walking.size and lo < items.shape[1]:
-            part = np.take(items[:, lo : lo + max(1, _MAX_CHUNK // base.size)], at, axis=0)
-            part += base[:, None]
-            log_mart, carry = _kk_chunk(np.take(y, part), np.take(log_y, part), population, start + lo, carry)
-            p = _kk_pvalue(log_mart)
-            if trace:
-                walked.append(p)
-                p = p[walking]
-            crossed = p <= risk_limit
-            first = crossed.any(axis=1)
-            if first.any():
-                stops[walking[first]] = start + lo + crossed[first].argmax(axis=1) + 1
-                keep = ~first
-                walking = walking[keep]
-                if not trace:
-                    at, base, carry = at[keep], base[keep], carry[:, keep]
-            lo += part.shape[1]
-        start, chunk = end, min(chunk * _CHUNK_GROWTH, _MAX_CHUNK)
-    return stops, np.minimum.accumulate(np.concatenate(walked, axis=1), axis=1) if trace else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while walking.size and start < size:
+            end = min(start + chunk, size)
+            items = draws(start, end, np.flatnonzero(np.bincount(at)))
+            lo = 0
+            while walking.size and lo < items.shape[1]:
+                part = items[at, lo : lo + max(1, _MAX_CHUNK // base.size)]
+                part += base[:, None]
+                part = part.T.copy()  # (draws x columns): the slice's one transposition, of its indices
+                log_mart, carry = _kk_chunk(np.take(y, part), np.take(log_y, part), population, start + lo, carry)
+                first_draw, lo = start + lo, lo + part.shape[0]
+                if trace:
+                    walked.append(_kk_pvalue(log_mart))
+                    crossed = (walked[-1] <= risk_limit)[:, walking]
+                elif np.fmax.reduce(log_mart, axis=None) >= bound:
+                    # Only a slice with a log-martingale at or above the screen can cross: only it takes exp.
+                    crossed = _kk_pvalue(log_mart) <= risk_limit
+                else:
+                    continue
+                # One row per walking row, of its draws in the slice: its first True is its first crossing.
+                crossed = np.ascontiguousarray(crossed.T)
+                first = crossed.any(axis=1)
+                if first.any():
+                    stops[walking[first]] = first_draw + crossed[first].argmax(axis=1) + 1
+                    keep = ~first
+                    walking = walking[keep]
+                    if not trace:
+                        at, base, carry = at[keep], base[keep], (carry[0][keep], carry[1][keep])
+            start, chunk = end, min(chunk * _CHUNK_GROWTH, _MAX_CHUNK)
+    if not trace:
+        return stops, None
+    # The walked p-values, (draws x rows), as (rows x draws) rows, each made its running minimum in place.
+    trace = np.concatenate(walked).T.copy()
+    np.minimum.accumulate(trace, axis=1, out=trace)
+    return stops, trace
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,9 @@ from condaudit.audit import (
     _kk_chunk,
     _kk_pvalue,
     _padded,
+    _running_sums,
     _scoring,
+    _screen,
     _walk,
 )
 from condaudit.ballots import parse_path, scale
@@ -86,12 +88,14 @@ def kk_start(rows):
 
 
 def chunk_pvalues(x, population, start, carry, peak):
-    """P-values of one chunk of the rows of ``x`` (tests by draws), continuing each test from its column of
-    ``carry`` and its entry of the running ``peak``: (p, carry, peak)."""
+    """P-values of one chunk of the columns of ``x`` (draws by tests), continuing each test from its entry of
+    both ``carry`` rows and of the running ``peak``: (p, carry, peak), p draws by tests.  The kernel is called
+    as the walk calls it, with floating-point errors ignored."""
     y, log_y = _padded(x)
-    log_mart, carry = _kk_chunk(y, log_y, population, start, carry)
-    peaks = np.maximum.accumulate(np.concatenate((peak[:, None], log_mart), axis=1), axis=1)[:, 1:]
-    return _kk_pvalue(peaks), carry, peaks[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mart, carry = _kk_chunk(y, log_y, population, start, carry)
+    peaks = np.maximum.accumulate(np.concatenate((peak[None], log_mart)), axis=0)[1:]
+    return _kk_pvalue(peaks), carry, peaks[-1]
 
 
 def per_draw_trace(xs, population):
@@ -177,8 +181,8 @@ class TestKaplanKolmogorov:
     def test_empty_input(self):
         # An empty chunk returns no log-martingales and the carries it was given.
         given = np.array([[4.4, 0.0], [1.5, 2.0]])
-        log_mart, carry = _kk_chunk(np.empty((2, 0)), np.empty((2, 0)), 10, 4, given)
-        assert log_mart.shape == (2, 0) and carry.tolist() == given.tolist()
+        log_mart, carry = _kk_chunk(np.empty((0, 2)), np.empty((0, 2)), 10, 4, given)
+        assert log_mart.shape == (0, 2) and [c.tolist() for c in carry] == given.tolist()
         p = kk_pvalue_trace(np.empty(0), 10)
         assert p.dtype == np.float64 and p.size == 0
 
@@ -224,17 +228,17 @@ class TestChunkedTrace:
     @given(_kk_sequences(), st.lists(st.integers(1, 3000), max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_chunks_match_whole_trace_bit_for_bit(self, seq, cuts):
-        # The sequence is walked in chunks beside its reverse, each a row of one kernel call.
+        # The sequence is walked in chunks beside its reverse, each a column of one kernel call.
         x = _kk_sequence(*seq)
-        rows = np.stack((x, x[::-1]))
+        columns = np.stack((x, x[::-1]), axis=1)
         edges = [0, *sorted({c for c in cuts if c < x.size}), x.size]
         carry, peak, parts = kk_start(2), np.full(2, -math.inf), []
         for start, end in zip(edges, edges[1:]):
-            p, carry, peak = chunk_pvalues(rows[:, start:end], x.size, start, carry, peak)
+            p, carry, peak = chunk_pvalues(columns[start:end], x.size, start, carry, peak)
             parts.append(p)
-        chunked = np.concatenate(parts, axis=1)
-        for row, alone in zip(chunked, rows):
-            assert row.tobytes() == kk_pvalue_trace(alone, x.size).tobytes()
+        chunked = np.concatenate(parts)
+        for column, alone in zip(chunked.T, columns.T):
+            assert column.tobytes() == kk_pvalue_trace(alone, x.size).tobytes()
 
     @given(
         _kk_sequences(),
@@ -295,6 +299,69 @@ class TestChunkedTrace:
         assert check_first_crossing(x, 1.0) == 1
         stop = check_first_crossing(x, 0.0)
         assert (stop == x.size + 1) == (kind in ("zeros", "null"))
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(0, 600), st.integers(0, 7)),
+            elements=st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_column_pair_running_sums_match_each_columns_cumsum(self, a):
+        # Two columns per complex lane, an odd last column alone: each column's running sum is, bit for bit,
+        # the float64 cumsum of that column alone, through subnormals, overflow to inf, inf - inf and NaN.
+        expected = np.empty_like(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(a.shape[1]):
+                expected[:, j] = np.cumsum(a[:, j].copy())
+            assert _running_sums(a).tobytes() == expected.tobytes()
+
+    @given(
+        st.sampled_from([1.0, np.nextafter(1.0, 0.0), 0.5, 0.05, 1e-6, 1e-300, 2.2250738585072014e-308, 1e-310, 5e-324, 0.0])
+        | st.floats(0.0, 1.0),
+        st.floats(-3.0, 3.0) | st.sampled_from([0.0, 2**-20, -(2**-20)]),
+        st.integers(-8, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_screen_lets_through_every_crossing(self, risk_limit, offset, ulps):
+        # Log-martingales around -log(risk limit), to within a few ulps, and at exp's underflow: every one
+        # whose p-value is at or below the risk limit is at or above the screen.
+        centre = -math.log(risk_limit) if risk_limit > 0 else 745.2
+        l = np.array([centre + offset, np.nextafter(centre, math.inf) if ulps > 0 else np.nextafter(centre, -math.inf)])
+        l = np.concatenate((l, centre + np.arange(-abs(ulps), abs(ulps) + 1) * np.spacing(centre), [708.0, 744.4, 745.2]))
+        crossing = l[_kk_pvalue(l) <= risk_limit]
+        assert (crossing >= _screen(risk_limit)).all()
+        assert _screen(risk_limit) == -math.inf or risk_limit < 1
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("risk_limit", [1.0, np.nextafter(1.0, 0.0), 0.5, 1e-300, 5e-324, 0.0])
+    def test_screened_and_traced_walks_stop_alike_at_edge_risk_limits(self, kind, risk_limit):
+        # Untraced walks take the exact test only in slices that reach the screen; traced walks in every
+        # slice.  Both stop each row where its own full trace first crosses, with no slack: at 1 on the first
+        # draw, at 0 and subnormal limits only where p is 0 or exp underflows.
+        xs = [_kk_sequence(3000, kind, seed, lean) for seed, lean in ((1, 0.3), (2, 0.7), (3, 0.5))]
+        check_first_crossings(xs, risk_limit)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_KINDS), st.integers(0, 2**32 - 1), st.floats(0.2, 0.8)), min_size=1, max_size=5
+        ),
+        st.sampled_from([300, 1281, 5377]) | st.integers(2, 3000),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_screen_at_a_rows_own_pvalue(self, kinds, n, seed, step):
+        # A risk limit equal to a row's own p-value at a chosen draw, or one float either side of it, puts
+        # that row's log-martingale there within an ulp of -log(risk limit): the screen keeps its crossing.
+        xs = [_kk_sequence(n, *kind) for kind in kinds]
+        rng = np.random.default_rng(seed)
+        row, draw = rng.integers(len(xs)), rng.integers(n)
+        p = float(kk_pvalue_trace(xs[row], n)[draw])
+        risk_limit = p if step == 0 else float(np.nextafter(p, math.inf if step > 0 else -math.inf))
+        check_first_crossings(xs, max(risk_limit, 0.0))
 
 
 def check_first_crossing(x, risk_limit):
@@ -816,6 +883,30 @@ class TestEstimate:
         # _MAX_CHUNK values.
         assert len(values) <= len(chunks) + sum(values) / (_MAX_CHUNK / 2)
         assert max(values) <= _MAX_CHUNK
+
+    def test_untraced_walks_take_exp_of_fewer_values_than_they_walk(self, election3, monkeypatch):
+        # A simulated trial's slices take p-values only where a log-martingale reaches the screen; a traced
+        # walk takes the p-value of every value it walks.
+        taken, walked = [], []
+        pvalue, kernel = audit_module._kk_pvalue, audit_module._kk_chunk
+
+        def counting_pvalue(log_mart):
+            taken.append(log_mart.size)
+            return pvalue(log_mart)
+
+        def counting_kernel(*args):
+            walked.append(args[0].size)
+            return kernel(*args)
+
+        monkeypatch.setattr(audit_module, "_kk_pvalue", counting_pvalue)
+        monkeypatch.setattr(audit_module, "_kk_chunk", counting_kernel)
+        aset = method_assertions("ranked-pairs", election3)
+        est = estimate_audit(aset, election3, AuditConfig(seed=7, trials=4))
+        assert max(est.per_assertion) > _MAX_CHUNK and sum(walked) > 4 * _MAX_CHUNK
+        assert 0 < sum(taken) < sum(walked) / 4
+        del taken[:], walked[:]
+        kk_pvalue_trace(np.full(3000, 0.7), 5000)
+        assert sum(taken) == sum(walked) == 3000
 
     def test_estimate_and_audit_walk_through_one_walker(self, election3, monkeypatch):
         # Simulated trials, a batch audit and a public p-value trace all walk through _walk, one walk per
