@@ -133,6 +133,8 @@ class RankingComparison:
 
 
 Assertion = Union[PairwisePositive, ScoreComparison, RankingComparison]
+# The claim classes of the union, read once.
+_CLAIM_CLASSES = get_args(Assertion)
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ def claim_weights(assertions: Sequence[Assertion], num_candidates: int) -> tuple
     """
     rankings, signs, starts, hs = [], [], [], []
     for assertion in assertions:
-        if not isinstance(assertion, get_args(Assertion)):
+        if not isinstance(assertion, _CLAIM_CLASSES):
             raise TypeError(f"not an assertion: {assertion!r}")
         plus, minus, h = assertion.claim()
         starts.append(len(rankings))
@@ -441,7 +443,7 @@ def export_assertions(aset: AssertionSet, election: Election) -> dict:
     }
 
 
-_BY_TAG = {cls.tag: cls for cls in get_args(Assertion)}
+_BY_TAG = {cls.tag: cls for cls in _CLAIM_CLASSES}
 
 # The type tag of the one entry that writes an escalated set, with its reason.
 _ESCALATION_TAG = "full_hand_count"
