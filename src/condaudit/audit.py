@@ -251,8 +251,8 @@ def _walk(
     the screen of :func:`_screen`, below which no p-value is at or below the
     risk limit: most slices take no ``exp`` at all.  A row leaves, with its
     carry, at the slice in which it crosses, a trial stops drawing once all
-    its rows have left, and the walk ends once every row has.  The walk
-    ignores floating-point errors, for the kernel, once.
+    its rows have left, and the walk ends once every row has.  The kernel's
+    floating-point errors are ignored once per walk.
 
     ``trace`` is ``None`` unless asked for; then every row walks until all
     have crossed, every slice takes the p-value of every walked draw, and
@@ -304,9 +304,9 @@ def _walk(
     if not trace:
         return stops, None
     # The walked p-values, (draws x rows), as (rows x draws) rows, each made its running minimum in place.
-    trace = np.concatenate(walked).T.copy()
-    np.minimum.accumulate(trace, axis=1, out=trace)
-    return stops, trace
+    traces = np.concatenate(walked).T.copy()
+    np.minimum.accumulate(traces, axis=1, out=traces)
+    return stops, traces
 
 
 # ---------------------------------------------------------------------------
