@@ -38,9 +38,9 @@ stops, its table, one chunk of draws per trial and one block of misread
 ballots' targets; no array of N ballots is built.
 The per-assertion ASN is the median over trials, and a set's overall ASN is
 the largest per-assertion ASN.  Before the first crossing no draw has
-crossed, so the walk looks for the first draw whose own log-martingale gives
-a p-value at or below the risk limit: one crossing rule, with no running
-peak, for a simulated trial and a batch audit alike.  A simulated trial
+crossed, so a trial stops at the first draw whose own log-martingale gives
+a p-value at or below the risk limit, with no running peak: the draw at
+which a batch audit's running p-value first reaches the limit.  A trial
 takes that exact test only in a slice whose log-martingales reach a screen
 just below ``-log(risk limit)``, so most of its draws take no ``exp``.
 Each trial's random stream is derived from (seed, trial index), so results
@@ -59,16 +59,13 @@ scorer scores (reported, audited) cells for every assertion and either
 style.  Only a reported mean above 1/2 admits a comparison audit: otherwise
 an estimate flags the set for a full hand count and an audit raises.
 
-Simulation and audit walk through one walker, :func:`_walk`, which takes a
-source of draws and a table of cell scores.  A sample file is a stream of
-cells too: :func:`load_samples` reads it as its distinct samples, each
-once, and one int array of their indices in draw order.  A batch audit
-scores only those distinct (reported, audited) cells and walks the array in
-the simulation's growing chunks and slices, and stops at the largest first
-crossing of the risk limit.  Its traces, every assertion's running p-value
-after each draw, are the running minimum of the walked draws' p-values,
-taken once over the walked matrix; nothing in it works once per draw in
-Python.
+Simulation and audit drive one kernel and one crossing rule through two
+walkers: :func:`_walk` returns the stops of simulated trials, and
+:func:`_trace` every test's running p-value after each draw of one order.
+:func:`load_samples` reads a sample file as its distinct samples and one
+int array of their indices in draw order, so a batch audit scores only
+those distinct cells and traces the array in growing slices, up to the
+one in which every assertion has crossed; neither works per draw in Python.
 """
 
 from __future__ import annotations
@@ -199,10 +196,11 @@ def _screen(risk_limit: float) -> float:
 def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
     """P-value after each of a sequence of draws from a population of ``population`` values."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("draws must be a one-dimensional sequence")
     if x.size > population:
         raise ValueError("more draws than the population holds")
-    return _walk(lambda start, end, _: np.arange(start, end)[None], x.reshape(1, -1), population, -np.inf,
-                 size=x.size, trace=True)[1][0]
+    return _trace(x[None], np.arange(x.size), population, -np.inf)[0]
 
 
 # Draws walked before the first check for a crossing, the factor by which
@@ -217,96 +215,98 @@ _MAX_CHUNK = 8192
 _BLOCK_ROWS = _MAX_CHUNK // 32
 
 
-def _walk(
-    draws, scores, population: int, risk_limit: float, trials: int = 1, size: int | None = None, trace: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _walk(draws, scores, population: int, risk_limit: float, trials: int = 1) -> np.ndarray:
     """Draw count at which each of several p-values first falls to ``risk_limit``, over one draw order per trial.
 
     Row ``i`` of the (tests x cells) matrix ``scores`` maps a cell to its
-    value for test ``i``, and each of ``trials`` trials draws ``size`` cells
-    (default ``population``) in its own order from a population of
-    ``population`` values.  Row ``t * tests + i`` of the walk is test ``i``
-    over trial ``t``'s draws.  ``draws(a, b, ts)`` returns a (trials x
-    (b - a)) array whose row ``t``, for each trial ``t`` of the array ``ts``,
-    holds the cells of trial ``t``'s draws ``a .. b - 1``; no other row is
-    read.  It is called, with the trials that still have a row walking, for
-    chunks that grow to ``_MAX_CHUNK`` draws.  Every row still walking
-    is one column of one kernel call, which walks a chunk in slices of at
-    most ``_MAX_CHUNK // rows`` draws (at least one), so that no call takes
-    more than ``_MAX_CHUNK`` values, or one per row.  Returns ``(stops,
-    trace)``, one entry or row per walk row.  A row that never crosses stops
-    at ``population + 1``; otherwise its stop is the first index with
-    ``kk_pvalue_trace(scores[i][cells], population) <= risk_limit``, plus
-    one, where ``cells`` are all ``size`` draws of its trial.
+    value for test ``i``, and each of ``trials`` trials draws the
+    ``population`` cells in its own order; row ``t * tests + i`` of the walk
+    is test ``i`` over trial ``t``'s draws.  ``draws(a, b, ts)`` returns a
+    (trials x (b - a)) array whose row ``t``, for each trial ``t`` of the
+    array ``ts``, holds the cells of trial ``t``'s draws ``a .. b - 1``; no
+    other row is read.  It is called, with the trials that still have a row
+    walking, for chunks that grow to ``_MAX_CHUNK`` draws.  Returns each
+    row's stop: the first index with ``kk_pvalue_trace(scores[i][cells],
+    population) <= risk_limit``, plus one, where ``cells`` are all the
+    draws of its trial, or ``population + 1`` if there is none.
 
-    The scores are checked, padded and logged once.  Each slice builds the
+    The scores are checked, padded and logged once.  Every row still walking
+    is one column of one kernel call, which walks a chunk in slices of at
+    most ``_MAX_CHUNK // rows`` draws (at least one).  Each slice builds the
     flat indices of every row's draws in the table, transposed once to
     (draws x rows), and gathers the padded values and logs by them, so the
     kernel's running sums run down the columns (:func:`_running_sums`).  No
     column reads another, so a row walked beside others is bit for bit the
-    row walked alone.  No draw before the first crossing crossed, so with or
-    without a trace a draw crosses when its own log-martingale gives a
-    p-value at or below the risk limit, with no slack.  Without a trace, a
-    slice takes that exact test only if one of its log-martingales reaches
-    the screen of :func:`_screen`, below which no p-value is at or below the
-    risk limit: most slices take no ``exp`` at all.  A row leaves, with its
-    carry, at the slice in which it crosses, a trial stops drawing once all
-    its rows have left, and the walk ends once every row has.  The kernel's
-    floating-point errors are ignored once per walk.
-
-    ``trace`` is ``None`` unless asked for; then every row walks until all
-    have crossed, every slice takes the p-value of every walked draw, and
-    ``trace`` is the (rows x draws) running minimum of the walked p-values:
-    as ``exp(-max(l, 0))`` never increases with ``l``, that is the p-value
-    of the running peak, bit for bit.
+    row walked alone.  No draw before the first crossing crossed, so a draw
+    crosses when its own log-martingale gives a p-value at or below the
+    risk limit, with no slack; a slice takes that exact test only if one of
+    its log-martingales reaches the screen of :func:`_screen`, so most take
+    no ``exp``.  A row leaves, with its carry, at the slice in which it
+    crosses, a trial stops drawing once all its rows have left, and the
+    walk ends once every row has.
     """
-    size = population if size is None else size
     y, log_y = _padded(scores)
     tests, cells = y.shape
-    rows = tests * trials
-    walking = np.arange(rows)  # the rows not yet crossed; without a trace, the kernel's columns too
+    walking = np.arange(tests * trials)  # the rows not yet crossed: the kernel's columns
     # Each kernel column's trial, and where its test's scores start in the flat table.
     at, base = np.divmod(walking, tests)
     base *= cells
-    stops = np.full(rows, population + 1, dtype=np.int64)
-    carry, walked = np.zeros((2, rows)), [np.empty((0, rows))]
+    stops = np.full(walking.size, population + 1, dtype=np.int64)
+    carry = np.zeros((2, walking.size))
     bound = _screen(risk_limit)
     start, chunk = 0, _FIRST_CHUNK
     with np.errstate(divide="ignore", invalid="ignore"):
-        while walking.size and start < size:
-            end = min(start + chunk, size)
+        while walking.size and start < population:
+            end = min(start + chunk, population)
             items = draws(start, end, np.flatnonzero(np.bincount(at)))
             lo = 0
             while walking.size and lo < items.shape[1]:
-                part = items[at, lo : lo + max(1, _MAX_CHUNK // base.size)]
+                part = items[at, lo : lo + max(1, _MAX_CHUNK // walking.size)]
                 part += base[:, None]
                 part = part.T.copy()  # (draws x columns): the slice's one transposition, of its indices
                 log_mart, carry = _kk_chunk(np.take(y, part), np.take(log_y, part), population, start + lo, carry)
                 first_draw, lo = start + lo, lo + part.shape[0]
-                if trace:
-                    walked.append(_kk_pvalue(log_mart))
-                    crossed = (walked[-1] <= risk_limit)[:, walking]
-                elif np.fmax.reduce(log_mart, axis=None) >= bound:
-                    # Only a slice with a log-martingale at or above the screen can cross: only it takes exp.
-                    crossed = _kk_pvalue(log_mart) <= risk_limit
-                else:
+                # Only a slice with a log-martingale at or above the screen can cross: only it takes exp.
+                if np.fmax.reduce(log_mart, axis=None) < bound:
                     continue
                 # One row per walking row, of its draws in the slice: its first True is its first crossing.
-                crossed = np.ascontiguousarray(crossed.T)
+                crossed = np.ascontiguousarray((_kk_pvalue(log_mart) <= risk_limit).T)
                 first = crossed.any(axis=1)
                 if first.any():
                     stops[walking[first]] = first_draw + crossed[first].argmax(axis=1) + 1
                     keep = ~first
-                    walking = walking[keep]
-                    if not trace:
-                        at, base, carry = at[keep], base[keep], (carry[0][keep], carry[1][keep])
+                    walking, at, base, carry = walking[keep], at[keep], base[keep], (carry[0][keep], carry[1][keep])
             start, chunk = end, min(chunk * _CHUNK_GROWTH, _MAX_CHUNK)
-    if not trace:
-        return stops, None
-    # The walked p-values, (draws x rows), as (rows x draws) rows, each made its running minimum in place.
-    traces = np.concatenate(walked).T.copy()
-    np.minimum.accumulate(traces, axis=1, out=traces)
-    return stops, traces
+    return stops
+
+
+def _trace(scores: np.ndarray, order: np.ndarray, population: int, risk_limit: float) -> np.ndarray:
+    """Running p-values of several tests over one draw order, until every test's has fallen to ``risk_limit``.
+
+    Row ``i`` of the (tests x cells) matrix ``scores`` maps a cell to its
+    value for test ``i``; ``order`` holds the cells drawn from ``population``
+    values.  Returns the (tests x draws) running p-values, row ``i`` bit for
+    bit a prefix of ``kk_pvalue_trace(scores[i][order], population)``.
+    Slices grow from ``_FIRST_CHUNK`` draws by ``_CHUNK_GROWTH`` to
+    ``_MAX_CHUNK // tests`` (at least one), up to the one in which every
+    test has crossed.  The scores are padded once as (cells x tests), so one
+    row ``take`` gathers a slice, whose p-values are transposed once into
+    running minima continued from the slice before: the running peak's.
+    """
+    y, log_y = _padded(scores.T.copy())
+    tests = y.shape[1]
+    low = np.full(tests, np.inf)  # each test's running p-value after the draws walked, none before the first
+    walked, carry = [np.empty((tests, 0))], np.zeros((2, tests))
+    start, chunk = 0, _FIRST_CHUNK
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while start < order.size and not (low <= risk_limit).all():
+            part = order[start : start + min(chunk, max(1, _MAX_CHUNK // tests))]
+            log_mart, carry = _kk_chunk(y.take(part, axis=0), log_y.take(part, axis=0), population, start, carry)
+            trace = np.minimum.accumulate(_kk_pvalue(log_mart).T, axis=1, out=np.empty((tests, part.size)))
+            low = np.minimum(trace, low[:, None], out=trace)[:, -1]
+            walked.append(trace)
+            start, chunk = start + part.size, min(chunk * _CHUNK_GROWTH, _MAX_CHUNK)
+    return np.concatenate(walked, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +461,7 @@ def _trial_stops(
                 chunk[t] = order
             return chunk
 
-        return _walk(draws, scores, n, cfg.risk_limit, len(rngs))[0].reshape(len(rngs), -1)
+        return _walk(draws, scores, n, cfg.risk_limit, len(rngs)).reshape(len(rngs), -1)
 
     firsts = range(0, cfg.trials, block)
     if workers <= 1:
@@ -645,8 +645,8 @@ def run_audit(
 
     The draws of ``stream`` must be in their (externally randomized) draw
     order.  Each distinct sample is scored once, as a (reported, audited)
-    cell of the signature table, and the walk of :func:`_walk` traces every
-    assertion over the draws.  The audit certifies at the first draw where
+    cell of the signature table, and :func:`_trace` traces every assertion
+    over the draws.  The audit certifies at the first draw where
     every assertion's p-value is at or below the risk limit, and consumes no
     sample after it; exhausting the sample first escalates to a full hand
     count, as a set that certifies nothing (one that escalates, or holds no
@@ -676,10 +676,9 @@ def run_audit(
     audited = np.array([rows[s.audited] for s in samples], dtype=np.intp)
     reported = np.array([rows[s.reported] for s in samples], dtype=np.intp) if comparison else audited
     scores = _cell_scores(values, means, reported, audited, cfg.style)
-    stops, traces = _walk(
-        lambda start, end, _: order[None, start:end], scores, n, cfg.risk_limit, size=order.size, trace=True
-    )
-    examined = min(order.size, int(stops.max(initial=0)))
+    traces = _trace(scores, order, n, cfg.risk_limit)
+    # Each assertion's draws above the risk limit, plus one, is its stop: the audit examines up to the last.
+    examined = min(order.size, int(np.count_nonzero(traces > cfg.risk_limit, axis=1).max(initial=-1)) + 1)
     traces = traces[:, :examined]
     traces.flags.writeable = False
     p_values = traces[:, -1].tolist() if examined else [1.0] * len(traces)

@@ -62,6 +62,7 @@ from condaudit.audit import (
     _running_sums,
     _scoring,
     _screen,
+    _trace,
     _walk,
 )
 from condaudit.ballots import parse_path, scale
@@ -189,6 +190,12 @@ class TestKaplanKolmogorov:
     def test_rejects_oversized_batch(self):
         with pytest.raises(ValueError):
             kk_pvalue_trace(np.ones(11), 10)
+
+    def test_rejects_draws_that_are_not_one_dimensional(self):
+        # A table of draws is not flattened into one sequence of them.
+        for x in (np.full((2, 3), 0.7), np.full((1, 1), 0.7), np.float64(0.7)):
+            with pytest.raises(ValueError):
+                kk_pvalue_trace(x, 10)
 
     @given(arrays(np.float64, st.integers(1, 60), elements=st.floats(0, 2)))
     @settings(max_examples=100, deadline=None)
@@ -372,9 +379,9 @@ def check_first_crossing(x, risk_limit):
 def check_first_crossings(xs, risk_limit, items=None):
     """Assert that one chunked walk over the rows of ``xs`` (tests by cells), drawing the cells ``items``
     (default: every cell once, in order), stops each row where the full trace of its own draws first
-    crosses, and draws no chunk after the last of those; and that the same walk with a trace gives the
-    same stops and, bit for bit, each row's full trace up to the end of the slice of the last stop.
-    Return the stops."""
+    crosses, and draws no chunk after the last of those; and that a trace of the same draws gives the
+    same stops from its running p-values, bit for bit each row's full trace up to the end of the slice of
+    the last stop, and walks no slice after that one.  Return the stops."""
     xs = np.asarray(xs, dtype=np.float64)
     items = np.arange(xs.shape[1]) if items is None else items
     n = items.size
@@ -390,20 +397,30 @@ def check_first_crossings(xs, risk_limit, items=None):
         calls.append((start, end))
         return items[None, start:end]
 
-    stops, untraced = _walk(draws, xs, n, risk_limit)
-    assert stops.tolist() == expected and untraced is None
+    assert _walk(draws, xs, n, risk_limit).tolist() == expected
     # Chunks are contiguous and capped, and the walk ends with the chunk holding the last stop.
     assert [c[0] for c in calls] == [0] + [c[1] for c in calls[:-1]]
     assert max(end - start for start, end in calls) <= _MAX_CHUNK
     last_start, last_end = calls[-1]
     assert last_start < max(expected) <= last_end if max(expected) <= n else last_end == n
 
-    stops, traced = _walk(lambda start, end, _: items[None, start:end], xs, n, risk_limit, size=n, trace=True)
-    assert stops.tolist() == expected
+    slices, kernel = [], audit_module._kk_chunk
+
+    def recording_kernel(y, log_y, population, start, carry):
+        slices.append((start, start + y.shape[0]))
+        return kernel(y, log_y, population, start, carry)
+
+    with mock.patch.object(audit_module, "_kk_chunk", recording_kernel):
+        traced = _trace(xs, items, n, risk_limit)
+    assert (np.count_nonzero(traced > risk_limit, axis=1) + 1).tolist() == expected
     walked = traced.shape[1]
-    assert min(max(expected), n) <= walked <= n and (walked == n or walked - max(expected) < _MAX_CHUNK)
     for x, row in zip(xs, traced):
         assert row.tobytes() == kk_pvalue_trace(x[items], n)[:walked].tobytes()
+    # Slices are contiguous and capped, and the trace ends with the slice holding the last stop.
+    assert [s[0] for s in slices] == [0] + [s[1] for s in slices[:-1]] and walked == slices[-1][1]
+    assert max(end - start for start, end in slices) * len(xs) <= max(_MAX_CHUNK, len(xs))
+    last_start, last_end = slices[-1]
+    assert last_start < max(expected) <= last_end if max(expected) <= n else last_end == n
     return expected
 
 
@@ -665,8 +682,8 @@ class TestSimulationModel:
 
             drawn.append([[] for _ in range(trials)])
             # Zeros never take the p-value to 0: the walk draws all N.
-            stops, _ = walk(recording, np.zeros((1, tables[-1][2].size)), population, 0.0, trials)
-            return np.repeat(stops, len(scores)), None
+            stops = walk(recording, np.zeros((1, tables[-1][2].size)), population, 0.0, trials)
+            return np.repeat(stops, len(scores))
 
         monkeypatch.setattr(audit_module, "_error_cells", recording_cells)
         monkeypatch.setattr(audit_module, "_walk", walk_to_n)
@@ -909,38 +926,65 @@ class TestEstimate:
         assert sum(taken) == sum(walked) == 3000
 
     def test_estimate_and_audit_walk_through_one_walker(self, election3, monkeypatch):
-        # Simulated trials, a batch audit and a public p-value trace all walk through _walk, one walk per
-        # block of trials, and the kernel is never called outside it.
-        walks, inside = [], []
-        kernel, walk = audit_module._kk_chunk, audit_module._walk
+        # Simulated trials walk through _walk, one walk per block of trials; a batch audit and a public
+        # p-value trace go through _trace; and the kernel is never called outside those two.
+        calls, inside = [], []
+        kernel = audit_module._kk_chunk
 
         def checked_kernel(*args):
-            assert inside, "a kernel call outside the walker"
+            assert inside, "a kernel call outside the walker and the trace"
             return kernel(*args)
 
-        def recording_walk(*args, **kwargs):
-            walks.append((args[4] if len(args) > 4 else kwargs.get("trials", 1), kwargs.get("trace", False)))
-            inside.append(True)
-            try:
-                return walk(*args, **kwargs)
-            finally:
-                inside.pop()
+        def marked(function, noted):
+            # Records the function's name and what ``noted`` reads from its arguments, and marks the call.
+            def recorded(*args):
+                calls.append((function.__name__, noted(*args)))
+                inside.append(True)
+                try:
+                    return function(*args)
+                finally:
+                    inside.pop()
+
+            return recorded
 
         monkeypatch.setattr(audit_module, "_kk_chunk", checked_kernel)
-        monkeypatch.setattr(audit_module, "_walk", recording_walk)
+        monkeypatch.setattr(audit_module, "_walk", marked(audit_module._walk, lambda *args: (args + (1,))[4]))  # trials
+        monkeypatch.setattr(audit_module, "_trace", marked(audit_module._trace, lambda scores, *_: len(scores)))  # tests
         aset = method_assertions("ranked-pairs", election3)
         cfg = AuditConfig(seed=7, trials=5, style="comparison")
         estimate_audit(aset, election3, cfg)
-        assert len(aset.assertions) == 5 and walks == [(5, False)]  # 25 rows: one block
+        assert len(aset.assertions) == 5 and calls == [("_walk", 5)]  # 25 rows: one block
         # Blocks of two trials: three walks.
         monkeypatch.setattr(audit_module, "_BLOCK_ROWS", 2 * len(aset.assertions))
         estimate_audit(aset, election3, cfg)
-        assert walks[1:] == [(2, False), (2, False), (1, False)]
-        del walks[:]
+        assert calls[1:] == [("_walk", 2), ("_walk", 2), ("_walk", 1)]
+        del calls[:]
         report = run_audit(aset, load_samples(GOLDEN / "election3-samples.jsonl", election3), election3, cfg)
-        assert report.certified and walks == [(1, True)]
+        assert report.certified and calls == [("_trace", 5)]  # one trace row per assertion
         kk_pvalue_trace(np.full(300, 0.7), 1000)
-        assert walks == [(1, True), (1, True)]
+        assert calls == [("_trace", 5), ("_trace", 1)]
+
+    def test_a_batch_audit_stops_tracing_after_its_last_crossing(self, election3, monkeypatch):
+        # Every one of election3's 29,000 ballots, read back as cast, in a seeded order: its Ranked Pairs
+        # comparison audit certifies in about 200 draws, and the trace walks no slice past the one that
+        # holds that draw, each of at most _MAX_CHUNK // rows draws.
+        sigs = sorted(election3.profile)
+        counts = np.array([election3.profile[sig] for sig in sigs])
+        order = np.random.default_rng(5).permutation(np.repeat(np.arange(len(sigs)), counts))
+        stream = SampleStream(tuple(AuditSample(sig, sig) for sig in sigs), order)
+        values, kernel = [], audit_module._kk_chunk
+
+        def counting_kernel(*args):
+            values.append(args[0].size)
+            return kernel(*args)
+
+        monkeypatch.setattr(audit_module, "_kk_chunk", counting_kernel)
+        aset = method_assertions("ranked-pairs", election3)
+        report = run_audit(aset, stream, election3, AuditConfig(style="comparison"))
+        rows = len(aset.assertions)
+        assert report.certified and order.size == election3.total_ballots == 29_000
+        assert 0 < report.ballots_examined < 1000
+        assert sum(values) <= rows * (report.ballots_examined + _MAX_CHUNK // rows)
 
     @given(
         st.integers(0, 2**32 - 1),
