@@ -11,12 +11,12 @@ Each claim is integer weights ``W`` over ordered candidate pairs
 preference relation is stated): a ballot whose row of such a matrix is ``P``
 contributes ``g = sum_ij W[i, j] * P[i, j]`` and scores ``(g - a) / (-2a)``
 with ``a = -h``, for any integer normaliser ``h`` at least the largest
-``|g|``, ``d = sum_{i<j} |W[i, j]|``.  :func:`normalizers` states which
-``h`` an audit uses.  A comparison audit takes ``h = d``: 1 for a
+``|g|``, ``d = sum_{i<j} |W[i, j]|``; :func:`claim_weights` gives each the
+``h`` of an audit's style.  A comparison audit takes ``h = d``: 1 for a
 pairwise claim, 2 for a score comparison and, for a ranking comparison, the
-number of pairs its two rankings order differently.  A polling audit keeps
-``claim()``'s ``h``, which is ``d`` but for a ranking comparison of n
-candidates, where it is ``n(n-1)/2``.  A claim's reported mean is exact:
+number of pairs its two rankings order differently.  A polling audit takes
+the ordered pairs each side of the claim states: ``d`` but ``n(n-1)/2``
+for a ranking comparison of n candidates.  A claim's reported mean is exact:
 with its integer margin ``M = sum_ij W[i, j] * tallies[i, j]`` over ``N``
 ballots it is ``(M + hN) / 2hN`` (:func:`claim_means`), above 1/2 exactly
 when ``M > 0``.  A set scores as one matrix: :func:`claim_values` gives
@@ -35,13 +35,14 @@ Three claim shapes are supported:
 Each shape is declared once, on its class: its JSON ``tag``, its candidate
 fields (an ``int`` field is one candidate, a tuple field several), its
 ``text`` form (formatted with each field's candidate names joined by ``,``)
-and its ``claim()``: the rankings weighted +1, the rankings weighted -1,
-and ``h``.  ``W`` is the +1 rankings' preference rows less the -1
-rankings': a ranking's row prefers each of its ordered pairs, and also each
-candidate it ranks to each it does not.  Those last entries cancel because
-the +1 and the -1 rankings of every claim rank the same candidate sets,
-counted with multiplicity.  Weights, relabelling, text, export and import
-read these declarations and nothing else about a shape.
+and its ``claim()``: the rankings weighted +1 and the rankings weighted -1.
+``W`` is the +1 rankings' preference rows less the -1 rankings': a
+ranking's row prefers each of its ordered pairs, and also each candidate it
+ranks to each it does not.  Those last entries cancel because the +1 and
+the -1 rankings of every claim rank the same candidate sets, counted with
+multiplicity, so each side states as many pairs: a polling audit's ``h``.
+Weights, normalisers, relabelling, text, export and import read these
+declarations and nothing else about a shape.
 
 An outcome no ballot sample can verify is not an assertion: its
 :class:`AssertionSet` holds none and says in ``escalation`` why it escalates
@@ -71,8 +72,8 @@ from .ballots import ParseError, decode_json, resolve_names, roster_index
 from .model import Election, pairwise_tallies, preference_matrix, scores
 
 
-# Each claim() gives its +1 rankings, its -1 rankings and h.  Both sides rank the same candidate sets, counted with
-# multiplicity, so the entries of W for a ranked over an unranked candidate cancel.
+# Each claim() gives its +1 rankings and its -1 rankings.  Both rank the same candidate sets, counted with multiplicity,
+# so W's entries for a ranked over an unranked candidate cancel and each side states as many pairs: a polling audit's h.
 @dataclass(frozen=True)
 class PairwisePositive:
     winner: int
@@ -84,8 +85,8 @@ class PairwisePositive:
         if self.winner == self.loser:
             raise ValueError("pairwise assertion needs two distinct candidates")
 
-    def claim(self) -> tuple[list, list, int]:
-        return [(self.winner, self.loser)], [(self.loser, self.winner)], 1
+    def claim(self) -> tuple[list, list]:
+        return [(self.winner, self.loser)], [(self.loser, self.winner)]
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,9 @@ class ScoreComparison:
         if self.hi == self.lo:
             raise ValueError("score comparison needs two distinct ordered pairs")
 
-    def claim(self) -> tuple[list, list, int]:
+    def claim(self) -> tuple[list, list]:
         (i, j), (k, l) = self.hi, self.lo
-        return [(i, j), (l, k)], [(k, l), (j, i)], 2
+        return [(i, j), (l, k)], [(k, l), (j, i)]
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,8 @@ class RankingComparison:
         if not self.preferred or self.preferred[0] == self.other[0]:
             raise ValueError("compared rankings must start with different candidates")
 
-    def claim(self) -> tuple[list, list, int]:
-        n = len(self.preferred)
-        return [self.preferred], [self.other], n * (n - 1) // 2
+    def claim(self) -> tuple[list, list]:
+        return [self.preferred], [self.other]
 
 
 Assertion = Union[PairwisePositive, ScoreComparison, RankingComparison]
@@ -167,45 +167,43 @@ class AssertionSet:
 # Assorters
 
 
-def claim_weights(assertions: Sequence[Assertion], num_candidates: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each claim as integer weights ``W`` over ordered pairs, shape (A, k, k), and normaliser ``h``, shape (A,).
+def claim_weights(assertions: Sequence[Assertion], num_candidates: int, style: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each claim as integer weights ``W`` over ordered pairs, shape (A, k, k), and its normaliser ``h``, shape (A,).
 
     A ballot's signed contribution to claim ``a`` is ``g = sum_ij W[a, i, j] *
     P[i, j]`` over its row ``P`` of a :func:`preference_matrix`, and its
     assorter is ``(g + h[a]) / 2h[a]``.  ``W`` sums the claim's signed rows
     of one :func:`preference_matrix` of all rankings.
+
+    ``h`` is the normaliser of an audit of ``style``.  Comparison takes ``d =
+    sum_{i<j} |W[i, j]|``, the largest ``|g|`` any ballot gives the claim, as
+    ``W`` is antisymmetric; a larger normaliser only shrinks the reported
+    margin every correct comparison ballot's score rides on.  Polling takes
+    the ordered pairs each side of the claim states: half the sum over its
+    rankings of the ``m(m-1)/2`` pairs a ranking of ``m`` states, never below
+    ``d``.  Either gives values in [0, 1] and a mean above 1/2 exactly when
+    the margin is above 0.
     """
-    rankings, signs, starts, hs = [], [], [], []
+    rankings, signs, starts = [], [], []
     for assertion in assertions:
         if not isinstance(assertion, _CLAIM_CLASSES):
             raise TypeError(f"not an assertion: {assertion!r}")
-        plus, minus, h = assertion.claim()
+        plus, minus = assertion.claim()
         starts.append(len(rankings))
         rankings += plus + minus
         signs += [1] * len(plus) + [-1] * len(minus)
-        hs.append(h)
     signed = np.where(preference_matrix(rankings, num_candidates), np.array(signs, dtype=np.int8)[:, None, None], 0)
-    return np.add.reduceat(signed, starts, axis=0, dtype=np.int64), np.array(hs, dtype=np.int64)
-
-
-def normalizers(weights: np.ndarray, h: np.ndarray, style: str) -> np.ndarray:
-    """The normaliser each claim is scored with in an audit of ``style``: shape (A,).
-
-    Polling keeps ``claim()``'s ``h``.  Comparison takes ``d = sum_{i<j} |W[i, j]|``,
-    the largest ``|g|`` any ballot gives the claim, as ``W`` is antisymmetric:
-    1 for a pairwise claim, 2 for a score comparison, and for a ranking
-    comparison the number of pairs its two rankings order differently.  A
-    larger normaliser only shrinks the reported margin every correct
-    comparison ballot's score rides on.  Either gives values in [0, 1] and a
-    mean above 1/2 exactly when the margin is above 0.
-    """
-    return np.abs(weights).sum(axis=(1, 2)) // 2 if style == "comparison" else h
+    weights = np.add.reduceat(signed, starts, axis=0, dtype=np.int64)
+    if style == "comparison":
+        return weights, np.abs(weights).sum(axis=(1, 2)) // 2
+    sizes = np.array([len(ranking) for ranking in rankings], dtype=np.int64)
+    return weights, np.add.reduceat(sizes * (sizes - 1), starts) // 4
 
 
 def claim_values(weights: np.ndarray, h: np.ndarray, prefs: np.ndarray) -> np.ndarray:
     """Each claim's assorter ``(g + h) / 2h`` of every signature in a :func:`preference_matrix`: shape (A, S).
 
-    Each value is in [0, 1] for a normaliser ``h`` of at least :func:`normalizers`' comparison ``d``.
+    Each value is in [0, 1] for a normaliser ``h`` of at least the comparison ``d`` of :func:`claim_weights`.
     ``g`` is a float64 product: an integer of at most k(k-1) in size, exact in any order of summation.
     """
     k2 = weights.shape[1] * weights.shape[2]
@@ -353,7 +351,7 @@ def _relabel(assertion: Assertion, mapping: Sequence[int]) -> Assertion:
 
 
 def _candidates_of(assertion: Assertion) -> set[int]:
-    plus, minus, _ = assertion.claim()
+    plus, minus = assertion.claim()
     return {c for ranking in plus + minus for c in ranking}
 
 

@@ -54,8 +54,8 @@ profile's signatures in sorted order and then an audit's sampled ballots
 that the profile lacks, at count 0, gives every assertion's assorter per
 signature, as one (assertions x signatures) matrix, and its reported mean,
 read exactly from the table's tallies by :func:`claim_means`, both with the
-normaliser the audit's style gives the claim (:func:`normalizers`).  One cell
-scorer scores (reported, audited) cells for every assertion and either
+normaliser :func:`claim_weights` gives the claim in the audit's style.  One
+cell scorer scores (reported, audited) cells for every assertion and either
 style.  Only a reported mean above 1/2 admits a comparison audit: otherwise
 an estimate flags the set for a full hand count and an audit raises.
 
@@ -80,7 +80,7 @@ import numpy as np
 
 from .ballots import ParseError, decode_json, read_text, resolve_names, roster_index
 from .model import Ballot, CapacityError, Election, ballot_counts, preference_matrix
-from .assertions import Assertion, AssertionSet, claim_means, claim_values, claim_weights, normalizers
+from .assertions import Assertion, AssertionSet, claim_means, claim_values, claim_weights
 
 AUDIT_STYLES = ("polling", "comparison")
 
@@ -322,16 +322,15 @@ def _scoring(aset: AssertionSet, election: Election, style: str, sampled: Iterab
     row) on every table row (column), and each assertion's reported mean,
     read exactly by :func:`claim_means` from the table's tallies, to which a
     count-0 row adds nothing.  Both are scored with the normaliser
-    :func:`~condaudit.assertions.normalizers` gives each claim in an audit of
-    ``style``.
+    :func:`~condaudit.assertions.claim_weights` gives each claim in an audit
+    of ``style``.
     """
     sigs = sorted(election.profile)
     sigs += [ballot for ballot in dict.fromkeys(sampled) if ballot not in election.profile]
     counts = ballot_counts(election, sigs)
     prefs = preference_matrix(sigs, election.num_candidates)
     tallies = np.tensordot(counts, prefs, axes=1)
-    weights, h = claim_weights(aset.assertions, election.num_candidates)
-    h = normalizers(weights, h, style)
+    weights, h = claim_weights(aset.assertions, election.num_candidates, style)
     values = claim_values(weights, h, prefs)
     means = claim_means(weights, h, tallies, election.total_ballots)
     return {sig: row for row, sig in enumerate(sigs)}, counts, values, means

@@ -56,7 +56,7 @@ from condaudit import (
     run_audit,
     serialize_election,
 )
-from condaudit.assertions import claim_means, claim_values, claim_weights, normalizers
+from condaudit.assertions import claim_means, claim_values, claim_weights
 
 from oracles import expand, random_election, reference_samples
 
@@ -255,11 +255,10 @@ def score_case(rng: np.random.Generator):
     prefs = preference_matrix(sorted(election.profile) + extra, k)
     case["claims"] = [[type(a).__name__, plain(a)] for a in claims]
     case["extra"] = extra
-    weights, h = claim_weights(claims, k)
     tallies = pairwise_tallies(election)
 
     def scored(style: str) -> dict:
-        norm = normalizers(weights, h, style)
+        weights, norm = claim_weights(claims, k, style)
         return {"values": digest(claim_values(weights, norm, prefs)),
                 "means": digest(claim_means(weights, norm, tallies, election.total_ballots))}
 

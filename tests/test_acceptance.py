@@ -39,7 +39,7 @@ from condaudit import (
     smith_assertions,
     smith_set,
 )
-from condaudit.assertions import claim_means, claim_values, claim_weights, normalizers
+from condaudit.assertions import claim_means, claim_values, claim_weights
 from condaudit.cli import main as cli_main
 
 from oracles import (
@@ -170,12 +170,11 @@ def test_criterion_4_assorter_soundness():
             for aset in _generated_sets(e):
                 checked += len(aset.assertions)
                 # Each set is scored as one stack, in both audit styles, as an audit scores it.
-                weights, h = claim_weights(aset.assertions, e.num_candidates)
                 margins = [claim_margin(a, t) for a in aset.assertions]
                 if total:
                     assert [weighted_g_sum(a, e) for a in aset.assertions] == margins
                 for style in ("polling", "comparison"):
-                    norm = normalizers(weights, h, style)
+                    weights, norm = claim_weights(aset.assertions, e.num_candidates, style)
                     values = claim_values(weights, norm, prefs)
                     assert (values[:, 0] == 0.5).all()
                     assert ((values >= 0.0) & (values <= 1.0)).all()

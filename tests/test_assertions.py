@@ -37,7 +37,7 @@ from condaudit import (
     smith_set,
 )
 
-from condaudit.assertions import _relabel, claim_means, claim_values, claim_weights, normalizers
+from condaudit.assertions import _relabel, claim_means, claim_values, claim_weights
 
 from oracles import (
     claim_margin,
@@ -63,14 +63,14 @@ def as_pairs(aset):
 
 def ballot_value(assertion, ballot, k=4):
     """The polling assorter of one ballot: entry (0, 0) of a one-claim set scored on a one-row preference matrix."""
-    weights, h = claim_weights([assertion], k)
-    return float(claim_values(weights, normalizers(weights, h, "polling"), preference_matrix([ballot], k))[0, 0])
+    weights, h = claim_weights([assertion], k, "polling")
+    return float(claim_values(weights, h, preference_matrix([ballot], k))[0, 0])
 
 
 def set_means(assertions, election, style="polling"):
     """Each claim's reported mean in an audit of ``style``, the set scored as one stack, as an audit scores it."""
-    weights, h = claim_weights(assertions, election.num_candidates)
-    return claim_means(weights, normalizers(weights, h, style), pairwise_tallies(election), election.total_ballots)
+    weights, h = claim_weights(assertions, election.num_candidates, style)
+    return claim_means(weights, h, pairwise_tallies(election), election.total_ballots)
 
 
 class TestAssorterValue:
@@ -633,8 +633,8 @@ def test_assorter_mean_matches_tally_inequality(seed):
     prefs = preference_matrix(list(e.profile), e.num_candidates)
     claims = [_random_assertion(rng, e.num_candidates) for _ in range(4)]
     _check_soundness(claims, e, t)
-    weights, h = claim_weights(claims, e.num_candidates)
-    for a, row in zip(claims, claim_values(weights, normalizers(weights, h, "polling"), prefs)):
+    weights, h = claim_weights(claims, e.num_candidates, "polling")
+    for a, row in zip(claims, claim_values(weights, h, prefs)):
         for sig, batched in zip(e.profile, row):
             v = ballot_value(a, sig, e.num_candidates)
             assert 0.0 <= v <= 1.0
@@ -741,6 +741,49 @@ def test_theorem_style_falsifiability():
     assert tested > 50
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: a set implies its winner")
+@pytest.mark.parametrize(
+    "method, added",
+    [
+        # D>C>A>B and A>D>C>B: all 5 claims hold, yet B>C turns negative, D>C and C>B lock first and D wins.
+        ("ranked-pairs", {(3, 2, 0, 1): 2788, (0, 3, 2, 1): 7081}),
+        # C>A>B>D, D>B>A>C and B>A>D>C: all 9 claims hold, yet D beats C, the Smith set shrinks to {A, B, D}
+        # and B wins.
+        ("smith-minimax", {(2, 0, 1, 3): 882, (3, 1, 0, 2): 1947, (1, 0, 3, 2): 218}),
+    ],
+    ids=["ranked-pairs", "smith-minimax"],
+)
+def test_a_set_whose_claims_hold_elects_its_winner(election3, method, added):
+    aset = method_assertions(method, election3)
+    profile = dict(election3.profile)
+    for ballot, count in added.items():
+        profile[ballot] = profile.get(ballot, 0) + count
+    moved = Election(election3.candidates, profile)
+    tallies = pairwise_tallies(moved)
+    margins = [claim_margin(a, tallies) for a in aset.assertions]
+    winner = METHODS[method][0](moved, tallies).winner
+    assert min(margins) <= 0 or winner in (aset.winner, None), (margins, aset.winner, winner)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 5: a tie escalates")
+@pytest.mark.parametrize(
+    "method, election",
+    [
+        # No ballot ranks anyone: every ranking ties, and the 4 claims against rankings led by B or C have margin 0.
+        ("kemeny", Election(("A", "B", "C"), {(): 5})),
+        # A's two worst losses, to C and to D, are both 44, so s(C,A) > s(D,A) has margin 0.
+        ("minimax", Election(tuple("ABCDE"), {(): 83, (2, 3, 0, 1, 4): 54, (1,): 18, (0, 4, 1, 3): 49,
+                                              (4, 1, 3, 2): 39})),
+    ],
+    ids=["kemeny", "minimax"],
+)
+def test_a_set_that_does_not_escalate_has_every_margin_above_zero(method, election):
+    aset = method_assertions(method, election)
+    tallies = pairwise_tallies(election)
+    margins = [claim_margin(a, tallies) for a in aset.assertions]
+    assert aset.full_hand_count or min(margins) > 0, (aset.winner, margins)
+
+
 @st.composite
 def _claims(draw, k: int):
     """A claim of any shape over k candidates; a ranking comparison ranks a subset of two or more."""
@@ -762,13 +805,13 @@ def test_claim_weights_match_the_pair_oracle(data):
     claims = data.draw(st.lists(_claims(k), max_size=8))
     ballot = st.permutations(range(k)).flatmap(lambda p: st.integers(0, k).map(lambda n: tuple(p[:n])))
     prefs = preference_matrix(data.draw(st.lists(ballot, max_size=10)), k)
-    weights, h = claim_weights(claims, k)
+    weights, h = claim_weights(claims, k, "polling")
     expected_weights, expected_h = pair_weights(claims, k)
     assert weights.dtype == h.dtype == np.int64
     np.testing.assert_array_equal(weights, expected_weights)
     np.testing.assert_array_equal(h, expected_h)
     for row, claim in enumerate(claims):  # a mixed-shape set's rows are its claims' own
-        one_weights, one_h = claim_weights([claim], k)
+        one_weights, one_h = claim_weights([claim], k, "polling")
         np.testing.assert_array_equal(one_weights[0], weights[row])
         assert one_h[0] == h[row]
     # The float64 product gives the integer product's assorters bit for bit.
@@ -781,7 +824,7 @@ def test_claim_weights_match_the_pair_oracle(data):
 def test_claim_rankings_rank_the_same_candidate_sets(claim):
     # Guard: W is its +1 rankings' preference rows less its -1 rankings', and a ranking's row also prefers each
     # candidate it ranks to each it does not.  Those entries cancel only when both sides rank the same sets.
-    plus, minus, _ = claim.claim()
+    plus, minus = claim.claim()
     assert sorted(sorted(r) for r in plus) == sorted(sorted(r) for r in minus)
 
 
@@ -792,12 +835,13 @@ def test_comparison_normaliser_is_the_largest_swing_of_one_ballot(data):
     k = data.draw(st.integers(2, 5))
     claims = data.draw(st.lists(_claims(k), min_size=1, max_size=6))
     ballots = list(dict.fromkeys(p[:n] for p in itertools.permutations(range(k)) for n in range(k + 1)))
-    weights, h = claim_weights(claims, k)
-    d = normalizers(weights, h, "comparison")
+    weights, d = claim_weights(claims, k, "comparison")
+    polling_weights, h = claim_weights(claims, k, "polling")
+    np.testing.assert_array_equal(polling_weights, weights)
     assert d.tolist() == [comparison_normalizer(c) for c in claims]
     assert d.tolist() == [max(abs(signed_contribution(c, b)) for b in ballots) for c in claims]
     assert (d >= 1).all()
-    assert normalizers(weights, h, "polling").tolist() == h.tolist() == [normalizer(c, "polling") // 2 for c in claims]
+    assert h.tolist() == [normalizer(c, "polling") // 2 for c in claims]
     values = claim_values(weights, d, preference_matrix(ballots, k))
     assert ((values >= 0) & (values <= 1)).all()
     profile = data.draw(st.dictionaries(st.sampled_from(ballots), st.integers(1, 60), max_size=8))

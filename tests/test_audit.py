@@ -47,7 +47,7 @@ from condaudit import (
 from condaudit import assertions as assertions_module
 from condaudit import audit as audit_module
 from condaudit import model as model_module
-from condaudit.assertions import claim_values, claim_weights, normalizers
+from condaudit.assertions import claim_values, claim_weights
 from condaudit.audit import (
     AUDIT_STYLES,
     _FIRST_CHUNK,
@@ -467,8 +467,8 @@ class TestFrozenStopVectors:
 
 def comparison_value(assertion, reported, audited, reported_mean):
     """The comparison score of one (reported, audited) cell: entry (0, 0) of a one-assertion, one-cell matrix."""
-    weights, h = claim_weights([assertion], 2)
-    values = claim_values(weights, normalizers(weights, h, "comparison"), preference_matrix([reported, audited], 2))
+    weights, h = claim_weights([assertion], 2, "comparison")
+    values = claim_values(weights, h, preference_matrix([reported, audited], 2))
     scores = _cell_scores(values, np.array([reported_mean]), np.array([0]), np.array([1]), "comparison")
     assert scores.shape == (1, 1)
     return scores[0, 0]
@@ -861,7 +861,7 @@ class TestEstimate:
         counts = []
         for size in (1, len(full.assertions)):
             aset = AssertionSet(full.method, full.winner, full.assertions[:size])
-            rankings = sum(len(plus) + len(minus) for plus, minus, _ in (a.claim() for a in aset.assertions))
+            rankings = sum(len(plus) + len(minus) for plus, minus in (a.claim() for a in aset.assertions))
             for run in (lambda: estimate_audit(aset, election3, cfg), lambda: run_audit(aset, samples, election3, cfg)):
                 calls.clear()
                 run()
