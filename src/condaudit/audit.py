@@ -27,15 +27,19 @@ to 8,192 draws: a chunk's count per cell is a multivariate hypergeometric
 draw from the ballots not yet drawn, and the chunk is shuffled.  Every
 assertion of the set reads the same draws.  Trials are walked in blocks,
 of one trial or as many as fit in 256 (trial, assertion) pairs: a block
-builds one table of its trials' cells and scores it once, and each pair is
-one row of one walk, which reads its own trial's draws.  The kernel walks
-every row still walking at once, in slices of at most ``_MAX_CHUNK``
-values laid out draws by rows, whose running sums add two rows per
-complex lane; a row leaves at its first crossing of the risk limit, and a
-trial stops drawing once all its rows have crossed.  So a trial costs
+builds one table of its trials' cells and scores it once, as the scores of
+distinct columns, and each pair is one row of one walk, which reads its own
+trial's draws as their cells' columns.  The kernel walks every row still
+walking at once, in slices of at most ``_MAX_CHUNK`` values laid out draws
+by rows, whose running sums add two rows per complex lane; a row leaves at
+its first crossing of the risk limit, and a trial stops drawing once all
+its rows have crossed.  So a trial costs
 O(stop + signatures + misread ballots) in time, and a block memory for its
 stops, its table, one chunk of draws per trial and one block of misread
-ballots' targets; no array of N ballots is built.
+ballots' targets; no array of N ballots is built.  A polling block scores
+one column per cell; a comparison block one column for all its correct
+reads and one per misread cell, so its scores grow with its misread cells,
+not with its trials times signatures.
 The per-assertion ASN is the median over trials, and a set's overall ASN is
 the largest per-assertion ASN.  Before the first crossing no draw has
 crossed, so a trial stops at the first draw whose own log-martingale gives
@@ -56,8 +60,9 @@ signature, as one (assertions x signatures) matrix, and its reported mean,
 read exactly from the table's tallies by :func:`claim_means`, both with the
 normaliser :func:`claim_weights` gives the claim in the audit's style.  One
 cell scorer scores (reported, audited) cells for every assertion and either
-style.  Only a reported mean above 1/2 admits a comparison audit: otherwise
-an estimate flags the set for a full hand count and an audit raises.
+style, as the scores of distinct columns and each cell's column.  Only a
+reported mean above 1/2 admits a comparison audit: otherwise an estimate
+flags the set for a full hand count and an audit raises.
 
 Simulation and audit drive one kernel and one crossing rule through two
 walkers: :func:`_walk` returns the stops of simulated trials, and
@@ -223,9 +228,10 @@ def _walk(draws, scores, population: int, risk_limit: float, trials: int = 1) ->
     ``population`` cells in its own order; row ``t * tests + i`` of the walk
     is test ``i`` over trial ``t``'s draws.  ``draws(a, b, ts)`` returns a
     (trials x (b - a)) array whose row ``t``, for each trial ``t`` of the
-    array ``ts``, holds the cells of trial ``t``'s draws ``a .. b - 1``; no
-    other row is read.  It is called, with the trials that still have a row
-    walking, for chunks that grow to ``_MAX_CHUNK`` draws.  Returns each
+    array ``ts``, holds the cells (columns of ``scores``) of trial ``t``'s
+    draws ``a .. b - 1``; no other row is read.  It is called, with the
+    trials that still have a row walking, for chunks that grow to
+    ``_MAX_CHUNK`` draws.  Returns each
     row's stop: the first index with ``kk_pvalue_trace(scores[i][cells],
     population) <= risk_limit``, plus one, where ``cells`` are all the
     draws of its trial, or ``population + 1`` if there is none.
@@ -336,19 +342,28 @@ def _scoring(aset: AssertionSet, election: Election, style: str, sampled: Iterab
     return {sig: row for row, sig in enumerate(sigs)}, counts, values, means
 
 
-def _cell_scores(values: np.ndarray, means: np.ndarray, reported, audited, style) -> np.ndarray:
-    """Every assertion's score of (reported, audited) cells, given as columns of ``values``: shape (A, cells).
+def _cell_scores(values: np.ndarray, means: np.ndarray, reported, audited, style) -> tuple[np.ndarray, np.ndarray]:
+    """Every assertion's scores of (reported, audited) cells, given as columns of ``values``, and each cell's column.
 
-    Polling scores the audited column.  Comparison scores the overstatement
-    ``(1 - w) / (2 - v)``, where ``w = a(reported) - a(audited)`` and ``v =
-    2 * means[i] - 1`` is the reported margin; its population mean exceeds
-    1/2 exactly when the assertion holds on the audited ballots, and only a
-    reported mean above 1/2 admits it.
+    Returns an (A, columns) matrix of distinct scores and the column of each
+    cell, so that cell ``c`` scores ``scores[:, column[c]]``.  Polling scores
+    the audited column, one column per cell.  Comparison scores the
+    overstatement ``(1 - w) / (2 - v)``, where ``w = a(reported) -
+    a(audited)`` and ``v = 2 * means[i] - 1`` is the reported margin; its
+    population mean exceeds 1/2 exactly when the assertion holds on the
+    audited ballots, and only a reported mean above 1/2 admits it.  A
+    correct read (``reported == audited``) has ``w = 0`` whatever its
+    signature, so every one is column 0, ``1 / (2 - v)`` exactly as ``1 - (x -
+    x)`` is ``1.0``, and each misread cell has its own column after it, in
+    cell order: the matrix grows with the misread cells, not with the cells.
     """
-    scores = np.take(values, audited, axis=1)
     if style == "polling":
-        return scores
-    return (1 - (np.take(values, reported, axis=1) - scores)) / (2 - (2 * means[:, None] - 1))
+        return np.take(values, audited, axis=1), np.arange(len(audited))
+    misread = reported != audited
+    column = np.cumsum(misread) * misread
+    w = np.zeros((len(values), 1 + np.count_nonzero(misread)))
+    np.subtract(np.take(values, reported[misread], axis=1), np.take(values, audited[misread], axis=1), out=w[:, 1:])
+    return (1 - w) / (2 - (2 * means[:, None] - 1)), column
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +449,16 @@ def _trial_stops(
 
     The trials are walked in blocks of ``_BLOCK_ROWS // assertions`` trials
     (at least one), and each of ``workers`` threads takes whole blocks.  A block
-    builds one table of its trials' cells, scores and pads it once, and
-    walks each (trial, assertion) pair as one row of one :func:`_walk`.  A
-    trial draws a chunk, from its own stream and in the order it would
-    alone, only while one of its rows walks, so no stop depends on the
-    block a trial falls in or on the worker that walks it.
+    builds one table of its trials' cells and scores it once with
+    :func:`_cell_scores`, which the walk pads once: one column per cell for
+    polling, and for comparison one column for every correct read and one
+    per misread cell.  It walks each (trial, assertion) pair as one row of
+    one :func:`_walk`, whose draws are the drawn cells' columns.  A trial
+    draws a chunk, from its own stream and in the order it would alone, as
+    counts per cell, each repeated as its cell's column and shuffled, only
+    while one of its rows walks; a shuffle's permutation does not depend on
+    the values it moves, so no stop depends on the block a trial falls in,
+    on the worker that walks it or on which cells share a column.
     """
     n = int(counts.sum())
     block = max(1, _BLOCK_ROWS // len(values))
@@ -446,7 +466,7 @@ def _trial_stops(
     def one_block(first: int) -> np.ndarray:
         rngs = [np.random.default_rng([cfg.seed, trial]) for trial in range(first, min(first + block, cfg.trials))]
         reported, audited, cells, bounds = _error_cells(counts, cfg.error_rate, rngs)
-        scores = _cell_scores(values, means, reported, audited, cfg.style)
+        scores, column = _cell_scores(values, means, reported, audited, cfg.style)
         bounds = bounds.tolist()
 
         def draws(start: int, end: int, trials: np.ndarray) -> np.ndarray:
@@ -455,7 +475,7 @@ def _trial_stops(
                 remaining = cells[bounds[t] : bounds[t + 1]]  # a view: the trial's ballots not yet drawn
                 drawn = rngs[t].multivariate_hypergeometric(remaining, end - start, method="marginals")
                 remaining -= drawn
-                order = np.repeat(np.arange(bounds[t], bounds[t + 1]), drawn)
+                order = np.repeat(column[bounds[t] : bounds[t + 1]], drawn)
                 rngs[t].shuffle(order)
                 chunk[t] = order
             return chunk
@@ -644,13 +664,14 @@ def run_audit(
 
     The draws of ``stream`` must be in their (externally randomized) draw
     order.  Each distinct sample is scored once, as a (reported, audited)
-    cell of the signature table, and :func:`_trace` traces every assertion
-    over the draws.  The audit certifies at the first draw where
-    every assertion's p-value is at or below the risk limit, and consumes no
-    sample after it; exhausting the sample first escalates to a full hand
-    count, as a set that certifies nothing (one that escalates, or holds no
-    assertion in an election of two or more candidates) does at once.  A
-    sample too large, or a comparison audit of a stream with a sample
+    cell of the signature table, by :func:`_cell_scores`, and :func:`_trace`
+    traces every assertion over the draws' columns: in comparison style
+    every correctly read sample shares column 0.  The audit certifies at
+    the first draw where every assertion's p-value is at or below the risk
+    limit, and consumes no sample after it; exhausting the sample first
+    escalates to a full hand count, as a set that certifies nothing (one
+    that escalates, or holds no assertion in an election of two or more
+    candidates) does at once.  A sample too large, or a comparison audit of a stream with a sample
     lacking its reported ballot, is a :class:`~condaudit.ballots.ParseError`.
     A comparison audit of a set whose reported tallies do not support every
     assertion raises :class:`InfeasibleAuditError`.
@@ -674,8 +695,8 @@ def run_audit(
         )
     audited = np.array([rows[s.audited] for s in samples], dtype=np.intp)
     reported = np.array([rows[s.reported] for s in samples], dtype=np.intp) if comparison else audited
-    scores = _cell_scores(values, means, reported, audited, cfg.style)
-    traces = _trace(scores, order, n, cfg.risk_limit)
+    scores, column = _cell_scores(values, means, reported, audited, cfg.style)
+    traces = _trace(scores, column[order], n, cfg.risk_limit)
     # Each assertion's draws above the risk limit, plus one, is its stop: the audit examines up to the last.
     examined = min(order.size, int(np.count_nonzero(traces > cfg.risk_limit, axis=1).max(initial=-1)) + 1)
     traces = traces[:, :examined]

@@ -4,8 +4,9 @@ Everything here is deliberately written from the definitions, not from the
 library's implementations: subset enumeration for the Smith set, full
 permutation enumeration for Kemeny, integer signed-contribution sums for
 assorter means, claim weights added up pair by pair, a direct-product
-version of the sequential test, each audit style's normaliser, a per-ballot
-simulation of audit sample sizes, and a line-by-line reader of sample files from the README's rules.  ``json_values`` draws arbitrary JSON
+version of the sequential test, each audit style's normaliser, a per-cell
+scorer of (reported, audited) cells, a per-ballot simulation of audit sample
+sizes, and a line-by-line reader of sample files from the README's rules.  ``json_values`` draws arbitrary JSON
 values to put in the fields of an input document.
 """
 
@@ -180,6 +181,20 @@ def independent_kk(xs, population, null_mean=0.5, padding=0.1):
         ps.append(1.0 if peak == 0 else min(1.0, 1.0 / peak))
         padded_sum += y
     return ps
+
+
+def per_cell_scores(values: np.ndarray, means: np.ndarray, reported, audited, style: str):
+    """Every assertion's score of each (reported, audited) cell, one column per cell, and the identity columns.
+
+    The reference scorer that ``audit._cell_scores`` must match byte for byte:
+    each cell is scored on its own, as its audited signature's assorter for
+    polling and as ``(1 - (a(reported) - a(audited))) / (2 - (2 * mean - 1))``
+    for comparison, and cell ``c`` reads column ``c``.
+    """
+    scores = np.take(values, audited, axis=1)
+    if style == "comparison":
+        scores = (1 - (np.take(values, reported, axis=1) - scores)) / (2 - (2 * means[:, None] - 1))
+    return scores, np.arange(len(audited))
 
 
 def per_ballot_stops(assertions, election: Election, cfg: AuditConfig, rng: np.random.Generator) -> np.ndarray:

@@ -8,6 +8,7 @@ re-captured, after a deliberate change of the simulation's random stream, with
 
 import simd  # noqa: F401  (first: it pins numpy's dispatch before numpy is imported)
 
+import itertools
 import json
 import math
 import os
@@ -73,6 +74,7 @@ from oracles import (
     ks_statistic,
     normalizer,
     per_ballot_stops,
+    per_cell_scores,
     random_election,
     reference_samples,
     signed_contribution,
@@ -466,12 +468,12 @@ class TestFrozenStopVectors:
 
 
 def comparison_value(assertion, reported, audited, reported_mean):
-    """The comparison score of one (reported, audited) cell: entry (0, 0) of a one-assertion, one-cell matrix."""
+    """The comparison score of one (reported, audited) cell of a one-assertion matrix, read through its column."""
     weights, h = claim_weights([assertion], 2, "comparison")
     values = claim_values(weights, h, preference_matrix([reported, audited], 2))
-    scores = _cell_scores(values, np.array([reported_mean]), np.array([0]), np.array([1]), "comparison")
-    assert scores.shape == (1, 1)
-    return scores[0, 0]
+    scores, column = _cell_scores(values, np.array([reported_mean]), np.array([0]), np.array([1]), "comparison")
+    assert scores.shape[0] == 1 and column.shape == (1,)
+    return scores[0, column[0]]
 
 
 class TestComparisonAssorter:
@@ -707,6 +709,39 @@ class TestSimulationModel:
                 assert len(set(pairs)) == len(pairs) and (cells[trial] >= 0).all()
                 misread += int(cells[trial][reported[trial] != audited[trial]].sum())
         assert misread > 0
+
+    @pytest.mark.parametrize("style", AUDIT_STYLES)
+    def test_a_block_scores_every_correct_read_in_one_column(self, monkeypatch, style):
+        # 85 signatures, every ranking of at most three of five candidates: a comparison block hands the walk
+        # one column for all its correct reads and one per misread cell, so its table grows with the misread
+        # cells and not with trials x signatures; a polling block hands it one column per cell.
+        rng = np.random.default_rng(8)
+        sigs = [sig for size in (1, 2, 3) for sig in itertools.permutations(range(5), size)]
+        election = Election(tuple("ABCDE"), {sig: int(c) for sig, c in zip(sigs, rng.integers(1, 40, len(sigs)))})
+        aset = AssertionSet("x", 0, tuple(PairwisePositive(i, j) for i in range(5) for j in range(5) if i != j))
+        walked = len(aset.assertions) if style == "polling" else int((_scoring(aset, election, style)[3] > 0.5).sum())
+        tables, widths = [], []
+        error_cells, walk = audit_module._error_cells, audit_module._walk
+
+        def recording_cells(*args):
+            tables.append(error_cells(*args))
+            return tables[-1]
+
+        def recording_walk(draws, scores, *args):
+            widths.append(scores.shape[1])
+            return walk(draws, scores, *args)
+
+        monkeypatch.setattr(audit_module, "_error_cells", recording_cells)
+        monkeypatch.setattr(audit_module, "_walk", recording_walk)
+        monkeypatch.setattr(audit_module, "_BLOCK_ROWS", 2 * walked)
+        estimate_audit(aset, election, AuditConfig(seed=1, trials=6, error_rate=0.01, style=style))
+        assert len(election.profile) == 85 and walked > 0 and len(tables) == len(widths) == 3
+        misread = [int(np.count_nonzero(reported != audited)) for reported, audited, _, _ in tables]
+        assert min(misread) > 0
+        if style == "comparison":
+            assert widths == [1 + m for m in misread]
+        else:
+            assert widths == [cells.size for _, _, cells, _ in tables] == [2 * 85 + m for m in misread]
 
     @pytest.mark.parametrize("error_rate", [0.05, 0.0005])
     def test_error_cells_mean_is_the_per_ballot_rate(self, error_rate):
@@ -994,9 +1029,10 @@ class TestEstimate:
         st.integers(1, 12),
     )
     @settings(max_examples=30, deadline=None)
+    @example(seed=0, signatures=9, style="comparison", error_rate=0.5, trials=6)  # misread cells in every block
     def test_stops_do_not_depend_on_the_blocks_or_the_workers(self, seed, signatures, style, error_rate, trials):
         # Every claim between two candidates of a small random election, some of them false, walked in
-        # blocks of 1, 2, 7 and all trials, on one worker and on four.
+        # blocks of 1, 2, 7 and all trials, on one worker and on four, under the scorer and its reference.
         rng = np.random.default_rng(seed)
         election = random_election(rng, max_k=4, max_signatures=signatures)
         k = election.num_candidates
@@ -1005,9 +1041,11 @@ class TestEstimate:
         means = _scoring(aset, election, style)[3]
         walked = len(means) if style == "polling" else int((means > 0.5).sum())
         runs = []
-        for block in (1, 2, 7, trials):
-            with mock.patch.object(audit_module, "_BLOCK_ROWS", block * walked):
-                runs += [estimate_audit(aset, election, cfg, workers=workers) for workers in (1, 4)]
+        # The scorer, and the per-cell reference that gives every cell its own column, moves no stop either.
+        for scorer in (audit_module._cell_scores, per_cell_scores):
+            for block in (1, 2, 7, trials):
+                with mock.patch.multiple(audit_module, _BLOCK_ROWS=block * walked, _cell_scores=scorer):
+                    runs += [estimate_audit(aset, election, cfg, workers=workers) for workers in (1, 4)]
         for run in runs:
             assert run == runs[0] and [s.tolist() for s in run.stops] == [s.tolist() for s in runs[0].stops]
 
@@ -1125,6 +1163,31 @@ class TestRunAudit:
             assert len(rec.p_trace) == examined
             assert np.allclose(rec.p_trace, ps[:examined], rtol=1e-12, atol=0)
             assert rec.p_value == rec.p_trace[-1]
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 9, 40]), st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_comparison_traces_match_the_per_cell_scorer(self, seed, signatures, misread):
+        # The claims a small random election's reported tallies support, audited against a sample of its
+        # ballots of which a share is misread, some as ballots outside the profile: every trace is byte for
+        # byte the trace under the per-cell reference scorer.
+        rng = np.random.default_rng(seed)
+        election = random_election(rng, max_k=5, max_signatures=signatures)
+        k, ballots = election.num_candidates, expand(election)
+        pairs = tuple(PairwisePositive(i, j) for i in range(k) for j in range(k) if i != j)
+        means = _scoring(AssertionSet("x", 0, pairs), election, "comparison")[3]
+        aset = AssertionSet("x", 0, tuple(a for a, mean in zip(pairs, means) if mean > 0.5))
+        samples = []
+        for i in rng.permutation(len(ballots))[: rng.integers(0, len(ballots) + 1)].tolist():
+            audited = ballots[i]
+            if rng.random() < misread:
+                audited = tuple(int(c) for c in rng.permutation(k)[: rng.integers(0, k + 1)])
+            samples.append(AuditSample(audited=audited, reported=ballots[i]))
+        cfg = AuditConfig(risk_limit=0.01, style="comparison")
+        report = run_audit(aset, as_stream(samples), election, cfg)
+        with mock.patch.object(audit_module, "_cell_scores", per_cell_scores):
+            reference = run_audit(aset, as_stream(samples), election, cfg)
+        assert report == reference
+        assert [r.p_trace.tobytes() for r in report.records] == [r.p_trace.tobytes() for r in reference.records]
 
     def test_comparison_reads_only_consumed_samples(self, election3):
         aset = method_assertions("ranked-pairs", election3)
