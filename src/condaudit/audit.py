@@ -360,7 +360,7 @@ def _cell_scores(values: np.ndarray, means: np.ndarray, reported, audited, style
     if style == "polling":
         return np.take(values, audited, axis=1), np.arange(len(audited))
     misread = reported != audited
-    column = np.cumsum(misread) * misread
+    column = misread.cumsum() * misread
     w = np.zeros((len(values), 1 + np.count_nonzero(misread)))
     np.subtract(np.take(values, reported[misread], axis=1), np.take(values, audited[misread], axis=1), out=w[:, 1:])
     return (1 - w) / (2 - (2 * means[:, None] - 1)), column
