@@ -69,8 +69,9 @@ walkers: :func:`_walk` returns the stops of simulated trials, and
 :func:`_trace` every test's running p-value after each draw of one order.
 :func:`load_samples` reads a sample file as its distinct samples and one
 int array of their indices in draw order, so a batch audit scores only
-those distinct cells and traces the array in growing slices, up to the
-one in which every assertion has crossed; neither works per draw in Python.
+those distinct cells and traces the array in slices of about 8,192
+values, up to the one in which every assertion has crossed; neither
+works per draw in Python.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from typing import Iterable
 import numpy as np
 
 from .ballots import ParseError, decode_json, read_text, resolve_names, roster_index
-from .model import Ballot, CapacityError, Election, ballot_counts, preference_matrix
+from .model import Ballot, CapacityError, Election, as_integer, ballot_counts, preference_matrix
 from .assertions import Assertion, AssertionSet, claim_means, claim_values, claim_weights
 
 AUDIT_STYLES = ("polling", "comparison")
@@ -99,7 +100,8 @@ class AuditConfig:
     """Parameters shared by estimation and audit execution.
 
     ``seed`` is nonnegative and names the simulation's streams as given:
-    trial ``t`` draws from ``default_rng([seed, t])``.
+    trial ``t`` draws from ``default_rng([seed, t])``.  ``trials`` and
+    ``seed`` are stored as ``int``; a bool or a non-integer is refused.
     """
 
     risk_limit: float = 0.05
@@ -113,10 +115,13 @@ class AuditConfig:
             raise ValueError("risk_limit must be in (0, 1)")
         if not 0 <= self.error_rate < 1:
             raise ValueError("error_rate must be in [0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for name, least, sign in (("trials", 1, "positive"), ("seed", 0, "nonnegative")):
+            value = as_integer(getattr(self, name))
+            if value is None:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            if value < least:
+                raise ValueError(f"{name} must be {sign}")
+            object.__setattr__(self, name, value)
         if self.style not in AUDIT_STYLES:
             raise ValueError(f"style must be one of {AUDIT_STYLES}")
 
@@ -208,9 +213,10 @@ def kk_pvalue_trace(x: np.ndarray, population: int) -> np.ndarray:
     return _trace(x[None], np.arange(x.size), population, -np.inf)[0]
 
 
-# Draws walked before the first check for a crossing, the factor by which
-# each further chunk grows, and the size it grows to.  The kernel takes at
-# most _MAX_CHUNK values at a time (draws times rows).
+# A simulated trial's draws: the first chunk, walked before the first check
+# for a crossing, the factor by which each further chunk grows, and the size
+# it grows to.  The kernel takes at most _MAX_CHUNK values at a time (draws
+# times rows), in a walk or a trace.
 _FIRST_CHUNK = 256
 _CHUNK_GROWTH = 4
 _MAX_CHUNK = 8192
@@ -293,9 +299,9 @@ def _trace(scores: np.ndarray, order: np.ndarray, population: int, risk_limit: f
     value for test ``i``; ``order`` holds the cells drawn from ``population``
     values.  Returns the (tests x draws) running p-values, row ``i`` bit for
     bit a prefix of ``kk_pvalue_trace(scores[i][order], population)``.
-    Slices grow from ``_FIRST_CHUNK`` draws by ``_CHUNK_GROWTH`` to
-    ``_MAX_CHUNK // tests`` (at least one), up to the one in which every
-    test has crossed.  The scores are padded once as (cells x tests), so one
+    Slices of ``_MAX_CHUNK // tests`` draws (at least one) are walked up to
+    the one in which every test has crossed; a trace's bits do not depend
+    on its slices.  The scores are padded once as (cells x tests), so one
     row ``take`` gathers a slice, whose p-values are transposed once into
     running minima continued from the slice before: the running peak's.
     """
@@ -303,15 +309,16 @@ def _trace(scores: np.ndarray, order: np.ndarray, population: int, risk_limit: f
     tests = y.shape[1]
     low = np.full(tests, np.inf)  # each test's running p-value after the draws walked, none before the first
     walked, carry = [np.empty((tests, 0))], np.zeros((2, tests))
-    start, chunk = 0, _FIRST_CHUNK
+    start = 0
     with np.errstate(divide="ignore", invalid="ignore"):
+        # A set with no test walks nothing, so the width is never taken of zero tests.
         while start < order.size and not (low <= risk_limit).all():
-            part = order[start : start + min(chunk, max(1, _MAX_CHUNK // tests))]
+            part = order[start : start + max(1, _MAX_CHUNK // tests)]
             log_mart, carry = _kk_chunk(y.take(part, axis=0), log_y.take(part, axis=0), population, start, carry)
             trace = np.minimum.accumulate(_kk_pvalue(log_mart).T, axis=1, out=np.empty((tests, part.size)))
             low = np.minimum(trace, low[:, None], out=trace)[:, -1]
             walked.append(trace)
-            start, chunk = start + part.size, min(chunk * _CHUNK_GROWTH, _MAX_CHUNK)
+            start += part.size
     return np.concatenate(walked, axis=1)
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .model import Ballot, Election
+from .model import Ballot, Election, as_integer
 
 
 class ParseError(ValueError):
@@ -305,7 +305,8 @@ def serialize_election(election: Election) -> str:
 
 
 def scale(election: Election, factor: int) -> Election:
-    """Multiply every signature count by a positive integer factor."""
-    if not isinstance(factor, int) or factor < 1:
+    """Multiply every signature count by a positive integer factor (a numpy integer too, not a bool)."""
+    times = as_integer(factor)
+    if times is None or times < 1:
         raise ValueError(f"scale factor must be a positive integer, got {factor!r}")
-    return Election(election.candidates, {sig: n * factor for sig, n in election.profile.items()})
+    return Election(election.candidates, {sig: n * times for sig, n in election.profile.items()})

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -24,14 +25,23 @@ class CapacityError(ValueError):
     """Raised when an input exceeds what a method can compute: a combinatorial blow-up or a count past int64."""
 
 
+def as_integer(value) -> int | None:
+    """``value`` as an int if it is an integer (a numpy one too) other than a bool, else None."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class Election:
     """A candidate roster plus a multiset of ballot signatures.
 
     ``candidates[i]`` is the name of candidate ``i``.  ``profile`` maps each
     distinct ballot signature to the (nonnegative) number of ballots cast
-    with that exact ranking.  Instances are validated on construction and
-    must be treated as immutable.
+    with that exact ranking: an integer, a numpy one too, but not a bool,
+    which is refused rather than read as 0 or 1.  Instances are validated
+    on construction and must be treated as immutable.
     """
 
     candidates: tuple[str, ...]
@@ -45,8 +55,8 @@ class Election:
         k = len(names)
         prof: dict[Ballot, int] = {}
         for sig, count in self.profile.items():
-            sig = tuple(sig)
-            if not isinstance(count, int) or count < 0:
+            sig, count = tuple(sig), as_integer(count)
+            if count is None or count < 0:
                 raise ValueError(f"ballot count for {sig} must be a nonnegative integer")
             if len(set(sig)) != len(sig):
                 raise ValueError(f"duplicate candidate in ballot {sig}")

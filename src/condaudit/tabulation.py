@@ -132,6 +132,14 @@ class TransitiveInference:
 
 @dataclass(frozen=True)
 class RankedPairsResult:
+    """A Ranked Pairs outcome, with the commits and inferences of the pass over majorities in index order.
+
+    ``winner`` is None exactly when ``reason`` is set: no candidate is dominant, an ordering of equal-score
+    majorities elects another candidate, or the search would take over ``MAX_TIE_ORDERINGS`` passes.
+    ``tie_flag`` is set when that pass found a winner and a block of two or more equal-score majorities came
+    into play in it or in an ordering searched: on both search escalations, never when none is dominant.
+    """
+
     winner: int | None
     commits: tuple[CommittedPair, ...]
     inferences: tuple[TransitiveInference, ...]
@@ -232,11 +240,7 @@ def ranked_pairs_tabulate(score_matrix: np.ndarray) -> RankedPairsResult:
     pairs = _positive_pairs(s)
 
     winner, commits, inferences, consumed = _run_ranked_pairs(k, pairs)
-    if winner is None:
-        return RankedPairsResult(
-            None, commits, inferences, tie_flag=False,
-            reason="tied pairwise contests leave no candidate dominant",
-        )
+    reason = "tied pairwise contests leave no candidate dominant" if winner is None else None
 
     # Group equal-score majorities; only groups that actually came into play
     # can influence the outcome.
@@ -246,38 +250,28 @@ def ranked_pairs_tabulate(score_matrix: np.ndarray) -> RankedPairsResult:
     def touched_blocks(n_consumed: int) -> set[int]:
         return {b for b, block in enumerate(blocks) if starts[b] < n_consumed and len(block) > 1}
 
-    relevant = touched_blocks(consumed)
-    if not relevant:
-        return RankedPairsResult(winner, commits, inferences, tie_flag=False)
-
+    relevant = touched_blocks(consumed) if reason is None else set()
     # A Condorcet winner never has an incoming edge (every margin against it
     # is negative), so no processing order can stop any of its majorities
     # from committing: the outcome is order-independent and the search below
     # is unnecessary.
-    if condorcet_winner(s) is not None:
-        return RankedPairsResult(winner, commits, inferences, tie_flag=True)
-
+    searched = set(relevant) if relevant and condorcet_winner(s) is not None else set()
     runs = 0
-    searched: set[int] = set()
-    while relevant != searched:
+    while reason is None and relevant != searched:
         searched = set(relevant)
         runs += math.prod(math.factorial(len(blocks[b])) for b in searched)
         if runs > MAX_TIE_ORDERINGS:
-            return RankedPairsResult(
-                None, commits, inferences, tie_flag=True,
-                reason=f"too many orderings of equal-score majorities to verify (> {MAX_TIE_ORDERINGS})",
-            )
+            reason = f"too many orderings of equal-score majorities to verify (> {MAX_TIE_ORDERINGS})"
+            break
         perm_sets = [itertools.permutations(block) if b in searched else [block] for b, block in enumerate(blocks)]
         for arrangement in itertools.product(*perm_sets):
             ordering = [pair for block in arrangement for pair in block]
             alt_winner, *_, alt_consumed = _run_ranked_pairs(k, ordering)
             if alt_winner != winner:
-                return RankedPairsResult(
-                    None, commits, inferences, tie_flag=True,
-                    reason="ordering of equal-score majorities can change the winner",
-                )
+                reason = "ordering of equal-score majorities can change the winner"
+                break
             relevant |= touched_blocks(alt_consumed)
-    return RankedPairsResult(winner, commits, inferences, tie_flag=True)
+    return RankedPairsResult(winner if reason is None else None, commits, inferences, bool(relevant), reason)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +285,9 @@ class MinimaxResult:
     ``worst_loss[c]`` is the largest margin by which any opponent beats c
     (negative when nobody does).  ``strongest_defeater`` maps each candidate
     with at least one strict loss to the opponent inflicting it.
+    ``winner`` is None, and ``reason`` set, when candidates share the
+    smallest worst loss.  ``condorcet_case`` is set when that loss is
+    negative (the winner loses to no one) or k = 1; never on a tie.
     """
 
     winner: int | None
@@ -326,10 +323,10 @@ def minimax_tabulate(score_matrix: np.ndarray) -> MinimaxResult:
     strongest_defeater = dict(zip(beaten.tolist(), defeaters[beaten].tolist()))
 
     low = min(worst_loss.values())
-    if np.count_nonzero(losses == low) > 1:
-        return MinimaxResult(None, worst_loss, strongest_defeater, condorcet_case=False,
-                             reason="tie for the smallest worst pairwise loss")
-    return MinimaxResult(int(losses.argmin()), worst_loss, strongest_defeater, condorcet_case=low < 0)
+    tied = np.count_nonzero(losses == low) > 1
+    # Two candidates cannot both lose to no one, so a tie has low >= 0.
+    return MinimaxResult(None if tied else int(losses.argmin()), worst_loss, strongest_defeater, low < 0,
+                         "tie for the smallest worst pairwise loss" if tied else None)
 
 
 # ---------------------------------------------------------------------------

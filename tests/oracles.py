@@ -6,7 +6,8 @@ permutation enumeration for Kemeny, integer signed-contribution sums for
 assorter means, claim weights added up pair by pair, a direct-product
 version of the sequential test, each audit style's normaliser, a per-cell
 scorer of (reported, audited) cells, a per-ballot simulation of audit sample
-sizes, and a line-by-line reader of sample files from the README's rules.  ``json_values`` draws arbitrary JSON
+sizes, Ranked Pairs and Minimax tabulations that decide each outcome in its
+own exit, and a line-by-line reader of sample files from the README's rules.  ``json_values`` draws arbitrary JSON
 values to put in the fields of an input document.
 """
 
@@ -22,11 +23,15 @@ from hypothesis import strategies as st
 from condaudit import (
     AuditConfig,
     Election,
+    MinimaxResult,
     PairwisePositive,
+    RankedPairsResult,
     RankingComparison,
     ScoreComparison,
+    condorcet_winner,
     kk_pvalue_trace,
 )
+from condaudit.tabulation import MAX_TIE_ORDERINGS, _positive_pairs, _run_ranked_pairs
 
 
 def brute_force_smith(score_matrix: np.ndarray) -> frozenset[int]:
@@ -43,6 +48,89 @@ def brute_force_smith(score_matrix: np.ndarray) -> frozenset[int]:
             assert len(found) == 1, "dominant sets of one size should be unique"
             return frozenset(found[0])
     return frozenset(range(k))
+
+
+def reference_ranked_pairs(score_matrix: np.ndarray) -> RankedPairsResult:
+    """Ranked Pairs with each outcome built at its own exit and its own literal ``tie_flag``.
+
+    The reference that ``ranked_pairs_tabulate`` must match field for field:
+    no dominant candidate (no tie flag), no tied block in play (no tie
+    flag), a Condorcet winner, too many orderings to search, an ordering
+    that elects another candidate, and a winner every ordering keeps.
+    """
+    s = np.asarray(score_matrix)
+    k = s.shape[0]
+    if k == 0:
+        raise ValueError("ranked pairs requires at least one candidate")
+    pairs = _positive_pairs(s)
+
+    winner, commits, inferences, consumed = _run_ranked_pairs(k, pairs)
+    if winner is None:
+        return RankedPairsResult(
+            None, commits, inferences, tie_flag=False,
+            reason="tied pairwise contests leave no candidate dominant",
+        )
+
+    blocks = [list(group) for _, group in itertools.groupby(pairs, key=lambda p: p[0])]
+    starts = [0, *itertools.accumulate(map(len, blocks))]
+
+    def touched_blocks(n_consumed: int) -> set[int]:
+        return {b for b, block in enumerate(blocks) if starts[b] < n_consumed and len(block) > 1}
+
+    relevant = touched_blocks(consumed)
+    if not relevant:
+        return RankedPairsResult(winner, commits, inferences, tie_flag=False)
+    if condorcet_winner(s) is not None:
+        return RankedPairsResult(winner, commits, inferences, tie_flag=True)
+
+    runs = 0
+    searched: set[int] = set()
+    while relevant != searched:
+        searched = set(relevant)
+        runs += math.prod(math.factorial(len(blocks[b])) for b in searched)
+        if runs > MAX_TIE_ORDERINGS:
+            return RankedPairsResult(
+                None, commits, inferences, tie_flag=True,
+                reason=f"too many orderings of equal-score majorities to verify (> {MAX_TIE_ORDERINGS})",
+            )
+        perm_sets = [itertools.permutations(block) if b in searched else [block] for b, block in enumerate(blocks)]
+        for arrangement in itertools.product(*perm_sets):
+            ordering = [pair for block in arrangement for pair in block]
+            alt_winner, *_, alt_consumed = _run_ranked_pairs(k, ordering)
+            if alt_winner != winner:
+                return RankedPairsResult(
+                    None, commits, inferences, tie_flag=True,
+                    reason="ordering of equal-score majorities can change the winner",
+                )
+            relevant |= touched_blocks(alt_consumed)
+    return RankedPairsResult(winner, commits, inferences, tie_flag=True)
+
+
+def reference_minimax(score_matrix: np.ndarray) -> MinimaxResult:
+    """Minimax with a tie and a winner each built at its own exit, the tie's ``condorcet_case`` a literal False.
+
+    The reference that ``minimax_tabulate`` must match field for field.
+    """
+    s = np.asarray(score_matrix)
+    k = s.shape[0]
+    if k == 0:
+        raise ValueError("minimax requires at least one candidate")
+    if k == 1:
+        return MinimaxResult(0, {}, {}, condorcet_case=True)
+
+    against = s.T[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+    losses = against.max(axis=1)
+    slot = against.argmax(axis=1)
+    defeaters = slot + (slot >= np.arange(k))
+    beaten = np.flatnonzero(losses > 0)
+    worst_loss = dict(enumerate(losses.tolist()))
+    strongest_defeater = dict(zip(beaten.tolist(), defeaters[beaten].tolist()))
+
+    low = min(worst_loss.values())
+    if np.count_nonzero(losses == low) > 1:
+        return MinimaxResult(None, worst_loss, strongest_defeater, condorcet_case=False,
+                             reason="tie for the smallest worst pairwise loss")
+    return MinimaxResult(int(losses.argmin()), worst_loss, strongest_defeater, condorcet_case=low < 0)
 
 
 def brute_force_kemeny(tallies: np.ndarray) -> tuple[tuple[int, ...], int]:

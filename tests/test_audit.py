@@ -353,6 +353,23 @@ class TestChunkedTrace:
         xs = [_kk_sequence(3000, kind, seed, lean) for seed, lean in ((1, 0.3), (2, 0.7), (3, 0.5))]
         check_first_crossings(xs, risk_limit)
 
+    @pytest.mark.parametrize("risk_limit", [-0.05, math.nan], ids=["negative", "nan"])
+    def test_a_limit_no_pvalue_meets_screens_every_slice_out(self, risk_limit):
+        # The screen is +inf, so no row stops.  Scores of at most 1/2 keep every padded sum below
+        # N * (t + g), so every log-martingale stays finite and no slice reaches the screen: none takes exp.
+        assert _screen(risk_limit) == math.inf
+        rng = np.random.default_rng(3)
+        scores = rng.uniform(0.0, 0.5, size=(3, 40))
+        n, trials = 3000, 2
+        cells = rng.integers(0, 40, size=(trials, n))
+
+        def no_exp(log_mart):
+            raise AssertionError("a slice below the screen took exp")
+
+        with mock.patch.object(audit_module, "_kk_pvalue", no_exp):
+            stops = _walk(lambda a, b, ts: cells[ts, a:b], scores, n, risk_limit, trials)
+        assert stops.tolist() == [n + 1] * 3 * trials
+
     @given(
         st.lists(
             st.tuples(st.sampled_from(_KINDS), st.integers(0, 2**32 - 1), st.floats(0.2, 0.8)), min_size=1, max_size=5
@@ -1405,6 +1422,20 @@ class TestAuditConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             AuditConfig(**kwargs)
+
+    # Each was accepted before it was refused: True ran as seed 1, and the rest failed later inside numpy.
+    @pytest.mark.parametrize(
+        "name, value",
+        [("seed", True), ("trials", 2.5), ("trials", True), ("seed", 1.5)],
+        ids=["seed-true", "trials-float", "trials-true", "seed-float"],
+    )
+    def test_rejects_a_non_integer_count(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            AuditConfig(**{name: value})
+
+    def test_numpy_integers_pass_as_ints(self):
+        cfg = AuditConfig(trials=np.int64(5), seed=np.uint8(2))
+        assert (cfg.trials, cfg.seed, type(cfg.trials), type(cfg.seed)) == (5, 2, int, int)
 
 
 if __name__ == "__main__":

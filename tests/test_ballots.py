@@ -318,6 +318,14 @@ class TestScale:
         with pytest.raises(ValueError):
             scale(election1, 0)
 
+    def test_bool_factor_rejected(self, election1):
+        # True once scaled by 1.
+        with pytest.raises(ValueError, match="^scale factor must be a positive integer, got True$"):
+            scale(election1, True)
+
+    def test_numpy_integer_factor(self, election1):
+        assert scale(election1, np.int64(2)) == scale(election1, 2)
+
     @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_scale_composes(self, seed, a, b):

@@ -133,6 +133,17 @@ class TestElectionValidation:
         with pytest.raises(ValueError):
             Election(("A", "B"), {(0,): -1})
 
+    # True once stored a count of 1.
+    @pytest.mark.parametrize("count", [True, False, 2.0, "3"], ids=["true", "false", "float", "str"])
+    def test_non_integer_count(self, count):
+        with pytest.raises(ValueError, match=r"^ballot count for \(0,\) must be a nonnegative integer$"):
+            Election(("A",), {(0,): count})
+
+    def test_numpy_integer_count_is_stored_as_int(self):
+        e = Election(("A", "B"), {(0,): np.int64(3), (1, 0): np.uint16(2)})
+        assert e.profile == {(0,): 3, (1, 0): 2}
+        assert {type(n) for n in e.profile.values()} == {int}
+
     def test_totals(self, election1, election2, election3):
         assert election1.total_ballots == 8300
         assert election2.total_ballots == 44000
