@@ -19,9 +19,11 @@ the ordered pairs each side of the claim states: ``d`` but ``n(n-1)/2``
 for a ranking comparison of n candidates.  A claim's reported mean is exact:
 with its integer margin ``M = sum_ij W[i, j] * tallies[i, j]`` over ``N``
 ballots it is ``(M + hN) / 2hN`` (:func:`claim_means`), above 1/2 exactly
-when ``M > 0``.  A set scores as one matrix: :func:`claim_values` gives
-every claim's assorter of every signature in one float64 product, exact
-since ``g`` is a small integer.
+when ``M > 0``.  ``M`` can pass int64, so it is summed in two int64 limbs,
+each tally's ``hi`` and ``lo`` with ``tally = hi * 2**32 + lo``, each sum
+exact, and the two sums are joined in Python ints.  A set scores as one
+matrix: :func:`claim_values` gives every claim's assorter of every signature
+in one float64 product, exact since ``g`` is a small integer.
 
 Three claim shapes are supported:
 
@@ -120,10 +122,10 @@ class RankingComparison:
     def __post_init__(self):
         object.__setattr__(self, "preferred", tuple(self.preferred))
         object.__setattr__(self, "other", tuple(self.other))
-        for ranking in (self.preferred, self.other):
-            if len(set(ranking)) != len(ranking):
-                raise ValueError("rankings may not repeat candidates")
-        if set(self.preferred) != set(self.other):
+        preferred, other = set(self.preferred), set(self.other)
+        if len(preferred) != len(self.preferred) or len(other) != len(self.other):
+            raise ValueError("rankings may not repeat candidates")
+        if preferred != other:
             raise ValueError("rankings must cover the same candidates")
         if not self.preferred or self.preferred[0] == self.other[0]:
             raise ValueError("compared rankings must start with different candidates")
@@ -184,15 +186,17 @@ def claim_weights(assertions: Sequence[Assertion], num_candidates: int, style: s
     ``d``.  Either gives values in [0, 1] and a mean above 1/2 exactly when
     the margin is above 0.
     """
-    rankings, signs, starts = [], [], []
+    rankings, sides, starts = [], [], []
     for assertion in assertions:
         if not isinstance(assertion, _CLAIM_CLASSES):
             raise TypeError(f"not an assertion: {assertion!r}")
         plus, minus = assertion.claim()
         starts.append(len(rankings))
         rankings += plus + minus
-        signs += [1] * len(plus) + [-1] * len(minus)
-    signed = np.where(preference_matrix(rankings, num_candidates), np.array(signs, dtype=np.int8)[:, None, None], 0)
+        sides += (len(plus), len(minus))
+    # Each claim's +1 rankings, then its -1 rankings: a side's sign is repeated over its rankings.
+    signs = np.array([1, -1] * len(starts), dtype=np.int8).repeat(sides)
+    signed = preference_matrix(rankings, num_candidates) * signs[:, None, None]
     weights = np.add.reduceat(signed, starts, axis=0, dtype=np.int64)
     if style == "comparison":
         return weights, np.abs(weights).sum(axis=(1, 2)) // 2
@@ -208,7 +212,9 @@ def claim_values(weights: np.ndarray, h: np.ndarray, prefs: np.ndarray) -> np.nd
     """
     k2 = weights.shape[1] * weights.shape[2]
     g = weights.reshape(len(weights), k2).astype(np.float64) @ prefs.reshape(len(prefs), k2).T.astype(np.float64)
-    return (g + h[:, None]) / (2 * h[:, None])
+    g += h[:, None]  # in place: the IEEE operations of (g + h) / 2h, without two (A, S) temporaries
+    g /= 2 * h[:, None]
+    return g
 
 
 def claim_means(weights: np.ndarray, h: np.ndarray, tallies: np.ndarray, total: int) -> np.ndarray:
@@ -217,11 +223,21 @@ def claim_means(weights: np.ndarray, h: np.ndarray, tallies: np.ndarray, total: 
     A claim's integer margin ``M = sum(W * tallies)`` gives the mean
     ``(M + h*N) / 2hN``, correctly rounded; it exceeds 1/2 exactly when
     ``M > 0``.  An empty election has mean 1/2: no evidence either way.
+
+    ``M`` can pass int64: it sums up to k(k-1) tallies of up to N each.  It
+    is summed in two int64 limbs and the two sums joined in Python ints.
+    Each tally is below 2**63, since :func:`~condaudit.model.ballot_counts`
+    raises :class:`~condaudit.model.CapacityError` first, so it is ``hi *
+    2**32 + lo`` with both limbs below 2**32.  A claim's entries of ``W``
+    are at most 2 in size, ``sum |W| < 2k**2``, so each limb's weighted sum
+    is below ``2k**2 * 2**32``: exact in int64 for fewer than 2**15
+    candidates.
     """
     if total == 0:
         return np.full(len(h), 0.5)
-    # In Python ints: a margin sums up to k(k-1) tallies of at most N each, past int64 for large N.
-    margins = (weights * tallies.astype(object)).sum(axis=(1, 2)).tolist()
+    limbs = np.array(np.divmod(tallies.reshape(-1), np.int64(1 << 32)))  # each tally's hi, then its lo
+    high, low = (limbs @ weights.reshape(len(weights), tallies.size).T).tolist()
+    margins = [(hi << 32) + lo for hi, lo in zip(high, low)]
     return np.array([(m + norm * total) / (2 * norm * total) for m, norm in zip(margins, h.tolist())])
 
 

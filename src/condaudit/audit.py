@@ -77,6 +77,7 @@ works per draw in Python.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,6 +103,8 @@ class AuditConfig:
     ``seed`` is nonnegative and names the simulation's streams as given:
     trial ``t`` draws from ``default_rng([seed, t])``.  ``trials`` and
     ``seed`` are stored as ``int``; a bool or a non-integer is refused.
+    ``risk_limit`` and ``error_rate`` are real numbers (a numpy float
+    too); a bool, a string or any other value is refused.
     """
 
     risk_limit: float = 0.05
@@ -111,6 +114,10 @@ class AuditConfig:
     style: str = "polling"
 
     def __post_init__(self):
+        for name in ("risk_limit", "error_rate"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0 < self.risk_limit < 1:
             raise ValueError("risk_limit must be in (0, 1)")
         if not 0 <= self.error_rate < 1:

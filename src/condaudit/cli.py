@@ -288,6 +288,9 @@ def _method_assertions(args, election: Election) -> AssertionSet:
 _encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
                          ": ", ", ", False, False, True)
 
+# The exact types json writes as one scalar; a subclass (``np.float64``, an enum) takes the general path.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
 
 def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for an acyclic ``obj`` whose
@@ -305,13 +308,18 @@ def _write(obj, newline: str, out: list[str]) -> None:
     """Append the text of ``obj`` to ``out``; ``newline`` is the newline and indent before its closing bracket.
 
     Each item of a dict, list or tuple is written one level deeper.  Scalars
-    go through the C encoder.  A 1-D float64 array is written as its
+    go through the C encoder, an exact ``str``, ``int``, ``float``, ``bool``
+    or ``None`` before any other test, and a dict item whose value is one in
+    one piece with its key.  A 1-D float64 array is written as its
     ``tolist()``, formatting each run of equal bit patterns once, as
     ``float.__repr__`` costs the same whoever calls it: an audit's p-value
     trace is a running minimum, so its runs are its few distinct values.  Bit
     patterns, not values, mark the runs: ``0.0 == -0.0``, and NaN equals
     nothing.  Any other array raises ``TypeError``, as ``json.dumps`` does.
     """
+    if type(obj) in _SCALARS:
+        out += _encode(obj, 0)
+        return
     floats = isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64
     if not (floats or isinstance(obj, (dict, list, tuple))):
         out += _encode(obj, 0)
@@ -324,8 +332,12 @@ def _write(obj, newline: str, out: list[str]) -> None:
     out.append(brackets[0] + inner)
     if isinstance(obj, dict):
         for i, (key, value) in enumerate(obj.items()):
-            out.append(f",{inner}{_key(key)}: " if i else f"{_key(key)}: ")
-            _write(value, inner, out)
+            head = f",{inner}{_key(key)}: " if i else f"{_key(key)}: "
+            if type(value) in _SCALARS:
+                out.append(head + _encode(value, 0)[0])
+            else:
+                out.append(head)
+                _write(value, inner, out)
     elif floats:
         bits = obj.view(np.int64)
         starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))

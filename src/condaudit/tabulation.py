@@ -411,6 +411,13 @@ def kemeny_tabulate(tallies: np.ndarray) -> KemenyResult:
     audit built on it) is impractical.  Of equal-scoring best rankings the
     lexicographically first is kept, and ``tie_flag`` is set when the best
     score occurs more than once.
+
+    A score sums k(k-1)/2 tallies and can pass int64.  Each integer tally,
+    below 2**63 since :func:`~condaudit.model.ballot_counts` raises
+    :class:`CapacityError` first, is ``hi * 2**32 + lo`` in two int64 limbs;
+    each ranking's limbs are summed exactly in int64 (at most 28 of them,
+    each below 2**32) and the two sums joined in Python ints, so every score
+    is exact.
     """
     t = np.asarray(tallies)
     k = t.shape[0]
@@ -421,8 +428,10 @@ def kemeny_tabulate(tallies: np.ndarray) -> KemenyResult:
     rankings = list(itertools.permutations(range(k)))
     above, below = np.triu_indices(k, 1)
     order = np.array(rankings, dtype=np.intp)
-    # In Python ints: a score sums k(k-1)/2 tallies, past int64 for large elections.
-    scores = t.astype(object)[order[:, above], order[:, below]].sum(axis=1).tolist()
+    cells = order[:, above] * k + order[:, below]  # each ranking's ordered pairs, as flat indices into t
+    # In int64 limbs, joined in Python ints: a score sums up to 28 tallies, past int64 for large elections.
+    high, low = (np.take(limb, cells).sum(axis=1).tolist() for limb in np.divmod(t.reshape(-1), np.int64(1 << 32)))
+    scores = [(hi << 32) + lo for hi, lo in zip(high, low)]
     best_score = max(scores)
     best_ranking = rankings[scores.index(best_score)]
     return KemenyResult(best_ranking, best_score, best_ranking[0], scores.count(best_score) > 1)

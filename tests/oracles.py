@@ -7,7 +7,8 @@ assorter means, claim weights added up pair by pair, a direct-product
 version of the sequential test, each audit style's normaliser, a per-cell
 scorer of (reported, audited) cells, a per-ballot simulation of audit sample
 sizes, Ranked Pairs and Minimax tabulations that decide each outcome in its
-own exit, and a line-by-line reader of sample files from the README's rules.  ``json_values`` draws arbitrary JSON
+own exit, claim means and Kemeny scores summed in Python ints over object
+arrays, and a line-by-line reader of sample files from the README's rules.  ``json_values`` draws arbitrary JSON
 values to put in the fields of an input document.
 """
 
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from condaudit import (
     AuditConfig,
     Election,
+    KemenyResult,
     MinimaxResult,
     PairwisePositive,
     RankedPairsResult,
@@ -146,6 +148,35 @@ def brute_force_kemeny(tallies: np.ndarray) -> tuple[tuple[int, ...], int]:
         if best_score is None or score > best_score:
             best_ranking, best_score = perm, score
     return best_ranking, best_score
+
+
+def object_kemeny(tallies: np.ndarray) -> KemenyResult:
+    """Kemeny-Young with every ranking's score summed in Python ints over an object array.
+
+    The reference that ``kemeny_tabulate``'s int64 limbs must match field for
+    field: the same enumeration order and the same tie-break (``max``, the
+    first ``index``, ``count``).
+    """
+    t = np.asarray(tallies)
+    k = t.shape[0]
+    rankings = list(itertools.permutations(range(k)))
+    above, below = np.triu_indices(k, 1)
+    order = np.array(rankings, dtype=np.intp)
+    totals = t.astype(object)[order[:, above], order[:, below]].sum(axis=1).tolist()
+    best_score = max(totals)
+    best_ranking = rankings[totals.index(best_score)]
+    return KemenyResult(best_ranking, best_score, best_ranking[0], totals.count(best_score) > 1)
+
+
+def object_claim_means(weights: np.ndarray, h: np.ndarray, tallies: np.ndarray, total: int) -> np.ndarray:
+    """Each claim's mean ``(M + hN) / 2hN`` with its margin ``M`` summed in Python ints over an object array.
+
+    The reference that ``claim_means``'s int64 limbs must match bit for bit.
+    """
+    if total == 0:
+        return np.full(len(h), 0.5)
+    margins = (weights * tallies.astype(object)).sum(axis=(1, 2)).tolist()
+    return np.array([(m + norm * total) / (2 * norm * total) for m, norm in zip(margins, h.tolist())])
 
 
 def ranking_tally(ranking, tallies: np.ndarray) -> int:

@@ -44,6 +44,8 @@ from oracles import (
     comparison_normalizer,
     json_values,
     normalizer,
+    object_claim_means,
+    object_kemeny,
     pair_weights,
     random_election,
     signed_contribution,
@@ -817,6 +819,46 @@ def test_claim_weights_match_the_pair_oracle(data):
     # The float64 product gives the integer product's assorters bit for bit.
     g = np.tensordot(weights, prefs, axes=([1, 2], [1, 2]))
     assert claim_values(weights, h, prefs).tobytes() == ((g + h[:, None]) / (2 * h[:, None])).tobytes()
+
+
+# Tallies up to just below 2**63, the bound ballot_counts keeps, drawn often at an int64 limb's edges: each is
+# hi * 2**32 + lo, so 2**32 - 1 and 2**32 fill or carry the low limb and 2**63 - 1 fills both.  Small
+# tallies make equal Kemeny scores, and so the tie-break, common.
+_TALLIES = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from([2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**62, 2**63 - 2, 2**63 - 1]),
+    st.integers(0, 2**63 - 1),
+)
+
+
+def _tally_matrix(k: int):
+    return st.lists(_TALLIES, min_size=k * k, max_size=k * k).map(lambda xs: np.array(xs, dtype=np.int64).reshape(k, k))
+
+
+# The int64 limbs must give what Python ints give.  Each test fails under either mutation of its function:
+# summing one int64 limb (the whole tally), which wraps past 2**63, or joining the limbs with a shift of 31.
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_limbs_give_the_object_sums_means_bit_for_bit(data):
+    k = data.draw(st.integers(2, 7))
+    claims = data.draw(st.lists(_claims(k), max_size=8))
+    tallies = data.draw(_tally_matrix(k))
+    total = data.draw(st.one_of(st.just(0), st.integers(1, 2**63 - 1)))
+    for style in ("polling", "comparison"):
+        weights, h = claim_weights(claims, k, style)
+        means = claim_means(weights, h, tallies, total)
+        assert means.dtype == np.float64
+        assert means.tobytes() == object_claim_means(weights, h, tallies, total).tobytes()
+
+
+@given(st.integers(1, 6).flatmap(_tally_matrix))
+@settings(max_examples=200, deadline=None)
+def test_limbs_give_the_object_sums_kemeny_result_field_for_field(tallies):
+    # Each field's value and type: a numpy integer in place of an int would change a JSON rendering.
+    def fields(result):
+        return [(name, type(value), value) for name, value in vars(result).items()]
+
+    assert fields(kemeny_tabulate(tallies)) == fields(object_kemeny(tallies))
 
 
 @given(st.integers(2, 7).flatmap(_claims))

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -1432,6 +1433,23 @@ class TestAuditConfig:
     def test_rejects_a_non_integer_count(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             AuditConfig(**{name: value})
+
+    # Each was accepted or failed elsewhere before it was refused: False was read as a rate of 0, and a
+    # string raised TypeError from the range check's comparison.
+    @pytest.mark.parametrize(
+        "name, value",
+        [("error_rate", False), ("risk_limit", True), ("risk_limit", "0.05"), ("error_rate", None)],
+        ids=["error-rate-false", "risk-limit-true", "risk-limit-string", "error-rate-none"],
+    )
+    def test_rejects_a_rate_that_is_not_a_real_number(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+            AuditConfig(**{name: value})
+
+    def test_numpy_floats_pass_as_rates(self):
+        cfg = AuditConfig(risk_limit=np.float64(0.05), error_rate=np.float32(0.25))
+        assert (cfg.risk_limit, cfg.error_rate) == (0.05, 0.25)
+        with pytest.raises(ValueError, match=r"^risk_limit must be in \(0, 1\)$"):
+            AuditConfig(risk_limit=np.float64(1.0))
 
     def test_numpy_integers_pass_as_ints(self):
         cfg = AuditConfig(trials=np.int64(5), seed=np.uint8(2))

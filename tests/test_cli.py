@@ -1090,9 +1090,21 @@ def as_lists(doc):
 @example([[[[0.1, 0.1, math.nan]]]])
 @example({"p_trace": np.array([1.0] * 70 + [0.5, -0.0, 0.0, math.nan, -math.nan, 5e-324, 5e-324]), "e": np.empty(0)})
 @example([np.linspace(0, 1, 10)[::3], np.arange(12.0).reshape(3, 4)[1], (np.array([math.inf, -math.inf]),)])
+# A flat dict's scalars are each written in one piece with their key; an np.float64 is not an exact float.
+@example({"t": True, "f": False, "n": None, "big": 2**64 + 1, "neg": -(2**64), "z": -0.0, "nan": math.nan,
+          "inf": math.inf, "-inf": -math.inf, "ключ": "é", "np": np.float64(0.1)})
+@example([True, None, 2**64 + 1, -0.0, math.nan, math.inf, "é", np.float64(-0.0)])
+@example(np.float64(2.5))
 @settings(max_examples=200, deadline=None)
 def test_dumps_is_json_dumps_indent_2(doc):
     assert cli._dumps(doc) == json.dumps(as_lists(doc), indent=2)
+
+
+@pytest.mark.parametrize("doc", [np.int64(3), {"asn": np.int64(3)}, [1, np.int64(3)]], ids=["scalar", "dict", "list"])
+def test_dumps_refuses_a_numpy_integer_as_json_dumps_does(doc):
+    for dumps in (cli._dumps, lambda obj: json.dumps(obj, indent=2)):
+        with pytest.raises(TypeError, match="^Object of type int64 is not JSON serializable$"):
+            dumps(doc)
 
 
 @pytest.mark.parametrize("array", [np.arange(3, dtype=np.int64), np.zeros((2, 2))], ids=["int64", "2-d-float64"])
