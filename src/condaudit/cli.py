@@ -31,6 +31,7 @@ from dataclasses import fields
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from . import ballots as ballots_io
 from .assertions import (
@@ -311,11 +312,11 @@ def _write(obj, newline: str, out: list[str]) -> None:
     go through the C encoder, an exact ``str``, ``int``, ``float``, ``bool``
     or ``None`` before any other test, and a dict item whose value is one in
     one piece with its key.  A 1-D float64 array is written as its
-    ``tolist()``, formatting each run of equal bit patterns once, as
-    ``float.__repr__`` costs the same whoever calls it: an audit's p-value
-    trace is a running minimum, so its runs are its few distinct values.  Bit
-    patterns, not values, mark the runs: ``0.0 == -0.0``, and NaN equals
-    nothing.  Any other array raises ``TypeError``, as ``json.dumps`` does.
+    ``tolist()``, formatting each run of equal bit patterns once, by
+    :func:`_float_texts`: an audit's p-value trace is a running minimum, so
+    its runs are its few distinct values.  Bit patterns, not values, mark the
+    runs: ``0.0 == -0.0``, and NaN equals nothing.  Any other array raises
+    ``TypeError``, as ``json.dumps`` does.
     """
     if type(obj) in _SCALARS:
         out += _encode(obj, 0)
@@ -341,7 +342,7 @@ def _write(obj, newline: str, out: list[str]) -> None:
     elif floats:
         bits = obj.view(np.int64)
         starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-        texts = np.array(json.dumps(bits[starts].view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+        texts = np.array(_float_texts(bits[starts].view(np.float64)), dtype=object)
         out.append(("," + inner).join(np.repeat(texts, np.diff(starts, append=bits.size)).tolist()))
     else:
         for i, value in enumerate(obj):
@@ -349,6 +350,29 @@ def _write(obj, newline: str, out: list[str]) -> None:
                 out.append("," + inner)
             _write(value, inner, out)
     out.append(newline + brackets[1])
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """The text ``json.dumps`` gives each float64 of ``values``, from orjson's shortest-digit writer.
+
+    orjson writes the shortest digits that read back, as ``float.__repr__``
+    does, without its bignum arithmetic, but in its own notation: ``1e-6`` and
+    ``1e16`` for ``1e-06`` and ``1e+16``, and fixed notation from 1e-5, so a
+    one-digit exponent is one of ``e-6`` to ``e-9``.  Those spellings are
+    rewritten as text.  The values it writes otherwise,
+    non-finite ones (``null``) and those of magnitude in [1e-5, 1e-4)
+    (``0.00001``), take the C encoder's text.
+    """
+    floats = values.tolist()
+    text = orjson.dumps(floats)[1:-1].decode().replace("e", "e+").replace("e+-", "e-") + ","
+    for digit in "6789":
+        text = text.replace(f"e-{digit},", f"e-0{digit},")
+    texts = text.split(",")
+    texts.pop()
+    size = np.abs(values)
+    for i in np.flatnonzero(~np.isfinite(values) | ((size >= 1e-5) & (size < 1e-4))).tolist():
+        texts[i] = _encode(floats[i], 0)[0]
+    return texts
 
 
 def _key(key) -> str:

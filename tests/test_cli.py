@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -1112,3 +1113,42 @@ def test_dumps_rejects_any_other_array(array):
     for doc in (array, [1.5, array], {"p_trace": array}):
         with pytest.raises(TypeError, match="^Object of type ndarray is not JSON serializable$"):
             cli._dumps(doc)
+
+
+# Where orjson's notation and json's part: fixed against exponent notation, one-digit exponents, non-finite values.
+_NOTATION_EDGES = [
+    1e-5, math.nextafter(1e-5, 0), math.nextafter(1e-5, 1), 1e-4, math.nextafter(1e-4, 0),
+    1e-6, math.nextafter(1e-6, 0), 9.9e-7, 1e-9, 1e-10, 1e16, math.nextafter(1e16, 0), 1e22,
+    sys.float_info.max, 5e-324, sys.float_info.min, 0.0, math.nan, math.inf,
+]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64)))
+@example(np.array(_NOTATION_EDGES + [-x for x in _NOTATION_EDGES]))
+@example(np.array([3e-5, 1e-7, 1e-60, 1e-6, 1e-16, 1e100, 1e-100, 8e-5, 0.1]))
+@settings(max_examples=200, deadline=None)
+def test_float_texts_are_json_texts(values):
+    assert cli._float_texts(values) == json.dumps(values.tolist())[1:-1].split(", ")
+
+
+def test_audit_formats_each_trace_in_one_orjson_call(capsys, monkeypatch):
+    golden = Path(__file__).parent / "golden"
+    case = "election3.ranked-pairs.audit.polling.json"
+    calls = []
+    dumps = cli.orjson.dumps
+
+    def counted(floats):
+        calls.append(len(floats))
+        return dumps(floats)
+
+    monkeypatch.setattr(cli.orjson, "dumps", counted)
+    argv = ["audit", str(golden / "election3.json"), "--style", "polling", "--format", "json",
+            "--assertions-file", str(golden / "election3.ranked-pairs.assertions.out"),
+            "--samples-file", str(golden / "election3-samples.jsonl")]
+    exit_codes = json.loads((golden / "exit_codes.json").read_text())
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (exit_codes[case], (golden / f"{case}.out").read_text(), "")
+    # One call per written trace, each with the trace's runs of equal values.
+    traces = [row["p_trace"] for row in json.loads(out)["assertions"] if row["p_trace"]]
+    assert len(traces) > 1 and calls == [sum(1 for _ in itertools.groupby(trace)) for trace in traces]
