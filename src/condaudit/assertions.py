@@ -19,9 +19,9 @@ the ordered pairs each side of the claim states: ``d`` but ``n(n-1)/2``
 for a ranking comparison of n candidates.  A claim's reported mean is exact:
 with its integer margin ``M = sum_ij W[i, j] * tallies[i, j]`` over ``N``
 ballots it is ``(M + hN) / 2hN`` (:func:`claim_means`), above 1/2 exactly
-when ``M > 0``.  ``M`` can pass int64, so it is summed in two int64 limbs,
-each tally's ``hi`` and ``lo`` with ``tally = hi * 2**32 + lo``, each sum
-exact, and the two sums are joined in Python ints.  A set scores as one
+when ``M > 0``.  ``M`` can pass int64, so it is summed exactly by
+:func:`~condaudit.model.tally_sums`, the sum ``kemeny_tabulate`` scores its
+rankings with.  A set scores as one
 matrix: :func:`claim_values` gives every claim's assorter of every signature
 in one float64 product, exact since ``g`` is a small integer.
 
@@ -71,7 +71,7 @@ import numpy as np
 
 from . import tabulation
 from .ballots import ParseError, decode_json, resolve_names, roster_index
-from .model import Election, pairwise_tallies, preference_matrix, scores
+from .model import Election, pairwise_tallies, preference_matrix, scores, tally_sums
 
 
 # Each claim() gives its +1 rankings and its -1 rankings.  Both rank the same candidate sets, counted with multiplicity,
@@ -224,20 +224,14 @@ def claim_means(weights: np.ndarray, h: np.ndarray, tallies: np.ndarray, total: 
     ``(M + h*N) / 2hN``, correctly rounded; it exceeds 1/2 exactly when
     ``M > 0``.  An empty election has mean 1/2: no evidence either way.
 
-    ``M`` can pass int64: it sums up to k(k-1) tallies of up to N each.  It
-    is summed in two int64 limbs and the two sums joined in Python ints.
-    Each tally is below 2**63, since :func:`~condaudit.model.ballot_counts`
-    raises :class:`~condaudit.model.CapacityError` first, so it is ``hi *
-    2**32 + lo`` with both limbs below 2**32.  A claim's entries of ``W``
-    are at most 2 in size, ``sum |W| < 2k**2``, so each limb's weighted sum
-    is below ``2k**2 * 2**32``: exact in int64 for fewer than 2**15
-    candidates.
+    ``M`` sums up to k(k-1) tallies of up to N each and can pass int64, so
+    it is :func:`~condaudit.model.tally_sums`'s exact sum: a claim's entries
+    of ``W`` are at most 2 in size, so ``sum |W| < 2k**2``, within its
+    bound for fewer than 2**15 candidates.
     """
     if total == 0:
         return np.full(len(h), 0.5)
-    limbs = np.array(np.divmod(tallies.reshape(-1), np.int64(1 << 32)))  # each tally's hi, then its lo
-    high, low = (limbs @ weights.reshape(len(weights), tallies.size).T).tolist()
-    margins = [(hi << 32) + lo for hi, lo in zip(high, low)]
+    margins = tally_sums(weights, tallies)
     return np.array([(m + norm * total) / (2 * norm * total) for m, norm in zip(margins, h.tolist())])
 
 

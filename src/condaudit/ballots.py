@@ -60,7 +60,7 @@ class ParseReport:
 
 
 _METADATA_RE = re.compile(r"^#\s*([A-Za-z][A-Za-z0-9 ]*?)\s*:\s*(.*?)\s*$")
-_ALT_NAME_RE = re.compile(r"^ALTERNATIVE NAME (\d+)$")
+_ALT_NAME_RE = re.compile(r"^ALTERNATIVE NAME ([0-9]+)$")
 
 
 def read_text(path: str | Path) -> str:
@@ -155,7 +155,7 @@ def parse_preflib(text: str) -> ParseReport:
             key, value = (m.group(1).upper(), m.group(2)) if m else ("", "")
             alt = _ALT_NAME_RE.match(key)
             if alt:
-                key = int(alt.group(1))
+                key = parse_int(alt.group(1))
             elif key in _HEADER_CHECKS:
                 value = _HEADER_CHECKS[key](value, lineno, key)
             else:

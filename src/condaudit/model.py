@@ -40,8 +40,9 @@ class Election:
     ``candidates[i]`` is the name of candidate ``i``.  ``profile`` maps each
     distinct ballot signature to the (nonnegative) number of ballots cast
     with that exact ranking: an integer, a numpy one too, but not a bool,
-    which is refused rather than read as 0 or 1.  Instances are validated
-    on construction and must be treated as immutable.
+    which is refused rather than read as 0 or 1.  A candidate index follows
+    the same rule and is stored as an ``int``.  Instances are validated on
+    construction and must be treated as immutable.
     """
 
     candidates: tuple[str, ...]
@@ -58,11 +59,18 @@ class Election:
             sig, count = tuple(sig), as_integer(count)
             if count is None or count < 0:
                 raise ValueError(f"ballot count for {sig} must be a nonnegative integer")
-            if len(set(sig)) != len(sig):
-                raise ValueError(f"duplicate candidate in ballot {sig}")
+            exact = True
             for c in sig:
+                if type(c) is not int:  # as_integer on every index would triple the cost of this loop
+                    if as_integer(c) is None:
+                        raise ValueError(f"ballot {sig} names candidate {c!r}, not an integer index")
+                    exact = False
                 if not 0 <= c < k:
                     raise ValueError(f"ballot {sig} references unknown candidate index {c}")
+            if not exact:
+                sig = tuple(map(operator.index, sig))
+            if len(set(sig)) != len(sig):
+                raise ValueError(f"duplicate candidate in ballot {sig}")
             prof[sig] = prof.get(sig, 0) + count
         object.__setattr__(self, "profile", prof)
 
@@ -121,6 +129,23 @@ def ballot_counts(election: Election, signatures: Sequence[Ballot]) -> np.ndarra
     if election.total_ballots > np.iinfo(np.int64).max:
         raise CapacityError(f"tallies count fewer than 2**63 ballots; the election has {election.total_ballots:,}")
     return np.array([election.profile.get(sig, 0) for sig in signatures], dtype=np.int64)
+
+
+def tally_sums(weights: np.ndarray, tallies: np.ndarray) -> list[int]:
+    """Each row's exact ``sum(weights[r] * tallies)`` as a Python int, for integer or boolean ``weights`` (R, k, k).
+
+    A sum of tallies can pass int64, so each tally is split into two int64
+    limbs, ``hi * 2**32 + lo``, each limb's weighted sum is taken in int64
+    and the two sums are joined in Python ints.  Every tally is below 2**63,
+    since :func:`ballot_counts` raises :class:`CapacityError` first, so both
+    limbs are below 2**32, and a limb's sum is exact for a row whose
+    ``sum |weights[r]|`` is below 2**31.
+    """
+    limbs = np.array(np.divmod(tallies.reshape(-1), np.int64(1 << 32)))  # each tally's hi, then its lo
+    # Cast first: at k = 8 an int64-by-bool matmul takes about 3x as long as the cast and an int64 one.
+    rows = weights.reshape(len(weights), limbs.shape[1]).astype(np.int64, copy=False)
+    high, low = (limbs @ rows.T).tolist()
+    return [(hi << 32) + lo for hi, lo in zip(high, low)]
 
 
 def scores(tallies: np.ndarray) -> np.ndarray:

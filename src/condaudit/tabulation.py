@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CapacityError, Election, restrict_to, scores
+from .model import CapacityError, Election, preference_matrix, restrict_to, scores, tally_sums
 
 # Winner-stability search over orderings of equal-score blocks gives up past
 # this many tabulation runs and escalates instead.
@@ -412,12 +412,10 @@ def kemeny_tabulate(tallies: np.ndarray) -> KemenyResult:
     lexicographically first is kept, and ``tie_flag`` is set when the best
     score occurs more than once.
 
-    A score sums k(k-1)/2 tallies and can pass int64.  Each integer tally,
-    below 2**63 since :func:`~condaudit.model.ballot_counts` raises
-    :class:`CapacityError` first, is ``hi * 2**32 + lo`` in two int64 limbs;
-    each ranking's limbs are summed exactly in int64 (at most 28 of them,
-    each below 2**32) and the two sums joined in Python ints, so every score
-    is exact.
+    A ranking's score is the sum of the tallies its row of a
+    :func:`~condaudit.model.preference_matrix` prefers: its k(k-1)/2 ordered
+    pairs.  It can pass int64, so it is
+    :func:`~condaudit.model.tally_sums`'s exact sum.
     """
     t = np.asarray(tallies)
     k = t.shape[0]
@@ -426,12 +424,7 @@ def kemeny_tabulate(tallies: np.ndarray) -> KemenyResult:
     if k > KEMENY_MAX_K:
         raise CapacityError(f"kemeny enumeration over {k} candidates needs {k}! rankings; limit is {KEMENY_MAX_K}")
     rankings = list(itertools.permutations(range(k)))
-    above, below = np.triu_indices(k, 1)
-    order = np.array(rankings, dtype=np.intp)
-    cells = order[:, above] * k + order[:, below]  # each ranking's ordered pairs, as flat indices into t
-    # In int64 limbs, joined in Python ints: a score sums up to 28 tallies, past int64 for large elections.
-    high, low = (np.take(limb, cells).sum(axis=1).tolist() for limb in np.divmod(t.reshape(-1), np.int64(1 << 32)))
-    scores = [(hi << 32) + lo for hi, lo in zip(high, low)]
+    scores = tally_sums(preference_matrix(rankings, k), t)
     best_score = max(scores)
     best_ranking = rankings[scores.index(best_score)]
     return KemenyResult(best_ranking, best_score, best_ranking[0], scores.count(best_score) > 1)

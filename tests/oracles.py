@@ -153,9 +153,11 @@ def brute_force_kemeny(tallies: np.ndarray) -> tuple[tuple[int, ...], int]:
 def object_kemeny(tallies: np.ndarray) -> KemenyResult:
     """Kemeny-Young with every ranking's score summed in Python ints over an object array.
 
-    The reference that ``kemeny_tabulate``'s int64 limbs must match field for
-    field: the same enumeration order and the same tie-break (``max``, the
-    first ``index``, ``count``).
+    The reference that ``kemeny_tabulate``'s scores, ``tally_sums`` over each
+    ranking's ``preference_matrix`` row, must match field for field: the same
+    enumeration order and the same tie-break (``max``, the first ``index``,
+    ``count``).  It reads each ranking's ordered pairs from ``triu_indices``,
+    not from a preference matrix, so it states the relation apart.
     """
     t = np.asarray(tallies)
     k = t.shape[0]

@@ -37,6 +37,9 @@ from condaudit import (
     smith_set,
 )
 
+from condaudit import assertions as assertions_module
+from condaudit import model as model_module
+from condaudit import tabulation as tabulation_module
 from condaudit.assertions import _relabel, claim_means, claim_values, claim_weights
 
 from oracles import (
@@ -859,6 +862,34 @@ def test_limbs_give_the_object_sums_kemeny_result_field_for_field(tallies):
         return [(name, type(value), value) for name, value in vars(result).items()]
 
     assert fields(kemeny_tabulate(tallies)) == fields(object_kemeny(tallies))
+
+
+def test_kemeny_scores_and_claim_margins_are_one_tally_sum_each(monkeypatch, election3):
+    # Guard: kemeny_tabulate states no preference relation of its own and no second exact sum.  It scores the
+    # k! rows of one preference_matrix with one tally_sums call, and claim_means reads every margin from one.
+    built, summed = [], []
+    build, add = model_module.preference_matrix, model_module.tally_sums
+
+    def building(signatures, k):
+        built.append((len(signatures), k))
+        return build(signatures, k)
+
+    def summing(weights, tallies):
+        summed.append(len(weights))
+        return add(weights, tallies)
+
+    monkeypatch.setattr(tabulation_module, "preference_matrix", building)
+    for module in (tabulation_module, assertions_module):
+        monkeypatch.setattr(module, "tally_sums", summing)
+    tallies = pairwise_tallies(election3)
+    assert kemeny_tabulate(tallies) == object_kemeny(tallies)
+    assert (built, summed) == ([(24, 4)], [24])
+    aset = method_assertions("kemeny", election3)
+    weights, h = claim_weights(aset.assertions, 4, "comparison")
+    summed.clear()
+    means = claim_means(weights, h, tallies, election3.total_ballots)
+    assert means.tobytes() == object_claim_means(weights, h, tallies, election3.total_ballots).tobytes()
+    assert summed == [len(aset.assertions)] and len(aset.assertions) > 1
 
 
 @given(st.integers(2, 7).flatmap(_claims))

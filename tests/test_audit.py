@@ -49,6 +49,7 @@ from condaudit import (
 from condaudit import assertions as assertions_module
 from condaudit import audit as audit_module
 from condaudit import model as model_module
+from condaudit import tabulation as tabulation_module
 from condaudit.assertions import claim_values, claim_weights
 from condaudit.audit import (
     AUDIT_STYLES,
@@ -905,7 +906,7 @@ class TestEstimate:
             return build(sigs, k)
 
         # Every module that can build a preference matrix looks it up through one of these.
-        for module in (model_module, audit_module, assertions_module, condaudit):
+        for module in (model_module, audit_module, assertions_module, tabulation_module, condaudit):
             if hasattr(module, "preference_matrix"):
                 monkeypatch.setattr(module, "preference_matrix", counting)
         full = method_assertions("ranked-pairs", election3)

@@ -128,6 +128,8 @@ class TestElectionValidation:
     def test_unknown_candidate_index(self):
         with pytest.raises(ValueError):
             Election(("A", "B"), {(2,): 1})
+        with pytest.raises(ValueError, match=r"unknown candidate index 2$"):
+            Election(("A", "B"), {(np.int64(2),): 1})
 
     def test_negative_count(self):
         with pytest.raises(ValueError):
@@ -143,6 +145,23 @@ class TestElectionValidation:
         e = Election(("A", "B"), {(0,): np.int64(3), (1, 0): np.uint16(2)})
         assert e.profile == {(0,): 3, (1, 0): 2}
         assert {type(n) for n in e.profile.values()} == {int}
+
+    # 1.5 was counted for B by pairwise_tallies and for no one by irv_tabulate; True was read as candidate 1.
+    @pytest.mark.parametrize("ballot", [(1.5,), (True, 0), (0, False), (1.0,), ("1",), (0, None)],
+                             ids=["float", "true", "false", "whole-float", "str", "none"])
+    def test_non_integer_candidate_index(self, ballot):
+        bad = next(c for c in ballot if type(c) is not int)
+        message = f"ballot {ballot} names candidate {bad!r}, not an integer index"
+        with pytest.raises(ValueError) as err:
+            Election(("A", "B"), {ballot: 3})
+        assert str(err.value) == message
+
+    def test_numpy_integer_index_is_stored_as_int(self):
+        # A numpy index once constructed and then failed digest()'s JSON encoding.
+        e = Election(("A", "B"), {(np.int64(1), np.uint8(0)): 3, (np.intp(0),): 4})
+        assert e.profile == {(1, 0): 3, (0,): 4}
+        assert {type(c) for sig in e.profile for c in sig} == {int}
+        assert e.digest() == Election(("A", "B"), {(1, 0): 3, (0,): 4}).digest()
 
     def test_totals(self, election1, election2, election3):
         assert election1.total_ballots == 8300
